@@ -17,37 +17,29 @@ from .channel import (
     Symmetric,
     plan_bandwidth,
     power_per_exchange,
+    power_schedule,
     transmissions_per_step,
     transmitter_at,
 )
 from .af import (
     Campaign,
-    CombineAudit,
-    ExchangeRecord,
     SnrState,
     SnrTrajectory,
-    amplification_gains,
     campaign,
-    initial_state,
-    mi_conservation_check,
-    mrc_weights_symmetric,
-    ratio_form_snr,
+    evolve,
+    final_covariance,
     run_recursion,
     s1_vs_s2_numerator,
     s2_closed_form,
-    step_asymmetric,
-    step_symmetric,
 )
 from .df import (
     BlockShape,
     Constellation,
-    LlrBlock,
     RelayErrorModel,
     RelayObservation,
     choose_compatible_modulation,
     ensure_enumerable,
     estimate_relay_errors,
-    mld_llr,
     mld_llr_batch,
     nearest_neighbor_error_model,
     qam,

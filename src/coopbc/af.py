@@ -1,33 +1,34 @@
 """Analytic equivalent-SNR engine for amplify-and-forward cooperation.
 
-Every signal handled by a receiver is linear in the common message X and in the
-elementary noise sources (two downlink noises plus one noise per cooperation
-sub-channel), so each combiner state is represented exactly as
+Every signal a receiver handles is linear in the common message X and in the
+elementary noises (two downlink noises plus one noise per cooperation
+transmission). A combiner output is only defined up to scale, so every one is
+kept at unit signal gain, Y = X + Z, and its equivalent SNR is P / Var(Z).
 
-    Y = alpha * X + sum_k c_k * zeta_k,      zeta_k ~ CN(0, var_k) independent.
+The state of a scenario is the 4x4 covariance of the noise vector
+(Z_I, Z_II, Z_1, Z_2): the two combiner outputs and the two original downlink
+noises. At every cooperation step a destination maximum-ratio-combines a kept
+unit-gain signal with a branch g (X + Z_fwd) + W, where W is cooperation noise
+independent of everything before it. One rule serves both strategies:
 
-Equivalent noise powers and noise cross-correlations are then exact inner
-products of the coefficient vectors, and maximum-ratio weights follow from the
-2x2 branch noise covariance. The same quantities are also propagated through
-the closed scalar recursions (weights / signal coefficients / cross-correlation
-/ ratio-form SNR update), which serve as mutual cross-checks.
+- forward-latest (S1) keeps the destination's own output and receives the
+  partner's output, with the relay gain a and cooperation noise N_c;
+- forward-original (S2) keeps the destination's direct signal and receives the
+  partner's direct signal. All m branches received so far have equal gain, so
+  their sum is a sufficient statistic: one branch with gain m a and noise
+  m N_c.
 
-The raw recursion multiplies states by unnormalized MRC weights, which grows
-superexponentially with the exchange count and overflows float64 after a
-handful of rounds. Since a combiner output is only defined up to scale, the
-engine renormalizes each combined signal to unit signal gain by default;
-``normalize=False`` keeps the verbatim trajectory for small exchange counts.
+The recursion runs for a batch of scenarios at once (leading axis), which is
+how rate sweeps and decision regions evaluate many counts and grid points.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .channel import (
-    Asymmetric,
     BandwidthPlan,
     ChannelParams,
     CoopConfig,
@@ -35,54 +36,42 @@ from .channel import (
     Strategy,
     Symmetric,
     plan_bandwidth,
-    power_per_exchange,
+    power_schedule,
     transmitter_at,
 )
 
 __all__ = [
     "SnrState",
     "SnrTrajectory",
-    "ExchangeRecord",
-    "CombineAudit",
     "Campaign",
-    "initial_state",
-    "amplification_gains",
-    "mrc_weights_symmetric",
-    "step_symmetric",
-    "step_asymmetric",
-    "ratio_form_snr",
+    "evolve",
+    "final_covariance",
     "campaign",
     "run_recursion",
     "s2_closed_form",
     "s1_vs_s2_numerator",
-    "mi_conservation_check",
 ]
+
+# A combine whose 2x2 branch noise covariance has a determinant this small
+# relative to the product of its variances is singular to rounding: the branch
+# repeats the kept signal, carries no new information and is skipped.
+_SINGULAR = 1e-12
 
 
 @dataclass(frozen=True)
 class SnrState:
-    """Combiner state of both receivers after exchange `i`.
+    """Combiner state of both receivers after exchange `i`, at unit signal gain.
 
-    alpha_*: useful-signal coefficients; N_*: equivalent noise powers;
-    e: noise cross-correlation E[Z_I Z_II*] (real in this model);
-    rho_*: equivalent SNRs; w*/a*: weights and gains applied at this exchange
-    (identity weights and zero gains at i = 0 or for a silent side).
+    N_*: equivalent noise powers; e: noise cross-correlation E[Z_I Z_II*]
+    (real in this model); rho_* = P / N_*: equivalent SNRs.
     """
 
     i: int
-    alpha_I: float
-    alpha_II: float
     N_I: float
     N_II: float
     e: float
     rho_I: float
     rho_II: float
-    w1: float
-    w2: float
-    w12: float
-    w21: float
-    a12: float
-    a21: float
 
 
 @dataclass(frozen=True)
@@ -93,519 +82,157 @@ class SnrTrajectory:
     plan: BandwidthPlan
 
 
-@dataclass(frozen=True)
-class ExchangeRecord:
-    """Scalars needed to replay one exchange on sampled signals.
-
-    norm_I / norm_II are the divisors applied to each receiver's combined
-    signal after the exchange (1.0 when not combining or not normalizing).
-    """
-
-    index: int
-    a12: float
-    a21: float
-    w1: float
-    w21: float
-    w2: float
-    w12: float
-    norm_I: float
-    norm_II: float
-
-
-@dataclass(frozen=True)
-class CombineAudit:
-    """Independent per-combine checks: scalar vs vector mutual information and
-    ratio-form vs signal-model SNR."""
-
-    exchange: int
-    receiver: Receiver
-    mi_combined: float
-    mi_vector: float
-    rho_ratio_form: float
-    rho_state: float
-
-
-@dataclass(frozen=True, eq=False)
-class SignalSnapshot:
-    """Exact linear representation of both combiner outputs after exchange `i`:
-    Y_rx = alpha_rx * X + coeffs_rx . zeta with zeta_k ~ CN(0, noise_vars[k])."""
-
-    i: int
-    alpha_I: float
-    coeffs_I: np.ndarray
-    alpha_II: float
-    coeffs_II: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class Campaign:
-    """Within-campaign trajectory for a fixed exchange count and bandwidth plan.
+    """Within-campaign trajectory for a fixed exchange count and bandwidth
+    plan, plus what a sampling simulation needs to replay it.
 
-    `noise_vars[k]` is the variance of elementary noise source k (downlink
-    noises first, then one cooperation noise per transmission); `snapshots`
-    carry the combiner outputs as coefficient vectors over those sources, which
-    is everything a sampling simulation needs to replay the campaign exactly.
+    Step t maps the noise vector (Z_I, Z_II, Z_1, Z_2) to
+    transforms[t] @ (Z_I, Z_II, Z_1, Z_2) plus fresh[t, d] times the
+    cooperation noise receiver d combines. `noise_vars[k]` is the variance of
+    elementary noise k (downlink noises first, then one cooperation noise per
+    transmission) and `sources[t, d]` the elementary noise receiver d gets at
+    step t, -1 when it receives nothing.
     """
 
     trajectory: SnrTrajectory
-    records: tuple[ExchangeRecord, ...]
-    audits: tuple[CombineAudit, ...]
+    transforms: np.ndarray
+    fresh: np.ndarray
     noise_vars: np.ndarray
-    snapshots: tuple[SignalSnapshot, ...]
+    sources: np.ndarray
+
+    def noise_coefficients(self) -> np.ndarray:
+        """Coefficients of Z_I and Z_II over the elementary noises after every
+        step, shape (K + 1, 2, len(noise_vars))."""
+        forward_original = self.trajectory.config.strategy is Strategy.S2
+        basis = np.zeros((4, len(self.noise_vars)))
+        basis[[0, 2], 0] = 1.0
+        basis[[1, 3], 1] = 1.0
+        received: tuple[list[int], list[int]] = ([], [])
+        out = [basis[:2].copy()]
+        for T, fresh, sources in zip(self.transforms, self.fresh, self.sources):
+            basis = T @ basis
+            for d in (0, 1):
+                if sources[d] >= 0:
+                    received[d].append(int(sources[d]))
+                    # S2 rebuilds the output from the direct signals and the
+                    # sum of every branch received so far
+                    basis[d, received[d] if forward_original else sources[d]] = fresh[d]
+            out.append(basis[:2].copy())
+        return np.array(out)
 
 
-# ---------------------------------------------------------------------------
-# Verbatim scalar recursion (one-exchange pure functions, forwarding the
-# latest combiner output).
-# ---------------------------------------------------------------------------
+def evolve(
+    P, noises: np.ndarray, powers: np.ndarray, forward_original: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run the unit-gain covariance recursion for S scenarios at once.
 
-
-def initial_state(params: ChannelParams, plan: BandwidthPlan) -> SnrState:
-    """State before any cooperation: unit signal gain, independent downlink noises."""
-    return SnrState(
-        i=0,
-        alpha_I=1.0,
-        alpha_II=1.0,
-        N_I=plan.N1,
-        N_II=plan.N2,
-        e=0.0,
-        rho_I=params.P / plan.N1,
-        rho_II=params.P / plan.N2,
-        w1=1.0,
-        w2=1.0,
-        w12=0.0,
-        w21=0.0,
-        a12=0.0,
-        a21=0.0,
-    )
-
-
-def amplification_gains(state: SnrState, powers: tuple[float, float], P: float) -> tuple[float, float]:
-    """Power-constrained relay gains a_tx = sqrt(P_tx / (alpha_tx^2 P + N_tx))."""
-    P12_i, P21_i = powers
-    a12 = math.sqrt(P12_i / (state.alpha_I**2 * P + state.N_I))
-    a21 = math.sqrt(P21_i / (state.alpha_II**2 * P + state.N_II))
-    return a12, a21
-
-
-def mrc_weights_symmetric(
-    state: SnrState, gains: tuple[float, float], noises: tuple[float, float]
-) -> tuple[float, float, float, float]:
-    """Unnormalized MRC weights (w12, w2, w21, w1) for a simultaneous round.
-
-    w_branch = a*alpha_tx*N_dest - a*alpha_dest*e and
-    w_keep = (a^2*N_tx + N_coop)*alpha_dest - a^2*alpha_tx*e, i.e. adj(R_zz)h*
-    for the 2x2 branch noise covariance; any common positive rescale of a
-    weight pair leaves the combined SNR unchanged.
+    P: source power, (S,) or a scalar; noises: (S, 4) plan noise powers
+    (N1, N2, N12, N21); powers: (S, K, 2) cooperation power sent from
+    receiver 1 to 2 and from 2 to 1 at each step, zero where silent. Yields
+    K + 1 triples (covariance (S, 4, 4), transform (S, 4, 4), fresh-noise
+    weights (S, 2)): the initial state with the identity, then one per step.
+    A silent or singular combine leaves its receiver's state exactly as it was.
     """
-    a12, a21 = gains
-    N12, N21 = noises
-    w12 = a12 * state.alpha_I * state.N_II - a12 * state.alpha_II * state.e
-    w2 = (a12**2 * state.N_I + N12) * state.alpha_II - a12**2 * state.alpha_I * state.e
-    w21 = a21 * state.alpha_II * state.N_I - a21 * state.alpha_I * state.e
-    w1 = (a21**2 * state.N_II + N21) * state.alpha_I - a21**2 * state.alpha_II * state.e
-    return w12, w2, w21, w1
+    S, K = powers.shape[:2]
+    N1, N2, N12, N21 = np.moveaxis(np.asarray(noises, dtype=float), -1, 0)
+    P = np.asarray(P, dtype=float)[..., None]
+    C = np.zeros((S, 4, 4))
+    C[:, [0, 0, 2, 2], [0, 2, 0, 2]] = N1[:, None]
+    C[:, [1, 1, 3, 3], [1, 3, 1, 3]] = N2[:, None]
+    eye = np.eye(4)
+    yield C, np.broadcast_to(eye, (S, 4, 4)), np.zeros((S, 2))
+    # column d is receiver d: what it keeps (k), what its partner forwards (f),
+    # and the cooperation noise of the link it listens to
+    rx = np.array([0, 1])
+    k, f = (rx + 2, 3 - rx) if forward_original else (rx, 1 - rx)
+    coop_noise = np.stack([N21, N12], axis=-1)
+    repeats = np.zeros((S, 2))
+    unchanged = np.broadcast_to(eye[2:], (S, 2, 4))  # the downlink noises
+    for t in range(K):
+        p = powers[:, t, ::-1]  # power each receiver hears
+        live = p > 0.0
+        repeats += live
+        m = repeats if forward_original else 1.0
+        Nk, Nf, c = C[:, k, k], C[:, f, f], C[:, k, f]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a2 = p / (P + Nf)
+            Nb = Nf + coop_noise / (m * a2)  # branch noise at unit gain
+            live &= Nk * Nb - c * c > _SINGULAR * Nk * Nb
+            D, E = Nb - c, Nk - c
+            w_k, w_b = D / (D + E), E / (D + E)
+            fresh = np.where(live, w_b / (m * np.sqrt(a2)), 0.0)
+            # combined noise power (Nk Nb - c^2) / (D + E), in a form that does
+            # not cancel when one branch is far noisier than the other
+            var = c + D * E / (D + E)
+        rows = np.zeros((S, 2, 4))
+        rows[:, rx, k] = w_k
+        rows[:, rx, f] = w_b
+        T = np.concatenate([np.where(live[..., None], rows, eye[:2]), unchanged], axis=1)
+        C = T @ C @ T.transpose(0, 2, 1)
+        C[:, rx, rx] = np.where(live, var, C[:, rx, rx])
+        yield C, T, fresh
 
 
-def step_symmetric(
-    state: SnrState, P: float, plan: BandwidthPlan, powers: tuple[float, float]
-) -> SnrState:
-    """One simultaneous round: both receivers forward their latest output and
-    combine the partner's branch with their previous state. A zero-power
-    branch delivers no signal and leaves its receiver unchanged."""
-    a12, a21 = amplification_gains(state, powers, P)
-    w12, w2, w21, w1 = mrc_weights_symmetric(state, (a12, a21), (plan.N12, plan.N21))
-    if powers[0] == 0.0:
-        w12, w2 = 0.0, 1.0
-    if powers[1] == 0.0:
-        w21, w1 = 0.0, 1.0
-    alpha_I = w21 * a21 * state.alpha_II + w1 * state.alpha_I
-    alpha_II = w12 * a12 * state.alpha_I + w2 * state.alpha_II
-    # Z_I' = w1 Z_I + w21 (a21 Z_II + Z21); Z_II' = w2 Z_II + w12 (a12 Z_I + Z12)
-    N_I = w1**2 * state.N_I + w21**2 * (a21**2 * state.N_II + plan.N21) + 2 * w1 * w21 * a21 * state.e
-    N_II = w2**2 * state.N_II + w12**2 * (a12**2 * state.N_I + plan.N12) + 2 * w2 * w12 * a12 * state.e
-    e = (
-        w12 * a12 * w1 * state.N_I
-        + w21 * a21 * w2 * state.N_II
-        + (w1 * w2 + w12 * a12 * w21 * a21) * state.e
-    )
-    return SnrState(
-        i=state.i + 1,
-        alpha_I=alpha_I,
-        alpha_II=alpha_II,
-        N_I=N_I,
-        N_II=N_II,
-        e=e,
-        rho_I=alpha_I**2 * P / N_I,
-        rho_II=alpha_II**2 * P / N_II,
-        w1=w1,
-        w2=w2,
-        w12=w12,
-        w21=w21,
-        a12=a12,
-        a21=a21,
-    )
+def final_covariance(
+    P, noises: np.ndarray, powers: np.ndarray, forward_original: bool
+) -> np.ndarray:
+    """Covariance (S, 4, 4) after the last step of `evolve`."""
+    for C, _, _ in evolve(P, noises, powers, forward_original):
+        pass
+    return C
 
 
-def step_asymmetric(
-    state: SnrState,
-    P: float,
-    plan: BandwidthPlan,
-    powers: tuple[float, float],
-    i: int,
-    starter: Receiver = Receiver.R1,
-) -> SnrState:
-    """One alternating exchange: the starter transmits at odd `i`, the partner
-    combines; the idle receiver's state passes through unchanged."""
-    transmitter = starter if i % 2 == 1 else starter.other
-    P12_i, P21_i = powers
-    if transmitter is Receiver.R1 and P12_i == 0.0 or transmitter is Receiver.R2 and P21_i == 0.0:
-        return SnrState(
-            i=state.i + 1,
-            alpha_I=state.alpha_I,
-            alpha_II=state.alpha_II,
-            N_I=state.N_I,
-            N_II=state.N_II,
-            e=state.e,
-            rho_I=state.rho_I,
-            rho_II=state.rho_II,
-            w1=1.0,
-            w2=1.0,
-            w12=0.0,
-            w21=0.0,
-            a12=0.0,
-            a21=0.0,
-        )
-    if transmitter is Receiver.R1:
-        a12 = math.sqrt(P12_i / (state.alpha_I**2 * P + state.N_I))
-        w12, w2, _, _ = mrc_weights_symmetric(state, (a12, 0.0), (plan.N12, plan.N21))
-        alpha_II = w12 * a12 * state.alpha_I + w2 * state.alpha_II
-        N_II = w2**2 * state.N_II + w12**2 * (a12**2 * state.N_I + plan.N12) + 2 * w2 * w12 * a12 * state.e
-        e = w2 * state.e + w12 * a12 * state.N_I
-        return SnrState(
-            i=state.i + 1,
-            alpha_I=state.alpha_I,
-            alpha_II=alpha_II,
-            N_I=state.N_I,
-            N_II=N_II,
-            e=e,
-            rho_I=state.rho_I,
-            rho_II=alpha_II**2 * P / N_II,
-            w1=1.0,
-            w2=w2,
-            w12=w12,
-            w21=0.0,
-            a12=a12,
-            a21=0.0,
-        )
-    a21 = math.sqrt(P21_i / (state.alpha_II**2 * P + state.N_II))
-    _, _, w21, w1 = mrc_weights_symmetric(state, (0.0, a21), (plan.N12, plan.N21))
-    alpha_I = w21 * a21 * state.alpha_II + w1 * state.alpha_I
-    N_I = w1**2 * state.N_I + w21**2 * (a21**2 * state.N_II + plan.N21) + 2 * w1 * w21 * a21 * state.e
-    e = w1 * state.e + w21 * a21 * state.N_II
-    return SnrState(
-        i=state.i + 1,
-        alpha_I=alpha_I,
-        alpha_II=state.alpha_II,
-        N_I=N_I,
-        N_II=state.N_II,
-        e=e,
-        rho_I=alpha_I**2 * P / N_I,
-        rho_II=state.rho_II,
-        w1=w1,
-        w2=1.0,
-        w12=0.0,
-        w21=w21,
-        a12=0.0,
-        a21=a21,
-    )
+def _state(i: int, P: float, C: np.ndarray) -> SnrState:
+    N_I, N_II = float(C[0, 0]), float(C[1, 1])
+    return SnrState(i, N_I, N_II, float(C[0, 1]), P / N_I, P / N_II)
 
 
-def ratio_form_snr(
-    P: float,
-    alpha_fwd: float,
-    rho_fwd: float,
-    alpha_dest: float,
-    rho_dest: float,
-    N_dest: float,
-    e_cross: float,
-    rho_coop: float,
-) -> float:
-    """Post-combine SNR as the closed ratio of two polynomial forms.
-
-    Inputs describe the forwarded signal (alpha_fwd, rho_fwd), the
-    destination's current state (alpha_dest, rho_dest, N_dest), their noise
-    cross-correlation e_cross = E[Z_fwd Z_dest*] and the cooperation
-    sub-channel SNR rho_coop = P_coop / N_coop. Numerator and denominator are
-    individually sign-flipped relative to the underlying quadratic forms; the
-    ratio is the combined SNR.
-    """
-    aa = alpha_fwd * alpha_dest
-    S = aa * 2.0 * e_cross * rho_fwd * rho_dest * rho_coop - aa**2 * P * (
-        rho_dest * (1.0 + rho_fwd) + rho_coop * (rho_fwd + rho_dest)
-    )
-    T = (
-        (e_cross**2 / P) * rho_fwd * rho_dest * rho_coop
-        - aa**2 * P * (1.0 + rho_coop)
-        - alpha_fwd**2 * N_dest * rho_fwd * rho_dest
-    )
-    return S / T
+def _plan_noises(plan: BandwidthPlan) -> tuple[float, float, float, float]:
+    return plan.N1, plan.N2, plan.N12, plan.N21
 
 
-# ---------------------------------------------------------------------------
-# Exact linear signal-model engine (both schemes, both strategies).
-# ---------------------------------------------------------------------------
+def _noise_layout(cfg: CoopConfig, plan: BandwidthPlan,
+                  powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Variances of the elementary noises and the source each receiver gets
+    per step: one cooperation noise per transmission slot, in schedule order
+    (symmetric rounds: the 1 -> 2 link first), allocated even when silent."""
+    K = cfg.count
+    sources = np.full((K, 2), -1)
+    if isinstance(cfg.scheme, Symmetric):
+        var = np.empty(2 + 2 * K)
+        var[2::2], var[3::2] = plan.N12, plan.N21
+        sources[:, 1] = 2 + 2 * np.arange(K)
+        sources[:, 0] = 3 + 2 * np.arange(K)
+    else:
+        var = np.empty(2 + K)
+        for i in range(1, K + 1):
+            dest = transmitter_at(cfg.scheme, i).other
+            var[1 + i] = plan.N12 if dest is Receiver.R2 else plan.N21
+            sources[i - 1, dest.value - 1] = 1 + i
+    var[0], var[1] = plan.N1, plan.N2
+    sources[powers[:, ::-1] == 0.0] = -1  # column d holds what receiver d hears
+    return var, sources
 
 
-class _Signal(NamedTuple):
-    alpha: float
-    coeffs: np.ndarray  # real coefficients over the elementary noise basis
+def campaign(params: ChannelParams, config: CoopConfig, count: Optional[int] = None) -> Campaign:
+    """Run one cooperation campaign of `count` scheme steps (default: the
+    config's count) under its bandwidth plan and power split.
 
-
-def _noise_power(sig: _Signal, var: np.ndarray) -> float:
-    return float(np.dot(sig.coeffs * sig.coeffs, var))
-
-
-def _cross(a: _Signal, b: _Signal, var: np.ndarray) -> float:
-    return float(np.dot(a.coeffs * b.coeffs, var))
-
-
-def _combine(keep: _Signal, branch: _Signal, var: np.ndarray) -> tuple[_Signal, float, float]:
-    """MRC of the kept signal with a received branch; returns the unnormalized
-    combined signal and the weight pair (w_keep, w_branch) = adj(R_zz) h."""
-    N_keep = _noise_power(keep, var)
-    N_br = _noise_power(branch, var)
-    c = _cross(keep, branch, var)
-    w_keep = N_br * keep.alpha - c * branch.alpha
-    w_br = N_keep * branch.alpha - c * keep.alpha
-    combined = _Signal(
-        w_keep * keep.alpha + w_br * branch.alpha,
-        w_keep * keep.coeffs + w_br * branch.coeffs,
-    )
-    return combined, w_keep, w_br
-
-
-def _joint_mrc(branches: list[_Signal], var: np.ndarray) -> tuple[_Signal, np.ndarray]:
-    """Maximum-ratio combiner over an arbitrary set of branches with exactly
-    correlated noises: weights w = R_zz^{-1} h."""
-    C = np.array([b.coeffs for b in branches])
-    h = np.array([b.alpha for b in branches])
-    R = (C * var) @ C.T
-    w = np.linalg.solve(R, h)
-    return _Signal(float(w @ h), w @ C), w
-
-
-def _vector_snr(keep: _Signal, branch: _Signal, var: np.ndarray, P: float) -> float:
-    """SNR of the optimal combiner computed from the 2-branch vector model,
-    P * h^T adj(R) h / det(R), without forming the combined signal."""
-    N_keep = _noise_power(keep, var)
-    N_br = _noise_power(branch, var)
-    c = _cross(keep, branch, var)
-    num = keep.alpha**2 * N_br - 2.0 * keep.alpha * branch.alpha * c + branch.alpha**2 * N_keep
-    det = N_keep * N_br - c * c
-    return P * num / det
-
-
-def campaign(
-    params: ChannelParams,
-    config: CoopConfig,
-    count: Optional[int] = None,
-    *,
-    normalize: bool = True,
-    audit: bool = False,
-) -> Campaign:
-    """Run one cooperation campaign of `count` scheme steps under a fixed
-    bandwidth plan and power split, tracking the exact signal model.
-
-    Forward-latest (S1): each receiver keeps a single running combiner output
-    and MRC-combines it pairwise with every new branch, tracking the noise
-    cross-correlation — the scalar recursion. Forward-original (S2): every
-    received branch is a fresh copy of the partner's downlink signal, and the
-    receiver maximum-ratio-combines its direct signal with all branches
-    received so far jointly (the per-branch weights are equal within a
-    campaign).
-
-    Returns the within-campaign trajectory (state per step, index 0 = before
-    cooperation at this campaign's bandwidth plan), per-exchange records,
-    coefficient snapshots for sampling replays, and optional per-combine
-    audits.
+    The trajectory holds one state per step, index 0 = before cooperation at
+    this campaign's bandwidth plan.
     """
     cfg = config if count is None else config.with_count(count)
-    K = cfg.count
     plan = plan_bandwidth(params, cfg)
-    P = params.P
-    symmetric = isinstance(cfg.scheme, Symmetric)
-    forward_latest = cfg.strategy is Strategy.S1
-    n_sources = 2 + (2 * K if symmetric else K)
-    var = np.zeros(n_sources)
-    var[0], var[1] = plan.N1, plan.N2
-
-    def unit(idx: int) -> np.ndarray:
-        v = np.zeros(n_sources)
-        v[idx] = 1.0
-        return v
-
-    orig_I = _Signal(1.0, unit(0))
-    orig_II = _Signal(1.0, unit(1))
-    sig_I, sig_II = orig_I, orig_II
-    # Branch collections for joint combining under forward-original.
-    branches_I, branches_II = [orig_I], [orig_II]
-    coop_power_I, coop_power_II = 0.0, 0.0  # cumulative received relay power
-    states = [initial_state(params, plan)]
-    records: list[ExchangeRecord] = []
-    audits: list[CombineAudit] = []
-    snapshots = [SignalSnapshot(0, 1.0, orig_I.coeffs, 1.0, orig_II.coeffs)]
-
-    def gain(fwd: _Signal, power: float) -> float:
-        return math.sqrt(power / (fwd.alpha**2 * P + _noise_power(fwd, var)))
-
-    def audit_pairwise(i: int, rx: Receiver, keep: _Signal, fwd: _Signal, br: _Signal,
-                       g: float, N_coop: float, combined: _Signal) -> None:
-        rho_new = combined.alpha**2 * P / _noise_power(combined, var)
-        N_fwd = _noise_power(fwd, var)
-        audits.append(
-            CombineAudit(
-                exchange=i,
-                receiver=rx,
-                mi_combined=math.log2(1.0 + rho_new),
-                mi_vector=math.log2(1.0 + _vector_snr(keep, br, var, P)),
-                rho_ratio_form=ratio_form_snr(
-                    P,
-                    fwd.alpha,
-                    fwd.alpha**2 * P / N_fwd,
-                    keep.alpha,
-                    keep.alpha**2 * P / _noise_power(keep, var),
-                    _noise_power(keep, var),
-                    _cross(fwd, keep, var),
-                    g * g * (fwd.alpha**2 * P + N_fwd) / N_coop,
-                ),
-                rho_state=rho_new,
-            )
-        )
-
-    def audit_joint(i: int, rx: Receiver, branches: list[_Signal], combined: _Signal,
-                    N_direct: float, N_fwd: float, N_coop: float, coop_power: float) -> None:
-        # Joint MRC of identical-repetition branches reduces to one pairwise
-        # combine of the direct signal with the branch average, whose
-        # cooperation sub-channel carries the cumulative relay power.
-        rho_new = combined.alpha**2 * P / _noise_power(combined, var)
-        C = np.array([b.coeffs for b in branches])
-        h = np.array([b.alpha for b in branches])
-        R = (C * var) @ C.T
-        rho_vec = float(P * h @ np.linalg.solve(R, h))
-        audits.append(
-            CombineAudit(
-                exchange=i,
-                receiver=rx,
-                mi_combined=math.log2(1.0 + rho_new),
-                mi_vector=math.log2(1.0 + rho_vec),
-                rho_ratio_form=ratio_form_snr(
-                    P, 1.0, P / N_fwd, 1.0, P / N_direct, N_direct, 0.0,
-                    coop_power / N_coop,
-                ),
-                rho_state=rho_new,
-            )
-        )
-
-    def renorm(sig: _Signal) -> tuple[_Signal, float]:
-        if not normalize:
-            return sig, 1.0
-        return _Signal(1.0, sig.coeffs / sig.alpha), sig.alpha
-
-    def receive_at_II(i: int, P12_i: float, src: int,
-                      tx_state: _Signal, keep: _Signal) -> tuple[float, float, float, float]:
-        nonlocal sig_II, coop_power_II
-        if P12_i == 0.0:  # nothing transmitted: the combiner state is untouched
-            sig_II = keep
-            return 0.0, 1.0, 0.0, 1.0
-        fwd = tx_state if forward_latest else orig_I
-        a12 = gain(fwd, P12_i)
-        br = _Signal(a12 * fwd.alpha, a12 * fwd.coeffs + unit(src))
-        if forward_latest:
-            new_II, w2, w12 = _combine(keep, br, var)
-            if audit:
-                audit_pairwise(i, Receiver.R2, keep, fwd, br, a12, plan.N12, new_II)
-        else:
-            branches_II.append(br)
-            coop_power_II += P12_i
-            new_II, wvec = _joint_mrc(branches_II, var)
-            w2, w12 = float(wvec[0]), float(wvec[-1])
-            if audit:
-                audit_joint(i, Receiver.R2, branches_II, new_II,
-                            plan.N2, plan.N1, plan.N12, coop_power_II)
-        sig_II, norm_II = renorm(new_II)
-        return a12, w2, w12, norm_II
-
-    def receive_at_I(i: int, P21_i: float, src: int,
-                     tx_state: _Signal, keep: _Signal) -> tuple[float, float, float, float]:
-        nonlocal sig_I, coop_power_I
-        if P21_i == 0.0:
-            sig_I = keep
-            return 0.0, 1.0, 0.0, 1.0
-        fwd = tx_state if forward_latest else orig_II
-        a21 = gain(fwd, P21_i)
-        br = _Signal(a21 * fwd.alpha, a21 * fwd.coeffs + unit(src))
-        if forward_latest:
-            new_I, w1, w21 = _combine(keep, br, var)
-            if audit:
-                audit_pairwise(i, Receiver.R1, keep, fwd, br, a21, plan.N21, new_I)
-        else:
-            branches_I.append(br)
-            coop_power_I += P21_i
-            new_I, wvec = _joint_mrc(branches_I, var)
-            w1, w21 = float(wvec[0]), float(wvec[-1])
-            if audit:
-                audit_joint(i, Receiver.R1, branches_I, new_I,
-                            plan.N1, plan.N2, plan.N21, coop_power_I)
-        sig_I, norm_I = renorm(new_I)
-        return a21, w1, w21, norm_I
-
-    for i in range(1, K + 1):
-        P12_i, P21_i = power_per_exchange(params, cfg, i)
-        if symmetric:
-            src12, src21 = 2 + 2 * (i - 1), 3 + 2 * (i - 1)
-            var[src12], var[src21] = plan.N12, plan.N21
-            # Both receivers transmit simultaneously, so both combines are
-            # formed from the pre-round states.
-            prev_I, prev_II = sig_I, sig_II
-            a12, w2, w12, norm_II = receive_at_II(i, P12_i, src12, prev_I, prev_II)
-            a21, w1, w21, norm_I = receive_at_I(i, P21_i, src21, prev_II, prev_I)
-            records.append(ExchangeRecord(i, a12, a21, w1, w21, w2, w12, norm_I, norm_II))
-        else:
-            tx = transmitter_at(cfg.scheme, i)
-            src = 2 + (i - 1)
-            if tx is Receiver.R1:
-                var[src] = plan.N12
-                a12, w2, w12, norm_II = receive_at_II(i, P12_i, src, sig_I, sig_II)
-                records.append(ExchangeRecord(i, a12, 0.0, 1.0, 0.0, w2, w12, 1.0, norm_II))
-            else:
-                var[src] = plan.N21
-                a21, w1, w21, norm_I = receive_at_I(i, P21_i, src, sig_II, sig_I)
-                records.append(ExchangeRecord(i, 0.0, a21, w1, w21, 1.0, 0.0, norm_I, 1.0))
-        rec = records[-1]
-        N_I, N_II = _noise_power(sig_I, var), _noise_power(sig_II, var)
-        states.append(
-            SnrState(
-                i=i,
-                alpha_I=sig_I.alpha,
-                alpha_II=sig_II.alpha,
-                N_I=N_I,
-                N_II=N_II,
-                e=_cross(sig_I, sig_II, var),
-                rho_I=sig_I.alpha**2 * P / N_I,
-                rho_II=sig_II.alpha**2 * P / N_II,
-                w1=rec.w1,
-                w2=rec.w2,
-                w12=rec.w12,
-                w21=rec.w21,
-                a12=rec.a12,
-                a21=rec.a21,
-            )
-        )
-        snapshots.append(SignalSnapshot(i, sig_I.alpha, sig_I.coeffs, sig_II.alpha, sig_II.coeffs))
-
-    trajectory = SnrTrajectory(tuple(states), params, cfg, plan)
-    return Campaign(trajectory, tuple(records), tuple(audits), var, tuple(snapshots))
+    powers = power_schedule(params, cfg)
+    steps = list(evolve(params.P, np.array([_plan_noises(plan)]), powers[None],
+                        cfg.strategy is Strategy.S2))
+    states = tuple(_state(i, params.P, C[0]) for i, (C, _, _) in enumerate(steps))
+    transforms = np.array([T[0] for _, T, _ in steps[1:]]).reshape(-1, 4, 4)
+    fresh = np.array([w[0] for _, _, w in steps[1:]]).reshape(-1, 2)
+    noise_vars, sources = _noise_layout(cfg, plan, powers)
+    return Campaign(SnrTrajectory(states, params, cfg, plan), transforms, fresh,
+                    noise_vars, sources)
 
 
 def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> SnrTrajectory:
@@ -614,15 +241,19 @@ def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> SnrTraje
     Entry i is the final state of an i-step campaign run under the bandwidth
     plan and power split belonging to count i (entry 0 = pure broadcast), so
     the trajectory answers "what do the receivers end up with if the system is
-    provisioned for i exchanges".
+    provisioned for i exchanges". All counts run as one batch.
     """
     if K < 0:
         raise ValueError("exchange count must be >= 0")
-    states = [initial_state(params, plan_bandwidth(params, config.with_count(0)))]
-    for i in range(1, K + 1):
-        states.append(campaign(params, config, i).trajectory.states[-1])
-    return SnrTrajectory(tuple(states), params, config.with_count(K),
-                         plan_bandwidth(params, config.with_count(K)))
+    configs = [config.with_count(k) for k in range(K + 1)]
+    plans = [plan_bandwidth(params, c) for c in configs]
+    powers = np.zeros((K + 1, K, 2))
+    for k, c in enumerate(configs):
+        powers[k, :k] = power_schedule(params, c)
+    C = final_covariance(params.P, np.array([_plan_noises(p) for p in plans]), powers,
+                         config.strategy is Strategy.S2)
+    states = tuple(_state(k, params.P, C[k]) for k in range(K + 1))
+    return SnrTrajectory(states, params, configs[-1], plans[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -667,41 +298,3 @@ def s1_vs_s2_numerator(params: ChannelParams, plan: BandwidthPlan) -> float:
         + N1 * P12 * N21 * N2
     )
     return P * N2 * P21 * P12 * poly
-
-
-def mi_conservation_check(
-    state: SnrState,
-    P: float,
-    powers: tuple[float, float],
-    coop_noises: tuple[float, float],
-    receiver: Receiver = Receiver.R2,
-) -> tuple[float, float]:
-    """Mutual information before/after collapsing one combine to a scalar.
-
-    Computes, for a single forward-latest combine at `receiver`, the scalar
-    post-combining MI log2(1 + rho_combined) and the two-branch vector MI
-    log2(1 + P h^T adj(R) h / det R); the combiner is information-lossless so
-    both coincide.
-    """
-    a12, a21 = amplification_gains(state, powers, P)
-    N12, N21 = coop_noises
-    if receiver is Receiver.R2:
-        alpha_keep, N_keep = state.alpha_II, state.N_II
-        alpha_fwd, N_fwd = state.alpha_I, state.N_I
-        g, N_coop = a12, N12
-    else:
-        alpha_keep, N_keep = state.alpha_I, state.N_I
-        alpha_fwd, N_fwd = state.alpha_II, state.N_II
-        g, N_coop = a21, N21
-    alpha_br = g * alpha_fwd
-    N_br = g * g * N_fwd + N_coop
-    c = g * state.e  # cross-correlation between kept noise and branch noise
-    w_keep = N_br * alpha_keep - c * alpha_br
-    w_br = N_keep * alpha_br - c * alpha_keep
-    alpha_new = w_keep * alpha_keep + w_br * alpha_br
-    N_new = w_keep**2 * N_keep + w_br**2 * N_br + 2.0 * w_keep * w_br * c
-    mi_combined = math.log2(1.0 + alpha_new**2 * P / N_new)
-    num = alpha_keep**2 * N_br - 2.0 * alpha_keep * alpha_br * c + alpha_br**2 * N_keep
-    det = N_keep * N_br - c * c
-    mi_vector = math.log2(1.0 + P * num / det)
-    return mi_combined, mi_vector

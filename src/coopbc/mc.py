@@ -23,11 +23,9 @@ from .channel import (
     CoopConfig,
     Protocol,
     Receiver,
-    Symmetric,
     plan_bandwidth,
-    power_per_exchange,
+    power_schedule,
     transmissions_per_step,
-    transmitter_at,
 )
 from .df import (
     BlockShape,
@@ -176,10 +174,11 @@ def _run_ordered(
             executor.shutdown()
 
 
-def _stop_on_target(tc: TrialConfig, tally: dict, bits_per_symbol: int) -> bool:
+def _stop_on_target(tc: TrialConfig, tally: dict, bits: int) -> bool:
+    """Early-stop rule over the `bits` decided so far: stop at the bit cap,
+    or once both receivers' BER standard errors meet the relative target."""
     if tc.target_half_width is None:
         return False
-    bits = tally["symbols"] * bits_per_symbol
     if bits >= tc.bit_cap:
         return True
     for errors in (tally["err_I"], tally["err_II"]):
@@ -208,14 +207,14 @@ def simulate_af(
     """Sample the combiner outputs of a K-exchange campaign and estimate raw
     BERs (per receiver and joint) and empirical equivalent SNRs.
 
-    Both combiner outputs are linear in the transmitted symbol and the
-    elementary noises, so the campaign's coefficient snapshots replay the
+    Both combiner outputs are X + Z at unit signal gain, with Z linear in the
+    elementary noises, so the recursion's own combining weights replay the
     chain exactly; decisions are minimum-distance on the combined scalar.
     """
     if config.protocol is not Protocol.AF:
         raise ValueError("simulate_af requires an amplify-and-forward config")
     camp = campaign(params, config, K)
-    snap = camp.snapshots[-1]
+    coeffs_I, coeffs_II = camp.noise_coefficients()[-1]
     const = qam(order)
     m = const.bits_per_symbol
     P = params.P
@@ -245,11 +244,11 @@ def simulate_af(
         z = scale[:, None] * (
             rng.standard_normal((n_src, T)) + 1j * rng.standard_normal((n_src, T))
         )
-        y_I = snap.alpha_I * x + snap.coeffs_I @ z
-        y_II = snap.alpha_II * x + snap.coeffs_II @ z
+        y_I = x + coeffs_I @ z
+        y_II = x + coeffs_II @ z
         sent = const.indices_to_bits(idx)
-        wrong_I = const.indices_to_bits(const.detect(y_I, snap.alpha_I * amp)) != sent
-        wrong_II = const.indices_to_bits(const.detect(y_II, snap.alpha_II * amp)) != sent
+        wrong_I = const.indices_to_bits(const.detect(y_I, amp)) != sent
+        wrong_II = const.indices_to_bits(const.detect(y_II, amp)) != sent
         return (
             T,
             int(wrong_I.sum()),
@@ -274,7 +273,8 @@ def simulate_af(
         tally["Syx_II"] += syx2
         tally["Syy_II"] += syy2
 
-    _run_ordered(worker, n_batches, threads, fold, lambda: _stop_on_target(tc, tally, m))
+    _run_ordered(worker, n_batches, threads, fold,
+                 lambda: _stop_on_target(tc, tally, tally["symbols"] * m))
 
     n = tally["symbols"]
     bits = n * m
@@ -391,15 +391,11 @@ def simulate_df(
             "weight-and-add combining requires the relay to reuse the source constellation"
         )
 
-    symmetric = isinstance(cfg.scheme, Symmetric)
     schedule: list[tuple[Receiver, float]] = []  # (destination, transmit amplitude)
-    for i in range(1, k + 1):
-        p12, p21 = power_per_exchange(params, cfg, i)
-        r1_sends = symmetric or transmitter_at(cfg.scheme, i) is Receiver.R1
-        r2_sends = symmetric or transmitter_at(cfg.scheme, i) is Receiver.R2
-        if r1_sends and p12 > 0.0:
+    for p12, p21 in power_schedule(params, cfg):
+        if p12 > 0.0:
             schedule.append((Receiver.R2, math.sqrt(p12)))
-        if r2_sends and p21 > 0.0:
+        if p21 > 0.0:
             schedule.append((Receiver.R1, math.sqrt(p21)))
     active = {dest.other for dest, _ in schedule}
 
@@ -473,23 +469,8 @@ def simulate_df(
         tally["err_II"] += e2
         tally["err_sys"] += es
 
-    bits_per_symbol = shape.n / shape.s
-
-    def should_stop() -> bool:
-        if tc.target_half_width is None:
-            return False
-        bits = tally["blocks"] * shape.n
-        if bits >= tc.bit_cap:
-            return True
-        for errors in (tally["err_I"], tally["err_II"]):
-            if errors == 0:
-                return False
-            ber = errors / bits
-            if math.sqrt(ber * (1.0 - ber) / bits) > tc.target_half_width * ber:
-                return False
-        return True
-
-    _run_ordered(worker, n_batches, threads, fold, should_stop)
+    _run_ordered(worker, n_batches, threads, fold,
+                 lambda: _stop_on_target(tc, tally, tally["blocks"] * shape.n))
 
     bits_total = tally["blocks"] * shape.n
     return DfRunResult(
@@ -510,16 +491,16 @@ def simulate_df(
 def empirical_cross_correlation(
     camp: Campaign, trial_config: TrialConfig, *, threads: int = 1
 ) -> tuple[CrossCorrelationEstimate, ...]:
-    """Sample both receivers' equivalent noises from the campaign's snapshots
-    and estimate their cross-correlation after every exchange, paired with the
-    analytic recursion value it validates."""
-    snaps = camp.snapshots
+    """Sample both receivers' equivalent noises, replayed with the campaign's
+    combining weights, and estimate their cross-correlation after every
+    exchange, paired with the analytic recursion value it validates."""
+    coeffs = camp.noise_coefficients()
     scale = np.sqrt(camp.noise_vars / 2.0)
     n_src = len(camp.noise_vars)
     tc = trial_config
     n_batches = -(-tc.trials // tc.batch)
-    sums = np.zeros(len(snaps))
-    squares = np.zeros(len(snaps))
+    sums = np.zeros(len(coeffs))
+    squares = np.zeros(len(coeffs))
     count = 0
 
     def worker(b: int) -> tuple:
@@ -528,9 +509,9 @@ def empirical_cross_correlation(
         z = scale[:, None] * (
             rng.standard_normal((n_src, T)) + 1j * rng.standard_normal((n_src, T))
         )
-        out = np.empty((len(snaps), 2))
-        for j, snap in enumerate(snaps):
-            w = ((snap.coeffs_I @ z) * np.conj(snap.coeffs_II @ z)).real
+        out = np.empty((len(coeffs), 2))
+        for j, (c_I, c_II) in enumerate(coeffs):
+            w = ((c_I @ z) * np.conj(c_II @ z)).real
             out[j] = w.sum(), (w * w).sum()
         return T, out
 
@@ -548,10 +529,10 @@ def empirical_cross_correlation(
     stderrs = np.sqrt(variances / count)
     return tuple(
         CrossCorrelationEstimate(
-            i=snap.i,
+            i=state.i,
             estimate=float(estimates[j]),
             stderr=float(stderrs[j]),
-            analytic=camp.trajectory.states[j].e,
+            analytic=state.e,
         )
-        for j, snap in enumerate(snaps)
+        for j, state in enumerate(camp.trajectory.states)
     )

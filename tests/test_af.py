@@ -1,4 +1,6 @@
-"""Analytic AF engine tests: gains, weights, recursion steps, closed forms."""
+"""Analytic AF engine tests: the package's unit-gain covariance recursion
+against the verbatim scalar recursion and the coefficient-vector campaign of
+`oracles`, plus the closed forms."""
 from __future__ import annotations
 
 import math
@@ -8,19 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopbc.af import (
-    amplification_gains,
-    campaign,
-    initial_state,
-    mi_conservation_check,
-    mrc_weights_symmetric,
-    ratio_form_snr,
-    run_recursion,
-    s1_vs_s2_numerator,
-    s2_closed_form,
-    step_asymmetric,
-    step_symmetric,
-)
+import oracles
+from coopbc.af import campaign, run_recursion, s1_vs_s2_numerator, s2_closed_form
 from coopbc.channel import (
     Asymmetric,
     ChannelParams,
@@ -33,11 +24,19 @@ from coopbc.channel import (
     plan_bandwidth,
     power_per_exchange,
 )
+from oracles import (
+    SnrState,
+    amplification_gains,
+    initial_state,
+    mi_conservation_check,
+    mrc_weights_symmetric,
+    ratio_form_snr,
+    step_asymmetric,
+    step_symmetric,
+)
 
 
 def make_state(alpha_I=1.0, alpha_II=1.0, N_I=1.0, N_II=1.0, e=0.0, P=10.0, i=0):
-    from coopbc.af import SnrState
-
     return SnrState(
         i=i, alpha_I=alpha_I, alpha_II=alpha_II, N_I=N_I, N_II=N_II, e=e,
         rho_I=alpha_I**2 * P / N_I, rho_II=alpha_II**2 * P / N_II,
@@ -220,6 +219,16 @@ class TestStepAsymmetric:
         assert st1.e == pytest.approx(st1.w2 * st0.e + st1.w12 * st1.a12 * st0.N_I, rel=1e-12)
 
 
+def assert_matches_raw(state, raw, rel):
+    """A unit-gain engine state against an unnormalized reference state."""
+    assert state.rho_I == pytest.approx(raw.rho_I, rel=rel)
+    assert state.rho_II == pytest.approx(raw.rho_II, rel=rel)
+    assert state.N_I == pytest.approx(raw.N_I / raw.alpha_I**2, rel=rel)
+    assert state.N_II == pytest.approx(raw.N_II / raw.alpha_II**2, rel=rel)
+    scale = math.sqrt(state.N_I * state.N_II)
+    assert state.e == pytest.approx(raw.e / (raw.alpha_I * raw.alpha_II), rel=rel, abs=rel * scale)
+
+
 class TestEngineMatchesScalarRecursion:
     @pytest.mark.parametrize("regime", list(Regime))
     def test_symmetric_forward_latest(self, regime):
@@ -228,9 +237,7 @@ class TestEngineMatchesScalarRecursion:
         st = initial_state(TWO_BRANCH, plan)
         for i in range(1, 4):
             st = step_symmetric(st, TWO_BRANCH.P, plan, power_per_exchange(TWO_BRANCH, cfg, i))
-        eng = campaign(TWO_BRANCH, cfg, normalize=False).trajectory.states[-1]
-        for f in ("alpha_I", "alpha_II", "N_I", "N_II", "e", "rho_I", "rho_II"):
-            assert getattr(eng, f) == pytest.approx(getattr(st, f), rel=1e-9)
+        assert_matches_raw(campaign(TWO_BRANCH, cfg).trajectory.states[-1], st, 1e-9)
 
     @pytest.mark.parametrize("starter", list(Receiver))
     def test_asymmetric_forward_latest(self, starter):
@@ -241,20 +248,15 @@ class TestEngineMatchesScalarRecursion:
             st = step_asymmetric(
                 st, TWO_BRANCH.P, plan, power_per_exchange(TWO_BRANCH, cfg, i), i, starter=starter
             )
-        eng = campaign(TWO_BRANCH, cfg, normalize=False).trajectory.states[-1]
-        for f in ("alpha_I", "alpha_II", "N_I", "N_II", "e", "rho_I", "rho_II"):
-            assert getattr(eng, f) == pytest.approx(getattr(st, f), rel=1e-9)
+        assert_matches_raw(campaign(TWO_BRANCH, cfg).trajectory.states[-1], st, 1e-9)
 
     def test_normalization_preserves_snrs(self):
+        # the unit-gain engine carries the unnormalized trajectory's SNRs
         cfg = _cfg(Symmetric(4), Strategy.S1, Regime.H1)
-        raw = campaign(TWO_BRANCH, cfg, normalize=False).trajectory.states
-        normed = campaign(TWO_BRANCH, cfg, normalize=True).trajectory.states
+        raw = oracles.campaign(TWO_BRANCH, cfg, normalize=False).states
+        normed = campaign(TWO_BRANCH, cfg).trajectory.states
         for s0, s1 in zip(raw, normed):
-            assert s1.rho_I == pytest.approx(s0.rho_I, rel=1e-12)
-            assert s1.rho_II == pytest.approx(s0.rho_II, rel=1e-12)
-            if s1.i > 0:
-                assert s1.alpha_I == pytest.approx(1.0)
-                assert s1.alpha_II == pytest.approx(1.0)
+            assert_matches_raw(s1, s0, 1e-12)
 
     def test_normalized_engine_survives_large_counts(self):
         # the raw weight recursion overflows float64 long before K = 12
@@ -266,7 +268,7 @@ class TestEngineMatchesScalarRecursion:
     @settings(deadline=None)
     @given(params=channel_params(), config=any_config, data=st.data())
     def test_audit_identities(self, params, config, data):
-        camp = campaign(params, config, audit=True)
+        camp = oracles.campaign(params, config, audit=True)
         for a in camp.audits:
             assert a.mi_combined == pytest.approx(a.mi_vector, rel=1e-9)
             assert a.rho_ratio_form == pytest.approx(a.rho_state, rel=1e-9)
@@ -281,15 +283,84 @@ class TestEngineMatchesScalarRecursion:
             assert abs(s.e) <= math.sqrt(s.N_I * s.N_II) * (1 + 1e-12)
 
     def test_snapshots_reproduce_state_moments(self):
-        cfg = _cfg(Asymmetric(4), Strategy.S1, Regime.H1)
-        camp = campaign(TWO_BRANCH, cfg)
-        for snap, state in zip(camp.snapshots, camp.trajectory.states):
-            N_I = float(np.dot(snap.coeffs_I**2, camp.noise_vars))
-            N_II = float(np.dot(snap.coeffs_II**2, camp.noise_vars))
-            e = float(np.dot(snap.coeffs_I * snap.coeffs_II, camp.noise_vars))
-            assert N_I == pytest.approx(state.N_I, rel=1e-12)
-            assert N_II == pytest.approx(state.N_II, rel=1e-12)
-            assert e == pytest.approx(state.e, rel=1e-12, abs=1e-300)
+        # the replay coefficients built from the recursion's weights carry the
+        # recursion's noise powers and cross-correlation at every step
+        for scheme in (Asymmetric(4), Symmetric(3)):
+            for strategy in Strategy:
+                camp = campaign(TWO_BRANCH, _cfg(scheme, strategy, Regime.H1))
+                coeffs = camp.noise_coefficients()
+                for (c_I, c_II), state in zip(coeffs, camp.trajectory.states):
+                    N_I = float(np.dot(c_I**2, camp.noise_vars))
+                    N_II = float(np.dot(c_II**2, camp.noise_vars))
+                    e = float(np.dot(c_I * c_II, camp.noise_vars))
+                    assert N_I == pytest.approx(state.N_I, rel=1e-12)
+                    assert N_II == pytest.approx(state.N_II, rel=1e-12)
+                    assert e == pytest.approx(state.e, rel=1e-12, abs=1e-300)
+
+
+def draw_scenario(rng):
+    """Random channel (zero budgets included) and any of the eight variants."""
+    lg = lambda: float(10.0 ** rng.uniform(-2.0, 2.0))  # noqa: E731
+    params = ChannelParams(
+        P=lg(), n1=lg(), n2=lg(), n12=lg(), n21=lg(),
+        P12=0.0 if rng.random() < 0.1 else lg(), P21=0.0 if rng.random() < 0.1 else lg(),
+        B=float(10.0 ** rng.uniform(-1.0, 1.0)))
+    K = int(rng.integers(1, 9))
+    starter = Receiver.R1 if rng.random() < 0.5 else Receiver.R2
+    scheme = Symmetric(K) if rng.random() < 0.5 else Asymmetric(K, starter)
+    strategy = Strategy.S1 if rng.random() < 0.5 else Strategy.S2
+    return params, _cfg(scheme, strategy, Regime.H1 if rng.random() < 0.5 else Regime.H2)
+
+
+class TestEngineMatchesCoefficientCampaign:
+    def test_random_scenarios(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            params, cfg = draw_scenario(rng)
+            ref = oracles.campaign(params, cfg).states
+            got = campaign(params, cfg).trajectory.states
+            assert len(got) == len(ref)
+            for state, raw in zip(got, ref):
+                assert_matches_raw(state, raw, 1e-12)
+
+
+db = st.floats(min_value=-150.0, max_value=150.0)
+
+
+@st.composite
+def extreme_scenarios(draw):
+    lin = lambda d: 10.0 ** (d / 10.0)  # noqa: E731
+    budget = st.one_of(st.just(0.0), db.map(lin))
+    params = ChannelParams(P=1.0, n1=1.0 / lin(draw(db)), n2=1.0 / lin(draw(db)),
+                           n12=1.0, n21=1.0, P12=draw(budget), P21=draw(budget), B=1.0)
+    K = draw(st.integers(1, 16))
+    scheme = draw(st.sampled_from([Symmetric(K), Asymmetric(K, Receiver.R1),
+                                   Asymmetric(K, Receiver.R2)]))
+    config = _cfg(scheme, draw(st.sampled_from(list(Strategy))),
+                  draw(st.sampled_from(list(Regime))))
+    return params, config
+
+
+class TestEngineRobustness:
+    @settings(deadline=None, max_examples=300)
+    @given(scenario=extreme_scenarios())
+    def test_extreme_decibels(self, scenario):
+        # channel and cooperation SNRs from -150 to +150 dB: SNRs stay finite
+        # and positive, the cross-correlation obeys Cauchy-Schwarz, combining
+        # never loses SNR, and no receiver beats owning both downlinks
+        params, config = scenario
+        traj = campaign(params, config).trajectory
+        ceiling = params.P / traj.plan.N1 + params.P / traj.plan.N2
+        prev = None
+        for s in traj.states:
+            for rho in (s.rho_I, s.rho_II):
+                assert 0.0 < rho < math.inf
+                assert rho <= ceiling * (1 + 1e-12)
+            assert abs(s.e) <= math.sqrt(s.N_I * s.N_II) * (1 + 1e-12)
+            if prev is not None:
+                assert s.rho_I >= prev.rho_I * (1 - 1e-12)
+                assert s.rho_II >= prev.rho_II * (1 - 1e-12)
+            prev = s
 
 
 class TestRunRecursion:
@@ -299,7 +370,7 @@ class TestRunRecursion:
         s = traj.states[0]
         assert s.rho_I == pytest.approx(10.0 / 1.0)
         assert s.rho_II == pytest.approx(10.0 / 2.0)
-        assert (s.alpha_I, s.alpha_II, s.e) == (1.0, 1.0, 0.0)
+        assert (s.N_I, s.N_II, s.e) == (1.0, 2.0, 0.0)
 
     def test_length_and_determinism(self):
         cfg = _cfg(Symmetric(3), Strategy.S1, Regime.H1)
@@ -417,7 +488,7 @@ class TestMiConservation:
     @given(params=channel_params(), K=st.integers(1, 3), receiver=st.sampled_from(list(Receiver)))
     def test_equality_on_evolved_states(self, params, K, receiver):
         cfg = _cfg(Symmetric(K), Strategy.S1, Regime.H1)
-        state = campaign(params, cfg).trajectory.states[-1]
+        state = oracles.campaign(params, cfg).states[-1]
         powers = power_per_exchange(params, cfg, K)
         plan = plan_bandwidth(params, cfg)
         mi_c, mi_v = mi_conservation_check(state, params.P, powers, (plan.N12, plan.N21), receiver)

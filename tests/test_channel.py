@@ -17,6 +17,7 @@ from coopbc.channel import (
     Symmetric,
     plan_bandwidth,
     power_per_exchange,
+    power_schedule,
     transmissions_per_step,
     transmitter_at,
 )
@@ -104,6 +105,20 @@ class TestPowerPerExchange:
         total = np.sum([power_per_exchange(PARAMS, cfg, i) for i in range(1, k + 1)], axis=0)
         assert total == pytest.approx([4.0, 6.0])
 
+    @pytest.mark.parametrize("scheme", [
+        Symmetric(0), Symmetric(3), Asymmetric(1), Asymmetric(4), Asymmetric(5, Receiver.R2),
+    ])
+    def test_schedule_lays_out_the_split(self, scheme):
+        cfg = _cfg(scheme)
+        schedule = power_schedule(PARAMS, cfg)
+        assert schedule.shape == (cfg.count, 2)
+        for i, row in enumerate(schedule, start=1):
+            powers = power_per_exchange(PARAMS, cfg, i)
+            sends = ((True, True) if isinstance(scheme, Symmetric)
+                     else (transmitter_at(scheme, i) is Receiver.R1,
+                           transmitter_at(scheme, i) is Receiver.R2))
+            assert tuple(row) == tuple(p if s else 0.0 for p, s in zip(powers, sends))
+
     def test_index_bounds(self):
         cfg = _cfg(Symmetric(2))
         with pytest.raises(ValueError):
@@ -162,3 +177,9 @@ class TestChannelParams:
     def test_zero_cooperation_budgets_allowed(self):
         p = dataclasses.replace(PARAMS, P12=0.0, P21=0.0)
         assert p.P12 == 0.0 and p.P21 == 0.0
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ChannelParams)])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(PARAMS, **{field: value})

@@ -8,7 +8,21 @@ import sys
 
 import pytest
 
+import numpy as np
+
+from coopbc import cli
+from coopbc.af import s2_closed_form
+from coopbc.channel import (
+    ChannelParams,
+    CoopConfig,
+    Protocol,
+    Regime,
+    Strategy,
+    Symmetric,
+    plan_bandwidth,
+)
 from coopbc.cli import main
+from coopbc.errors import EnumerationBoundError
 
 AF_TEXT = """
 [channel]
@@ -290,3 +304,71 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("exc", [
+        np.linalg.LinAlgError("Singular matrix"),
+        FloatingPointError("overflow"),
+        OverflowError("math range error"),
+        ZeroDivisionError("float division by zero"),
+        EnumerationBoundError("too many candidates"),
+        MemoryError(),
+    ])
+    def test_numeric_errors_exit_3(self, capsys, scenario_file, monkeypatch, exc):
+        # LinAlgError subclasses ValueError, which would otherwise map to 2
+        def fail(scenario, args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "rate", fail)
+        assert main(["rate", "--scenario", scenario_file(AF_TEXT)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_channel_exits_2(self, capsys, scenario_file, value):
+        path = scenario_file(AF_TEXT.replace("snr12 = 30", f"snr12 = {value}"))
+        for command in ("snr", "rate"):
+            assert main([command, "--scenario", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+HIGH_COOP = AF_TEXT.replace("snr12 = 30", "snr12 = 200").replace("snr21 = 30", "snr21 = 200")
+
+
+class TestNearNoiselessCooperation:
+    # A 200 dB cooperation link: forward-original branches are almost exact
+    # copies of the partner's downlink signal, and forward-latest combiners
+    # converge to the two-antenna ceiling P/N1 + P/N2 = 11.
+
+    def test_forward_original_matches_closed_form(self, capsys, scenario_file):
+        path = scenario_file(HIGH_COOP.replace("strategy = s1", "strategy = s2"))
+        params = ChannelParams(P=1.0, n1=0.1, n2=1.0, n12=1.0, n21=1.0,
+                               P12=1e20, P21=1e20, B=1.0)
+        code, out = run(capsys, ["snr", "--scenario", path])
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        plan = plan_bandwidth(params, CoopConfig(Protocol.AF, Symmetric(2), Strategy.S2, Regime.H1))
+        expect = s2_closed_form(params, plan, 2)
+        for row in rows[1:]:
+            rho = (float(row[header.index("rho_1")]), float(row[header.index("rho_2")]))
+            assert rho == pytest.approx(expect, rel=1e-9)
+        code, out = run(capsys, ["rate", "--scenario", path])
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        for row in rows[1:]:
+            k = int(row[0])
+            plan = plan_bandwidth(params, CoopConfig(Protocol.AF, Symmetric(k), Strategy.S2, Regime.H1))
+            expect = s2_closed_form(params, plan, k)
+            rho = (float(row[header.index("rho_1")]), float(row[header.index("rho_2")]))
+            assert rho == pytest.approx(expect, rel=1e-9)
+
+    def test_forward_latest_stays_at_the_ceiling(self, capsys, scenario_file):
+        text = HIGH_COOP.replace("regime = h1", "regime = h2").replace("k = 2", "k = 8")
+        code, out = run(capsys, ["snr", "--scenario", scenario_file(text)])
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 9
+        for row in rows[4:]:
+            rho = (float(row[header.index("rho_1")]), float(row[header.index("rho_2")]))
+            assert rho == pytest.approx((11.0, 11.0), rel=1e-9)

@@ -10,22 +10,24 @@ import pytest
 from coopbc.df import (
     BlockShape,
     Constellation,
-    LlrBlock,
     RelayErrorModel,
     RelayObservation,
     choose_compatible_modulation,
     estimate_relay_errors,
-    likelihood_direct,
-    likelihood_relay,
-    log_likelihood_direct,
-    log_likelihood_relay,
-    mld_llr,
     mld_llr_batch,
     nearest_neighbor_error_model,
     qam,
     relay_decode_and_remap,
 )
 from coopbc.errors import EnumerationBoundError, ModulationError
+from oracles import (
+    LlrBlock,
+    likelihood_direct,
+    likelihood_relay,
+    log_likelihood_direct,
+    log_likelihood_relay,
+    mld_llr,
+)
 
 
 def brute_force_llr(y2, observations, shape, src_c, rel_c, amp, N2):

@@ -212,6 +212,14 @@ class TestSimulateDf:
         b = simulate_df(p, cfg, 2, 4, tc, threads=3)
         assert a == b
 
+    def test_early_stop_respects_target_and_threads(self):
+        tc = TrialConfig(trials=2_000_000, seed=7, target_half_width=0.10)
+        r = simulate_df(NO_COOP, DF0, 0, 4, tc)
+        assert r.ber_I.trials < 2_000_000
+        assert r.ber_I.stderr <= 0.10 * r.ber_I.ber
+        assert r.ber_II.stderr <= 0.10 * r.ber_II.ber
+        assert simulate_df(NO_COOP, DF0, 0, 4, tc, threads=2) == r
+
     def test_genie_relay_matches_equivalent_af(self):
         # perfect decoding + error-free model: receiver 2 sees two independent
         # Gaussian branches, so its BER equals a one-branch run at the summed SNR

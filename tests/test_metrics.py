@@ -160,6 +160,9 @@ class TestDecisionRegions:
             decision_regions(self.PARAMS, self.CONFIG, 0)
         with pytest.raises(ValueError, match="budget"):
             decision_regions(replace(self.PARAMS, P12=0.0, P21=0.0), self.CONFIG, 2)
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="grid"):
+                decision_regions(self.PARAMS, self.CONFIG, 2, n1_grid=[1.0, bad])
 
     def test_balanced_diagonal_is_a_tie(self):
         rm = self.small(ratios=(0.0,))
