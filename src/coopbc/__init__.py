@@ -22,7 +22,6 @@ from .channel import (
     transmitter_at,
 )
 from .af import (
-    Campaign,
     SnrState,
     SnrTrajectory,
     campaign,
@@ -48,11 +47,9 @@ from .df import (
 from .mc import (
     AfRunResult,
     BerEstimate,
-    CrossCorrelationEstimate,
     DfRunResult,
     SnrEstimate,
     TrialConfig,
-    empirical_cross_correlation,
     simulate_af,
     simulate_df,
 )

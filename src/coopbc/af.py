@@ -20,6 +20,7 @@ independent of everything before it. One rule serves both strategies:
 
 The recursion runs for a batch of scenarios at once (leading axis), which is
 how rate sweeps and decision regions evaluate many counts and grid points.
+The final (Z_I, Z_II) block is the noise law the Monte Carlo sampler draws.
 """
 from __future__ import annotations
 
@@ -32,18 +33,14 @@ from .channel import (
     BandwidthPlan,
     ChannelParams,
     CoopConfig,
-    Receiver,
     Strategy,
-    Symmetric,
     plan_bandwidth,
     power_schedule,
-    transmitter_at,
 )
 
 __all__ = [
     "SnrState",
     "SnrTrajectory",
-    "Campaign",
     "evolve",
     "final_covariance",
     "campaign",
@@ -82,57 +79,16 @@ class SnrTrajectory:
     plan: BandwidthPlan
 
 
-@dataclass(frozen=True, eq=False)
-class Campaign:
-    """Within-campaign trajectory for a fixed exchange count and bandwidth
-    plan, plus what a sampling simulation needs to replay it.
-
-    Step t maps the noise vector (Z_I, Z_II, Z_1, Z_2) to
-    transforms[t] @ (Z_I, Z_II, Z_1, Z_2) plus fresh[t, d] times the
-    cooperation noise receiver d combines. `noise_vars[k]` is the variance of
-    elementary noise k (downlink noises first, then one cooperation noise per
-    transmission) and `sources[t, d]` the elementary noise receiver d gets at
-    step t, -1 when it receives nothing.
-    """
-
-    trajectory: SnrTrajectory
-    transforms: np.ndarray
-    fresh: np.ndarray
-    noise_vars: np.ndarray
-    sources: np.ndarray
-
-    def noise_coefficients(self) -> np.ndarray:
-        """Coefficients of Z_I and Z_II over the elementary noises after every
-        step, shape (K + 1, 2, len(noise_vars))."""
-        forward_original = self.trajectory.config.strategy is Strategy.S2
-        basis = np.zeros((4, len(self.noise_vars)))
-        basis[[0, 2], 0] = 1.0
-        basis[[1, 3], 1] = 1.0
-        received: tuple[list[int], list[int]] = ([], [])
-        out = [basis[:2].copy()]
-        for T, fresh, sources in zip(self.transforms, self.fresh, self.sources):
-            basis = T @ basis
-            for d in (0, 1):
-                if sources[d] >= 0:
-                    received[d].append(int(sources[d]))
-                    # S2 rebuilds the output from the direct signals and the
-                    # sum of every branch received so far
-                    basis[d, received[d] if forward_original else sources[d]] = fresh[d]
-            out.append(basis[:2].copy())
-        return np.array(out)
-
-
 def evolve(
     P, noises: np.ndarray, powers: np.ndarray, forward_original: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """Run the unit-gain covariance recursion for S scenarios at once.
 
     P: source power, (S,) or a scalar; noises: (S, 4) plan noise powers
     (N1, N2, N12, N21); powers: (S, K, 2) cooperation power sent from
     receiver 1 to 2 and from 2 to 1 at each step, zero where silent. Yields
-    K + 1 triples (covariance (S, 4, 4), transform (S, 4, 4), fresh-noise
-    weights (S, 2)): the initial state with the identity, then one per step.
-    A silent or singular combine leaves its receiver's state exactly as it was.
+    K + 1 covariances (S, 4, 4): the initial state, then one per step. A
+    silent or singular combine leaves its receiver's state exactly as it was.
     """
     S, K = powers.shape[:2]
     N1, N2, N12, N21 = np.moveaxis(np.asarray(noises, dtype=float), -1, 0)
@@ -141,7 +97,7 @@ def evolve(
     C[:, [0, 0, 2, 2], [0, 2, 0, 2]] = N1[:, None]
     C[:, [1, 1, 3, 3], [1, 3, 1, 3]] = N2[:, None]
     eye = np.eye(4)
-    yield C, np.broadcast_to(eye, (S, 4, 4)), np.zeros((S, 2))
+    yield C
     # column d is receiver d: what it keeps (k), what its partner forwards (f),
     # and the cooperation noise of the link it listens to
     rx = np.array([0, 1])
@@ -161,7 +117,6 @@ def evolve(
             live &= Nk * Nb - c * c > _SINGULAR * Nk * Nb
             D, E = Nb - c, Nk - c
             w_k, w_b = D / (D + E), E / (D + E)
-            fresh = np.where(live, w_b / (m * np.sqrt(a2)), 0.0)
             # combined noise power (Nk Nb - c^2) / (D + E), in a form that does
             # not cancel when one branch is far noisier than the other
             var = c + D * E / (D + E)
@@ -171,14 +126,14 @@ def evolve(
         T = np.concatenate([np.where(live[..., None], rows, eye[:2]), unchanged], axis=1)
         C = T @ C @ T.transpose(0, 2, 1)
         C[:, rx, rx] = np.where(live, var, C[:, rx, rx])
-        yield C, T, fresh
+        yield C
 
 
 def final_covariance(
     P, noises: np.ndarray, powers: np.ndarray, forward_original: bool
 ) -> np.ndarray:
     """Covariance (S, 4, 4) after the last step of `evolve`."""
-    for C, _, _ in evolve(P, noises, powers, forward_original):
+    for C in evolve(P, noises, powers, forward_original):
         pass
     return C
 
@@ -192,30 +147,8 @@ def _plan_noises(plan: BandwidthPlan) -> tuple[float, float, float, float]:
     return plan.N1, plan.N2, plan.N12, plan.N21
 
 
-def _noise_layout(cfg: CoopConfig, plan: BandwidthPlan,
-                  powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Variances of the elementary noises and the source each receiver gets
-    per step: one cooperation noise per transmission slot, in schedule order
-    (symmetric rounds: the 1 -> 2 link first), allocated even when silent."""
-    K = cfg.count
-    sources = np.full((K, 2), -1)
-    if isinstance(cfg.scheme, Symmetric):
-        var = np.empty(2 + 2 * K)
-        var[2::2], var[3::2] = plan.N12, plan.N21
-        sources[:, 1] = 2 + 2 * np.arange(K)
-        sources[:, 0] = 3 + 2 * np.arange(K)
-    else:
-        var = np.empty(2 + K)
-        for i in range(1, K + 1):
-            dest = transmitter_at(cfg.scheme, i).other
-            var[1 + i] = plan.N12 if dest is Receiver.R2 else plan.N21
-            sources[i - 1, dest.value - 1] = 1 + i
-    var[0], var[1] = plan.N1, plan.N2
-    sources[powers[:, ::-1] == 0.0] = -1  # column d holds what receiver d hears
-    return var, sources
-
-
-def campaign(params: ChannelParams, config: CoopConfig, count: Optional[int] = None) -> Campaign:
+def campaign(params: ChannelParams, config: CoopConfig,
+             count: Optional[int] = None) -> SnrTrajectory:
     """Run one cooperation campaign of `count` scheme steps (default: the
     config's count) under its bandwidth plan and power split.
 
@@ -224,15 +157,10 @@ def campaign(params: ChannelParams, config: CoopConfig, count: Optional[int] = N
     """
     cfg = config if count is None else config.with_count(count)
     plan = plan_bandwidth(params, cfg)
-    powers = power_schedule(params, cfg)
-    steps = list(evolve(params.P, np.array([_plan_noises(plan)]), powers[None],
-                        cfg.strategy is Strategy.S2))
-    states = tuple(_state(i, params.P, C[0]) for i, (C, _, _) in enumerate(steps))
-    transforms = np.array([T[0] for _, T, _ in steps[1:]]).reshape(-1, 4, 4)
-    fresh = np.array([w[0] for _, _, w in steps[1:]]).reshape(-1, 2)
-    noise_vars, sources = _noise_layout(cfg, plan, powers)
-    return Campaign(SnrTrajectory(states, params, cfg, plan), transforms, fresh,
-                    noise_vars, sources)
+    steps = evolve(params.P, np.array([_plan_noises(plan)]), power_schedule(params, cfg)[None],
+                   cfg.strategy is Strategy.S2)
+    states = tuple(_state(i, params.P, C[0]) for i, C in enumerate(steps))
+    return SnrTrajectory(states, params, cfg, plan)
 
 
 def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> SnrTrajectory:

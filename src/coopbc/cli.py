@@ -35,7 +35,7 @@ from .channel import (
     plan_bandwidth,
 )
 from .errors import EnumerationBoundError, ModulationError, ScenarioError
-from .mc import TrialConfig, simulate_af, simulate_df
+from .mc import AfRunResult, DfRunResult, TrialConfig, simulate_af, simulate_df
 from .metrics import criteria, decision_regions, rate_af, simo_bound
 from .scenario import Scenario, parse_scenario
 
@@ -98,11 +98,10 @@ def _require_af(s: Scenario, command: str) -> None:
 def cmd_snr(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
     """Within-campaign combiner states i = 0..k under the provisioned plan."""
     _require_af(s, "snr")
-    camp = campaign(s.params, s.config)
     # combiner outputs are kept at unit signal gain (alpha = 1)
     rows: list[list[Cell]] = [
         [st.i, 1.0, 1.0, st.N_I, st.N_II, st.e, st.rho_I, st.rho_II]
-        for st in camp.trajectory.states
+        for st in campaign(s.params, s.config).states
     ]
     return ["i", "alpha_1", "alpha_2", "N_1", "N_2", "e", "rho_1", "rho_2"], rows
 
@@ -122,42 +121,37 @@ def cmd_rate(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[lis
     return ["k", "b_dl", "b_c", "rho_1", "rho_2", "rate_af", "simo_bound"], rows
 
 
+def _simulate(s: Scenario, config: CoopConfig, k: int, args: argparse.Namespace
+              ) -> Union[AfRunResult, DfRunResult]:
+    """One Monte Carlo run of `config` at count k with the scenario's trial
+    budget, modulation and decode-and-forward options."""
+    tc = TrialConfig(s.trials, seed=s.seed, target_half_width=s.target_half_width)
+    if config.protocol is Protocol.AF:
+        return simulate_af(s.params, config, k, tc, order=s.source_order, threads=args.threads)
+    return simulate_df(
+        s.params, config, k, (s.source_order, s.relay_order), tc,
+        combiner=s.combiner, relay_model=s.relay_model,
+        coop_bandwidth_fraction=s.coop_bandwidth_fraction, threads=args.threads,
+    )
+
+
 def cmd_ber(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
     """Monte Carlo error rates for each provisioned count k = 0..k_max."""
-    tc = TrialConfig(s.trials, seed=s.seed, target_half_width=s.target_half_width)
+    af = s.config.protocol is Protocol.AF
     rows: list[list[Cell]] = []
-    if s.config.protocol is Protocol.AF:
-        header = ["k", "ber_1", "stderr_1", "ber_2", "stderr_2", "pe_sys",
-                  "pe_sys_stderr", "pe_max", "pe_sum", "snr_1", "snr_2",
-                  "rho_1", "rho_2"]
-        for k in range(s.k_max + 1):
-            r = simulate_af(s.params, s.config, k, tc, order=s.source_order,
-                            threads=args.threads)
-            plan = plan_bandwidth(s.params, s.config.with_count(k))
-            rep = criteria(plan, ber_pair=(r.ber_I.ber, r.ber_II.ber),
-                           pe_sys_mc=r.pe_sys.ber)
-            rows.append([
-                k, r.ber_I.ber, r.ber_I.stderr, r.ber_II.ber, r.ber_II.stderr,
-                r.pe_sys.ber, r.pe_sys.stderr, rep.pe_max, rep.pe_sum,
-                r.snr_I.value, r.snr_II.value, r.analytic.rho_I, r.analytic.rho_II,
-            ])
-        return header, rows
-    header = ["k", "ber_1", "stderr_1", "ber_2", "stderr_2", "pe_sys",
-              "pe_sys_stderr", "pe_max", "pe_sum", "source_order", "relay_order"]
     for k in range(s.k_max + 1):
-        r = simulate_df(
-            s.params, s.config, k, (s.source_order, s.relay_order), tc,
-            combiner=s.combiner, relay_model=s.relay_model,
-            coop_bandwidth_fraction=s.coop_bandwidth_fraction, threads=args.threads,
-        )
+        r = _simulate(s, s.config, k, args)
         plan = plan_bandwidth(s.params, s.config.with_count(k))
-        rep = criteria(plan, ber_pair=(r.ber_I.ber, r.ber_II.ber),
-                       pe_sys_mc=r.pe_sys.ber)
+        rep = criteria(plan, ber_pair=(r.ber_I.ber, r.ber_II.ber), pe_sys_mc=r.pe_sys.ber)
+        tail = ([r.snr_I.value, r.snr_II.value, r.analytic.rho_I, r.analytic.rho_II] if af
+                else [r.source_order, r.relay_order])
         rows.append([
             k, r.ber_I.ber, r.ber_I.stderr, r.ber_II.ber, r.ber_II.stderr,
-            r.pe_sys.ber, r.pe_sys.stderr, rep.pe_max, rep.pe_sum,
-            r.source_order, r.relay_order,
+            r.pe_sys.ber, r.pe_sys.stderr, rep.pe_max, rep.pe_sum, *tail,
         ])
+    header = ["k", "ber_1", "stderr_1", "ber_2", "stderr_2", "pe_sys", "pe_sys_stderr",
+              "pe_max", "pe_sum"]
+    header += ["snr_1", "snr_2", "rho_1", "rho_2"] if af else ["source_order", "relay_order"]
     return header, rows
 
 
@@ -179,25 +173,18 @@ def cmd_regions(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[
 
 def cmd_compare(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
     """AF under both forwarding strategies versus DF, shared seed, per count."""
-    tc = TrialConfig(s.trials, seed=s.seed, target_half_width=s.target_half_width)
-    af1 = dataclasses.replace(s.config, protocol=Protocol.AF, strategy=Strategy.S1)
-    af2 = dataclasses.replace(s.config, protocol=Protocol.AF, strategy=Strategy.S2)
-    df = dataclasses.replace(s.config, protocol=Protocol.DF)
+    configs = (
+        dataclasses.replace(s.config, protocol=Protocol.AF, strategy=Strategy.S1),
+        dataclasses.replace(s.config, protocol=Protocol.AF, strategy=Strategy.S2),
+        dataclasses.replace(s.config, protocol=Protocol.DF),
+    )
     rows: list[list[Cell]] = []
     for k in range(s.k_max + 1):
-        r1 = simulate_af(s.params, af1, k, tc, order=s.source_order, threads=args.threads)
-        r2 = simulate_af(s.params, af2, k, tc, order=s.source_order, threads=args.threads)
-        rd = simulate_df(
-            s.params, df, k, (s.source_order, s.relay_order), tc,
-            combiner=s.combiner, relay_model=s.relay_model,
-            coop_bandwidth_fraction=s.coop_bandwidth_fraction, threads=args.threads,
-        )
-        rows.append([
-            k,
-            max(r1.ber_I.ber, r1.ber_II.ber), r1.pe_sys.ber,
-            max(r2.ber_I.ber, r2.ber_II.ber), r2.pe_sys.ber,
-            max(rd.ber_I.ber, rd.ber_II.ber), rd.pe_sys.ber,
-        ])
+        row: list[Cell] = [k]
+        for config in configs:
+            r = _simulate(s, config, k, args)
+            row += [max(r.ber_I.ber, r.ber_II.ber), r.pe_sys.ber]
+        rows.append(row)
     return ["k", "af_s1_ber_max", "af_s1_pe_sys", "af_s2_ber_max", "af_s2_pe_sys",
             "df_ber_max", "df_pe_sys"], rows
 
@@ -225,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario seed (unsigned 64-bit)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads for Monte Carlo batches")
-        p.add_argument("--format", choices=["csv"], default="csv",
-                       help="output format")
         p.set_defaults(func=fn)
     return parser
 

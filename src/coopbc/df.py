@@ -175,10 +175,6 @@ class RelayErrorModel:
         if np.any(t < 0) or np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("transition rows must be probability distributions")
 
-    @functools.cached_property
-    def log_transition(self) -> np.ndarray:
-        return np.log(np.maximum(self.transition, 1e-300))
-
     @classmethod
     def error_free(cls, order: int) -> "RelayErrorModel":
         return cls(np.eye(order))
@@ -188,16 +184,14 @@ def relay_decode_and_remap(
     y_relay_block: np.ndarray,
     source_constellation: Constellation,
     relay_constellation: Constellation,
-    shape: BlockShape,
     amplitude: float = 1.0,
 ) -> np.ndarray:
     """Hard-decode s source symbols, carry the recovered n bits across, and
-    re-modulate them as r relay symbols (unit power; the transmit scaling is
-    applied by the caller). Accepts (s,) blocks or (T, s) batches."""
+    return the labels of the r relay symbols that carry them. Accepts (s,)
+    blocks or (T, s) batches."""
     src_idx = source_constellation.detect(y_relay_block, amplitude)
     bits = source_constellation.indices_to_bits(src_idx)
-    rel_idx = relay_constellation.bits_to_indices(bits)
-    return relay_constellation.points[rel_idx]
+    return relay_constellation.bits_to_indices(bits)
 
 
 def estimate_relay_errors(
@@ -224,10 +218,7 @@ def estimate_relay_errors(
     noise = math.sqrt(noise_power / 2.0) * (
         rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
     )
-    sent_points = relay_decode_and_remap(
-        x + noise, source_constellation, relay_constellation, shape, amplitude
-    )
-    sent = relay_constellation.detect(sent_points)
+    sent = relay_decode_and_remap(x + noise, source_constellation, relay_constellation, amplitude)
     Mr = relay_constellation.order
     counts = np.zeros((Mr, Mr))
     np.add.at(counts, (intended.ravel(), sent.ravel()), 1.0)
@@ -323,10 +314,10 @@ def mld_llr_batch(
             / obs.noise_power
             - math.log(math.pi * obs.noise_power)
         )
-        # mixture over substitutions: (T, r, Mr_intended)
-        relay_tab = _logsumexp(
-            obs.model.log_transition[None, None, :, :] + g[:, :, None, :], axis=-1
-        )
+        # mixture over substitutions, (T, r, Mr_intended), as a max-shifted
+        # product so that no (T, r, Mr, Mr) table is formed
+        top = g.max(axis=-1, keepdims=True)
+        relay_tab = top + np.log(np.maximum(np.exp(g - top) @ obs.model.transition.T, 1e-300))
         for i in range(shape.r):
             total += relay_tab[:, i, rel_idx[:, i]]
     total -= total.max(axis=1, keepdims=True)

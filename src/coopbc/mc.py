@@ -1,4 +1,5 @@
-"""Monte Carlo harness: samples every link of the cooperation schedule,
+"""Monte Carlo harness: samples the received signals of each protocol (for AF
+the two combiner outputs, for DF every link of the cooperation schedule),
 applies the configured combiner, and estimates raw bit error rates and
 empirical SNRs with standard errors.
 
@@ -17,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .af import Campaign, SnrState, campaign
+from .af import SnrState, campaign
 from .channel import (
     ChannelParams,
     CoopConfig,
@@ -48,10 +49,8 @@ __all__ = [
     "SnrEstimate",
     "AfRunResult",
     "DfRunResult",
-    "CrossCorrelationEstimate",
     "simulate_af",
     "simulate_df",
-    "empirical_cross_correlation",
 ]
 
 BATCH_SYMBOLS = 65536
@@ -133,16 +132,6 @@ class DfRunResult:
     shape: BlockShape
 
 
-@dataclass(frozen=True)
-class CrossCorrelationEstimate:
-    """Sampled noise cross-correlation E[Z_I Z_II*] after exchange `i`."""
-
-    i: int
-    estimate: float
-    stderr: float
-    analytic: float
-
-
 def _rng(seed: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, batch], dtype=np.uint64)))
 
@@ -207,20 +196,24 @@ def simulate_af(
     """Sample the combiner outputs of a K-exchange campaign and estimate raw
     BERs (per receiver and joint) and empirical equivalent SNRs.
 
-    Both combiner outputs are X + Z at unit signal gain, with Z linear in the
-    elementary noises, so the recursion's own combining weights replay the
-    chain exactly; decisions are minimum-distance on the combined scalar.
+    Both combiner outputs are X + Z at unit signal gain, so one symbol needs
+    only the joint law of (Z_I, Z_II): a zero-mean complex normal pair with
+    the recursion's final covariance [[N_I, e], [e, N_II]], drawn through its
+    Cholesky factor. Decisions are minimum-distance on each output.
     """
     if config.protocol is not Protocol.AF:
         raise ValueError("simulate_af requires an amplify-and-forward config")
-    camp = campaign(params, config, K)
-    coeffs_I, coeffs_II = camp.noise_coefficients()[-1]
+    final = campaign(params, config, K).states[-1]
+    # Z_I = l_I g_0 and Z_II = l_c g_0 + l_II g_1 for unit complex normals g;
+    # when the outputs are nearly equal, rounding can push the Schur
+    # complement N_II - e^2 / N_I a few ulps below zero
+    l_I = math.sqrt(final.N_I / 2.0)
+    l_c = final.e / math.sqrt(2.0 * final.N_I)
+    l_II = math.sqrt(max(final.N_II - final.e**2 / final.N_I, 0.0) / 2.0)
     const = qam(order)
     m = const.bits_per_symbol
     P = params.P
     amp = math.sqrt(P)
-    scale = np.sqrt(camp.noise_vars / 2.0)
-    n_src = len(camp.noise_vars)
     tc = trial_config
     n_batches = -(-tc.trials // tc.batch)
 
@@ -241,11 +234,9 @@ def simulate_af(
         rng = _rng(tc.seed, b)
         idx = rng.integers(0, order, T)
         x = amp * const.points[idx]
-        z = scale[:, None] * (
-            rng.standard_normal((n_src, T)) + 1j * rng.standard_normal((n_src, T))
-        )
-        y_I = x + coeffs_I @ z
-        y_II = x + coeffs_II @ z
+        g = rng.standard_normal((2, T)) + 1j * rng.standard_normal((2, T))
+        y_I = x + l_I * g[0]
+        y_II = x + (l_c * g[0] + l_II * g[1])
         sent = const.indices_to_bits(idx)
         wrong_I = const.indices_to_bits(const.detect(y_I, amp)) != sent
         wrong_II = const.indices_to_bits(const.detect(y_II, amp)) != sent
@@ -293,7 +284,7 @@ def simulate_af(
         pe_sys=BerEstimate.from_counts(tally["err_sys"], bits, n),
         snr_I=snr_estimate(tally["Syx_I"], tally["Syy_I"]),
         snr_II=snr_estimate(tally["Syx_II"], tally["Syy_II"]),
-        analytic=camp.trajectory.states[-1],
+        analytic=final,
     )
 
 
@@ -436,7 +427,7 @@ def simulate_df(
             tx_block = {relay: true_block for relay in active}
         else:
             tx_block = {
-                relay: relay_decode_and_remap(direct[relay], src_c, rel_c, shape, amp_s)
+                relay: rel_c.points[relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s)]
                 for relay in sorted(active, key=lambda r: r.value)
             }
         received: dict[Receiver, list[RelayObservation]] = {Receiver.R1: [], Receiver.R2: []}
@@ -480,59 +471,4 @@ def simulate_df(
         source_order=source_order,
         relay_order=relay_order,
         shape=shape,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Cross-correlation replay
-# ---------------------------------------------------------------------------
-
-
-def empirical_cross_correlation(
-    camp: Campaign, trial_config: TrialConfig, *, threads: int = 1
-) -> tuple[CrossCorrelationEstimate, ...]:
-    """Sample both receivers' equivalent noises, replayed with the campaign's
-    combining weights, and estimate their cross-correlation after every
-    exchange, paired with the analytic recursion value it validates."""
-    coeffs = camp.noise_coefficients()
-    scale = np.sqrt(camp.noise_vars / 2.0)
-    n_src = len(camp.noise_vars)
-    tc = trial_config
-    n_batches = -(-tc.trials // tc.batch)
-    sums = np.zeros(len(coeffs))
-    squares = np.zeros(len(coeffs))
-    count = 0
-
-    def worker(b: int) -> tuple:
-        T = min(tc.batch, tc.trials - b * tc.batch)
-        rng = _rng(tc.seed, b)
-        z = scale[:, None] * (
-            rng.standard_normal((n_src, T)) + 1j * rng.standard_normal((n_src, T))
-        )
-        out = np.empty((len(coeffs), 2))
-        for j, (c_I, c_II) in enumerate(coeffs):
-            w = ((c_I @ z) * np.conj(c_II @ z)).real
-            out[j] = w.sum(), (w * w).sum()
-        return T, out
-
-    def fold(res: tuple) -> None:
-        nonlocal count, sums, squares
-        T, out = res
-        count += T
-        sums += out[:, 0]
-        squares += out[:, 1]
-
-    _run_ordered(worker, n_batches, threads, fold, lambda: False)
-
-    estimates = sums / count
-    variances = np.maximum(squares / count - estimates**2, 0.0)
-    stderrs = np.sqrt(variances / count)
-    return tuple(
-        CrossCorrelationEstimate(
-            i=state.i,
-            estimate=float(estimates[j]),
-            stderr=float(stderrs[j]),
-            analytic=state.e,
-        )
-        for j, state in enumerate(camp.trajectory.states)
     )

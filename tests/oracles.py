@@ -8,6 +8,8 @@ None of this is used by the package itself:
   exactly as Y = alpha X + sum_k c_k zeta_k over the elementary noises and
   combines forward-original branches with a joint MRC solve, together with
   its per-combine mutual-information and ratio-form audits;
+- a signal-level replay of that campaign on sampled elementary noises, which
+  estimates the noise cross-correlation after every exchange;
 - single-block DF likelihoods and the single-block ML detector wrapper.
 """
 from __future__ import annotations
@@ -265,11 +267,13 @@ class CombineAudit:
 class Campaign:
     """Per-step states of one campaign plus its audits; `noise_vars[k]` is the
     variance of elementary noise source k (downlink noises first, then one
-    cooperation noise per transmission)."""
+    cooperation noise per transmission) and `coeffs[i]` holds the coefficients
+    of Z_I and Z_II over those sources after step i, at unit signal gain."""
 
     states: tuple[SnrState, ...]
     audits: tuple[CombineAudit, ...]
     noise_vars: np.ndarray
+    coeffs: np.ndarray
 
 
 class _Signal(NamedTuple):
@@ -360,6 +364,7 @@ def campaign(
     coop_power_I, coop_power_II = 0.0, 0.0  # cumulative received relay power
     states = [initial_state(params, plan)]
     audits: list[CombineAudit] = []
+    coeffs = [np.array([orig_I.coeffs, orig_II.coeffs])]
 
     def gain(fwd: _Signal, power: float) -> float:
         return math.sqrt(power / (fwd.alpha**2 * P + _noise_power(fwd, var)))
@@ -490,7 +495,39 @@ def campaign(
             rho_II=sig_II.alpha**2 * P / N_II,
             w1=w1, w2=w2, w12=w12, w21=w21, a12=a12, a21=a21,
         ))
-    return Campaign(tuple(states), tuple(audits), var)
+        coeffs.append(np.array([sig_I.coeffs / sig_I.alpha, sig_II.coeffs / sig_II.alpha]))
+    return Campaign(tuple(states), tuple(audits), var, np.array(coeffs))
+
+
+class CrossCorrelationEstimate(NamedTuple):
+    """Sampled noise cross-correlation E[Z_I Z_II*] after one exchange."""
+
+    estimate: float
+    stderr: float
+
+
+def empirical_cross_correlation(
+    camp: Campaign, trials: int, seed: int, batch: int = 65536
+) -> list[CrossCorrelationEstimate]:
+    """Sample the elementary noises, form both receivers' equivalent noises
+    with the campaign's coefficient vectors, and estimate their
+    cross-correlation after every exchange. Batch b draws from the Philox
+    stream keyed by (seed, b)."""
+    scale = np.sqrt(camp.noise_vars / 2.0)[:, None]
+    shape = (len(camp.noise_vars),)
+    sums = np.zeros(len(camp.coeffs))
+    squares = np.zeros(len(camp.coeffs))
+    for b in range(-(-trials // batch)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        T = min(batch, trials - b * batch)
+        z = scale * (rng.standard_normal(shape + (T,)) + 1j * rng.standard_normal(shape + (T,)))
+        for j, (c_I, c_II) in enumerate(camp.coeffs):
+            w = ((c_I @ z) * np.conj(c_II @ z)).real
+            sums[j] += w.sum()
+            squares[j] += (w * w).sum()
+    estimates = sums / trials
+    stderrs = np.sqrt(np.maximum(squares / trials - estimates**2, 0.0) / trials)
+    return [CrossCorrelationEstimate(float(m), float(s)) for m, s in zip(estimates, stderrs)]
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +569,8 @@ def log_likelihood_relay(
         -np.abs(y12_block[:, None] - amplitude * relay_constellation.points) ** 2 / noise_power
         - math.log(math.pi * noise_power)
     )
-    return float(np.sum(_logsumexp(model.log_transition[j] + g, axis=-1)))
+    log_transition = np.log(np.maximum(model.transition, 1e-300))
+    return float(np.sum(_logsumexp(log_transition[j] + g, axis=-1)))
 
 
 def likelihood_relay(

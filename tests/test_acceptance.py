@@ -157,8 +157,8 @@ def test_criterion_04_strategy_gap_polynomial_sign():
             cfg_s2 = CoopConfig(Protocol.AF, Asymmetric(2, Receiver.R1),
                                 Strategy.S2, Regime.H2)
             poly = s1_vs_s2_numerator(params, plan_bandwidth(params, cfg_s1))
-            rho_s1 = campaign(params, cfg_s1).trajectory.states[-1].rho_I
-            rho_s2 = campaign(params, cfg_s2).trajectory.states[-1].rho_I
+            rho_s1 = campaign(params, cfg_s1).states[-1].rho_I
+            rho_s2 = campaign(params, cfg_s2).states[-1].rho_I
             diff = rho_s2 - rho_s1
             if poly < 0.0:
                 violations += 1
@@ -179,10 +179,10 @@ def test_criterion_05_scheme_equivalence():
                     for starter in (Receiver.R1, Receiver.R2):
                         sym = campaign(params, CoopConfig(
                             Protocol.AF, Symmetric(Ks), Strategy.S2, regime)
-                        ).trajectory.states[-1]
+                        ).states[-1]
                         alt = campaign(params, CoopConfig(
                             Protocol.AF, Asymmetric(2 * Ks, starter), Strategy.S2, regime)
-                        ).trajectory.states[-1]
+                        ).states[-1]
                         assert abs(sym.rho_I - alt.rho_I) <= 1e-9 * sym.rho_I
                         assert abs(sym.rho_II - alt.rho_II) <= 1e-9 * sym.rho_II
 

@@ -149,8 +149,8 @@ class TestStepSymmetric:
         # forwarding the latest output or the original signal is the same at i=1
         cfg1 = _cfg(Symmetric(1), Strategy.S1, Regime.H2)
         cfg2 = _cfg(Symmetric(1), Strategy.S2, Regime.H2)
-        s1 = campaign(TWO_BRANCH, cfg1).trajectory.states[-1]
-        s2 = campaign(TWO_BRANCH, cfg2).trajectory.states[-1]
+        s1 = campaign(TWO_BRANCH, cfg1).states[-1]
+        s2 = campaign(TWO_BRANCH, cfg2).states[-1]
         assert s1.rho_I == pytest.approx(s2.rho_I, rel=1e-12)
         assert s1.rho_II == pytest.approx(s2.rho_II, rel=1e-12)
 
@@ -237,7 +237,7 @@ class TestEngineMatchesScalarRecursion:
         st = initial_state(TWO_BRANCH, plan)
         for i in range(1, 4):
             st = step_symmetric(st, TWO_BRANCH.P, plan, power_per_exchange(TWO_BRANCH, cfg, i))
-        assert_matches_raw(campaign(TWO_BRANCH, cfg).trajectory.states[-1], st, 1e-9)
+        assert_matches_raw(campaign(TWO_BRANCH, cfg).states[-1], st, 1e-9)
 
     @pytest.mark.parametrize("starter", list(Receiver))
     def test_asymmetric_forward_latest(self, starter):
@@ -248,20 +248,20 @@ class TestEngineMatchesScalarRecursion:
             st = step_asymmetric(
                 st, TWO_BRANCH.P, plan, power_per_exchange(TWO_BRANCH, cfg, i), i, starter=starter
             )
-        assert_matches_raw(campaign(TWO_BRANCH, cfg).trajectory.states[-1], st, 1e-9)
+        assert_matches_raw(campaign(TWO_BRANCH, cfg).states[-1], st, 1e-9)
 
     def test_normalization_preserves_snrs(self):
         # the unit-gain engine carries the unnormalized trajectory's SNRs
         cfg = _cfg(Symmetric(4), Strategy.S1, Regime.H1)
         raw = oracles.campaign(TWO_BRANCH, cfg, normalize=False).states
-        normed = campaign(TWO_BRANCH, cfg).trajectory.states
+        normed = campaign(TWO_BRANCH, cfg).states
         for s0, s1 in zip(raw, normed):
             assert_matches_raw(s1, s0, 1e-12)
 
     def test_normalized_engine_survives_large_counts(self):
         # the raw weight recursion overflows float64 long before K = 12
         cfg = _cfg(Symmetric(12), Strategy.S1, Regime.H2)
-        final = campaign(TWO_BRANCH, cfg).trajectory.states[-1]
+        final = campaign(TWO_BRANCH, cfg).states[-1]
         assert math.isfinite(final.rho_I) and final.rho_I > 0
         assert math.isfinite(final.rho_II) and final.rho_II > 0
 
@@ -276,25 +276,26 @@ class TestEngineMatchesScalarRecursion:
     @settings(deadline=None)
     @given(params=channel_params(), config=any_config)
     def test_state_invariants(self, params, config):
-        traj = campaign(params, config).trajectory
+        traj = campaign(params, config)
         for s in traj.states:
             assert s.rho_I > 0 and math.isfinite(s.rho_I)
             assert s.rho_II > 0 and math.isfinite(s.rho_II)
             assert abs(s.e) <= math.sqrt(s.N_I * s.N_II) * (1 + 1e-12)
 
     def test_snapshots_reproduce_state_moments(self):
-        # the replay coefficients built from the recursion's weights carry the
-        # recursion's noise powers and cross-correlation at every step
+        # the oracle's per-step coefficient vectors, which the cross-correlation
+        # replay samples, carry the engine's noise powers and cross-correlation
         for scheme in (Asymmetric(4), Symmetric(3)):
             for strategy in Strategy:
-                camp = campaign(TWO_BRANCH, _cfg(scheme, strategy, Regime.H1))
-                coeffs = camp.noise_coefficients()
-                for (c_I, c_II), state in zip(coeffs, camp.trajectory.states):
-                    N_I = float(np.dot(c_I**2, camp.noise_vars))
-                    N_II = float(np.dot(c_II**2, camp.noise_vars))
-                    e = float(np.dot(c_I * c_II, camp.noise_vars))
-                    assert N_I == pytest.approx(state.N_I, rel=1e-12)
-                    assert N_II == pytest.approx(state.N_II, rel=1e-12)
+                cfg = _cfg(scheme, strategy, Regime.H1)
+                replay = oracles.campaign(TWO_BRANCH, cfg)
+                var = replay.noise_vars
+                states = campaign(TWO_BRANCH, cfg).states
+                assert len(states) == len(replay.coeffs)
+                for (c_I, c_II), state in zip(replay.coeffs, states):
+                    assert float(np.dot(c_I**2, var)) == pytest.approx(state.N_I, rel=1e-12)
+                    assert float(np.dot(c_II**2, var)) == pytest.approx(state.N_II, rel=1e-12)
+                    e = float(np.dot(c_I * c_II, var))
                     assert e == pytest.approx(state.e, rel=1e-12, abs=1e-300)
 
 
@@ -318,7 +319,7 @@ class TestEngineMatchesCoefficientCampaign:
         for _ in range(300):
             params, cfg = draw_scenario(rng)
             ref = oracles.campaign(params, cfg).states
-            got = campaign(params, cfg).trajectory.states
+            got = campaign(params, cfg).states
             assert len(got) == len(ref)
             for state, raw in zip(got, ref):
                 assert_matches_raw(state, raw, 1e-12)
@@ -349,7 +350,7 @@ class TestEngineRobustness:
         # and positive, the cross-correlation obeys Cauchy-Schwarz, combining
         # never loses SNR, and no receiver beats owning both downlinks
         params, config = scenario
-        traj = campaign(params, config).trajectory
+        traj = campaign(params, config)
         ceiling = params.P / traj.plan.N1 + params.P / traj.plan.N2
         prev = None
         for s in traj.states:
@@ -436,8 +437,8 @@ class TestClosedForm:
 
     def test_symmetric_pair_equals_two_asymmetric_exchanges(self):
         for regime in Regime:
-            sym = campaign(TWO_BRANCH, _cfg(Symmetric(1), Strategy.S2, regime)).trajectory.states[-1]
-            asym = campaign(TWO_BRANCH, _cfg(Asymmetric(2), Strategy.S2, regime)).trajectory.states[-1]
+            sym = campaign(TWO_BRANCH, _cfg(Symmetric(1), Strategy.S2, regime)).states[-1]
+            asym = campaign(TWO_BRANCH, _cfg(Asymmetric(2), Strategy.S2, regime)).states[-1]
             assert asym.rho_I == pytest.approx(sym.rho_I, rel=1e-12)
             assert asym.rho_II == pytest.approx(sym.rho_II, rel=1e-12)
 

@@ -226,17 +226,16 @@ class TestDecodeAndRemap:
         shape = BlockShape(4, 1, 4)
         bits = np.array([1, 0, 1, 1], dtype=np.int8)
         x = src.points[src.bits_to_indices(bits)]
-        out = relay_decode_and_remap(x, src, rel, shape)
-        assert np.array_equal(rel.indices_to_bits(rel.detect(out)), bits)
+        labels = relay_decode_and_remap(x, src, rel)
+        assert labels.shape == (shape.r,)
+        assert np.array_equal(rel.indices_to_bits(labels), bits)
 
     def test_symbol_flip_localizes_to_label_bits(self):
         src = qam(4)
-        shape = BlockShape(2, 2, 4)
         bits = np.array([0, 0, 1, 1], dtype=np.int8)
         x = src.points[src.bits_to_indices(bits)].copy()
         x[1] = src.points[0]  # force the second symbol to decode as label 00
-        out = relay_decode_and_remap(x, src, src, shape)
-        got = src.indices_to_bits(src.detect(out))
+        got = src.indices_to_bits(relay_decode_and_remap(x, src, src))
         assert np.array_equal(got[:2], bits[:2])
         assert np.array_equal(got[2:], [0, 0])
 
@@ -250,8 +249,7 @@ class TestDecodeAndRemap:
         idx = rng.integers(0, 4, T)
         x = amp * src.points[idx]
         y = x + math.sqrt(N / 2.0) * (rng.standard_normal(T) + 1j * rng.standard_normal(T))
-        out = relay_decode_and_remap(y, src, src, BlockShape(1, 1, 2), amplitude=amp)
-        ser = np.mean(src.detect(out) != idx)
+        ser = np.mean(relay_decode_and_remap(y, src, src, amplitude=amp) != idx)
         q = 0.5 * math.erfc(amp / math.sqrt(N) / math.sqrt(2.0))
         expect = 2 * q - q * q
         assert ser == pytest.approx(expect, abs=4 * math.sqrt(expect * (1 - expect) / T))

@@ -1,14 +1,17 @@
 """Monte Carlo harness tests: determinism, closed-form BER oracles, empirical
-SNR agreement, DF pipeline behavior and cross-correlation replay."""
+SNR agreement, DF pipeline behavior and a cross-correlation replay of the
+analytic recursion."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coopbc import af
+import oracles
+from coopbc import af, mc
 from coopbc.channel import (
     Asymmetric,
     ChannelParams,
@@ -21,13 +24,7 @@ from coopbc.channel import (
 )
 from coopbc.df import qam
 from coopbc.errors import ModulationError
-from coopbc.mc import (
-    BerEstimate,
-    TrialConfig,
-    empirical_cross_correlation,
-    simulate_af,
-    simulate_df,
-)
+from coopbc.mc import BerEstimate, TrialConfig, simulate_af, simulate_df
 
 NO_COOP = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=1.0, n21=1.0, P12=0.0, P21=0.0, B=1.0)
 AF0 = CoopConfig(Protocol.AF, Symmetric(0), Strategy.S1, Regime.H2)
@@ -160,6 +157,19 @@ class TestSimulateAf:
             inside += abs(r.snr_I.value - r.analytic.rho_I) <= 2.576 * r.snr_I.stderr
         assert inside >= 18
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("scheme", [Symmetric(8), Asymmetric(8, Receiver.R1)])
+    def test_near_identical_outputs_at_200_db(self, scheme, strategy):
+        # a 200 dB cooperation link makes both combiner outputs almost the same
+        # signal: their 2x2 noise covariance is singular to rounding
+        lin = 10.0**20
+        p = ChannelParams(P=1.0, n1=0.1, n2=1.0, n12=1.0, n21=1.0, P12=lin, P21=lin, B=1.0)
+        cfg = CoopConfig(Protocol.AF, scheme, strategy, Regime.H1)
+        r = simulate_af(p, cfg, 8, TrialConfig(trials=200_000, seed=37))
+        for est, rho in ((r.snr_I, r.analytic.rho_I), (r.snr_II, r.analytic.rho_II)):
+            assert math.isfinite(est.value) and math.isfinite(est.stderr)
+            assert abs(est.value - rho) < 3.0 * est.stderr
+
     def test_early_stop_respects_target_and_threads(self):
         tc = TrialConfig(trials=4_000_000, seed=3, target_half_width=0.10)
         r = simulate_af(NO_COOP, AF0, 0, tc)
@@ -220,6 +230,23 @@ class TestSimulateDf:
         assert r.ber_II.stderr <= 0.10 * r.ber_II.ber
         assert simulate_df(NO_COOP, DF0, 0, 4, tc, threads=2) == r
 
+    def test_relay_order_256_batch_has_bounded_memory(self):
+        # 16-QAM forwarded as 256-QAM: a full batch is 2^22 >> 8 two-symbol
+        # blocks, and a (blocks, r, Mr, Mr) substitution table would be 8 GiB
+        p = ChannelParams(P=1.0, n1=0.1, n2=1.0, n12=1.0, n21=1.0, P12=1e3, P21=1e3, B=1.0)
+        cfg = CoopConfig(Protocol.DF, Symmetric(1), Strategy.S2, Regime.H2)
+        blocks = mc._MLD_CELL_CAP >> 8
+        tracemalloc.start()
+        try:
+            r = simulate_df(p, cfg, 1, 16, TrialConfig(trials=2 * blocks, seed=41),
+                            coop_bandwidth_fraction=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.relay_order, r.shape.s, r.shape.n) == (256, 2, 8)
+        assert r.ber_I.trials == 2 * blocks
+        assert peak < 256 * 2**20
+
     def test_genie_relay_matches_equivalent_af(self):
         # perfect decoding + error-free model: receiver 2 sees two independent
         # Gaussian branches, so its BER equals a one-branch run at the summed SNR
@@ -274,12 +301,16 @@ class TestSimulateDf:
 
 
 class TestEmpiricalCrossCorrelation:
+    # elementary noises replayed with the coefficient vectors of the
+    # independent oracle campaign check the package recursion's e
     PARAMS = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=0.5, n21=0.5, P12=30.0, P21=30.0, B=1.0)
 
     def test_independent_downlinks_at_start(self):
-        camp = af.campaign(self.PARAMS, CoopConfig(Protocol.AF, Symmetric(1), Strategy.S1, Regime.H2))
-        est = empirical_cross_correlation(camp, TrialConfig(trials=200_000, seed=23))[0]
-        assert abs(est.estimate) < 3.0 * est.stderr and est.analytic == 0.0
+        cfg = CoopConfig(Protocol.AF, Symmetric(1), Strategy.S1, Regime.H2)
+        replay = oracles.campaign(self.PARAMS, cfg)
+        est = oracles.empirical_cross_correlation(replay, 200_000, seed=23)[0]
+        analytic = af.campaign(self.PARAMS, cfg).states[0].e
+        assert abs(est.estimate) < 3.0 * est.stderr and analytic == 0.0
 
     @pytest.mark.parametrize(
         "config,K",
@@ -290,7 +321,9 @@ class TestEmpiricalCrossCorrelation:
         ],
     )
     def test_matches_analytic_recursion(self, config, K):
-        camp = af.campaign(self.PARAMS, config, K)
-        for est in empirical_cross_correlation(camp, TrialConfig(trials=200_000, seed=29)):
+        replay = oracles.campaign(self.PARAMS, config, K)
+        states = af.campaign(self.PARAMS, config, K).states
+        assert len(states) == len(replay.coeffs)
+        for est, state in zip(oracles.empirical_cross_correlation(replay, 200_000, seed=29), states):
             if est.stderr:
-                assert abs(est.estimate - est.analytic) < 4.0 * est.stderr
+                assert abs(est.estimate - state.e) < 4.0 * est.stderr
