@@ -19,7 +19,6 @@ from .channel import (
     power_per_exchange,
     power_schedule,
     transmissions_per_step,
-    transmitter_at,
 )
 from .af import (
     SnrState,

@@ -239,9 +239,3 @@ def power_schedule(params: ChannelParams, config: CoopConfig) -> np.ndarray:
 def _budget(params: ChannelParams, receiver: Receiver) -> float:
     return params.P12 if receiver is Receiver.R1 else params.P21
 
-
-def transmitter_at(scheme: Scheme, i: int) -> Receiver:
-    """Which receiver transmits at asymmetric exchange `i` (starter at odd i)."""
-    if not isinstance(scheme, Asymmetric):
-        raise TypeError("exchange parity only applies to the asymmetric scheme")
-    return scheme.starter if i % 2 == 1 else scheme.starter.other

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 ENUMERATION_BIT_LIMIT = 20
-_LOG_FLOOR = math.log(1e-300)
 
 
 def ensure_enumerable(n: int) -> None:
@@ -251,28 +250,30 @@ def nearest_neighbor_error_model(
 @dataclass(frozen=True, eq=False)
 class RelayObservation:
     """One received cooperation block: r symbols plus everything the detector
-    needs to evaluate it (transmit scaling, noise power, error model)."""
+    needs to evaluate it (signal gain, noise power, error model; the model is
+    None for combiners that treat the block as a faithful copy)."""
 
     y12: np.ndarray
     amplitude: float
     noise_power: float
-    model: RelayErrorModel
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    return np.squeeze(m, axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+    model: Optional[RelayErrorModel]
 
 
 @functools.lru_cache(maxsize=None)
-def _candidates(n: int, ms_bits: int, mr_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All 2^n candidate bit vectors plus their source/relay symbol labels."""
+def _candidates(n: int, ms_bits: int, mr_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source and relay symbol labels of all 2^n candidate bit vectors."""
     count = 1 << n
     bits = ((np.arange(count)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
     src = bits.reshape(count, -1, ms_bits) @ (1 << np.arange(ms_bits - 1, -1, -1))
     rel = bits.reshape(count, -1, mr_bits) @ (1 << np.arange(mr_bits - 1, -1, -1))
-    return bits, src, rel
+    return src, rel
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_columns(n: int) -> np.ndarray:
+    """[bits, 1 - bits] of all 2^n bit vectors (MSB first), shape (2^n, 2n)."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return np.hstack([bits, 1 - bits]).astype(float)
 
 
 def mld_llr_batch(
@@ -287,15 +288,16 @@ def mld_llr_batch(
     """Per-bit likelihood ratios for a batch of blocks: y2 is (T, s), each
     observation's y12 is (T, r); returns (T, n).
 
-    Enumerates all 2^n candidate bit vectors, accumulates log likelihoods of
-    the direct branch and every relay branch, and splits each bit's candidate
-    set into numerator/denominator log-sums. Sums are max-shifted and floored
-    at 1e-300 before the ratio.
+    Enumerates all 2^n candidate bit vectors and accumulates log likelihoods
+    of the direct branch and of every relay branch; branches must carry
+    independent relay decoding errors, so repeats of one relay block are
+    passed as one summed observation. Each bit's numerator and denominator
+    are masses of the max-shifted candidate likelihoods, floored at 1e-300
+    before the ratio.
     """
     ensure_enumerable(shape.n)
-    y2 = np.atleast_2d(y2)
     trials = y2.shape[0]
-    bits, src_idx, rel_idx = _candidates(
+    src_idx, rel_idx = _candidates(
         shape.n, source_constellation.bits_per_symbol, relay_constellation.bits_per_symbol
     )
     # direct branch: per-position candidate tables, then gather per bit vector
@@ -304,13 +306,12 @@ def mld_llr_batch(
         -np.abs(y2[:, :, None] - pts) ** 2 / direct_noise_power
         - math.log(math.pi * direct_noise_power)
     )
-    total = np.zeros((trials, bits.shape[0]))
+    total = np.zeros((trials, src_idx.shape[0]))
     for i in range(shape.s):
         total += direct_tab[:, i, src_idx[:, i]]
     for obs in observations:
-        y12 = np.atleast_2d(obs.y12)
         g = (
-            -np.abs(y12[:, :, None] - obs.amplitude * relay_constellation.points) ** 2
+            -np.abs(obs.y12[:, :, None] - obs.amplitude * relay_constellation.points) ** 2
             / obs.noise_power
             - math.log(math.pi * obs.noise_power)
         )
@@ -320,12 +321,14 @@ def mld_llr_batch(
         relay_tab = top + np.log(np.maximum(np.exp(g - top) @ obs.model.transition.T, 1e-300))
         for i in range(shape.r):
             total += relay_tab[:, i, rel_idx[:, i]]
-    total -= total.max(axis=1, keepdims=True)
-    llr = np.empty((trials, shape.n))
-    for k in range(shape.n):
-        ones = bits[:, k] == 1
-        lnum = np.maximum(_logsumexp(total[:, ones], axis=1), _LOG_FLOOR)
-        lden = np.maximum(_logsumexp(total[:, ~ones], axis=1), _LOG_FLOOR)
-        llr[:, k] = np.exp(lnum - lden)
-    return llr
-
+    # masses at 1 and at 0 of every bit: one product of the likelihoods
+    # against [bits, 1 - bits], taken over the leading and the trailing half
+    # of the bit vector, so the selectors have 2^(n/2) rows, not 2^n
+    lead_n = shape.n // 2
+    trail_n = shape.n - lead_n
+    lik = np.exp(total - total.max(axis=1, keepdims=True)).reshape(trials, 1 << lead_n, -1)
+    lead = lik.sum(axis=2) @ _bit_columns(lead_n)
+    trail = lik.sum(axis=1) @ _bit_columns(trail_n)
+    num = np.hstack([lead[:, :lead_n], trail[:, :trail_n]])
+    den = np.hstack([lead[:, lead_n:], trail[:, trail_n:]])
+    return np.maximum(num, 1e-300) / np.maximum(den, 1e-300)

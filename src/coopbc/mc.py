@@ -1,7 +1,7 @@
 """Monte Carlo harness: samples the received signals of each protocol (for AF
-the two combiner outputs, for DF every link of the cooperation schedule),
-applies the configured combiner, and estimates raw bit error rates and
-empirical SNRs with standard errors.
+the two combiner outputs, for DF the two direct signals plus one summed
+cooperation branch per destination), applies the configured combiner, and
+estimates raw bit error rates and empirical SNRs with standard errors.
 
 Reproducibility contract: work is split into fixed-size batches and batch b
 draws from a counter-based stream keyed by (seed, b). Partial results are
@@ -328,11 +328,13 @@ def simulate_df(
     Each receiver hard-decodes the source block from its own downlink signal
     once, re-modulates it onto the bit-rate-compatible relay constellation and
     retransmits the same block at every exchange it owns (fresh cooperation
-    noise each time). The destination always combines the cooperation signal
-    with the signal received directly from the source: `combiner="mld"` runs
-    the per-bit generalized ML detector with the relay's substitution-error
-    model, `combiner="mrc"` the weight-and-add baseline (symbol-aligned
-    constellations only).
+    noise each time, equal power). The destination sums the m repeats into
+    one branch of gain m*a and noise m*N, a sufficient statistic that keeps
+    the one decoding error of the block from counting m times, and combines
+    it with the signal received directly from the source: `combiner="mld"`
+    runs the per-bit generalized ML detector with the relay's
+    substitution-error model, `combiner="mrc"` the weight-and-add baseline
+    (symbol-aligned constellations only, no relay pilot).
 
     `modulations` is the source order, optionally paired with the expected
     relay order; `relay_model` selects how the substitution distribution is
@@ -382,18 +384,21 @@ def simulate_df(
             "weight-and-add combining requires the relay to reuse the source constellation"
         )
 
-    schedule: list[tuple[Receiver, float]] = []  # (destination, transmit amplitude)
-    for p12, p21 in power_schedule(params, cfg):
-        if p12 > 0.0:
-            schedule.append((Receiver.R2, math.sqrt(p12)))
-        if p21 > 0.0:
-            schedule.append((Receiver.R1, math.sqrt(p21)))
-    active = {dest.other for dest, _ in schedule}
+    # m equal-power repeats (amplitude a, noise N) of one relay block are
+    # sufficient as their sum: one branch of gain m*a and noise m*N, drawn in
+    # the order of each relay's first send
+    sched = power_schedule(params, cfg)
+    links: list[tuple[Receiver, float, float]] = []  # (relay, gain, noise)
+    for relay in dict.fromkeys(Receiver(i % 2 + 1) for i in np.flatnonzero(sched)):
+        powers = sched[:, relay.value - 1]
+        m = int(np.count_nonzero(powers))
+        noise = plan.N12 if relay is Receiver.R1 else plan.N21
+        links.append((relay, m * math.sqrt(powers.max()), m * noise))
+    downlink_noise = {Receiver.R1: plan.N1, Receiver.R2: plan.N2}
 
     tc = trial_config
 
     def build_model(relay: Receiver) -> RelayErrorModel:
-        noise = plan.N1 if relay is Receiver.R1 else plan.N2
         if relay_model == "genie":
             return RelayErrorModel.error_free(relay_order)
         if relay_model == "analytic":
@@ -401,13 +406,19 @@ def simulate_df(
                 raise ModulationError(
                     "analytic relay model requires the relay to reuse the source constellation"
                 )
-            return nearest_neighbor_error_model(src_c, amp_s, noise)
+            return nearest_neighbor_error_model(src_c, amp_s, downlink_noise[relay])
         return estimate_relay_errors(
-            src_c, rel_c, shape, amp_s, noise,
+            src_c, rel_c, shape, amp_s, downlink_noise[relay],
             seed=tc.seed + (0 if relay is Receiver.R1 else 1),
         )
 
-    models = {relay: build_model(relay) for relay in active}
+    # weight-and-add never reads the error model, so it skips the relay pilot
+    models = {relay: build_model(relay) for relay, _, _ in links} if combiner == "mld" else {}
+
+    def decide(y: np.ndarray, observations: list[RelayObservation], noise: float) -> np.ndarray:
+        if combiner == "mld":
+            return mld_llr_batch(y, observations, shape, src_c, rel_c, amp_s, noise) > 1.0
+        return _mrc_decisions(y, observations, src_c, amp_s, noise)
 
     blocks_per_batch = max(1, min(tc.batch // shape.s, _MLD_CELL_CAP >> shape.n))
     total_blocks = -(-tc.trials // shape.s)
@@ -419,37 +430,19 @@ def simulate_df(
         rng = _rng(tc.seed, b)
         bits = rng.integers(0, 2, (T, shape.n), dtype=np.int8)
         x = amp_s * src_c.points[src_c.bits_to_indices(bits)]
-        y1 = x + _cn(rng, plan.N1, x.shape)
-        y2 = x + _cn(rng, plan.N2, x.shape)
-        direct = {Receiver.R1: y1, Receiver.R2: y2}
-        if relay_model == "genie":  # perfect decoding: transmit the true block
-            true_block = rel_c.points[rel_c.bits_to_indices(bits)]
-            tx_block = {relay: true_block for relay in active}
-        else:
-            tx_block = {
-                relay: rel_c.points[relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s)]
-                for relay in sorted(active, key=lambda r: r.value)
-            }
+        direct = {dest: x + _cn(rng, downlink_noise[dest], x.shape) for dest in Receiver}
         received: dict[Receiver, list[RelayObservation]] = {Receiver.R1: [], Receiver.R2: []}
-        for dest, a in schedule:
-            relay = dest.other
-            noise = plan.N12 if relay is Receiver.R1 else plan.N21
-            y = a * tx_block[relay] + _cn(rng, noise, (T, shape.r))
-            received[dest].append(RelayObservation(y, a, noise, models[relay]))
-        if combiner == "mld":
-            dec_I = (
-                mld_llr_batch(y1, received[Receiver.R1], shape, src_c, rel_c, amp_s, plan.N1)
-                > 1.0
-            ).astype(np.int8)
-            dec_II = (
-                mld_llr_batch(y2, received[Receiver.R2], shape, src_c, rel_c, amp_s, plan.N2)
-                > 1.0
-            ).astype(np.int8)
-        else:
-            dec_I = _mrc_decisions(y1, received[Receiver.R1], src_c, amp_s, plan.N1)
-            dec_II = _mrc_decisions(y2, received[Receiver.R2], src_c, amp_s, plan.N2)
-        wrong_I = dec_I != bits
-        wrong_II = dec_II != bits
+        for relay, gain, noise in links:
+            if relay_model == "genie":  # perfect decoding: transmit the true block
+                labels = rel_c.bits_to_indices(bits)
+            else:
+                labels = relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s)
+            y = gain * rel_c.points[labels] + _cn(rng, noise, (T, shape.r))
+            received[relay.other] = [RelayObservation(y, gain, noise, models.get(relay))]
+        wrong_I, wrong_II = (
+            decide(direct[dest], received[dest], downlink_noise[dest]) != bits
+            for dest in Receiver
+        )
         return T, int(wrong_I.sum()), int(wrong_II.sum()), int((wrong_I | wrong_II).sum())
 
     def fold(res: tuple) -> None:

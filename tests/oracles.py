@@ -4,6 +4,7 @@ None of this is used by the package itself:
 
 - the verbatim scalar AF recursion (one exchange per call, unnormalized
   weights, forwarding the latest combiner output);
+- the asymmetric exchange parity rule (which receiver sends at exchange i);
 - the coefficient-vector AF campaign, which represents every combiner output
   exactly as Y = alpha X + sum_k c_k zeta_k over the elementary noises and
   combines forward-original branches with a joint MRC solve, together with
@@ -21,15 +22,16 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from coopbc.channel import (
+    Asymmetric,
     BandwidthPlan,
     ChannelParams,
     CoopConfig,
     Receiver,
+    Scheme,
     Strategy,
     Symmetric,
     plan_bandwidth,
     power_per_exchange,
-    transmitter_at,
 )
 from coopbc.df import (
     BlockShape,
@@ -248,6 +250,13 @@ def mi_conservation_check(
 # ---------------------------------------------------------------------------
 # Coefficient-vector AF campaign
 # ---------------------------------------------------------------------------
+
+
+def transmitter_at(scheme: Scheme, i: int) -> Receiver:
+    """Which receiver transmits at asymmetric exchange `i` (starter at odd i)."""
+    if not isinstance(scheme, Asymmetric):
+        raise TypeError("exchange parity only applies to the asymmetric scheme")
+    return scheme.starter if i % 2 == 1 else scheme.starter.other
 
 
 @dataclass(frozen=True)

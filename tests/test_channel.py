@@ -19,8 +19,8 @@ from coopbc.channel import (
     power_per_exchange,
     power_schedule,
     transmissions_per_step,
-    transmitter_at,
 )
+from oracles import transmitter_at
 
 PARAMS = ChannelParams(P=10.0, n1=0.5, n2=2.0, n12=0.25, n21=1.0, P12=4.0, P21=6.0, B=8.0)
 

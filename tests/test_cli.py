@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,9 +250,11 @@ class TestDeterminism:
 
     def test_module_entry_point(self, scenario_file, tmp_path):
         path = scenario_file(AF_TEXT)
+        # the child imports the same package as this test, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
         res = subprocess.run(
             [sys.executable, "-m", "coopbc", "rate", "--scenario", path],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert res.returncode == 0
         assert res.stdout.splitlines()[1].startswith("k,")

@@ -300,6 +300,7 @@ class TestMldDetector:
             (4, 4, BlockShape(1, 1, 2)),
             (2, 16, BlockShape(4, 1, 4)),
             (16, 256, BlockShape(2, 1, 8)),
+            (2, 2, BlockShape(3, 3, 3)),  # odd n: unequal halves of the bit vector
         ],
     )
     def test_brute_force_oracle(self, Ms, Mr, shape):

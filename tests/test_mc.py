@@ -291,6 +291,21 @@ class TestSimulateDf:
         r = simulate_df(p, cfg, 2, 4, TrialConfig(trials=100_000, seed=23))
         assert r.ber_II.ber < qpsk_ber(5.0)
         assert (r.source_order, r.relay_order) == (4, 4)
+        # the same budget in one round: repeating the relay block must not
+        # count its decoding errors twice
+        once = simulate_df(p, cfg, 1, 4, TrialConfig(trials=100_000, seed=23))
+        for twice, single in ((r.ber_I, once.ber_I), (r.ber_II, once.ber_II)):
+            assert twice.ber <= single.ber + 3.0 * math.hypot(twice.stderr, single.stderr)
+
+    def test_mrc_skips_relay_pilot(self, monkeypatch):
+        def no_pilot(*args, **kwargs):
+            raise AssertionError("weight-and-add combining reads no relay error model")
+
+        monkeypatch.setattr(mc, "estimate_relay_errors", no_pilot)
+        p = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=0.5, n21=0.5, P12=10.0, P21=10.0, B=1.0)
+        cfg = CoopConfig(Protocol.DF, Symmetric(2), Strategy.S2, Regime.H2)
+        r = simulate_df(p, cfg, 2, 4, TrialConfig(trials=20_000, seed=3), combiner="mrc")
+        assert r.ber_II.ber < qpsk_ber(5.0)
 
     def test_idle_receiver_unaffected_in_single_exchange(self):
         p = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=0.25, n21=0.25, P12=20.0, P21=20.0, B=1.0)
