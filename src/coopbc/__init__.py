@@ -39,7 +39,6 @@ from .df import (
     ensure_enumerable,
     estimate_relay_errors,
     mld_llr_batch,
-    nearest_neighbor_error_model,
     qam,
     relay_decode_and_remap,
 )

@@ -5,7 +5,8 @@ A DF relay hard-decodes the source block it received over its downlink channel,
 re-maps the recovered bits onto its own (possibly larger) constellation so the
 coded bit rate is conserved across the narrower cooperation sub-channel, and
 retransmits. The destination detector marginalizes over the relay's possible
-decoding errors — a per-symbol substitution distribution — and produces one
+decoding errors — a per-symbol substitution distribution, computed exactly
+from the per-axis decision law of the source constellation — and produces one
 likelihood ratio per coded bit by enumerating all candidate bit vectors.
 """
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "mld_llr_batch",
     "relay_decode_and_remap",
     "estimate_relay_errors",
-    "nearest_neighbor_error_model",
 ]
 
 ENUMERATION_BIT_LIMIT = 20
@@ -193,53 +193,68 @@ def relay_decode_and_remap(
     return relay_constellation.bits_to_indices(bits)
 
 
+def _decision_law(constellation: Constellation, amplitude: float, noise_power: float) -> np.ndarray:
+    """law[j, l]: probability that minimum-distance detection decides label l
+    when label j was sent at `amplitude` over complex noise of `noise_power`.
+
+    Square QAM decides each axis on its own, so the law is the Kronecker
+    product of the in-phase and the quadrature law in label order (BPSK has
+    one axis). An axis entry is the Gaussian mass of a decision interval,
+    taken from erfc of the tail nearer the sent level, so it keeps its
+    precision far out in the tails.
+    """
+    side = 2 if constellation.order == 2 else 1 << (constellation.bits_per_symbol // 2)
+    levels = amplitude * constellation.points.real[:: constellation.order // side]
+    rank = np.argsort(np.argsort(levels))
+    pos = np.sort(levels)
+    edges = np.concatenate([[-np.inf], (pos[:-1] + pos[1:]) / 2.0, [np.inf]])
+    d = (edges - pos[:, None]) / math.sqrt(noise_power)
+    erfc = np.vectorize(math.erfc, otypes=[float])
+    above = 0.5 * erfc(d)  # mass above each edge
+    below = 0.5 * erfc(-d)  # mass below each edge
+    k = np.arange(side)
+    mass = np.where(
+        k > k[:, None],
+        above[:, :-1] - above[:, 1:],
+        np.where(k < k[:, None], below[:, 1:] - below[:, :-1], 1.0 - below[:, :-1] - above[:, 1:]),
+    )
+    axis = mass[np.ix_(rank, rank)]
+    return axis if constellation.order == 2 else np.kron(axis, axis)
+
+
 def estimate_relay_errors(
     source_constellation: Constellation,
     relay_constellation: Constellation,
     shape: BlockShape,
     amplitude: float,
     noise_power: float,
-    symbols: int = 100_000,
-    seed: int = 0,
 ) -> RelayErrorModel:
-    """Estimate the substitution distribution by running the decode-and-remap
-    chain over pilot symbols at the relay's receive SNR."""
-    # key word 2 pinned to u64-max so pilot draws never collide with the
-    # per-batch streams (seed, batch_index) used by the Monte Carlo harness
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
-    )
-    blocks = max(1, -(-symbols // shape.s))
-    bits = rng.integers(0, 2, size=(blocks, shape.n), dtype=np.int8)
-    src_idx = source_constellation.bits_to_indices(bits)
-    intended = relay_constellation.bits_to_indices(bits)
-    x = amplitude * source_constellation.points[src_idx]
-    noise = math.sqrt(noise_power / 2.0) * (
-        rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
-    )
-    sent = relay_decode_and_remap(x + noise, source_constellation, relay_constellation, amplitude)
-    Mr = relay_constellation.order
-    counts = np.zeros((Mr, Mr))
-    np.add.at(counts, (intended.ravel(), sent.ravel()), 1.0)
-    rows = counts.sum(axis=1)
-    never_seen = rows == 0
-    counts[never_seen] = np.eye(Mr)[never_seen]
-    return RelayErrorModel(counts / counts.sum(axis=1, keepdims=True))
+    """Exact substitution law of the decode-and-remap chain at the relay's
+    receive SNR, pooled (averaged) over the r relay symbols of a block.
 
-
-def nearest_neighbor_error_model(
-    constellation: Constellation, amplitude: float, noise_power: float
-) -> RelayErrorModel:
-    """Analytic fallback: pairwise-error substitution probabilities
-    Q(amplitude*d / sqrt(2*noise_power)), row-normalized."""
-    pts = amplitude * constellation.points
-    d = np.abs(pts[:, None] - pts[None, :])
-    q = 0.5 * np.vectorize(math.erfc)(d / math.sqrt(2.0 * noise_power) / math.sqrt(2.0))
-    np.fill_diagonal(q, 0.0)
-    off = q.sum(axis=1)
-    diag = np.maximum(1.0 - off, 0.0)
-    t = q + np.diag(diag)
-    return RelayErrorModel(t / t.sum(axis=1, keepdims=True))
+    Source symbols are decided independently, so relay symbol p's law is the
+    Kronecker product, over the source symbols its bits overlap, of each
+    one's decision law marginalized onto those bits: the mean over the
+    intended bits outside the overlap (they are uniform) and the sum over the
+    decided ones.
+    """
+    law = _decision_law(source_constellation, amplitude, noise_power)
+    ms = source_constellation.bits_per_symbol
+    mr = relay_constellation.bits_per_symbol
+    transition = np.zeros((relay_constellation.order, relay_constellation.order))
+    for p in range(shape.r):
+        factors = []
+        for i in range(p * mr // ms, -(-(p + 1) * mr // ms)):
+            start = max(p * mr - i * ms, 0)
+            stop = min((p + 1) * mr - i * ms, ms)
+            if stop - start == ms:  # a whole symbol: no marginal, no copy of the law
+                factors.append(law)
+                continue
+            split = (1 << start, 1 << (stop - start), 1 << (ms - stop))
+            factors.append(law.reshape(split + split).sum(axis=(3, 5)).mean(axis=(0, 2)))
+        transition += functools.reduce(np.kron, factors)
+    transition /= shape.r
+    return RelayErrorModel(transition)
 
 
 # ---------------------------------------------------------------------------

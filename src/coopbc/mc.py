@@ -37,7 +37,6 @@ from .df import (
     ensure_enumerable,
     estimate_relay_errors,
     mld_llr_batch,
-    nearest_neighbor_error_model,
     qam,
     relay_decode_and_remap,
 )
@@ -56,29 +55,29 @@ __all__ = [
 BATCH_SYMBOLS = 65536
 BIT_CAP = 10_000_000
 _STOP_CHECK_BATCHES = 4  # early-stop boundary, fixed so thread count cannot move it
-_MLD_CELL_CAP = 1 << 22  # blocks-per-batch * 2^n candidate table budget
+# blocks-per-batch * 2^n candidate table budget; it bounds every per-batch MLD
+# intermediate, because the direct (T, s, Ms) and relay (T, r, Mr) tables
+# hold s*Ms <= 2^n and r*Mr <= 2^n cells per block (s*log2 Ms = r*log2 Mr = n)
+_MLD_CELL_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
 class TrialConfig:
     """Sampling budget and reproducibility knobs.
 
-    trials: source symbols to simulate; seed: 64-bit stream seed; batch:
-    symbols per counter-based stream; target_half_width: optional relative
-    standard-error target enabling early stop, capped at bit_cap bits.
+    trials: source symbols to simulate, in batches of BATCH_SYMBOLS per
+    counter-based stream; seed: 64-bit stream seed; target_half_width:
+    optional relative standard-error target enabling early stop, capped at
+    BIT_CAP bits.
     """
 
     trials: int
     seed: int = 0
     target_half_width: Optional[float] = None
-    batch: int = BATCH_SYMBOLS
-    bit_cap: int = BIT_CAP
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
         if self.target_half_width is not None and not self.target_half_width > 0.0:
@@ -168,7 +167,7 @@ def _stop_on_target(tc: TrialConfig, tally: dict, bits: int) -> bool:
     or once both receivers' BER standard errors meet the relative target."""
     if tc.target_half_width is None:
         return False
-    if bits >= tc.bit_cap:
+    if bits >= BIT_CAP:
         return True
     for errors in (tally["err_I"], tally["err_II"]):
         if errors == 0:
@@ -215,7 +214,7 @@ def simulate_af(
     P = params.P
     amp = math.sqrt(P)
     tc = trial_config
-    n_batches = -(-tc.trials // tc.batch)
+    n_batches = -(-tc.trials // BATCH_SYMBOLS)
 
     tally = {
         "symbols": 0,
@@ -230,7 +229,7 @@ def simulate_af(
     }
 
     def worker(b: int) -> tuple:
-        T = min(tc.batch, tc.trials - b * tc.batch)
+        T = min(BATCH_SYMBOLS, tc.trials - b * BATCH_SYMBOLS)
         rng = _rng(tc.seed, b)
         idx = rng.integers(0, order, T)
         x = amp * const.points[idx]
@@ -319,7 +318,7 @@ def simulate_df(
     trial_config: TrialConfig,
     *,
     combiner: str = "mld",
-    relay_model: str = "empirical",
+    relay_model: str = "exact",
     coop_bandwidth_fraction: Optional[float] = None,
     threads: int = 1,
 ) -> DfRunResult:
@@ -334,12 +333,12 @@ def simulate_df(
     it with the signal received directly from the source: `combiner="mld"`
     runs the per-bit generalized ML detector with the relay's
     substitution-error model, `combiner="mrc"` the weight-and-add baseline
-    (symbol-aligned constellations only, no relay pilot).
+    (symbol-aligned constellations only, no error model).
 
     `modulations` is the source order, optionally paired with the expected
-    relay order; `relay_model` selects how the substitution distribution is
-    obtained: "empirical" (pilot run at the relay's receive SNR), "analytic"
-    (nearest-neighbor approximation) or "genie" (error-free relay).
+    relay order; `relay_model` selects the substitution distribution: "exact"
+    (the law of the relay's decode-and-remap chain at its receive SNR, see
+    `estimate_relay_errors`) or "genie" (error-free relay).
     `coop_bandwidth_fraction` narrows each cooperation sub-channel to that
     fraction of the downlink band, which raises the relay constellation order
     needed to conserve the coded bit rate and shrinks the integrated
@@ -349,7 +348,7 @@ def simulate_df(
         raise ValueError("simulate_df requires a decode-and-forward config")
     if combiner not in ("mld", "mrc"):
         raise ValueError(f"unknown combiner {combiner!r}")
-    if relay_model not in ("empirical", "analytic", "genie"):
+    if relay_model not in ("exact", "genie"):
         raise ValueError(f"unknown relay model {relay_model!r}")
     cfg = config if K is None else config.with_count(K)
     k = cfg.count
@@ -371,15 +370,14 @@ def simulate_df(
     src_c = qam(source_order)
     relay_order, shape = choose_compatible_modulation(source_order, plan.B_DL, plan.deltaB)
     if combiner == "mld":
-        ensure_enumerable(shape.n)  # fail before any pilot work
+        ensure_enumerable(shape.n)  # fail before building any error model
     if relay_expect is not None and relay_expect != relay_order:
         raise ModulationError(
             f"relay order {relay_expect} cannot conserve the coded bit rate; need {relay_order}"
         )
     rel_c = qam(relay_order)
     amp_s = math.sqrt(params.P)
-    aligned = relay_order == source_order and shape.r == shape.s
-    if combiner == "mrc" and not aligned:
+    if combiner == "mrc" and relay_order != source_order:
         raise ModulationError(
             "weight-and-add combining requires the relay to reuse the source constellation"
         )
@@ -401,18 +399,9 @@ def simulate_df(
     def build_model(relay: Receiver) -> RelayErrorModel:
         if relay_model == "genie":
             return RelayErrorModel.error_free(relay_order)
-        if relay_model == "analytic":
-            if not aligned:
-                raise ModulationError(
-                    "analytic relay model requires the relay to reuse the source constellation"
-                )
-            return nearest_neighbor_error_model(src_c, amp_s, downlink_noise[relay])
-        return estimate_relay_errors(
-            src_c, rel_c, shape, amp_s, downlink_noise[relay],
-            seed=tc.seed + (0 if relay is Receiver.R1 else 1),
-        )
+        return estimate_relay_errors(src_c, rel_c, shape, amp_s, downlink_noise[relay])
 
-    # weight-and-add never reads the error model, so it skips the relay pilot
+    # weight-and-add never reads the error model, so it skips building it
     models = {relay: build_model(relay) for relay, _, _ in links} if combiner == "mld" else {}
 
     def decide(y: np.ndarray, observations: list[RelayObservation], noise: float) -> np.ndarray:
@@ -420,7 +409,7 @@ def simulate_df(
             return mld_llr_batch(y, observations, shape, src_c, rel_c, amp_s, noise) > 1.0
         return _mrc_decisions(y, observations, src_c, amp_s, noise)
 
-    blocks_per_batch = max(1, min(tc.batch // shape.s, _MLD_CELL_CAP >> shape.n))
+    blocks_per_batch = max(1, min(BATCH_SYMBOLS // shape.s, _MLD_CELL_CAP >> shape.n))
     total_blocks = -(-tc.trials // shape.s)
     n_batches = -(-total_blocks // blocks_per_batch)
     tally = {"symbols": 0, "blocks": 0, "err_I": 0, "err_II": 0, "err_sys": 0}

@@ -214,11 +214,7 @@ def parse_scenario_text(text: str, origin: str = "<scenario>") -> Scenario:
     if target is not None and not target > 0.0:
         raise ScenarioError("[trials] target_half_width must be positive")
     combiner = trials.choice("combiner", {"mld": "mld", "mrc": "mrc"}, "mld")
-    relay_model = trials.choice(
-        "relay_model",
-        {"empirical": "empirical", "analytic": "analytic", "genie": "genie"},
-        "empirical",
-    )
+    relay_model = trials.choice("relay_model", {"exact": "exact", "genie": "genie"}, "exact")
     grid_points = regions.integer("grid_points", 21)
     if grid_points < 2:
         raise ScenarioError("[regions] grid_points must be >= 2")

@@ -11,7 +11,10 @@ None of this is used by the package itself:
   its per-combine mutual-information and ratio-form audits;
 - a signal-level replay of that campaign on sampled elementary noises, which
   estimates the noise cross-correlation after every exchange;
-- single-block DF likelihoods and the single-block ML detector wrapper.
+- single-block DF likelihoods and the single-block ML detector wrapper;
+- the relay pilot: the decode-and-remap chain run over sampled symbols,
+  whose substitution counts the exact relay law is tested against;
+- the exact Gray square-QAM bit error rate over AWGN.
 """
 from __future__ import annotations
 
@@ -39,6 +42,8 @@ from coopbc.df import (
     RelayErrorModel,
     RelayObservation,
     mld_llr_batch,
+    qam,
+    relay_decode_and_remap,
 )
 
 _LOG_FLOOR = math.log(1e-300)
@@ -635,3 +640,72 @@ def mld_llr(
         direct_noise_power,
     )
     return LlrBlock(out[0])
+
+
+# ---------------------------------------------------------------------------
+# Relay pilot
+# ---------------------------------------------------------------------------
+
+
+def relay_pilot_counts(
+    source_constellation: Constellation,
+    relay_constellation: Constellation,
+    shape: BlockShape,
+    amplitude: float,
+    noise_power: float,
+    symbols: int = 100_000,
+    seed: int = 0,
+) -> np.ndarray:
+    """Substitution counts[j, l] of the decode-and-remap chain run over
+    pilot symbols at the relay's receive SNR: how often the relay sent l
+    where a correct decode would have sent j, pooled over the r positions."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
+    )
+    blocks = max(1, -(-symbols // shape.s))
+    bits = rng.integers(0, 2, size=(blocks, shape.n), dtype=np.int8)
+    src_idx = source_constellation.bits_to_indices(bits)
+    intended = relay_constellation.bits_to_indices(bits)
+    x = amplitude * source_constellation.points[src_idx]
+    noise = math.sqrt(noise_power / 2.0) * (
+        rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    )
+    Mr = relay_constellation.order
+    counts = np.zeros((Mr, Mr))
+    for lo in range(0, blocks, 1 << 16):  # decode in chunks to bound the distance table
+        part = slice(lo, lo + (1 << 16))
+        sent = relay_decode_and_remap(
+            x[part] + noise[part], source_constellation, relay_constellation, amplitude
+        )
+        np.add.at(counts, (intended[part].ravel(), sent.ravel()), 1.0)
+    return counts
+
+
+def exact_qam_ber(order: int, amplitude: float, noise_power: float) -> float:
+    """Exact Gray square-QAM BER from separable per-axis decision probabilities."""
+    const = qam(order)
+    if order == 2:
+        return 0.5 * math.erfc(amplitude / math.sqrt(noise_power))
+    m = const.bits_per_symbol
+    sigma = math.sqrt(noise_power / 2.0)
+    pts = amplitude * const.points
+    levels = np.unique(np.round(pts.real, 12))
+    bounds = (levels[:-1] + levels[1:]) / 2.0
+
+    def cdf(x: float) -> float:
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    def cell_probs(value: float) -> np.ndarray:
+        edges = [-math.inf, *((b - value) / sigma for b in bounds), math.inf]
+        return np.diff([cdf(e) for e in edges])
+
+    re_idx = np.abs(pts.real[:, None] - levels).argmin(axis=1)
+    im_idx = np.abs(pts.imag[:, None] - levels).argmin(axis=1)
+    trans = np.array([cell_probs(v) for v in levels])
+    labels = np.arange(order)
+    ham = np.array([[bin(a ^ b).count("1") for b in labels] for a in labels])
+    total = 0.0
+    for j in range(order):
+        p = trans[re_idx[j]][re_idx] * trans[im_idx[j]][im_idx]
+        total += float(p @ ham[j]) / m
+    return total / order

@@ -248,6 +248,13 @@ class TestDeterminism:
         assert a.read_bytes() != b.read_bytes()  # different noise draws
         assert a.read_bytes() == c.read_bytes()  # --seed 5 equals the scenario seed
 
+    def test_largest_seed_on_df_with_both_relays(self, capsys, scenario_file):
+        # the largest --seed a user can give, on a DF MLD run where receiver 2 relays
+        path = scenario_file(DF_TEXT.replace("starter = r1", "starter = r2"))
+        code, out = run(capsys, ["ber", "--scenario", path, "--seed", str((1 << 64) - 1)])
+        assert code == 0
+        assert f"seed={(1 << 64) - 1}" in out.splitlines()[0]
+
     def test_module_entry_point(self, scenario_file, tmp_path):
         path = scenario_file(AF_TEXT)
         # the child imports the same package as this test, installed or not

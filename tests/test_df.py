@@ -1,11 +1,14 @@
 """Decode-and-forward kernel tests: constellations, compatibility rule,
-relay error models, likelihoods, and the per-bit ML detector."""
+the exact relay substitution law, likelihoods, and the per-bit ML detector."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopbc.df import (
     BlockShape,
@@ -15,18 +18,19 @@ from coopbc.df import (
     choose_compatible_modulation,
     estimate_relay_errors,
     mld_llr_batch,
-    nearest_neighbor_error_model,
     qam,
     relay_decode_and_remap,
 )
 from coopbc.errors import EnumerationBoundError, ModulationError
 from oracles import (
     LlrBlock,
+    exact_qam_ber,
     likelihood_direct,
     likelihood_relay,
     log_likelihood_direct,
     log_likelihood_relay,
     mld_llr,
+    relay_pilot_counts,
 )
 
 
@@ -195,29 +199,79 @@ class TestRelayErrorModel:
             RelayErrorModel(np.array([[1.1, -0.1], [0.0, 1.0]]))
 
     def test_estimated_model_is_stochastic(self):
-        model = estimate_relay_errors(qam(4), qam(4), BlockShape(1, 1, 2), 2.0, 1.0, symbols=20000)
+        model = estimate_relay_errors(qam(4), qam(4), BlockShape(1, 1, 2), 2.0, 1.0)
         np.testing.assert_allclose(model.transition.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(np.diag(model.transition) > 0.5)
 
     def test_estimated_model_near_identity_at_high_snr(self):
-        model = estimate_relay_errors(qam(4), qam(4), BlockShape(1, 1, 2), 100.0, 1.0, symbols=20000)
+        model = estimate_relay_errors(qam(4), qam(4), BlockShape(1, 1, 2), 100.0, 1.0)
         np.testing.assert_allclose(model.transition, np.eye(4), atol=1e-4)
 
-    def test_estimation_is_deterministic(self):
-        kw = dict(amplitude=2.0, noise_power=1.0, symbols=5000, seed=9)
-        m1 = estimate_relay_errors(qam(4), qam(4), BlockShape(1, 1, 2), **kw)
-        m2 = estimate_relay_errors(qam(4), qam(4), BlockShape(1, 1, 2), **kw)
-        assert np.array_equal(m1.transition, m2.transition)
+    @pytest.mark.parametrize("Ms,Mr,shape,amp,noise", [
+        (2, 16, BlockShape(4, 1, 4), 1.0, 1.0),      # aligned: one relay symbol per block
+        (16, 64, BlockShape(3, 2, 12), 2.0, 0.5),    # a source symbol split across relay symbols
+    ])
+    def test_exact_law_matches_relay_pilot(self, Ms, Mr, shape, amp, noise):
+        src, rel = qam(Ms), qam(Mr)
+        law = estimate_relay_errors(src, rel, shape, amp, noise).transition
+        np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        counts = relay_pilot_counts(src, rel, shape, amp, noise, symbols=1_000_000, seed=5)
+        expected = counts.sum(axis=1, keepdims=True) * law
+        tested = expected >= 30
+        z = (counts - expected)[tested] / np.sqrt((expected * (1.0 - law))[tested])
+        assert tested.sum() >= 2 * Mr  # off-diagonal cells are tested, not only the diagonal
+        assert np.max(np.abs(z)) < 5.0
 
-    def test_nearest_neighbor_fallback(self):
-        model = nearest_neighbor_error_model(qam(4), 3.0, 1.0)
-        np.testing.assert_allclose(model.transition.sum(axis=1), 1.0, atol=1e-12)
-        # at this SNR the analytic symbol error rate should be within a factor
-        # of two of the empirical one
-        emp = estimate_relay_errors(qam(4), qam(4), BlockShape(1, 1, 2), 3.0, 1.0, symbols=200000)
-        ser_analytic = 1.0 - np.mean(np.diag(model.transition))
-        ser_emp = 1.0 - np.mean(np.diag(emp.transition))
-        assert 0.5 < ser_analytic / ser_emp < 2.0
+    @pytest.mark.parametrize("order", [2, 4, 16, 64, 256])
+    def test_aligned_law_reproduces_qam_ber(self, order):
+        # with the relay reusing the source constellation, the bit errors the
+        # law implies are the closed-form Gray QAM bit error rate; below 1e-6
+        # the closed form's CDF differences cancel, so those SNRs are skipped
+        c = qam(order)
+        m = c.bits_per_symbol
+        labels = np.arange(order)
+        hamming = np.vectorize(lambda a: bin(a).count("1"))(labels[:, None] ^ labels)
+        checked = 0
+        for snr_db in np.arange(-10.0, 40.0, 2.5):
+            amp = 10.0 ** (snr_db / 20.0)
+            want = exact_qam_ber(order, amp, 1.0)
+            if want < 1e-6:
+                continue
+            law = estimate_relay_errors(c, c, BlockShape(1, 1, m), amp, 1.0).transition
+            got = float(np.sum(law * hamming)) / (order * m)
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
+            checked += 1
+        assert checked >= 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=st.sampled_from([
+            (1 << ms, ms / mr) for ms in (1, 2, 4, 6, 8) for mr in (2, 4, 6, 8) if mr >= ms
+        ]),
+        snr_db=st.floats(-150.0, 150.0),
+    )
+    def test_law_is_stochastic_and_identity_at_high_snr(self, pair, snr_db):
+        Ms, fraction = pair
+        Mr, shape = choose_compatible_modulation(Ms, 1.0, fraction)
+        src, rel = qam(Ms), qam(Mr)
+        law = estimate_relay_errors(src, rel, shape, 1.0, 10.0 ** (-snr_db / 10.0)).transition
+        assert law.shape == (Mr, Mr)
+        assert np.all(np.isfinite(law)) and np.all(law >= 0.0)
+        np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        top = estimate_relay_errors(src, rel, shape, 1.0, 1e-15).transition
+        assert np.array_equal(top, np.eye(Mr))
+
+    def test_largest_order_law_has_bounded_memory(self):
+        # 4096-QAM relayed as 4096-QAM: the law is one 4096 x 4096 matrix
+        c = qam(4096)
+        tracemalloc.start()
+        try:
+            law = estimate_relay_errors(c, c, BlockShape(1, 1, 12), 30.0, 1.0).transition
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert law.shape == (4096, 4096)
+        assert peak < 1 << 30
 
 
 class TestDecodeAndRemap:
@@ -307,7 +361,7 @@ class TestMldDetector:
         src, rel = qam(Ms), qam(Mr)
         rng = np.random.default_rng(Ms * 131 + Mr)
         amp = 2.0
-        model = nearest_neighbor_error_model(rel, 1.7, 1.0)
+        model = estimate_relay_errors(src, rel, shape, amp, 1.0)
         for _ in range(25):
             bits = rng.integers(0, 2, shape.n, dtype=np.int8)
             x = amp * src.points[src.bits_to_indices(bits)]
@@ -328,7 +382,7 @@ class TestMldDetector:
         y12b = 3.0 * c.points[c.bits_to_indices(bits)] + math.sqrt(0.5) * (
             rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
         )
-        model = nearest_neighbor_error_model(c, 4.0, 1.0)
+        model = estimate_relay_errors(c, c, shape, 4.0, 1.0)
         obs = [
             RelayObservation(y12, 4.0, 1.0, model),
             RelayObservation(y12b, 3.0, 1.0, model),

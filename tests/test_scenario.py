@@ -130,7 +130,7 @@ class TestParsing:
         assert s.coop_bandwidth_fraction is None
         assert (s.trials, s.seed) == (100000, 0)
         assert s.target_half_width is None
-        assert (s.combiner, s.relay_model) == ("mld", "empirical")
+        assert (s.combiner, s.relay_model) == ("mld", "exact")
         assert s.ratios_db == (-30.0, -10.0, 0.0, 10.0, 30.0)
 
     def test_file_roundtrip(self, tmp_path):
@@ -177,6 +177,8 @@ class TestValidation:
         ("target_half_width = 0", "target_half_width"),
         ("combiner = avg", "combiner"),
         ("relay_model = oracle", "relay_model"),
+        ("relay_model = empirical", "relay_model"),
+        ("relay_model = analytic", "relay_model"),
     ])
     def test_trials_errors(self, trials, fragment):
         text = f"[channel]\nsnr1=0\nsnr2=0\nsnr12=0\nsnr21=0\n[trials]\n{trials}\n"
