@@ -27,7 +27,6 @@ from .af import (
     evolve,
     final_covariance,
     run_recursion,
-    s1_vs_s2_numerator,
     s2_closed_form,
 )
 from .df import (

@@ -46,7 +46,6 @@ __all__ = [
     "campaign",
     "run_recursion",
     "s2_closed_form",
-    "s1_vs_s2_numerator",
 ]
 
 # A combine whose 2x2 branch noise covariance has a determinant this small
@@ -207,22 +206,3 @@ def s2_closed_form(params: ChannelParams, plan: BandwidthPlan, Ks: int) -> tuple
     rho_II = P / plan.N2 + a12sq * P / (a12sq * plan.N1 + plan.N12)
     return rho_I, rho_II
 
-
-def s1_vs_s2_numerator(params: ChannelParams, plan: BandwidthPlan) -> float:
-    """Numerator polynomial of rho_I(forward-original) - rho_I(forward-latest)
-    for a two-exchange alternating campaign under fixed downlink bandwidth;
-    nonnegative for all positive parameters."""
-    P, P12, P21 = params.P, params.P12, params.P21
-    N1, N2, N12, N21 = plan.N1, plan.N2, plan.N12, plan.N21
-    poly = (
-        2.0 * N21 * N12 * P**2
-        + P * N21 * N12 * N2
-        + 2.0 * P * N1 * N21 * N12
-        + P * P21 * N12 * N2
-        + 2.0 * P * N1 * P12 * N21
-        + P * P12 * N21 * N2
-        + N1 * N21 * N12 * N2
-        + N1 * P21 * N12 * N2
-        + N1 * P12 * N21 * N2
-    )
-    return P * N2 * P21 * P12 * poly

@@ -52,10 +52,18 @@ def ensure_enumerable(n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Unit-average-power constellation indexed by MSB-first bit label."""
+    """Unit-average-power constellation indexed by MSB-first bit label.
+
+    Square QAM is two identical Gray-labeled axes (BPSK is one): `levels`
+    holds one axis's unit-power levels in ascending order and `labels[i]` the
+    axis label at `levels[i]`. A point's label is its in-phase label shifted
+    above its quadrature label.
+    """
 
     order: int
     points: np.ndarray
+    levels: np.ndarray
+    labels: np.ndarray
 
     @property
     def bits_per_symbol(self) -> int:
@@ -76,18 +84,30 @@ class Constellation:
         return bits.reshape(*indices.shape[:-1], -1).astype(np.int8)
 
     def detect(self, y: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
-        """Minimum-distance symbol decisions against amplitude * points."""
-        d2 = np.abs(y[..., None] - amplitude * self.points) ** 2
-        return d2.argmin(axis=-1)
+        """Minimum-distance symbol decisions against amplitude * points.
 
-
-def _gray_to_index(order: int) -> np.ndarray:
-    """Inverse Gray map: word -> amplitude-level index (adjacent levels differ
-    in one label bit)."""
-    idx = np.arange(order)
-    inv = np.empty(order, dtype=np.int64)
-    inv[idx ^ (idx >> 1)] = idx
-    return inv
+        The nearest point of a square grid is the nearest level on each axis,
+        so each axis is sliced on its own by a binary search over its decision
+        edges: O(T) memory and O(T log M) time for T samples. BPSK slices the
+        real part and ignores the imaginary one. Each edge is the exact
+        midpoint of two neighbouring levels of amplitude * levels (the
+        rounding of their sum is compensated), so every decision is the
+        exactly nearest level; a sample exactly on a midpoint takes the larger
+        level.
+        """
+        scaled = amplitude * self.levels
+        lo, hi = scaled[:-1], scaled[1:]
+        total = lo + hi  # rounded; lo + hi == total + err exactly (TwoSum)
+        back = total - lo
+        err = (lo - (total - back)) + (hi - back)
+        mid = total / 2.0
+        # a sample lies above the exact midpoint iff it is >= its edge
+        edges = np.where(err > 0.0, np.nextafter(mid, np.inf), mid)
+        i_label = self.labels[np.searchsorted(edges, y.real, side="right")]
+        if self.order == 2:
+            return i_label
+        q_label = self.labels[np.searchsorted(edges, y.imag, side="right")]
+        return (i_label << (self.bits_per_symbol // 2)) | q_label
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,7 +115,9 @@ def qam(order: int) -> Constellation:
     """Gray-labeled unit-power constellation: BPSK (order 2) or square QAM
     (order a power of 4, at most 4096)."""
     if order == 2:
-        return Constellation(2, np.array([1.0 + 0.0j, -1.0 + 0.0j]))
+        return Constellation(
+            2, np.array([1.0 + 0.0j, -1.0 + 0.0j]), np.array([-1.0, 1.0]), np.array([1, 0])
+        )
     bits = order.bit_length() - 1
     if order < 4 or (1 << bits) != order or bits % 2 or order > 4096:
         raise ModulationError(
@@ -103,11 +125,14 @@ def qam(order: int) -> Constellation:
         )
     half = bits // 2
     side = 1 << half
-    levels = 2.0 * np.arange(side) - (side - 1)
-    axis = levels[_gray_to_index(side)]
+    rank = np.arange(side)
+    gray = rank ^ (rank >> 1)  # label of each level: adjacent levels differ in one bit
+    axis = np.empty(side)
+    axis[gray] = 2.0 * rank - (side - 1)
     words = np.arange(order)
     raw = axis[words >> half] + 1j * axis[words & (side - 1)]
-    return Constellation(order, raw / math.sqrt(2.0 * (side**2 - 1) / 3.0))
+    points = raw / math.sqrt(2.0 * (side**2 - 1) / 3.0)
+    return Constellation(order, points, points.real[gray << half], gray)
 
 
 @dataclass(frozen=True)
@@ -194,32 +219,31 @@ def relay_decode_and_remap(
 
 
 def _decision_law(constellation: Constellation, amplitude: float, noise_power: float) -> np.ndarray:
-    """law[j, l]: probability that minimum-distance detection decides label l
-    when label j was sent at `amplitude` over complex noise of `noise_power`.
+    """law[j, l]: probability that minimum-distance detection decides axis
+    label l when axis label j was sent at `amplitude` over complex noise of
+    `noise_power`, on one axis of the constellation.
 
-    Square QAM decides each axis on its own, so the law is the Kronecker
-    product of the in-phase and the quadrature law in label order (BPSK has
-    one axis). An axis entry is the Gaussian mass of a decision interval,
-    taken from erfc of the tail nearer the sent level, so it keeps its
-    precision far out in the tails.
+    Square QAM decides each axis on its own, so a symbol's law is the
+    Kronecker square of this axis law in label order (BPSK has one axis). An
+    entry is the Gaussian mass of a decision interval, taken from erfc of the
+    tail nearer the sent level, so it keeps its precision far out in the
+    tails.
     """
-    side = 2 if constellation.order == 2 else 1 << (constellation.bits_per_symbol // 2)
-    levels = amplitude * constellation.points.real[:: constellation.order // side]
-    rank = np.argsort(np.argsort(levels))
-    pos = np.sort(levels)
+    pos = amplitude * constellation.levels
     edges = np.concatenate([[-np.inf], (pos[:-1] + pos[1:]) / 2.0, [np.inf]])
     d = (edges - pos[:, None]) / math.sqrt(noise_power)
     erfc = np.vectorize(math.erfc, otypes=[float])
     above = 0.5 * erfc(d)  # mass above each edge
     below = 0.5 * erfc(-d)  # mass below each edge
-    k = np.arange(side)
+    k = np.arange(len(pos))
     mass = np.where(
         k > k[:, None],
         above[:, :-1] - above[:, 1:],
         np.where(k < k[:, None], below[:, 1:] - below[:, :-1], 1.0 - below[:, :-1] - above[:, 1:]),
     )
-    axis = mass[np.ix_(rank, rank)]
-    return axis if constellation.order == 2 else np.kron(axis, axis)
+    law = np.empty_like(mass)  # mass is in level order; the law is in label order
+    law[np.ix_(constellation.labels, constellation.labels)] = mass
+    return law
 
 
 def estimate_relay_errors(
@@ -238,7 +262,8 @@ def estimate_relay_errors(
     intended bits outside the overlap (they are uniform) and the sum over the
     decided ones.
     """
-    law = _decision_law(source_constellation, amplitude, noise_power)
+    axis = _decision_law(source_constellation, amplitude, noise_power)
+    law = axis if source_constellation.order == 2 else np.kron(axis, axis)
     ms = source_constellation.bits_per_symbol
     mr = relay_constellation.bits_per_symbol
     transition = np.zeros((relay_constellation.order, relay_constellation.order))

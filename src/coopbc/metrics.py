@@ -44,7 +44,6 @@ class CriteriaReport:
     rate_af: Optional[float]
     pe_max: Optional[float]
     pe_sum: Optional[float]
-    pe_sys_bounds: Optional[tuple[float, float]]
     pe_sys_mc: Optional[float]
 
 
@@ -71,19 +70,18 @@ def criteria(
     if rho_pair is None and ber_pair is None:
         raise ValueError("need rho_pair and/or ber_pair")
     rate = rate_af(plan, rho_pair) if rho_pair is not None else None
-    pe_max = pe_sum = bounds = None
+    pe_max = pe_sum = None
     if ber_pair is not None:
         p_I, p_II = ber_pair
         if not (0.0 <= p_I <= 1.0 and 0.0 <= p_II <= 1.0):
             raise ValueError("bit error rates must lie in [0, 1]")
         pe_max = max(p_I, p_II)
         pe_sum = p_I + p_II
-        bounds = (pe_max, pe_sum)
         if pe_sys_mc is not None and not pe_max - 1e-15 <= pe_sys_mc <= pe_sum + 1e-15:
             raise ValueError("joint error estimate violates the max/union sandwich")
     elif pe_sys_mc is not None:
         raise ValueError("a joint error estimate needs the per-receiver pair")
-    return CriteriaReport(rate, pe_max, pe_sum, bounds, pe_sys_mc)
+    return CriteriaReport(rate, pe_max, pe_sum, pe_sys_mc)
 
 
 def simo_bound(params: ChannelParams, B_DL: Optional[float] = None) -> float:

@@ -11,9 +11,13 @@ None of this is used by the package itself:
   its per-combine mutual-information and ratio-form audits;
 - a signal-level replay of that campaign on sampled elementary noises, which
   estimates the noise cross-correlation after every exchange;
+- the two-exchange forward-original vs forward-latest SNR gap polynomial;
+- the minimum-distance detector that compares each sample with every
+  constellation point;
 - single-block DF likelihoods and the single-block ML detector wrapper;
-- the relay pilot: the decode-and-remap chain run over sampled symbols,
-  whose substitution counts the exact relay law is tested against;
+- the relay pilot: the decode-and-remap chain run over sampled symbols with
+  that detector, whose substitution counts the exact relay law is tested
+  against;
 - the exact Gray square-QAM bit error rate over AWGN.
 """
 from __future__ import annotations
@@ -43,7 +47,6 @@ from coopbc.df import (
     RelayObservation,
     mld_llr_batch,
     qam,
-    relay_decode_and_remap,
 )
 
 _LOG_FLOOR = math.log(1e-300)
@@ -250,6 +253,26 @@ def mi_conservation_check(
     det = N_keep * N_br - c * c
     mi_vector = math.log2(1.0 + P * num / det)
     return mi_combined, mi_vector
+
+
+def s1_vs_s2_numerator(params: ChannelParams, plan: BandwidthPlan) -> float:
+    """Numerator polynomial of rho_I(forward-original) - rho_I(forward-latest)
+    for a two-exchange alternating campaign under fixed downlink bandwidth;
+    nonnegative for all positive parameters."""
+    P, P12, P21 = params.P, params.P12, params.P21
+    N1, N2, N12, N21 = plan.N1, plan.N2, plan.N12, plan.N21
+    poly = (
+        2.0 * N21 * N12 * P**2
+        + P * N21 * N12 * N2
+        + 2.0 * P * N1 * N21 * N12
+        + P * P21 * N12 * N2
+        + 2.0 * P * N1 * P12 * N21
+        + P * P12 * N21 * N2
+        + N1 * N21 * N12 * N2
+        + N1 * P21 * N12 * N2
+        + N1 * P12 * N21 * N2
+    )
+    return P * N2 * P21 * P12 * poly
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +572,14 @@ def empirical_cross_correlation(
 # ---------------------------------------------------------------------------
 
 
+def detect_min_distance(const: Constellation, y: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
+    """Minimum-distance symbol decisions against amplitude * points, taken by
+    comparing each sample with all M points (a (T, M) table); an exact tie
+    goes to the lowest label."""
+    d2 = np.abs(y[..., None] - amplitude * const.points) ** 2
+    return d2.argmin(axis=-1)
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
@@ -674,9 +705,8 @@ def relay_pilot_counts(
     counts = np.zeros((Mr, Mr))
     for lo in range(0, blocks, 1 << 16):  # decode in chunks to bound the distance table
         part = slice(lo, lo + (1 << 16))
-        sent = relay_decode_and_remap(
-            x[part] + noise[part], source_constellation, relay_constellation, amplitude
-        )
+        decided = detect_min_distance(source_constellation, x[part] + noise[part], amplitude)
+        sent = relay_constellation.bits_to_indices(source_constellation.indices_to_bits(decided))
         np.add.at(counts, (intended[part].ravel(), sent.ravel()), 1.0)
     return counts
 

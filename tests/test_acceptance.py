@@ -36,13 +36,13 @@ from coopbc import (
     qam,
     rate_af,
     run_recursion,
-    s1_vs_s2_numerator,
     s2_closed_form,
     simo_bound,
     simulate_af,
     simulate_df,
 )
 from coopbc.cli import main
+from oracles import s1_vs_s2_numerator
 
 
 @contextlib.contextmanager

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from coopbc.af import campaign, run_recursion, s1_vs_s2_numerator, s2_closed_form
+from coopbc.af import campaign, run_recursion, s2_closed_form
 from coopbc.channel import (
     Asymmetric,
     ChannelParams,
@@ -31,6 +31,7 @@ from oracles import (
     mi_conservation_check,
     mrc_weights_symmetric,
     ratio_form_snr,
+    s1_vs_s2_numerator,
     step_asymmetric,
     step_symmetric,
 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from coopbc.df import (
 from coopbc.errors import EnumerationBoundError, ModulationError
 from oracles import (
     LlrBlock,
+    detect_min_distance,
     exact_qam_ber,
     likelihood_direct,
     likelihood_relay,
@@ -32,6 +34,20 @@ from oracles import (
     mld_llr,
     relay_pilot_counts,
 )
+
+
+def axis_samples(rng, const, amplitude, count):
+    """Values on one axis of amplitude * const: a few ulps from a decision
+    edge, a log-uniform distance (down to 2^-50 of a level step) from one,
+    beyond the outer levels, and anywhere across the span."""
+    scaled = amplitude * const.levels
+    step = scaled[1] - scaled[0]
+    edge = rng.choice((scaled[:-1] + scaled[1:]) / 2.0, count)
+    ulps = edge + rng.integers(-4, 5, count) * np.spacing(edge)
+    near = edge + rng.choice([-step, step], count) * 2.0 ** -rng.uniform(1.0, 50.0, count)
+    outer = rng.choice([-1.0, 1.0], count) * scaled[-1] * (1.0 + rng.uniform(0.0, 10.0, count))
+    anywhere = rng.uniform(scaled[0] - step, scaled[-1] + step, count)
+    return np.choose(rng.integers(0, 4, count), [ulps, near, outer, anywhere])
 
 
 def brute_force_llr(y2, observations, shape, src_c, rel_c, amp, N2):
@@ -101,6 +117,49 @@ class TestConstellation:
     def test_detect_with_amplitude(self):
         c = qam(4)
         assert np.array_equal(c.detect(5.0 * c.points, amplitude=5.0), np.arange(4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.sampled_from([2, 4, 16, 64, 256, 1024, 4096]),
+        log_amplitude=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_detect_matches_min_distance_oracle(self, order, log_amplitude, seed):
+        c = qam(order)
+        amplitude = 10.0**log_amplitude
+        rng = np.random.default_rng(seed)
+        count = 512
+        # for BPSK the imaginary part is noise the slicer must ignore
+        y = axis_samples(rng, c, amplitude, count) + 1j * axis_samples(rng, c, amplitude, count)
+        got = c.detect(y, amplitude)
+        want = detect_min_distance(c, y, amplitude)
+        # exact midpoints at float precision: the oracle's two smallest squared
+        # distances are equal to within their rounding (np.abs is not even
+        # monotone there), so its lowest-label tie rule and the slicer's edge
+        # side may pick different points
+        d2 = np.sort(np.abs(y[:, None] - amplitude * c.points) ** 2, axis=1)
+        resolved = d2[:, 1] - d2[:, 0] > 16.0 * np.spacing(d2[:, 0])
+        assert np.count_nonzero(resolved) >= count // 4
+        assert np.array_equal(got[resolved], want[resolved])
+
+    @pytest.mark.parametrize("order", [2, 64])
+    @pytest.mark.parametrize("amplitude", [1.0, 0.3, 7.1])
+    def test_detect_takes_the_exact_nearest_level(self, order, amplitude):
+        # on every rounded midpoint of two levels and the floats beside it,
+        # the decision is the level nearest in exact arithmetic; on an exact
+        # midpoint (the centre edge of these symmetric axes), the larger
+        c = qam(order)
+        scaled = amplitude * c.levels
+        mids = (scaled[:-1] + scaled[1:]) / 2.0
+        y = np.concatenate([np.nextafter(mids, -np.inf), mids, np.nextafter(mids, np.inf)])
+        rank = []
+        for v in y:
+            dist = [abs(Fraction(v) - Fraction(s)) for s in scaled]
+            rank.append(max(i for i, d in enumerate(dist) if d == min(dist)))
+        want = c.labels[rank]
+        if order > 2:  # the quadrature part sits on the lowest level
+            want = (want << c.bits_per_symbol // 2) | c.labels[0]
+        assert np.array_equal(c.detect(y + 1j * scaled[0], amplitude), want)
 
 
 class TestCompatibility:

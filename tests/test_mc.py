@@ -136,6 +136,19 @@ class TestSimulateAf:
             assert math.isfinite(est.value) and math.isfinite(est.stderr)
             assert abs(est.value - rho) < 3.0 * est.stderr
 
+    def test_qam1024_batch_has_bounded_memory(self):
+        # one full batch: a distance table against all 1024 points would hold
+        # 65,536 x 1024 complex values (1 GiB) per receiver
+        tracemalloc.start()
+        try:
+            r = simulate_af(NO_COOP, AF0, 0, TrialConfig(trials=mc.BATCH_SYMBOLS, seed=43),
+                            order=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.ber_I.trials == mc.BATCH_SYMBOLS
+        assert peak < 64 * 2**20
+
     def test_early_stop_respects_target_and_threads(self):
         tc = TrialConfig(trials=4_000_000, seed=3, target_half_width=0.10)
         r = simulate_af(NO_COOP, AF0, 0, tc)

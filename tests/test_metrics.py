@@ -63,7 +63,6 @@ class TestCriteria:
         rep = criteria(PLAN0, ber_pair=(0.1, 0.2), pe_sys_mc=0.25)
         assert rep.pe_max == pytest.approx(0.2)
         assert rep.pe_sum == pytest.approx(0.3)
-        assert rep.pe_sys_bounds == (rep.pe_max, rep.pe_sum)
         assert rep.pe_sys_mc == 0.25
 
     def test_error_free(self):
@@ -73,7 +72,7 @@ class TestCriteria:
     def test_rate_only(self):
         rep = criteria(PLAN0, rho_pair=(3.0, 7.0))
         assert rep.rate_af == pytest.approx(2.0)
-        assert rep.pe_max is None and rep.pe_sys_bounds is None
+        assert rep.pe_max is None and rep.pe_sum is None
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -93,7 +92,7 @@ class TestCriteria:
     def test_sandwich_interval_always_accepts_valid_joint_error(self, p1, p2, t):
         joint = max(p1, p2) + t * (p1 + p2 - max(p1, p2))
         rep = criteria(PLAN0, ber_pair=(p1, p2), pe_sys_mc=joint)
-        lo, hi = rep.pe_sys_bounds
+        lo, hi = rep.pe_max, rep.pe_sum
         assert lo <= joint <= hi
         assert rep.rate_af is None
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopbc import (
     Asymmetric,
@@ -75,6 +77,57 @@ grid_min = 0.5
 grid_max = 2.0
 ratios_db = -3, 0, 3
 """
+
+
+POSITIVE = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def scenario_texts(draw) -> str:
+    """Valid scenario INI text: either channel form, every scheme, strategy,
+    regime, starter, combiner and relay model, optional keys present or not."""
+    def line(key, value):
+        return f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}"
+
+    def maybe(key, strategy):
+        return [line(key, draw(strategy))] if draw(st.booleans()) else []
+
+    channel = ["[channel]"]
+    if draw(st.booleans()):
+        snr_db = st.floats(-100.0, 100.0)
+        channel += [line(k, draw(snr_db)) for k in ("snr1", "snr2", "snr12", "snr21")]
+    else:
+        channel += [line(k, draw(POSITIVE)) for k in ("p", "n1", "n2", "n12", "n21")]
+        channel += [line(k, draw(st.floats(0.0, 1e6))) for k in ("p12", "p21")]
+    channel += maybe("b", st.floats(1e-3, 1e3))
+    protocol = draw(st.sampled_from(["af", "df"]))
+    scheme = draw(st.sampled_from(["symmetric", "asymmetric"]))
+    coop = ["[cooperation]", line("protocol", protocol), line("scheme", scheme)]
+    coop += maybe("strategy", st.sampled_from(["s1", "s2"]))
+    coop += maybe("regime", st.sampled_from(["h1", "h2"]))
+    coop += maybe("k", st.integers(0, 64))
+    coop += maybe("k_max", st.integers(0, 64))
+    if scheme == "asymmetric":
+        coop += maybe("starter", st.sampled_from(["r1", "r2"]))
+    if protocol == "df":
+        coop += maybe("coop_bandwidth_fraction", st.floats(1e-3, 1.0))
+    orders = st.sampled_from([2, 4, 16, 64, 256, 1024, 4096])
+    modulation = ["[modulation]", *maybe("source_order", orders), *maybe("relay_order", orders)]
+    trials = ["[trials]", *maybe("trials", st.integers(1, 10**9))]
+    trials += maybe("seed", st.integers(0, 2**64 - 1))
+    trials += maybe("target_half_width", POSITIVE)
+    trials += maybe("combiner", st.sampled_from(["mld", "mrc"]))
+    trials += maybe("relay_model", st.sampled_from(["exact", "genie"]))
+    grid_min = draw(POSITIVE)
+    ratios = draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6))
+    regions = [
+        "[regions]",
+        *maybe("grid_points", st.integers(2, 1000)),
+        line("grid_min", grid_min),
+        line("grid_max", grid_min * draw(st.floats(1.01, 1e3))),
+        line("ratios_db", ", ".join(repr(r) for r in ratios)),
+    ]
+    return "\n".join(channel + coop + modulation + trials + regions) + "\n"
 
 
 class TestParsing:
@@ -207,6 +260,12 @@ class TestValidation:
 class TestSerialization:
     @pytest.mark.parametrize("text", [DB_TEXT, LINEAR_TEXT])
     def test_roundtrip_identity(self, text):
+        s = parse_scenario_text(text)
+        assert parse_scenario_text(serialize_scenario(s)) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=scenario_texts())
+    def test_roundtrip_identity_property(self, text):
         s = parse_scenario_text(text)
         assert parse_scenario_text(serialize_scenario(s)) == s
 
