@@ -5,9 +5,9 @@ A DF relay hard-decodes the source block it received over its downlink channel,
 re-maps the recovered bits onto its own (possibly larger) constellation so the
 coded bit rate is conserved across the narrower cooperation sub-channel, and
 retransmits. The destination detector marginalizes over the relay's possible
-decoding errors — a per-symbol substitution distribution, computed exactly
-from the per-axis decision law of the source constellation — and produces one
-likelihood ratio per coded bit by enumerating all candidate bit vectors.
+decoding errors — the exact decision law of one source axis — and produces
+one likelihood ratio per coded bit from the labels of per-axis bit units,
+not from all candidate bit vectors of a block.
 """
 from __future__ import annotations
 
@@ -186,22 +186,27 @@ def choose_compatible_modulation(Ms: int, B_DL: float, deltaB: float) -> tuple[i
 
 @dataclass(frozen=True, eq=False)
 class RelayErrorModel:
-    """Per-symbol substitution distribution: transition[j, l] is the
-    probability that the relay transmits symbol l when a correct decode would
-    have produced symbol j."""
+    """Per-axis substitution distribution of the decode-and-remap relay:
+    axis_law[j, l] is the probability that the relay carries axis label l
+    where a correct decode would have carried axis label j.
 
-    transition: np.ndarray
+    The relay decides each source axis on its own (square QAM has two per
+    symbol, BPSK one), and every relay symbol carries whole source axes, so
+    the law of c consecutive axes is the Kronecker power axis_law^{⊗c}.
+    """
+
+    axis_law: np.ndarray
 
     def __post_init__(self) -> None:
-        t = self.transition
+        t = self.axis_law
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("transition must be a square matrix")
+            raise ValueError("axis_law must be a square matrix")
         if np.any(t < 0) or np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("transition rows must be probability distributions")
+            raise ValueError("axis_law rows must be probability distributions")
 
     @classmethod
-    def error_free(cls, order: int) -> "RelayErrorModel":
-        return cls(np.eye(order))
+    def error_free(cls, source_constellation: Constellation) -> "RelayErrorModel":
+        return cls(np.eye(len(source_constellation.levels)))
 
 
 def relay_decode_and_remap(
@@ -223,10 +228,8 @@ def _decision_law(constellation: Constellation, amplitude: float, noise_power: f
     label l when axis label j was sent at `amplitude` over complex noise of
     `noise_power`, on one axis of the constellation.
 
-    Square QAM decides each axis on its own, so a symbol's law is the
-    Kronecker square of this axis law in label order (BPSK has one axis). An
-    entry is the Gaussian mass of a decision interval, taken from erfc of the
-    tail nearer the sent level, so it keeps its precision far out in the
+    An entry is the Gaussian mass of a decision interval, taken from erfc of
+    the tail nearer the sent level, so it keeps its precision far out in the
     tails.
     """
     pos = amplitude * constellation.levels
@@ -246,40 +249,39 @@ def _decision_law(constellation: Constellation, amplitude: float, noise_power: f
     return law
 
 
+def _axis_bits(constellation: Constellation) -> int:
+    return len(constellation.levels).bit_length() - 1
+
+
+def _unit_bits(source_constellation: Constellation, relay_constellation: Constellation) -> int:
+    """Width L of the detector's bit units: one relay axis, or the whole relay
+    symbol when a relay axis would split a source axis.
+
+    Raises ModulationError when a relay symbol does not carry a whole number
+    of source axes: its law would not be a Kronecker power of the axis law.
+    """
+    source_axis = _axis_bits(source_constellation)
+    relay_axis = _axis_bits(relay_constellation)
+    relay_bits = relay_constellation.bits_per_symbol
+    if relay_bits % source_axis:
+        raise ModulationError(
+            f"{relay_constellation.order}-point relay symbols split the "
+            f"{1 << source_axis}-level axes of {source_constellation.order}-point source symbols"
+        )
+    return relay_axis if relay_axis % source_axis == 0 else relay_bits
+
+
 def estimate_relay_errors(
     source_constellation: Constellation,
     relay_constellation: Constellation,
-    shape: BlockShape,
     amplitude: float,
     noise_power: float,
 ) -> RelayErrorModel:
     """Exact substitution law of the decode-and-remap chain at the relay's
-    receive SNR, pooled (averaged) over the r relay symbols of a block.
-
-    Source symbols are decided independently, so relay symbol p's law is the
-    Kronecker product, over the source symbols its bits overlap, of each
-    one's decision law marginalized onto those bits: the mean over the
-    intended bits outside the overlap (they are uniform) and the sum over the
-    decided ones.
-    """
-    axis = _decision_law(source_constellation, amplitude, noise_power)
-    law = axis if source_constellation.order == 2 else np.kron(axis, axis)
-    ms = source_constellation.bits_per_symbol
-    mr = relay_constellation.bits_per_symbol
-    transition = np.zeros((relay_constellation.order, relay_constellation.order))
-    for p in range(shape.r):
-        factors = []
-        for i in range(p * mr // ms, -(-(p + 1) * mr // ms)):
-            start = max(p * mr - i * ms, 0)
-            stop = min((p + 1) * mr - i * ms, ms)
-            if stop - start == ms:  # a whole symbol: no marginal, no copy of the law
-                factors.append(law)
-                continue
-            split = (1 << start, 1 << (stop - start), 1 << (ms - stop))
-            factors.append(law.reshape(split + split).sum(axis=(3, 5)).mean(axis=(0, 2)))
-        transition += functools.reduce(np.kron, factors)
-    transition /= shape.r
-    return RelayErrorModel(transition)
+    receive SNR: the decision law of one source axis. Raises ModulationError
+    when relay symbols split source axes."""
+    _unit_bits(source_constellation, relay_constellation)
+    return RelayErrorModel(_decision_law(source_constellation, amplitude, noise_power))
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +302,62 @@ class RelayObservation:
 
 
 @functools.lru_cache(maxsize=None)
-def _candidates(n: int, ms_bits: int, mr_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source and relay symbol labels of all 2^n candidate bit vectors."""
-    count = 1 << n
-    bits = ((np.arange(count)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
-    src = bits.reshape(count, -1, ms_bits) @ (1 << np.arange(ms_bits - 1, -1, -1))
-    rel = bits.reshape(count, -1, mr_bits) @ (1 << np.arange(mr_bits - 1, -1, -1))
-    return src, rel
-
-
-@functools.lru_cache(maxsize=None)
 def _bit_columns(n: int) -> np.ndarray:
     """[bits, 1 - bits] of all 2^n bit vectors (MSB first), shape (2^n, 2n)."""
     bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     return np.hstack([bits, 1 - bits]).astype(float)
+
+
+def _unit_table(
+    y: np.ndarray, constellation: Constellation, amplitude: float, noise_power: float, units: int
+) -> np.ndarray:
+    """Gaussian log likelihoods, up to a constant, of every label of every
+    unit's bits: (2^L, T * units) for the (T, k) symbols y, label-major so
+    that reductions over labels are row operations.
+
+    Each real axis sample (the real and imaginary parts of a QAM symbol, in
+    label-bit order; the real part of a BPSK symbol) gets a table over its
+    axis labels, and a unit's table is the outer sum of its axes' tables.
+    """
+    if constellation.order == 2:
+        samples = y.real
+    else:
+        samples = np.ascontiguousarray(y, dtype=complex).view(float)
+    level = np.empty(len(constellation.levels))
+    level[constellation.labels] = amplitude * constellation.levels
+    out = None
+    for x in samples.reshape(len(y) * units, -1).T:  # the axes of a unit, MSB first
+        tab = x - level[:, None]
+        tab *= tab
+        tab /= -noise_power
+        out = tab if out is None else (out[:, None] + tab).reshape(-1, len(x))
+    return out
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) in place, with every result below exp(-707) ~ 9e-308 flushed to
+    zero. numpy's exp takes a slow path (about 15 times slower) below about
+    -708, and so does arithmetic on subnormal numbers. A flushed term moves a
+    mixture over a law's row, or a sum of 2^L <= 2^12 terms, by less than
+    4e-304, under the 1e-300 floor."""
+    kept = x >= -707.0
+    np.exp(np.maximum(x, -707.0, out=x), out=x)
+    x *= kept
+    return x
+
+
+def _mix(lik: np.ndarray, axis_law: np.ndarray, modes: int) -> np.ndarray:
+    """axis_law^{⊗modes} @ lik for label-major lik, by mode products (Van
+    Loan, J. Comput. Appl. Math. 123, 2000): the axis law's Kronecker power
+    over a group of modes is applied to the leading group, which then
+    rotates to the back, once per group. A group is at most 64 labels wide:
+    up to there one dense product beats several narrow ones."""
+    group = max(g for g in range(1, modes + 1) if modes % g == 0 and len(axis_law) ** g <= 64)
+    law = functools.reduce(np.kron, [axis_law] * group)
+    for _ in range(modes // group):
+        mixed = (law @ lik.reshape(len(law), -1)).reshape(len(law), -1, lik.shape[1])
+        lik = mixed.swapaxes(0, 1).reshape(lik.shape)
+    return lik
 
 
 def mld_llr_batch(
@@ -328,47 +372,33 @@ def mld_llr_batch(
     """Per-bit likelihood ratios for a batch of blocks: y2 is (T, s), each
     observation's y12 is (T, r); returns (T, n).
 
-    Enumerates all 2^n candidate bit vectors and accumulates log likelihoods
-    of the direct branch and of every relay branch; branches must carry
-    independent relay decoding errors, so repeats of one relay block are
-    passed as one summed observation. Each bit's numerator and denominator
-    are masses of the max-shifted candidate likelihoods, floored at 1e-300
-    before the ratio.
+    The block likelihood factors over units of L bits: one relay axis, or one
+    relay symbol when a relay axis would split a source axis (relay symbols
+    that split source axes raise ModulationError). The Gaussian densities
+    factor over real axes and the relay law over source axes, so each bit's
+    ratio depends only on its own unit, and the detector enumerates the 2^L
+    labels of each unit instead of all 2^n bit vectors. A relay branch mixes
+    its max-shifted likelihoods over the unit law axis_law^{⊗c} (c source
+    axes per unit) by mode products; branches must carry independent relay
+    decoding errors, so repeats of one relay block are passed as one summed
+    observation. Each bit's numerator and denominator are masses of the
+    max-shifted unit likelihoods, floored at 1e-300 before the ratio.
     """
     ensure_enumerable(shape.n)
-    trials = y2.shape[0]
-    src_idx, rel_idx = _candidates(
-        shape.n, source_constellation.bits_per_symbol, relay_constellation.bits_per_symbol
-    )
-    # direct branch: per-position candidate tables, then gather per bit vector
-    pts = source_amplitude * source_constellation.points
-    direct_tab = (
-        -np.abs(y2[:, :, None] - pts) ** 2 / direct_noise_power
-        - math.log(math.pi * direct_noise_power)
-    )
-    total = np.zeros((trials, src_idx.shape[0]))
-    for i in range(shape.s):
-        total += direct_tab[:, i, src_idx[:, i]]
+    unit = _unit_bits(source_constellation, relay_constellation)
+    trials, units = y2.shape[0], shape.n // unit
+    total = _unit_table(y2, source_constellation, source_amplitude, direct_noise_power, units)
+    axes_per_unit = unit // _axis_bits(source_constellation)
     for obs in observations:
-        g = (
-            -np.abs(obs.y12[:, :, None] - obs.amplitude * relay_constellation.points) ** 2
-            / obs.noise_power
-            - math.log(math.pi * obs.noise_power)
-        )
-        # mixture over substitutions, (T, r, Mr_intended), as a max-shifted
-        # product so that no (T, r, Mr, Mr) table is formed
-        top = g.max(axis=-1, keepdims=True)
-        relay_tab = top + np.log(np.maximum(np.exp(g - top) @ obs.model.transition.T, 1e-300))
-        for i in range(shape.r):
-            total += relay_tab[:, i, rel_idx[:, i]]
-    # masses at 1 and at 0 of every bit: one product of the likelihoods
-    # against [bits, 1 - bits], taken over the leading and the trailing half
-    # of the bit vector, so the selectors have 2^(n/2) rows, not 2^n
-    lead_n = shape.n // 2
-    trail_n = shape.n - lead_n
-    lik = np.exp(total - total.max(axis=1, keepdims=True)).reshape(trials, 1 << lead_n, -1)
-    lead = lik.sum(axis=2) @ _bit_columns(lead_n)
-    trail = lik.sum(axis=1) @ _bit_columns(trail_n)
-    num = np.hstack([lead[:, :lead_n], trail[:, :trail_n]])
-    den = np.hstack([lead[:, lead_n:], trail[:, trail_n:]])
-    return np.maximum(num, 1e-300) / np.maximum(den, 1e-300)
+        g = _unit_table(obs.y12, relay_constellation, obs.amplitude, obs.noise_power, units)
+        top = g.max(axis=0)
+        g -= top
+        mix = _mix(_exp(g), obs.model.axis_law, axes_per_unit)
+        mix = np.log(np.maximum(mix, 1e-300, out=mix), out=mix)
+        mix += top
+        total += mix
+    # masses at 1 and at 0 of every bit of a unit: one product of the
+    # max-shifted likelihoods against [bits, 1 - bits]
+    total -= total.max(axis=0)
+    mass = np.maximum(_bit_columns(unit).T @ _exp(total), 1e-300)
+    return (mass[:unit] / mass[unit:]).T.reshape(trials, shape.n)

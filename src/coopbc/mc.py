@@ -55,9 +55,10 @@ __all__ = [
 BATCH_SYMBOLS = 65536
 BIT_CAP = 10_000_000
 _STOP_CHECK_BATCHES = 4  # early-stop boundary, fixed so thread count cannot move it
-# blocks-per-batch * 2^n candidate table budget; it bounds every per-batch MLD
-# intermediate, because the direct (T, s, Ms) and relay (T, r, Mr) tables
-# hold s*Ms <= 2^n and r*Mr <= 2^n cells per block (s*log2 Ms = r*log2 Mr = n)
+# blocks-per-batch * 2^n budget of the MLD batch partition: a conservative
+# bound on the detector's tables, which hold 2^L labels per unit of L <= n
+# bits. The partition fixes the RNG streams, and with them every DF result,
+# so it does not follow the smaller tables
 _MLD_CELL_CAP = 1 << 22
 
 
@@ -398,8 +399,8 @@ def simulate_df(
 
     def build_model(relay: Receiver) -> RelayErrorModel:
         if relay_model == "genie":
-            return RelayErrorModel.error_free(relay_order)
-        return estimate_relay_errors(src_c, rel_c, shape, amp_s, downlink_noise[relay])
+            return RelayErrorModel.error_free(src_c)
+        return estimate_relay_errors(src_c, rel_c, amp_s, downlink_noise[relay])
 
     # weight-and-add never reads the error model, so it skips building it
     models = {relay: build_model(relay) for relay, _, _ in links} if combiner == "mld" else {}

@@ -15,13 +15,18 @@ None of this is used by the package itself:
 - the minimum-distance detector that compares each sample with every
   constellation point;
 - single-block DF likelihoods and the single-block ML detector wrapper;
+- the dense relay law: the Mr x Mr substitution matrix of a relay symbol,
+  pooled over the r relay symbols of a block and built by marginalizing
+  source symbol laws onto the bits each relay symbol overlaps, and the ML
+  detector that enumerates all 2^n candidate bit vectors against it;
 - the relay pilot: the decode-and-remap chain run over sampled symbols with
-  that detector, whose substitution counts the exact relay law is tested
-  against;
+  the all-points detector, whose substitution counts the exact relay law is
+  tested against;
 - the exact Gray square-QAM bit error rate over AWGN.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -598,6 +603,14 @@ def likelihood_direct(y_block: np.ndarray, x_block: np.ndarray, noise_power: flo
     return math.exp(max(log_likelihood_direct(y_block, x_block, noise_power), _LOG_FLOOR))
 
 
+def relay_symbol_law(model: RelayErrorModel, relay_constellation: Constellation) -> np.ndarray:
+    """law[j, l] of one relay symbol: the Kronecker power of the model's axis
+    law over the source axes the symbol carries (a whole number of them)."""
+    axis_bits = len(model.axis_law).bit_length() - 1
+    axes = relay_constellation.bits_per_symbol // axis_bits
+    return functools.reduce(np.kron, [model.axis_law] * axes)
+
+
 def log_likelihood_relay(
     y12_block: np.ndarray,
     bits: np.ndarray,
@@ -614,7 +627,7 @@ def log_likelihood_relay(
         -np.abs(y12_block[:, None] - amplitude * relay_constellation.points) ** 2 / noise_power
         - math.log(math.pi * noise_power)
     )
-    log_transition = np.log(np.maximum(model.transition, 1e-300))
+    log_transition = np.log(np.maximum(relay_symbol_law(model, relay_constellation), 1e-300))
     return float(np.sum(_logsumexp(log_transition[j] + g, axis=-1)))
 
 
@@ -671,6 +684,99 @@ def mld_llr(
         direct_noise_power,
     )
     return LlrBlock(out[0])
+
+
+# ---------------------------------------------------------------------------
+# Dense relay law and the 2^n-candidate ML detector
+# ---------------------------------------------------------------------------
+
+
+def relay_law_dense(
+    axis_law: np.ndarray,
+    source_constellation: Constellation,
+    relay_constellation: Constellation,
+    shape: BlockShape,
+) -> np.ndarray:
+    """Mr x Mr substitution law of the decode-and-remap chain, pooled
+    (averaged) over the r relay symbols of a block.
+
+    A source symbol's law is the Kronecker square of `axis_law` (BPSK has
+    one axis). Source symbols are decided independently, so relay symbol p's
+    law is the Kronecker product, over the source symbols its bits overlap,
+    of each one's law marginalized onto those bits: the mean over the
+    intended bits outside the overlap (they are uniform) and the sum over the
+    decided ones.
+    """
+    law = axis_law if source_constellation.order == 2 else np.kron(axis_law, axis_law)
+    ms = source_constellation.bits_per_symbol
+    mr = relay_constellation.bits_per_symbol
+    transition = np.zeros((relay_constellation.order, relay_constellation.order))
+    for p in range(shape.r):
+        factors = []
+        for i in range(p * mr // ms, -(-(p + 1) * mr // ms)):
+            start = max(p * mr - i * ms, 0)
+            stop = min((p + 1) * mr - i * ms, ms)
+            if stop - start == ms:  # a whole symbol: no marginal, no copy of the law
+                factors.append(law)
+                continue
+            split = (1 << start, 1 << (stop - start), 1 << (ms - stop))
+            factors.append(law.reshape(split + split).sum(axis=(3, 5)).mean(axis=(0, 2)))
+        transition += functools.reduce(np.kron, factors)
+    transition /= shape.r
+    return transition
+
+
+def _dense_relay_table(
+    obs: RelayObservation,
+    source_constellation: Constellation,
+    relay_constellation: Constellation,
+    shape: BlockShape,
+) -> np.ndarray:
+    """(T, r, Mr) log likelihoods of every intended relay symbol, mixed over
+    the dense pooled law as a max-shifted product."""
+    law = relay_law_dense(obs.model.axis_law, source_constellation, relay_constellation, shape)
+    g = (
+        -np.abs(obs.y12[:, :, None] - obs.amplitude * relay_constellation.points) ** 2
+        / obs.noise_power
+        - math.log(math.pi * obs.noise_power)
+    )
+    top = g.max(axis=-1, keepdims=True)
+    return top + np.log(np.maximum(np.exp(g - top) @ law.T, 1e-300))
+
+
+def mld_llr_dense(
+    y2: np.ndarray,
+    observations: Sequence[RelayObservation],
+    shape: BlockShape,
+    source_constellation: Constellation,
+    relay_constellation: Constellation,
+    source_amplitude: float,
+    direct_noise_power: float,
+) -> np.ndarray:
+    """Per-bit likelihood ratios (T, n) of coopbc.df.mld_llr_batch, computed
+    by enumerating all 2^n candidate bit vectors of a block and mixing every
+    relay symbol over the dense pooled law of `relay_law_dense`."""
+    n, trials = shape.n, y2.shape[0]
+    count = 1 << n
+    bits = ((np.arange(count)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
+    src_idx = source_constellation.bits_to_indices(bits)
+    rel_idx = relay_constellation.bits_to_indices(bits)
+    pts = source_amplitude * source_constellation.points
+    direct_tab = (
+        -np.abs(y2[:, :, None] - pts) ** 2 / direct_noise_power
+        - math.log(math.pi * direct_noise_power)
+    )
+    total = np.zeros((trials, count))
+    for i in range(shape.s):
+        total += direct_tab[:, i, src_idx[:, i]]
+    for obs in observations:
+        relay_tab = _dense_relay_table(obs, source_constellation, relay_constellation, shape)
+        for i in range(shape.r):
+            total += relay_tab[:, i, rel_idx[:, i]]
+    lik = np.exp(total - total.max(axis=1, keepdims=True))
+    num = lik @ bits
+    den = lik @ (1 - bits)
+    return np.maximum(num, 1e-300) / np.maximum(den, 1e-300)
 
 
 # ---------------------------------------------------------------------------

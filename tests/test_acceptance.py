@@ -42,7 +42,7 @@ from coopbc import (
     simulate_df,
 )
 from coopbc.cli import main
-from oracles import s1_vs_s2_numerator
+from oracles import relay_symbol_law, s1_vs_s2_numerator
 
 
 @contextlib.contextmanager
@@ -236,7 +236,8 @@ def _oracle_llr(y2, observations, shape, src_c, rel_c, amp, N2):
             / obs.noise_power
         ).astype(np.longdouble)
         level_dens = np.exp(level_expo) / np.longdouble(math.pi * obs.noise_power)
-        mix = obs.model.transition.astype(np.longdouble) @ level_dens  # (M, r)
+        trans = relay_symbol_law(obs.model, rel_c)  # the Kronecker power, (M, M)
+        mix = trans.astype(np.longdouble) @ level_dens  # (M, r)
         dens = dens * np.prod(mix[rel_idx, np.arange(shape.r)], axis=1)
     num = (dens[:, None] * (bits == 1)).sum(axis=0)
     den = (dens[:, None] * (bits == 0)).sum(axis=0)
@@ -270,9 +271,12 @@ def test_criterion_08_mld_vs_brute_force():
             y2 = x + np.sqrt(N2 / 2) * (rng.standard_normal((T, shape.s))
                                         + 1j * rng.standard_normal((T, shape.s)))
             observations = []
+            # random axis laws; the relay symbols sent are drawn from their
+            # Kronecker power over each relay symbol's source axes
+            axis = len(src_c.levels)
             for _ in range(branches):
-                trans = rng.dirichlet(np.full(Mr, 5.0), size=Mr)
-                model = RelayErrorModel(trans)
+                model = RelayErrorModel(rng.dirichlet(np.full(axis, 5.0), size=axis))
+                trans = relay_symbol_law(model, rel_c)
                 rel_true = np.array([rel_c.bits_to_indices(b) for b in bits])
                 sent = np.array([[rng.choice(Mr, p=trans[m]) for m in row]
                                  for row in rel_true])

@@ -191,6 +191,21 @@ class TestOutputs:
             assert float(row["pe_max"]) == pytest.approx(
                 max(float(row["ber_1"]), float(row["ber_2"])))
 
+    def test_ber_df_mld_relay_order_4096(self, capsys, scenario_file):
+        # 64-QAM forwarded as 4096-QAM on half-width cooperation slices
+        text = (
+            DF_TEXT.replace("starter = r1", "starter = r1\ncoop_bandwidth_fraction = 0.5")
+            .replace("trials = 30000", "trials = 4096")
+            + "\n[modulation]\nsource_order = 64\n"
+        )
+        code, out = run(capsys, ["ber", "--scenario", scenario_file(text)])
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert rows
+        for r in rows:
+            row = dict(zip(header, r))
+            assert (row["source_order"], row["relay_order"]) == ("64", "4096")
+
     def test_regions_diagonal_ties(self, capsys, scenario_file):
         code, out = run(capsys, ["regions", "--scenario", scenario_file(REGIONS_TEXT)])
         assert code == 0

@@ -2,6 +2,7 @@
 the exact relay substitution law, likelihoods, and the per-bit ML detector."""
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopbc import df
 from coopbc.df import (
     BlockShape,
     Constellation,
@@ -32,8 +34,20 @@ from oracles import (
     log_likelihood_direct,
     log_likelihood_relay,
     mld_llr,
+    mld_llr_dense,
+    relay_law_dense,
     relay_pilot_counts,
+    relay_symbol_law,
 )
+
+# every (source order, cooperation bandwidth fraction) pair that
+# choose_compatible_modulation accepts with a block of at most 20 bits
+ACCEPTED_PAIRS = [
+    (1 << ms, ms / mr)
+    for ms in (1, 2, 4, 6, 8, 10, 12)
+    for mr in range(2, 13, 2)
+    if mr >= ms and math.lcm(ms, mr) <= 20
+]
 
 
 def axis_samples(rng, const, amplitude, count):
@@ -54,6 +68,7 @@ def brute_force_llr(y2, observations, shape, src_c, rel_c, amp, N2):
     """Exhaustive reference detector in extended precision: enumerates every
     bit vector and every relay substitution explicitly."""
     n = shape.n
+    laws = [relay_symbol_law(obs.model, rel_c) for obs in observations]
     num = np.zeros(n, dtype=np.longdouble)
     den = np.zeros(n, dtype=np.longdouble)
     for word in range(1 << n):
@@ -64,12 +79,12 @@ def brute_force_llr(y2, observations, shape, src_c, rel_c, amp, N2):
             dens *= np.longdouble(1.0 / (math.pi * N2)) * np.exp(
                 np.longdouble(-abs(y2[i] - x[i]) ** 2 / N2)
             )
-        for obs in observations:
+        for obs, law in zip(observations, laws):
             ri = rel_c.bits_to_indices(bits)
             for i in range(shape.r):
                 mix = np.longdouble(0.0)
                 for l in range(rel_c.order):
-                    mix += np.longdouble(obs.model.transition[ri[i], l]) * np.longdouble(
+                    mix += np.longdouble(law[ri[i], l]) * np.longdouble(
                         1.0 / (math.pi * obs.noise_power)
                     ) * np.exp(
                         np.longdouble(
@@ -217,14 +232,14 @@ class TestLikelihoods:
         c = qam(4)
         bits = np.array([1, 0], dtype=np.int8)
         y12 = np.array([0.3 - 0.2j])
-        model = RelayErrorModel.error_free(4)
+        model = RelayErrorModel.error_free(c)
         lr = log_likelihood_relay(y12, bits, model, 2.0, 0.5, c)
         x = 2.0 * c.points[c.bits_to_indices(bits)]
         assert lr == pytest.approx(log_likelihood_direct(y12, x, 0.5), rel=1e-12)
 
     def test_uniform_substitutions_ignore_candidate(self):
         c = qam(4)
-        model = RelayErrorModel(np.full((4, 4), 0.25))
+        model = RelayErrorModel(np.full((2, 2), 0.5))
         y12 = np.array([0.8 + 0.1j])
         vals = {
             round(
@@ -258,13 +273,17 @@ class TestRelayErrorModel:
             RelayErrorModel(np.array([[1.1, -0.1], [0.0, 1.0]]))
 
     def test_estimated_model_is_stochastic(self):
-        model = estimate_relay_errors(qam(4), qam(4), BlockShape(1, 1, 2), 2.0, 1.0)
-        np.testing.assert_allclose(model.transition.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(np.diag(model.transition) > 0.5)
+        model = estimate_relay_errors(qam(4), qam(4), 2.0, 1.0)
+        np.testing.assert_allclose(model.axis_law.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(np.diag(model.axis_law) > 0.5)
 
     def test_estimated_model_near_identity_at_high_snr(self):
-        model = estimate_relay_errors(qam(4), qam(4), BlockShape(1, 1, 2), 100.0, 1.0)
-        np.testing.assert_allclose(model.transition, np.eye(4), atol=1e-4)
+        model = estimate_relay_errors(qam(4), qam(4), 100.0, 1.0)
+        np.testing.assert_allclose(model.axis_law, np.eye(2), atol=1e-4)
+
+    def test_error_free_is_the_axis_identity(self):
+        for order, size in ((2, 2), (4, 2), (16, 4), (4096, 64)):
+            assert np.array_equal(RelayErrorModel.error_free(qam(order)).axis_law, np.eye(size))
 
     @pytest.mark.parametrize("Ms,Mr,shape,amp,noise", [
         (2, 16, BlockShape(4, 1, 4), 1.0, 1.0),      # aligned: one relay symbol per block
@@ -272,7 +291,7 @@ class TestRelayErrorModel:
     ])
     def test_exact_law_matches_relay_pilot(self, Ms, Mr, shape, amp, noise):
         src, rel = qam(Ms), qam(Mr)
-        law = estimate_relay_errors(src, rel, shape, amp, noise).transition
+        law = relay_symbol_law(estimate_relay_errors(src, rel, amp, noise), rel)
         np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         counts = relay_pilot_counts(src, rel, shape, amp, noise, symbols=1_000_000, seed=5)
         expected = counts.sum(axis=1, keepdims=True) * law
@@ -296,7 +315,7 @@ class TestRelayErrorModel:
             want = exact_qam_ber(order, amp, 1.0)
             if want < 1e-6:
                 continue
-            law = estimate_relay_errors(c, c, BlockShape(1, 1, m), amp, 1.0).transition
+            law = relay_symbol_law(estimate_relay_errors(c, c, amp, 1.0), c)
             got = float(np.sum(law * hamming)) / (order * m)
             assert got == pytest.approx(want, rel=1e-10, abs=0)
             checked += 1
@@ -313,24 +332,92 @@ class TestRelayErrorModel:
         Ms, fraction = pair
         Mr, shape = choose_compatible_modulation(Ms, 1.0, fraction)
         src, rel = qam(Ms), qam(Mr)
-        law = estimate_relay_errors(src, rel, shape, 1.0, 10.0 ** (-snr_db / 10.0)).transition
-        assert law.shape == (Mr, Mr)
+        size = len(src.levels)
+        if rel.bits_per_symbol % (size.bit_length() - 1):  # 64 -> 256: split axes
+            with pytest.raises(ModulationError, match="split"):
+                estimate_relay_errors(src, rel, 1.0, 10.0 ** (-snr_db / 10.0))
+            return
+        law = estimate_relay_errors(src, rel, 1.0, 10.0 ** (-snr_db / 10.0)).axis_law
+        assert law.shape == (size, size)
         assert np.all(np.isfinite(law)) and np.all(law >= 0.0)
         np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        top = estimate_relay_errors(src, rel, shape, 1.0, 1e-15).transition
-        assert np.array_equal(top, np.eye(Mr))
+        top = estimate_relay_errors(src, rel, 1.0, 1e-15).axis_law
+        assert np.array_equal(top, np.eye(size))
 
     def test_largest_order_law_has_bounded_memory(self):
-        # 4096-QAM relayed as 4096-QAM: the law is one 4096 x 4096 matrix
+        # 4096-QAM relayed as 4096-QAM: the model is the 64 x 64 law of one axis
         c = qam(4096)
         tracemalloc.start()
         try:
-            law = estimate_relay_errors(c, c, BlockShape(1, 1, 12), 30.0, 1.0).transition
+            law = estimate_relay_errors(c, c, 30.0, 1.0).axis_law
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert law.shape == (4096, 4096)
-        assert peak < 1 << 30
+        assert law.shape == (64, 64)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("Ms,fraction", ACCEPTED_PAIRS)
+    def test_kronecker_power_equals_pooled_law(self, Ms, fraction):
+        # every relay symbol carries whole source axes, so pooling the
+        # marginalized source laws over the block's relay symbols gives the
+        # axis law's Kronecker power, for the exact law and for any other;
+        # compared 64 rows at a time, so only the dense law is Mr x Mr
+        Mr, shape = choose_compatible_modulation(Ms, 1.0, fraction)
+        src, rel = qam(Ms), qam(Mr)
+        size = len(src.levels)
+        axes = rel.bits_per_symbol // (size.bit_length() - 1)
+        rng = np.random.default_rng(Ms * 4099 + Mr)
+        for axis_law in (
+            estimate_relay_errors(src, rel, 1.5, 0.8).axis_law,
+            rng.dirichlet(np.full(size, 2.0), size=size),
+        ):
+            self._assert_kronecker_power(relay_law_dense(axis_law, src, rel, shape), axis_law, axes)
+
+    @staticmethod
+    def _assert_kronecker_power(dense, axis_law, axes):
+        # row j * len(rest) + k of the power is axis_law[j] ⊗ rest[k]
+        rest = functools.reduce(np.kron, [axis_law] * (axes - 1), np.ones((1, 1)))
+        step = min(64, len(rest))
+        for i in range(0, len(dense), step):
+            j, k = divmod(i, len(rest))
+            want = np.kron(axis_law[j:j + 1], rest[k:k + step])
+            np.testing.assert_allclose(dense[i:i + step], want, rtol=1e-12, atol=0)
+
+
+class TestAlignment:
+    def test_accepted_pairs_split_into_two_units(self):
+        # a unit is one relay axis, or one relay symbol where a relay axis
+        # would split a source axis (16 -> 64 and 16 -> 1024)
+        assert len(ACCEPTED_PAIRS) == 22
+        whole_symbol_units = set()
+        for Ms, fraction in ACCEPTED_PAIRS:
+            Mr, shape = choose_compatible_modulation(Ms, 1.0, fraction)
+            src, rel = qam(Ms), qam(Mr)
+            source_axis = len(src.levels).bit_length() - 1
+            assert rel.bits_per_symbol % source_axis == 0, (Ms, Mr)
+            unit = df._unit_bits(src, rel)
+            assert unit % source_axis == 0 and shape.n % unit == 0
+            assert shape.n // unit == 2, (Ms, Mr, shape)
+            if unit == rel.bits_per_symbol:
+                whole_symbol_units.add((Ms, Mr))
+        assert whole_symbol_units == {(16, 64), (16, 1024)}
+
+    def test_split_source_axes_are_rejected(self):
+        # 256-QAM axes carry 4 bits; a 4-QAM relay symbol carries 2
+        src, rel = qam(256), qam(4)
+        with pytest.raises(ModulationError, match="split"):
+            estimate_relay_errors(src, rel, 1.0, 1.0)
+        with pytest.raises(ModulationError, match="split"):
+            mld_llr_batch(np.zeros((1, 1), dtype=complex), [], BlockShape(1, 4, 8),
+                          src, rel, 1.0, 1.0)
+
+    def test_enumeration_bound_is_checked_first(self):
+        # 64 -> 256 splits 64-QAM axes, but its 24-bit block is too wide first
+        Mr, shape = choose_compatible_modulation(64, 1.0, 0.75)
+        assert (Mr, shape.n) == (256, 24)
+        with pytest.raises(EnumerationBoundError):
+            mld_llr_batch(np.zeros((1, shape.s), dtype=complex), [], shape,
+                          qam(64), qam(Mr), 1.0, 1.0)
 
 
 class TestDecodeAndRemap:
@@ -385,7 +472,7 @@ class TestMldDetector:
 
     def test_uninformative_relay_matches_direct_ml(self):
         c, shape, bits, amp, y2, y12, _ = self._setup()
-        uniform = RelayErrorModel(np.full((4, 4), 0.25))
+        uniform = RelayErrorModel(np.full((2, 2), 0.5))
         with_relay = mld_llr_batch(
             y2, [RelayObservation(y12, 4.0, 1.0, uniform)], shape, c, c, amp, 1.0
         )
@@ -399,7 +486,7 @@ class TestMldDetector:
         # identical constellations: joint Gaussian ML = min distance on the
         # MRC-combined scalar; checked away from decision boundaries
         c, shape, bits, amp, y2, y12, _ = self._setup(seed=2, T=512, relay_snr=5.0)
-        model = RelayErrorModel.error_free(4)
+        model = RelayErrorModel.error_free(c)
         llr = mld_llr_batch(y2, [RelayObservation(y12, 5.0, 1.0, model)], shape, c, c, amp, 1.0)
         dec = (llr > 1.0).astype(np.int8)
         u = (amp / 1.0) * y2 + (5.0 / 1.0) * y12
@@ -420,7 +507,7 @@ class TestMldDetector:
         src, rel = qam(Ms), qam(Mr)
         rng = np.random.default_rng(Ms * 131 + Mr)
         amp = 2.0
-        model = estimate_relay_errors(src, rel, shape, amp, 1.0)
+        model = estimate_relay_errors(src, rel, amp, 1.0)
         for _ in range(25):
             bits = rng.integers(0, 2, shape.n, dtype=np.int8)
             x = amp * src.points[src.bits_to_indices(bits)]
@@ -441,7 +528,7 @@ class TestMldDetector:
         y12b = 3.0 * c.points[c.bits_to_indices(bits)] + math.sqrt(0.5) * (
             rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
         )
-        model = estimate_relay_errors(c, c, shape, 4.0, 1.0)
+        model = estimate_relay_errors(c, c, 4.0, 1.0)
         obs = [
             RelayObservation(y12, 4.0, 1.0, model),
             RelayObservation(y12b, 3.0, 1.0, model),
@@ -453,6 +540,47 @@ class TestMldDetector:
             ]
             want = brute_force_llr(y2[t], single, shape, c, c, amp, 1.0)
             np.testing.assert_allclose(got[t], want, rtol=1e-9)
+
+    @pytest.mark.parametrize("Ms,fraction", [p for p in ACCEPTED_PAIRS if p != (16, 0.4)])
+    def test_matches_dense_enumeration(self, Ms, fraction):
+        # every accepted pair with n <= 12: exact, error-free and random axis
+        # laws, against the 2^n enumerator with the dense pooled law
+        Mr, shape = choose_compatible_modulation(Ms, 1.0, fraction)
+        assert shape.n <= 12
+        src, rel = qam(Ms), qam(Mr)
+        size = len(src.levels)
+        rng = np.random.default_rng(Ms * 8191 + Mr)
+        T, amp, N2 = 6, 1.2, 0.6
+        bits = rng.integers(0, 2, (T, shape.n), dtype=np.int8)
+        y2 = amp * src.points[src.bits_to_indices(bits)] + math.sqrt(N2 / 2.0) * (
+            rng.standard_normal((T, shape.s)) + 1j * rng.standard_normal((T, shape.s))
+        )
+
+        def branch(model, gain, noise):
+            y12 = gain * rel.points[rel.bits_to_indices(bits)] + math.sqrt(noise / 2.0) * (
+                rng.standard_normal((T, shape.r)) + 1j * rng.standard_normal((T, shape.r))
+            )
+            return RelayObservation(y12, gain, noise, model)
+
+        exact = branch(estimate_relay_errors(src, rel, amp, 0.5), 1.7, 0.8)
+        genie = branch(RelayErrorModel.error_free(src), 2.5, 1.1)
+        dirichlet = branch(
+            RelayErrorModel(rng.dirichlet(np.full(size, 3.0), size=size)), 0.9, 0.4
+        )
+        for observations in ([exact], [genie, dirichlet]):
+            got = mld_llr_batch(y2, observations, shape, src, rel, amp, N2)
+            want = mld_llr_dense(y2, observations, shape, src, rel, amp, N2)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("size,modes", [(4, 1), (2, 4), (8, 2), (4, 5), (2, 7), (64, 1)])
+    def test_mode_products_apply_the_kronecker_power(self, size, modes):
+        # (4, 5) is the 16 -> 1024 unit law and (2, 7) a wider one: both are
+        # applied one 4- or 2-label mode at a time, the others as one product
+        rng = np.random.default_rng(size * 31 + modes)
+        axis_law = rng.dirichlet(np.full(size, 2.0), size=size)
+        lik = rng.random((size**modes, 5))
+        want = functools.reduce(np.kron, [axis_law] * modes) @ lik
+        np.testing.assert_allclose(df._mix(lik.copy(), axis_law, modes), want, rtol=1e-12)
 
     def test_enumeration_bound(self):
         with pytest.raises(EnumerationBoundError, match="2\\^60"):

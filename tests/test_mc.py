@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import oracles
@@ -20,6 +21,13 @@ from coopbc.channel import (
     Regime,
     Strategy,
     Symmetric,
+)
+from coopbc.df import (
+    RelayObservation,
+    choose_compatible_modulation,
+    estimate_relay_errors,
+    mld_llr_batch,
+    qam,
 )
 from coopbc.errors import ModulationError
 from coopbc.mc import BerEstimate, TrialConfig, simulate_af, simulate_df
@@ -211,7 +219,8 @@ class TestSimulateDf:
 
     def test_relay_order_256_batch_has_bounded_memory(self):
         # 16-QAM forwarded as 256-QAM: a full batch is 2^22 >> 8 two-symbol
-        # blocks, and a (blocks, r, Mr, Mr) substitution table would be 8 GiB
+        # blocks; a (blocks, r, Mr, Mr) substitution table would be 8 GiB,
+        # and the 256-candidate tables of every block 168 MiB
         p = ChannelParams(P=1.0, n1=0.1, n2=1.0, n12=1.0, n21=1.0, P12=1e3, P21=1e3, B=1.0)
         cfg = CoopConfig(Protocol.DF, Symmetric(1), Strategy.S2, Regime.H2)
         blocks = mc._MLD_CELL_CAP >> 8
@@ -224,7 +233,30 @@ class TestSimulateDf:
             tracemalloc.stop()
         assert (r.relay_order, r.shape.s, r.shape.n) == (256, 2, 8)
         assert r.ber_I.trials == 2 * blocks
-        assert peak < 256 * 2**20
+        assert peak < 64 * 2**20
+
+    def test_relay_order_4096_detector_batch_has_bounded_memory(self):
+        # 64-QAM forwarded as 4096-QAM on half-width slices: one full MLD
+        # batch of 2^22 >> 12 blocks, each two 6-bit units of 64 labels; the
+        # 2^12-candidate tables and the 4096 x 4096 law took 161 MiB
+        Mr, shape = choose_compatible_modulation(64, 1.0, 0.5)
+        src, rel = qam(64), qam(Mr)
+        blocks = mc._MLD_CELL_CAP >> shape.n
+        rng = np.random.default_rng(43)
+        bits = rng.integers(0, 2, (blocks, shape.n), dtype=np.int8)
+        y2 = 4.0 * src.points[src.bits_to_indices(bits)] + 0.1 * rng.standard_normal((blocks, shape.s))
+        y12 = 30.0 * rel.points[rel.bits_to_indices(bits)] + 0.1 * rng.standard_normal((blocks, 1))
+        model = estimate_relay_errors(src, rel, 4.0, 0.02)
+        tracemalloc.start()
+        try:
+            llr = mld_llr_batch(y2, [RelayObservation(y12, 30.0, 0.02, model)], shape,
+                                src, rel, 4.0, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (Mr, shape.n, blocks) == (4096, 12, 1024)
+        assert np.array_equal(llr > 1.0, bits == 1)
+        assert peak < 16 * 2**20
 
     def test_genie_relay_matches_equivalent_af(self):
         # perfect decoding + error-free model: receiver 2 sees two independent
