@@ -121,15 +121,15 @@ def cmd_rate(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[lis
     return ["k", "b_dl", "b_c", "rho_1", "rho_2", "rate_af", "simo_bound"], rows
 
 
-def _simulate(s: Scenario, config: CoopConfig, k: int, args: argparse.Namespace
-              ) -> Union[AfRunResult, DfRunResult]:
-    """One Monte Carlo run of `config` at count k with the scenario's trial
-    budget, modulation and decode-and-forward options."""
+def _sweep(s: Scenario, configs: Sequence[CoopConfig], args: argparse.Namespace
+           ) -> Union[Sequence[AfRunResult], Sequence[DfRunResult]]:
+    """One Monte Carlo sweep of `configs` (all of one protocol) with the
+    scenario's trial budget, modulation and decode-and-forward options."""
     tc = TrialConfig(s.trials, seed=s.seed, target_half_width=s.target_half_width)
-    if config.protocol is Protocol.AF:
-        return simulate_af(s.params, config, k, tc, order=s.source_order, threads=args.threads)
+    if configs[0].protocol is Protocol.AF:
+        return simulate_af(s.params, configs, tc, order=s.source_order, threads=args.threads)
     return simulate_df(
-        s.params, config, k, (s.source_order, s.relay_order), tc,
+        s.params, configs, (s.source_order, s.relay_order), tc,
         combiner=s.combiner, relay_model=s.relay_model,
         coop_bandwidth_fraction=s.coop_bandwidth_fraction, threads=args.threads,
     )
@@ -138,15 +138,15 @@ def _simulate(s: Scenario, config: CoopConfig, k: int, args: argparse.Namespace
 def cmd_ber(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
     """Monte Carlo error rates for each provisioned count k = 0..k_max."""
     af = s.config.protocol is Protocol.AF
+    configs = [s.config.with_count(k) for k in range(s.k_max + 1)]
     rows: list[list[Cell]] = []
-    for k in range(s.k_max + 1):
-        r = _simulate(s, s.config, k, args)
-        plan = plan_bandwidth(s.params, s.config.with_count(k))
+    for config, r in zip(configs, _sweep(s, configs, args)):
+        plan = plan_bandwidth(s.params, config)
         rep = criteria(plan, ber_pair=(r.ber_I.ber, r.ber_II.ber), pe_sys_mc=r.pe_sys.ber)
         tail = ([r.snr_I.value, r.snr_II.value, r.analytic.rho_I, r.analytic.rho_II] if af
                 else [r.source_order, r.relay_order])
         rows.append([
-            k, r.ber_I.ber, r.ber_I.stderr, r.ber_II.ber, r.ber_II.stderr,
+            config.count, r.ber_I.ber, r.ber_I.stderr, r.ber_II.ber, r.ber_II.stderr,
             r.pe_sys.ber, r.pe_sys.stderr, rep.pe_max, rep.pe_sum, *tail,
         ])
     header = ["k", "ber_1", "stderr_1", "ber_2", "stderr_2", "pe_sys", "pe_sys_stderr",
@@ -173,16 +173,15 @@ def cmd_regions(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[
 
 def cmd_compare(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
     """AF under both forwarding strategies versus DF, shared seed, per count."""
-    configs = (
-        dataclasses.replace(s.config, protocol=Protocol.AF, strategy=Strategy.S1),
-        dataclasses.replace(s.config, protocol=Protocol.AF, strategy=Strategy.S2),
-        dataclasses.replace(s.config, protocol=Protocol.DF),
-    )
+    counts = range(s.k_max + 1)
+    af = [dataclasses.replace(s.config, protocol=Protocol.AF, strategy=strategy).with_count(k)
+          for strategy in (Strategy.S1, Strategy.S2) for k in counts]
+    df = [dataclasses.replace(s.config, protocol=Protocol.DF).with_count(k) for k in counts]
+    af_runs, df_runs = _sweep(s, af, args), _sweep(s, df, args)
     rows: list[list[Cell]] = []
-    for k in range(s.k_max + 1):
+    for k, *runs in zip(counts, af_runs, af_runs[len(counts):], df_runs):
         row: list[Cell] = [k]
-        for config in configs:
-            r = _simulate(s, config, k, args)
+        for r in runs:
             row += [max(r.ber_I.ber, r.ber_II.ber), r.pe_sys.ber]
         rows.append(row)
     return ["k", "af_s1_ber_max", "af_s1_pe_sys", "af_s2_ber_max", "af_s2_pe_sys",

@@ -37,11 +37,14 @@ ENUMERATION_BIT_LIMIT = 20
 
 
 def ensure_enumerable(n: int) -> None:
-    """Reject block widths whose candidate set cannot be enumerated."""
+    """Reject blocks of more than ENUMERATION_BIT_LIMIT coded bits. The
+    detector enumerates only the 2^L labels of each unit of L <= n bits, but
+    the Monte Carlo batch partition still budgets 2^n cells per block."""
     if n > ENUMERATION_BIT_LIMIT:
         raise EnumerationBoundError(
-            f"block carries {n} coded bits; enumerating 2^{n} candidates exceeds "
-            f"the 2^{ENUMERATION_BIT_LIMIT} bound — use a smaller block shape"
+            f"block carries {n} coded bits; its 2^{n} cells per block exceed the "
+            f"2^{ENUMERATION_BIT_LIMIT} bound of the detector's batch partition — "
+            "use a smaller block shape"
         )
 
 

@@ -3,17 +3,24 @@ the two combiner outputs, for DF the two direct signals plus one summed
 cooperation branch per destination), applies the configured combiner, and
 estimates raw bit error rates and empirical SNRs with standard errors.
 
+The unit of work is a sweep: a sequence of configs (typically one per
+exchange count) sampled together. Each call returns one result per config.
+
 Reproducibility contract: work is split into fixed-size batches and batch b
-draws from a counter-based stream keyed by (seed, b). Partial results are
-folded in batch order and early-stop checks happen only at fixed batch-count
-boundaries, so estimates are bitwise identical for a given (seed, config)
-regardless of how many worker threads execute the batches.
+draws from a counter-based stream keyed by (seed, b). Every config of a sweep
+sees the same draws of batch b, scaled by its own noise powers and gains, so
+each config's result equals the result of sampling it alone. Each config's
+partial results are folded in batch order and its early-stop check happens
+only at fixed batch-count boundaries, so estimates are bitwise identical for
+a given (seed, config) regardless of the other configs of the sweep or of how
+many worker threads execute the batches.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -48,6 +55,7 @@ __all__ = [
     "SnrEstimate",
     "AfRunResult",
     "DfRunResult",
+    "Sweep",
     "simulate_af",
     "simulate_df",
 ]
@@ -132,51 +140,85 @@ class DfRunResult:
     shape: BlockShape
 
 
+class Sweep(tuple):
+    """Results of one sweep, one per config in config order.
+
+    `ber_I` pools receiver 1's counts over the sweep, so its trials and bits
+    are the totals the sweep sampled across its configs: what a caller that
+    counts sampled work per call (the benchmark's tracer) reads.
+    """
+
+    @property
+    def ber_I(self) -> BerEstimate:
+        return BerEstimate.from_counts(*(sum(getattr(r.ber_I, name) for r in self)
+                                         for name in ("errors", "bits", "trials")))
+
+
 def _rng(seed: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, batch], dtype=np.uint64)))
 
 
-def _cn(rng: np.random.Generator, var: float, shape: tuple[int, ...]) -> np.ndarray:
-    return math.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _unit_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Unit-variance complex normals (real part drawn first), to be scaled by
+    sqrt(noise power / 2)."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _run_ordered(
-    worker: Callable[[int], tuple],
+    worker: Callable[[int, tuple[int, ...]], list[tuple]],
+    n_configs: int,
     n_batches: int,
     threads: int,
-    fold: Callable[[tuple], None],
-    should_stop: Callable[[], bool],
-) -> None:
-    """Execute worker(0..n_batches-1), folding results in index order; stop
-    checks run at fixed chunk boundaries and every batch of a started chunk is
-    folded, so the folded set never depends on the thread count."""
+    should_stop: Callable[[tuple], bool],
+) -> list[tuple]:
+    """Execute worker(b, active) for b = 0..n_batches-1, where `active` lists
+    the configs still sampling and the worker returns one tuple of batch sums
+    per active config, led by (symbols, bits, err_I, err_II, err_sys). Return
+    each config's sums folded in batch order. Each config's stop check runs
+    at fixed chunk boundaries and every batch of a started chunk is folded
+    for every config active in it, so the folded set of a config depends
+    neither on the thread count nor on the other configs."""
+    totals: list[tuple] = [()] * n_configs
+    active = tuple(range(n_configs))
     executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for start in range(0, n_batches, _STOP_CHECK_BATCHES):
+            if not active:
+                break
             idxs = range(start, min(start + _STOP_CHECK_BATCHES, n_batches))
-            for result in executor.map(worker, idxs) if executor else map(worker, idxs):
-                fold(result)
-            if should_stop():
-                return
+            runs = (executor.map if executor else map)(worker, idxs, repeat(active))
+            for batch in runs:
+                for c, sums in zip(active, batch):
+                    totals[c] = tuple(a + b for a, b in zip(totals[c] or (0,) * len(sums), sums))
+            active = tuple(c for c in active if not should_stop(totals[c]))
     finally:
         if executor:
             executor.shutdown()
+    return totals
 
 
-def _stop_on_target(tc: TrialConfig, tally: dict, bits: int) -> bool:
-    """Early-stop rule over the `bits` decided so far: stop at the bit cap,
-    or once both receivers' BER standard errors meet the relative target."""
+def _stop_on_target(tc: TrialConfig, totals: tuple) -> bool:
+    """Early-stop rule over one config's totals: stop at the bit cap, or once
+    both receivers' BER standard errors meet the relative target."""
     if tc.target_half_width is None:
         return False
+    bits = totals[1]
     if bits >= BIT_CAP:
         return True
-    for errors in (tally["err_I"], tally["err_II"]):
+    for errors in totals[2:4]:
         if errors == 0:
             return False
         ber = errors / bits
         if math.sqrt(ber * (1.0 - ber) / bits) > tc.target_half_width * ber:
             return False
     return True
+
+
+def _ber_estimates(totals: tuple) -> tuple[BerEstimate, BerEstimate, BerEstimate]:
+    """(ber_I, ber_II, pe_sys) of one config's totals."""
+    symbols, bits, *errors = totals[:5]
+    ber_I, ber_II, pe_sys = (BerEstimate.from_counts(e, bits, symbols) for e in errors)
+    return ber_I, ber_II, pe_sys
 
 
 # ---------------------------------------------------------------------------
@@ -186,106 +228,88 @@ def _stop_on_target(tc: TrialConfig, tally: dict, bits: int) -> bool:
 
 def simulate_af(
     params: ChannelParams,
-    config: CoopConfig,
-    K: Optional[int],
+    configs: Sequence[CoopConfig],
     trial_config: TrialConfig,
     *,
     order: int = 4,
     threads: int = 1,
-) -> AfRunResult:
-    """Sample the combiner outputs of a K-exchange campaign and estimate raw
-    BERs (per receiver and joint) and empirical equivalent SNRs.
+) -> Sweep:
+    """Sample the combiner outputs of each config's campaign (of its own
+    exchange count) and estimate raw BERs (per receiver and joint) and
+    empirical equivalent SNRs; one AfRunResult per config, in config order.
 
     Both combiner outputs are X + Z at unit signal gain, so one symbol needs
     only the joint law of (Z_I, Z_II): a zero-mean complex normal pair with
     the recursion's final covariance [[N_I, e], [e, N_II]], drawn through its
-    Cholesky factor. Decisions are minimum-distance on each output.
+    Cholesky factor. Every config scales the same symbols and unit normals of
+    a batch by its own factor, so each result equals that config's solo run.
+    Decisions are minimum-distance on each output.
     """
-    if config.protocol is not Protocol.AF:
-        raise ValueError("simulate_af requires an amplify-and-forward config")
-    final = campaign(params, config, K).states[-1]
+    if any(c.protocol is not Protocol.AF for c in configs):
+        raise ValueError("simulate_af requires amplify-and-forward configs")
+    finals = [campaign(params, c).states[-1] for c in configs]
     # Z_I = l_I g_0 and Z_II = l_c g_0 + l_II g_1 for unit complex normals g;
     # when the outputs are nearly equal, rounding can push the Schur
     # complement N_II - e^2 / N_I a few ulps below zero
-    l_I = math.sqrt(final.N_I / 2.0)
-    l_c = final.e / math.sqrt(2.0 * final.N_I)
-    l_II = math.sqrt(max(final.N_II - final.e**2 / final.N_I, 0.0) / 2.0)
+    factors = [
+        (math.sqrt(f.N_I / 2.0), f.e / math.sqrt(2.0 * f.N_I),
+         math.sqrt(max(f.N_II - f.e**2 / f.N_I, 0.0) / 2.0))
+        for f in finals
+    ]
     const = qam(order)
     m = const.bits_per_symbol
+    # bit errors of a symbol decision: the popcount of its label XOR the sent one
+    popcount = np.array([bin(label).count("1") for label in range(order)], dtype=np.uint8)
     P = params.P
     amp = math.sqrt(P)
     tc = trial_config
-    n_batches = -(-tc.trials // BATCH_SYMBOLS)
 
-    tally = {
-        "symbols": 0,
-        "err_I": 0,
-        "err_II": 0,
-        "err_sys": 0,
-        "Sxx": 0.0,
-        "Syx_I": 0.0 + 0.0j,
-        "Syy_I": 0.0,
-        "Syx_II": 0.0 + 0.0j,
-        "Syy_II": 0.0,
-    }
-
-    def worker(b: int) -> tuple:
+    def worker(b: int, active: tuple[int, ...]) -> list[tuple]:
         T = min(BATCH_SYMBOLS, tc.trials - b * BATCH_SYMBOLS)
         rng = _rng(tc.seed, b)
         idx = rng.integers(0, order, T)
         x = amp * const.points[idx]
-        g = rng.standard_normal((2, T)) + 1j * rng.standard_normal((2, T))
-        y_I = x + l_I * g[0]
-        y_II = x + (l_c * g[0] + l_II * g[1])
-        sent = const.indices_to_bits(idx)
-        wrong_I = const.indices_to_bits(const.detect(y_I, amp)) != sent
-        wrong_II = const.indices_to_bits(const.detect(y_II, amp)) != sent
-        return (
-            T,
-            int(wrong_I.sum()),
-            int(wrong_II.sum()),
-            int((wrong_I | wrong_II).sum()),
-            float(np.sum(np.abs(x) ** 2)),
-            complex(np.vdot(x, y_I)),
-            float(np.sum(np.abs(y_I) ** 2)),
-            complex(np.vdot(x, y_II)),
-            float(np.sum(np.abs(y_II) ** 2)),
-        )
+        g = _unit_cn(rng, (2, T))
+        sxx = float(np.sum(np.abs(x) ** 2))
+        out = []
+        for c in active:
+            l_I, l_c, l_II = factors[c]
+            y_I = x + l_I * g[0]
+            y_II = x + (l_c * g[0] + l_II * g[1])
+            wrong_I = const.detect(y_I, amp) ^ idx
+            wrong_II = const.detect(y_II, amp) ^ idx
+            out.append((
+                T,
+                T * m,
+                int(popcount[wrong_I].sum()),
+                int(popcount[wrong_II].sum()),
+                int(popcount[wrong_I | wrong_II].sum()),
+                sxx,
+                complex(np.vdot(x, y_I)),
+                float(np.sum(np.abs(y_I) ** 2)),
+                complex(np.vdot(x, y_II)),
+                float(np.sum(np.abs(y_II) ** 2)),
+            ))
+        return out
 
-    def fold(res: tuple) -> None:
-        T, e1, e2, es, sxx, syx1, syy1, syx2, syy2 = res
-        tally["symbols"] += T
-        tally["err_I"] += e1
-        tally["err_II"] += e2
-        tally["err_sys"] += es
-        tally["Sxx"] += sxx
-        tally["Syx_I"] += syx1
-        tally["Syy_I"] += syy1
-        tally["Syx_II"] += syx2
-        tally["Syy_II"] += syy2
+    totals = _run_ordered(worker, len(configs), -(-tc.trials // BATCH_SYMBOLS), threads,
+                          lambda t: _stop_on_target(tc, t))
 
-    _run_ordered(worker, n_batches, threads, fold,
-                 lambda: _stop_on_target(tc, tally, tally["symbols"] * m))
+    def result(t: tuple, final: SnrState) -> AfRunResult:
+        n, _, _, _, _, Sxx, Syx_I, Syy_I, Syx_II, Syy_II = t
 
-    n = tally["symbols"]
-    bits = n * m
+        def snr_estimate(syx: complex, syy: float) -> SnrEstimate:
+            # project the known symbols out of the output: signal gain from
+            # the cross-moment, equivalent noise power from the residual
+            alpha_hat = syx / Sxx
+            noise_hat = (syy - abs(syx) ** 2 / Sxx) / n
+            rho = abs(alpha_hat) ** 2 * P / noise_hat
+            return SnrEstimate(rho, rho * math.sqrt((1.0 + 2.0 / rho) / n))
 
-    def snr_estimate(syx: complex, syy: float) -> SnrEstimate:
-        # project the known symbols out of the output: signal gain from the
-        # cross-moment, equivalent noise power from the residual
-        alpha_hat = syx / tally["Sxx"]
-        noise_hat = (syy - abs(syx) ** 2 / tally["Sxx"]) / n
-        rho = abs(alpha_hat) ** 2 * P / noise_hat
-        return SnrEstimate(rho, rho * math.sqrt((1.0 + 2.0 / rho) / n))
+        return AfRunResult(*_ber_estimates(t), snr_estimate(Syx_I, Syy_I),
+                           snr_estimate(Syx_II, Syy_II), final)
 
-    return AfRunResult(
-        ber_I=BerEstimate.from_counts(tally["err_I"], bits, n),
-        ber_II=BerEstimate.from_counts(tally["err_II"], bits, n),
-        pe_sys=BerEstimate.from_counts(tally["err_sys"], bits, n),
-        snr_I=snr_estimate(tally["Syx_I"], tally["Syy_I"]),
-        snr_II=snr_estimate(tally["Syx_II"], tally["Syy_II"]),
-        analytic=final,
-    )
+    return Sweep(map(result, totals, finals))
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +335,41 @@ def _mrc_decisions(
     return const.indices_to_bits(const.detect(u, g))
 
 
+def _df_plan(
+    params: ChannelParams, config: CoopConfig, source_order: int,
+    coop_bandwidth_fraction: Optional[float],
+) -> tuple[int, BlockShape, tuple[float, float], list[tuple[Receiver, float, float]]]:
+    """Relay order, block shape, downlink noise powers (N1, N2) and one
+    (relay, gain, noise) cooperation link per sending relay, in the order of
+    each relay's first send, of one DF config."""
+    if config.protocol is not Protocol.DF:
+        raise ValueError("simulate_df requires decode-and-forward configs")
+    plan = plan_bandwidth(params, config)
+    if coop_bandwidth_fraction is not None:
+        deltaB = coop_bandwidth_fraction * plan.B_DL
+        plan = replace(
+            plan,
+            deltaB=deltaB,
+            B_C=config.count * transmissions_per_step(config.scheme) * deltaB,
+            N12=params.n12 * deltaB,
+            N21=params.n21 * deltaB,
+        )
+    relay_order, shape = choose_compatible_modulation(source_order, plan.B_DL, plan.deltaB)
+    # m equal-power repeats (amplitude a, noise N) of one relay block are
+    # sufficient as their sum: one branch of gain m*a and noise m*N
+    sched = power_schedule(params, config)
+    links = []
+    for relay in dict.fromkeys(Receiver(i % 2 + 1) for i in np.flatnonzero(sched)):
+        powers = sched[:, relay.value - 1]
+        m = int(np.count_nonzero(powers))
+        noise = plan.N12 if relay is Receiver.R1 else plan.N21
+        links.append((relay, m * math.sqrt(powers.max()), m * noise))
+    return relay_order, shape, (plan.N1, plan.N2), links
+
+
 def simulate_df(
     params: ChannelParams,
-    config: CoopConfig,
-    K: Optional[int],
+    configs: Sequence[CoopConfig],
     modulations: Union[int, tuple[int, Optional[int]]],
     trial_config: TrialConfig,
     *,
@@ -322,8 +377,10 @@ def simulate_df(
     relay_model: str = "exact",
     coop_bandwidth_fraction: Optional[float] = None,
     threads: int = 1,
-) -> DfRunResult:
-    """Sample the full decode-and-forward chain and estimate raw BERs.
+) -> Sweep:
+    """Sample the full decode-and-forward chain of each config (at its own
+    exchange count) and estimate raw BERs; one DfRunResult per config, in
+    config order.
 
     Each receiver hard-decodes the source block from its own downlink signal
     once, re-modulates it onto the bit-rate-compatible relay constellation and
@@ -344,32 +401,33 @@ def simulate_df(
     fraction of the downlink band, which raises the relay constellation order
     needed to conserve the coded bit rate and shrinks the integrated
     cooperation noise accordingly.
+
+    Every config must resolve the same block shape and relay order (else
+    ValueError), so all of them share the source bits and unit normals of a
+    batch: the two direct draws, then one per cooperation link in send order,
+    of which a config with fewer links uses a prefix. Direct signals, relay
+    decisions and relay error models are formed once per distinct downlink
+    noise power, and each result equals that config's solo run.
     """
-    if config.protocol is not Protocol.DF:
-        raise ValueError("simulate_df requires a decode-and-forward config")
     if combiner not in ("mld", "mrc"):
         raise ValueError(f"unknown combiner {combiner!r}")
     if relay_model not in ("exact", "genie"):
         raise ValueError(f"unknown relay model {relay_model!r}")
-    cfg = config if K is None else config.with_count(K)
-    k = cfg.count
-    plan = plan_bandwidth(params, cfg)
-    if coop_bandwidth_fraction is not None:
-        if not 0.0 < coop_bandwidth_fraction <= 1.0:
-            raise ValueError("coop_bandwidth_fraction must be in (0, 1]")
-        deltaB = coop_bandwidth_fraction * plan.B_DL
-        plan = replace(
-            plan,
-            deltaB=deltaB,
-            B_C=k * transmissions_per_step(cfg.scheme) * deltaB,
-            N12=params.n12 * deltaB,
-            N21=params.n21 * deltaB,
-        )
+    if coop_bandwidth_fraction is not None and not 0.0 < coop_bandwidth_fraction <= 1.0:
+        raise ValueError("coop_bandwidth_fraction must be in (0, 1]")
     source_order, relay_expect = (
         modulations if isinstance(modulations, tuple) else (modulations, None)
     )
     src_c = qam(source_order)
-    relay_order, shape = choose_compatible_modulation(source_order, plan.B_DL, plan.deltaB)
+    if not configs:
+        return Sweep()
+    orders, shapes, downlinks, links = zip(
+        *(_df_plan(params, c, source_order, coop_bandwidth_fraction) for c in configs)
+    )
+    if len(set(zip(orders, shapes))) > 1:
+        raise ValueError("every config of a DF sweep must resolve the same block shape "
+                         "and relay order")
+    relay_order, shape = orders[0], shapes[0]
     if combiner == "mld":
         ensure_enumerable(shape.n)  # fail before building any error model
     if relay_expect is not None and relay_expect != relay_order:
@@ -383,75 +441,65 @@ def simulate_df(
             "weight-and-add combining requires the relay to reuse the source constellation"
         )
 
-    # m equal-power repeats (amplitude a, noise N) of one relay block are
-    # sufficient as their sum: one branch of gain m*a and noise m*N, drawn in
-    # the order of each relay's first send
-    sched = power_schedule(params, cfg)
-    links: list[tuple[Receiver, float, float]] = []  # (relay, gain, noise)
-    for relay in dict.fromkeys(Receiver(i % 2 + 1) for i in np.flatnonzero(sched)):
-        powers = sched[:, relay.value - 1]
-        m = int(np.count_nonzero(powers))
-        noise = plan.N12 if relay is Receiver.R1 else plan.N21
-        links.append((relay, m * math.sqrt(powers.max()), m * noise))
-    downlink_noise = {Receiver.R1: plan.N1, Receiver.R2: plan.N2}
-
-    tc = trial_config
-
-    def build_model(relay: Receiver) -> RelayErrorModel:
-        if relay_model == "genie":
-            return RelayErrorModel.error_free(src_c)
-        return estimate_relay_errors(src_c, rel_c, amp_s, downlink_noise[relay])
-
-    # weight-and-add never reads the error model, so it skips building it
-    models = {relay: build_model(relay) for relay, _, _ in links} if combiner == "mld" else {}
+    # the relay's substitution law depends only on its downlink noise power;
+    # weight-and-add never reads it, so it skips building any
+    models: dict[float, RelayErrorModel] = {}
+    if combiner == "mld":
+        for noises, config_links in zip(downlinks, links):
+            for relay, _, _ in config_links:
+                noise = noises[relay.value - 1]
+                if noise not in models:
+                    models[noise] = (RelayErrorModel.error_free(src_c) if relay_model == "genie"
+                                     else estimate_relay_errors(src_c, rel_c, amp_s, noise))
 
     def decide(y: np.ndarray, observations: list[RelayObservation], noise: float) -> np.ndarray:
         if combiner == "mld":
             return mld_llr_batch(y, observations, shape, src_c, rel_c, amp_s, noise) > 1.0
         return _mrc_decisions(y, observations, src_c, amp_s, noise)
 
+    tc = trial_config
     blocks_per_batch = max(1, min(BATCH_SYMBOLS // shape.s, _MLD_CELL_CAP >> shape.n))
     total_blocks = -(-tc.trials // shape.s)
-    n_batches = -(-total_blocks // blocks_per_batch)
-    tally = {"symbols": 0, "blocks": 0, "err_I": 0, "err_II": 0, "err_sys": 0}
 
-    def worker(b: int) -> tuple:
+    def worker(b: int, active: tuple[int, ...]) -> list[tuple]:
         T = min(blocks_per_batch, total_blocks - b * blocks_per_batch)
         rng = _rng(tc.seed, b)
         bits = rng.integers(0, 2, (T, shape.n), dtype=np.int8)
         x = amp_s * src_c.points[src_c.bits_to_indices(bits)]
-        direct = {dest: x + _cn(rng, downlink_noise[dest], x.shape) for dest in Receiver}
-        received: dict[Receiver, list[RelayObservation]] = {Receiver.R1: [], Receiver.R2: []}
-        for relay, gain, noise in links:
-            if relay_model == "genie":  # perfect decoding: transmit the true block
-                labels = rel_c.bits_to_indices(bits)
-            else:
-                labels = relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s)
-            y = gain * rel_c.points[labels] + _cn(rng, noise, (T, shape.r))
-            received[relay.other] = [RelayObservation(y, gain, noise, models.get(relay))]
-        wrong_I, wrong_II = (
-            decide(direct[dest], received[dest], downlink_noise[dest]) != bits
-            for dest in Receiver
-        )
-        return T, int(wrong_I.sum()), int(wrong_II.sum()), int((wrong_I | wrong_II).sum())
+        unit_direct = [_unit_cn(rng, x.shape) for _ in Receiver]
+        unit_links = [_unit_cn(rng, (T, shape.r))
+                      for _ in range(max(len(links[c]) for c in active))]
+        if relay_model == "genie":  # perfect decoding: every relay transmits the true block
+            true_labels = rel_c.bits_to_indices(bits)
+        groups: dict[tuple[float, float], list[int]] = {}  # downlink noises -> configs
+        for c in active:
+            groups.setdefault(downlinks[c], []).append(c)
+        out: dict[int, tuple] = {}
+        for noises, members in groups.items():
+            direct = {dest: x + math.sqrt(noises[dest.value - 1] / 2.0) * g
+                      for dest, g in zip(Receiver, unit_direct)}
+            if len(out) + len(members) == len(active):  # last group: free the draws early
+                unit_direct.clear()
+            labels: dict[Receiver, np.ndarray] = {}
+            for c in members:
+                received: dict[Receiver, list[RelayObservation]] = {r: [] for r in Receiver}
+                for (relay, gain, noise), g in zip(links[c], unit_links):
+                    if relay not in labels:
+                        labels[relay] = (true_labels if relay_model == "genie" else
+                                         relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s))
+                    y = gain * rel_c.points[labels[relay]] + math.sqrt(noise / 2.0) * g
+                    model = models.get(noises[relay.value - 1])
+                    received[relay.other] = [RelayObservation(y, gain, noise, model)]
+                wrong_I, wrong_II = (
+                    decide(direct[dest], received[dest], noises[dest.value - 1]) != bits
+                    for dest in Receiver
+                )
+                out[c] = (T * shape.s, T * shape.n, int(wrong_I.sum()), int(wrong_II.sum()),
+                          int((wrong_I | wrong_II).sum()))
+            del direct, labels  # free this noise level's signals before forming the next
+        return [out[c] for c in active]
 
-    def fold(res: tuple) -> None:
-        T, e1, e2, es = res
-        tally["blocks"] += T
-        tally["symbols"] += T * shape.s
-        tally["err_I"] += e1
-        tally["err_II"] += e2
-        tally["err_sys"] += es
-
-    _run_ordered(worker, n_batches, threads, fold,
-                 lambda: _stop_on_target(tc, tally, tally["blocks"] * shape.n))
-
-    bits_total = tally["blocks"] * shape.n
-    return DfRunResult(
-        ber_I=BerEstimate.from_counts(tally["err_I"], bits_total, tally["symbols"]),
-        ber_II=BerEstimate.from_counts(tally["err_II"], bits_total, tally["symbols"]),
-        pe_sys=BerEstimate.from_counts(tally["err_sys"], bits_total, tally["symbols"]),
-        source_order=source_order,
-        relay_order=relay_order,
-        shape=shape,
-    )
+    totals = _run_ordered(worker, len(configs), -(-total_blocks // blocks_per_batch), threads,
+                          lambda t: _stop_on_target(tc, t))
+    return Sweep(DfRunResult(*_ber_estimates(t), source_order, relay_order, shape)
+                 for t in totals)

@@ -86,10 +86,9 @@ def test_criterion_01_analytic_vs_monte_carlo_snr():
         for idx, (kind, strat, K) in enumerate(combos):
             params = draw_params(rng)
             regime = Regime.H1 if idx % 2 == 0 else Regime.H2
-            scheme = (Symmetric(max(K, 1)) if kind == "symmetric"
-                      else Asymmetric(max(K, 1), Receiver.R1))
+            scheme = Symmetric(K) if kind == "symmetric" else Asymmetric(K, Receiver.R1)
             cfg = CoopConfig(Protocol.AF, scheme, strat, regime)
-            r = simulate_af(params, cfg, K, TrialConfig(1_000_000, seed=master_seed + idx))
+            r = simulate_af(params, [cfg], TrialConfig(1_000_000, seed=master_seed + idx))[0]
             for emp, ana in ((r.snr_I, r.analytic.rho_I), (r.snr_II, r.analytic.rho_II)):
                 assert abs(emp.value - ana) <= 3.0 * emp.stderr, (idx, kind, strat, K)
         assert time.perf_counter() - t0 < 120.0
@@ -306,8 +305,8 @@ def test_criterion_09_mld_vs_mrc_under_df():
         params = from_db(7, 3, 30, 30)
         cfg = CoopConfig(Protocol.DF, Asymmetric(1, Receiver.R1), Strategy.S1, Regime.H2)
         tc = TrialConfig(500_000, seed=9)  # 4-QAM: 1e6 bits
-        mld = simulate_df(params, cfg, 1, 4, tc, combiner="mld")
-        mrc = simulate_df(params, cfg, 1, 4, tc, combiner="mrc")
+        mld = simulate_df(params, [cfg], 4, tc, combiner="mld")[0]
+        mrc = simulate_df(params, [cfg], 4, tc, combiner="mrc")[0]
         gap = mrc.ber_II.ber - mld.ber_II.ber
         sigma = math.hypot(mld.ber_II.stderr, mrc.ber_II.stderr)
         assert mld.ber_II.ber <= mrc.ber_II.ber
@@ -322,12 +321,9 @@ def test_criterion_10_df_exchange_count_floor():
         t0 = time.perf_counter()
         for db in ((7, 3, 30, 30), (7, 3, 2, 2)):
             params = from_db(*db)
-            points = []
-            for k in range(5):
-                cfg = CoopConfig(Protocol.DF, Asymmetric(max(k, 1), Receiver.R1),
-                                 Strategy.S1, Regime.H2)
-                r = simulate_df(params, cfg, k, 4, TrialConfig(500_000, seed=12))
-                points.append(r.pe_sys)
+            configs = [CoopConfig(Protocol.DF, Asymmetric(k, Receiver.R1), Strategy.S1, Regime.H2)
+                       for k in range(5)]
+            points = [r.pe_sys for r in simulate_df(params, configs, 4, TrialConfig(500_000, seed=12))]
             best = min(range(5), key=lambda k: points[k].ber)
             slack = math.hypot(points[2].stderr, points[best].stderr)
             assert points[2].ber <= points[best].ber + slack, (db, [p.ber for p in points])
@@ -348,13 +344,13 @@ def test_criterion_11_system_error_rate_sandwich():
                 Strategy.S1 if i % 4 < 2 else Strategy.S2,
                 Regime.H1 if i % 2 == 0 else Regime.H2)
             runs.append((params, cfg,
-                         simulate_af(params, cfg, None, TrialConfig(100_000, seed=i))))
+                         simulate_af(params, [cfg], TrialConfig(100_000, seed=i))[0]))
         for i in range(3):
             params = draw_params(rng)
             cfg = CoopConfig(Protocol.DF, Asymmetric(2, Receiver.R1),
                              Strategy.S1, Regime.H2)
             runs.append((params, cfg,
-                         simulate_df(params, cfg, 2, 4, TrialConfig(100_000, seed=i))))
+                         simulate_df(params, [cfg], 4, TrialConfig(100_000, seed=i))[0]))
         for params, cfg, r in runs:
             assert max(r.ber_I.errors, r.ber_II.errors) <= r.pe_sys.errors
             assert r.pe_sys.errors <= r.ber_I.errors + r.ber_II.errors

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -66,6 +67,11 @@ starter = r1
 trials = 30000
 seed = 5
 """
+
+# both receivers relay, receiver 2 first, over links weak enough that every
+# cooperation noise draw moves the error counts
+DF_R2_TEXT = (DF_TEXT.replace("starter = r1", "starter = r2").replace("k_max = 1", "k_max = 2")
+              .replace("snr12 = 30", "snr12 = 5").replace("snr21 = 30", "snr21 = 5"))
 
 REGIONS_TEXT = """
 [channel]
@@ -253,6 +259,19 @@ class TestDeterminism:
         assert main([command, "--scenario", path, "--out", str(a)]) == 0
         assert main([command, "--scenario", path, "--out", str(b), "--threads", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command, text, digest", [
+        ("ber", AF_TEXT, "a1c0600a471f3a635c8da6f3382838d78ecf3514c148651d2cb6b154787a0e5d"),
+        ("compare", AF_TEXT, "d1b4d625c01a6063f97b87f2148141723d2c4078dbed13515da7640ca6e4b647"),
+        ("ber", DF_R2_TEXT, "fff0631c3cd76898efd1dc7f6b99cee4f404dec0c9f2460f4c4f510627cee657"),
+        ("compare", DF_R2_TEXT, "c488d2945f6ab9d05aff087bdbc1c969cebfc0b5b7120e613b6c5b89d033a4f5"),
+    ])
+    def test_monte_carlo_csv_is_pinned(self, scenario_file, tmp_path, command, text, digest):
+        # a change to any draw, scaling, decision or tally of the samplers
+        # moves these hashes; a deliberate change to the numbers re-pins them
+        out = tmp_path / "out.csv"
+        assert main([command, "--scenario", scenario_file(text), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_seed_override_changes_monte_carlo_output(self, scenario_file, tmp_path):
         path = scenario_file(DF_TEXT)
