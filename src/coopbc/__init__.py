@@ -16,9 +16,8 @@ from .channel import (
     Strategy,
     Symmetric,
     plan_bandwidth,
-    power_per_exchange,
     power_schedule,
-    transmissions_per_step,
+    transmissions,
 )
 from .af import (
     SnrState,

@@ -25,7 +25,7 @@ The final (Z_I, Z_II) block is the noise law the Monte Carlo sampler draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -73,23 +73,22 @@ class SnrState:
 @dataclass(frozen=True)
 class SnrTrajectory:
     states: tuple[SnrState, ...]
-    params: ChannelParams
-    config: CoopConfig
-    plan: BandwidthPlan
 
 
 def evolve(
-    P, noises: np.ndarray, powers: np.ndarray, forward_original: bool
+    P, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray, forward_original: bool
 ) -> Iterator[np.ndarray]:
     """Run the unit-gain covariance recursion for S scenarios at once.
 
     P: source power, (S,) or a scalar; noises: (S, 4) plan noise powers
-    (N1, N2, N12, N21); powers: (S, K, 2) cooperation power sent from
-    receiver 1 to 2 and from 2 to 1 at each step, zero where silent. Yields
-    K + 1 covariances (S, 4, 4): the initial state, then one per step. A
-    silent or singular combine leaves its receiver's state exactly as it was.
+    (N1, N2, N12, N21); periods: (S, 2, 2) power schedules (see
+    `channel.power_schedule`): step t sends row t % 2, the power from
+    receiver 1 to 2 and from 2 to 1, zero where silent; counts: (S,) steps
+    per scenario, all silent past its count. Yields max(counts) + 1
+    covariances (S, 4, 4): the initial state, then one per step. A silent or
+    singular combine leaves its receiver's state exactly as it was.
     """
-    S, K = powers.shape[:2]
+    S, K = len(counts), int(np.max(counts, initial=0))
     N1, N2, N12, N21 = np.moveaxis(np.asarray(noises, dtype=float), -1, 0)
     P = np.asarray(P, dtype=float)[..., None]
     C = np.zeros((S, 4, 4))
@@ -105,7 +104,8 @@ def evolve(
     repeats = np.zeros((S, 2))
     unchanged = np.broadcast_to(eye[2:], (S, 2, 4))  # the downlink noises
     for t in range(K):
-        p = powers[:, t, ::-1]  # power each receiver hears
+        # power each receiver hears
+        p = np.where((t < counts)[:, None], periods[:, t % 2, ::-1], 0.0)
         live = p > 0.0
         repeats += live
         m = repeats if forward_original else 1.0
@@ -129,10 +129,10 @@ def evolve(
 
 
 def final_covariance(
-    P, noises: np.ndarray, powers: np.ndarray, forward_original: bool
+    P, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray, forward_original: bool
 ) -> np.ndarray:
     """Covariance (S, 4, 4) after the last step of `evolve`."""
-    for C in evolve(P, noises, powers, forward_original):
+    for C in evolve(P, noises, periods, counts, forward_original):
         pass
     return C
 
@@ -146,41 +146,35 @@ def _plan_noises(plan: BandwidthPlan) -> tuple[float, float, float, float]:
     return plan.N1, plan.N2, plan.N12, plan.N21
 
 
-def campaign(params: ChannelParams, config: CoopConfig,
-             count: Optional[int] = None) -> SnrTrajectory:
-    """Run one cooperation campaign of `count` scheme steps (default: the
-    config's count) under its bandwidth plan and power split.
+def campaign(params: ChannelParams, config: CoopConfig) -> SnrTrajectory:
+    """Run one cooperation campaign of the config's count of scheme steps
+    under its bandwidth plan and power schedule.
 
     The trajectory holds one state per step, index 0 = before cooperation at
     this campaign's bandwidth plan.
     """
-    cfg = config if count is None else config.with_count(count)
-    plan = plan_bandwidth(params, cfg)
-    steps = evolve(params.P, np.array([_plan_noises(plan)]), power_schedule(params, cfg)[None],
-                   cfg.strategy is Strategy.S2)
-    states = tuple(_state(i, params.P, C[0]) for i, C in enumerate(steps))
-    return SnrTrajectory(states, params, cfg, plan)
+    steps = evolve(params.P, np.array([_plan_noises(plan_bandwidth(params, config))]),
+                   power_schedule(params, config)[None], np.array([config.count]),
+                   config.strategy is Strategy.S2)
+    return SnrTrajectory(tuple(_state(i, params.P, C[0]) for i, C in enumerate(steps)))
 
 
 def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> SnrTrajectory:
     """Equivalent SNRs as a function of the exchange count.
 
     Entry i is the final state of an i-step campaign run under the bandwidth
-    plan and power split belonging to count i (entry 0 = pure broadcast), so
+    plan and power schedule belonging to count i (entry 0 = pure broadcast), so
     the trajectory answers "what do the receivers end up with if the system is
     provisioned for i exchanges". All counts run as one batch.
     """
     if K < 0:
         raise ValueError("exchange count must be >= 0")
     configs = [config.with_count(k) for k in range(K + 1)]
-    plans = [plan_bandwidth(params, c) for c in configs]
-    powers = np.zeros((K + 1, K, 2))
-    for k, c in enumerate(configs):
-        powers[k, :k] = power_schedule(params, c)
-    C = final_covariance(params.P, np.array([_plan_noises(p) for p in plans]), powers,
-                         config.strategy is Strategy.S2)
-    states = tuple(_state(k, params.P, C[k]) for k in range(K + 1))
-    return SnrTrajectory(states, params, configs[-1], plans[-1])
+    C = final_covariance(params.P,
+                         np.array([_plan_noises(plan_bandwidth(params, c)) for c in configs]),
+                         np.array([power_schedule(params, c) for c in configs]),
+                         np.arange(K + 1), config.strategy is Strategy.S2)
+    return SnrTrajectory(tuple(_state(k, params.P, C[k]) for k in range(K + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ receiver 2) and n21, spending total cooperation power budgets P12, P21.
 Two regimes split the spectrum: under H1 the total bandwidth B is fixed and the
 downlink shrinks as cooperation sub-channels are added; under H2 the downlink
 keeps the full bandwidth B and cooperation bandwidth is added on top.
+
+Each receiver spends its cooperation budget evenly over its own transmissions.
+Under the symmetric scheme both receivers send every round; under the
+asymmetric scheme the starter sends ceil(K/2) times and its partner floor(K/2)
+times, alternating. `transmissions` gives the send counts, and
+`power_schedule` the per-send powers as a two-row period.
 """
 from __future__ import annotations
 
@@ -138,11 +144,6 @@ def _count_field(scheme: Scheme) -> str:
     return "pairs" if isinstance(scheme, Symmetric) else "exchanges"
 
 
-def transmissions_per_step(scheme: Scheme) -> int:
-    """Cooperation transmissions per scheme step (2 per symmetric round, 1 otherwise)."""
-    return 2 if isinstance(scheme, Symmetric) else 1
-
-
 @dataclass(frozen=True)
 class BandwidthPlan:
     """Bandwidth split and the resulting integrated noise powers (W)."""
@@ -164,8 +165,7 @@ def plan_bandwidth(params: ChannelParams, config: CoopConfig) -> BandwidthPlan:
     K = 0 yields B_DL = B, B_C = 0 under both regimes.
     """
     B = params.B
-    k = config.count
-    n_coop = k * transmissions_per_step(config.scheme)  # cooperation sub-channels
+    n_coop = sum(transmissions(config))  # cooperation sub-channels
     if n_coop == 0:
         B_DL, deltaB = B, B  # deltaB irrelevant without cooperation
     elif config.regime is Regime.H1:
@@ -186,56 +186,29 @@ def plan_bandwidth(params: ChannelParams, config: CoopConfig) -> BandwidthPlan:
     )
 
 
-def power_per_exchange(params: ChannelParams, config: CoopConfig, i: int) -> tuple[float, float]:
-    """Per-exchange cooperation powers (P12_i, P21_i) for exchange index `i`.
-
-    Symmetric: each receiver spends budget/Ks per round. Asymmetric: the starter
-    transmits ceil(Ka/2) times at 2*budget/Ka (Ka even) or 2*budget/(Ka+1)
-    (Ka odd); the other receiver (Ka-1)//2 or Ka//2 times at 2*budget/Ka or
-    2*budget/(Ka-1). Ka = 1 is a starter-only round: the non-starter transmits
-    nothing and its per-exchange power is reported as zero.
-    """
+def transmissions(config: CoopConfig) -> tuple[int, int]:
+    """Cooperation transmissions (n1, n2) that receivers 1 and 2 send in a
+    campaign: K each under the symmetric scheme; ceil(K/2) for the starter
+    and floor(K/2) for its partner under the asymmetric scheme."""
     k = config.count
-    if k < 1:
-        raise ValueError("power split requires at least one exchange")
-    if not 1 <= i <= k:
-        raise ValueError(f"exchange index {i} outside 1..{k}")
     scheme = config.scheme
     if isinstance(scheme, Symmetric):
-        return params.P12 / k, params.P21 / k
-    if k % 2 == 0:
-        starter_power = 2.0 * _budget(params, scheme.starter) / k
-        other_power = 2.0 * _budget(params, scheme.starter.other) / k
-    else:
-        starter_power = 2.0 * _budget(params, scheme.starter) / (k + 1)
-        other_power = 0.0 if k == 1 else 2.0 * _budget(params, scheme.starter.other) / (k - 1)
-    p = {scheme.starter: starter_power, scheme.starter.other: other_power}
-    return p[Receiver.R1], p[Receiver.R2]
+        return k, k
+    first, second = (k + 1) // 2, k // 2
+    return (first, second) if scheme.starter is Receiver.R1 else (second, first)
 
 
 def power_schedule(params: ChannelParams, config: CoopConfig) -> np.ndarray:
-    """Cooperation power sent from receiver 1 to 2 and from 2 to 1 at each
-    exchange 1..K, shape (K, 2); zero where a receiver is silent.
+    """Cooperation power sent from receiver 1 to 2 and from 2 to 1, as a (2, 2)
+    period: exchange t (from 0) sends row t % 2.
 
-    Every transmission of one receiver in a campaign carries the same power,
-    so the split of power_per_exchange is laid out over the transmission
-    pattern of the scheme (both receivers every round, or alternating).
+    Each receiver spends its budget evenly over its own transmissions (zero
+    when it sends none). Symmetric: both rows carry both powers. Asymmetric:
+    row 0 carries the starter's power, row 1 its partner's.
     """
-    k = config.count
-    schedule = np.zeros((k, 2))
-    if k == 0:
-        return schedule
-    powers = power_per_exchange(params, config, 1)
-    scheme = config.scheme
-    if isinstance(scheme, Symmetric):
-        schedule[:] = powers
-    else:
-        first = scheme.starter.value - 1
-        schedule[0::2, first] = powers[first]
-        schedule[1::2, 1 - first] = powers[1 - first]
-    return schedule
-
-
-def _budget(params: ChannelParams, receiver: Receiver) -> float:
-    return params.P12 if receiver is Receiver.R1 else params.P21
-
+    budgets = (params.P12, params.P21)
+    per_send = [b / n if n else 0.0 for b, n in zip(budgets, transmissions(config))]
+    if isinstance(config.scheme, Symmetric):
+        return np.array([per_send, per_send])
+    period = np.diag(per_send)  # row r: receiver r + 1 sends
+    return period if config.scheme.starter is Receiver.R1 else period[::-1]

@@ -159,8 +159,8 @@ def cmd_regions(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[
     """Winning-strategy map over a log grid of receiver noise densities."""
     _require_af(s, "regions")
     grid = np.logspace(math.log10(s.grid_min), math.log10(s.grid_max), s.grid_points)
-    rmap = decision_regions(s.params, s.config, s.config.count,
-                            n1_grid=grid, n2_grid=grid, ratios_db=s.ratios_db)
+    rmap = decision_regions(s.params, s.config, n1_grid=grid, n2_grid=grid,
+                            ratios_db=s.ratios_db)
     rows: list[list[Cell]] = []
     for r_idx, ratio in enumerate(rmap.ratios_db):
         for i, n1 in enumerate(rmap.n1_grid):
@@ -174,12 +174,13 @@ def cmd_regions(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[
 def cmd_compare(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
     """AF under both forwarding strategies versus DF, shared seed, per count."""
     counts = range(s.k_max + 1)
+    # without an exchange there is no strategy: S2 at k = 0 is the S1 campaign
     af = [dataclasses.replace(s.config, protocol=Protocol.AF, strategy=strategy).with_count(k)
-          for strategy in (Strategy.S1, Strategy.S2) for k in counts]
+          for strategy, ks in ((Strategy.S1, counts), (Strategy.S2, counts[1:])) for k in ks]
     df = [dataclasses.replace(s.config, protocol=Protocol.DF).with_count(k) for k in counts]
     af_runs, df_runs = _sweep(s, af, args), _sweep(s, df, args)
     rows: list[list[Cell]] = []
-    for k, *runs in zip(counts, af_runs, af_runs[len(counts):], df_runs):
+    for k, *runs in zip(counts, af_runs, af_runs[:1] + af_runs[len(counts):], df_runs):
         row: list[Cell] = [k]
         for r in runs:
             row += [max(r.ber_I.ber, r.ber_II.ber), r.pe_sys.ber]

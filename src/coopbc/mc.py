@@ -33,7 +33,7 @@ from .channel import (
     Receiver,
     plan_bandwidth,
     power_schedule,
-    transmissions_per_step,
+    transmissions,
 )
 from .df import (
     BlockShape,
@@ -350,20 +350,19 @@ def _df_plan(
         plan = replace(
             plan,
             deltaB=deltaB,
-            B_C=config.count * transmissions_per_step(config.scheme) * deltaB,
+            B_C=sum(transmissions(config)) * deltaB,
             N12=params.n12 * deltaB,
             N21=params.n21 * deltaB,
         )
     relay_order, shape = choose_compatible_modulation(source_order, plan.B_DL, plan.deltaB)
     # m equal-power repeats (amplitude a, noise N) of one relay block are
     # sufficient as their sum: one branch of gain m*a and noise m*N
-    sched = power_schedule(params, config)
+    period, sends = power_schedule(params, config), transmissions(config)
     links = []
-    for relay in dict.fromkeys(Receiver(i % 2 + 1) for i in np.flatnonzero(sched)):
-        powers = sched[:, relay.value - 1]
-        m = int(np.count_nonzero(powers))
+    for relay in dict.fromkeys(Receiver(i % 2 + 1) for i in np.flatnonzero(period)):
+        m = sends[relay.value - 1]
         noise = plan.N12 if relay is Receiver.R1 else plan.N21
-        links.append((relay, m * math.sqrt(powers.max()), m * noise))
+        links.append((relay, m * math.sqrt(period[:, relay.value - 1].max()), m * noise))
     return relay_order, shape, (plan.N1, plan.N2), links
 
 

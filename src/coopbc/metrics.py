@@ -141,16 +141,16 @@ def _starter_gaps(
     plan = plan_bandwidth(params, config)  # the split ignores noises and budgets
     noises = np.stack([n1 * plan.B_DL, n2 * plan.B_DL,
                        np.full(n1.shape, plan.N12), np.full(n1.shape, plan.N21)], axis=-1)
-    powers = [
+    periods = [
         np.array([
             power_schedule(replace(params, P12=p12, P21=p21),
                            replace(config, scheme=replace(config.scheme, starter=starter)))
             for p12, p21 in budgets
-        ]).reshape(len(budgets), config.count, 2)[ratio]
+        ])[ratio]
         for starter in (Receiver.R1, Receiver.R2)
     ]
-    C = final_covariance(params.P, np.concatenate([noises, noises]),
-                         np.concatenate(powers), config.strategy is Strategy.S2)
+    C = final_covariance(params.P, np.concatenate([noises, noises]), np.concatenate(periods),
+                         np.full(2 * len(n1), config.count), config.strategy is Strategy.S2)
     rates = rate_af(plan, (params.P / C[:, 0, 0], params.P / C[:, 1, 1]))
     r1, r2 = np.split(rates, 2)
     return r1 - r2, np.maximum(np.maximum(r1, r2), 1.0)
@@ -159,7 +159,6 @@ def _starter_gaps(
 def decision_regions(
     params: ChannelParams,
     config: CoopConfig,
-    K: int,
     *,
     n1_grid: Optional[Sequence[float]] = None,
     n2_grid: Optional[Sequence[float]] = None,
@@ -169,12 +168,13 @@ def decision_regions(
 
     The total cooperation budget params.P12 + params.P21 is reallocated per
     power ratio P12/P21; at every grid point the final worst-receiver rates of
-    the two starter choices are compared. Boundary crossings along each n1
-    column are refined with one geometric bisection step.
+    the two starter choices after the config's count of exchanges are
+    compared. Boundary crossings along each n1 column are refined with one
+    geometric bisection step.
     """
     if not isinstance(config.scheme, Asymmetric):
         raise ValueError("the starter comparison requires the asymmetric scheme")
-    if K < 1:
+    if config.count < 1:
         raise ValueError("the starter choice only exists for K >= 1")
     total = params.P12 + params.P21
     if not total > 0.0:
@@ -185,10 +185,8 @@ def decision_regions(
         raise ValueError("noise density grids must be finite and strictly positive")
     ratios = [10.0 ** (r / 10.0) for r in ratios_db]
     budgets = [(total * r / (1.0 + r), total / (1.0 + r)) for r in ratios]
-    cfg = config.with_count(K)
-
     r_idx, i_idx, j_idx = np.indices((len(ratios), len(n1g), len(n2g))).reshape(3, -1)
-    diffs, scale = _starter_gaps(params, cfg, n1g[i_idx], n2g[j_idx], budgets, r_idx)
+    diffs, scale = _starter_gaps(params, config, n1g[i_idx], n2g[j_idx], budgets, r_idx)
     diffs = diffs.reshape(len(ratios), len(n1g), len(n2g))
     scale = scale.reshape(diffs.shape)
     winners = np.zeros(diffs.shape, dtype=np.int8)
@@ -199,7 +197,7 @@ def decision_regions(
     r_c, i_c, j_c = np.nonzero(winners[:, :, :-1] * winners[:, :, 1:] < 0)
     lo, hi = n2g[j_c], n2g[j_c + 1]
     mid = np.sqrt(lo * hi)
-    d_mid, _ = _starter_gaps(params, cfg, n1g[i_c], mid, budgets, r_c)
+    d_mid, _ = _starter_gaps(params, config, n1g[i_c], mid, budgets, r_c)
     keep_lo = (d_mid > 0) == (diffs[r_c, i_c, j_c] > 0)
     refined = dict(zip(zip(r_c, i_c, j_c),
                        np.sqrt(np.where(keep_lo, mid, lo) * np.where(keep_lo, hi, mid))))

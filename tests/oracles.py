@@ -4,7 +4,8 @@ None of this is used by the package itself:
 
 - the verbatim scalar AF recursion (one exchange per call, unnormalized
   weights, forwarding the latest combiner output);
-- the asymmetric exchange parity rule (which receiver sends at exchange i);
+- the asymmetric exchange parity rule (which receiver sends at exchange i)
+  and the per-exchange cooperation power split, stated case by case;
 - the coefficient-vector AF campaign, which represents every combiner output
   exactly as Y = alpha X + sum_k c_k zeta_k over the elementary noises and
   combines forward-original branches with a joint MRC solve, together with
@@ -43,7 +44,6 @@ from coopbc.channel import (
     Strategy,
     Symmetric,
     plan_bandwidth,
-    power_per_exchange,
 )
 from coopbc.df import (
     BlockShape,
@@ -290,6 +290,50 @@ def transmitter_at(scheme: Scheme, i: int) -> Receiver:
     if not isinstance(scheme, Asymmetric):
         raise TypeError("exchange parity only applies to the asymmetric scheme")
     return scheme.starter if i % 2 == 1 else scheme.starter.other
+
+
+def power_per_exchange(params: ChannelParams, config: CoopConfig, i: int) -> tuple[float, float]:
+    """Per-exchange cooperation powers (P12_i, P21_i) for exchange index `i`.
+
+    Symmetric: each receiver spends budget/Ks per round. Asymmetric: the starter
+    transmits ceil(Ka/2) times at 2*budget/Ka (Ka even) or 2*budget/(Ka+1)
+    (Ka odd); the other receiver (Ka-1)//2 or Ka//2 times at 2*budget/Ka or
+    2*budget/(Ka-1). Ka = 1 is a starter-only round: the non-starter transmits
+    nothing and its per-exchange power is reported as zero.
+    """
+    k = config.count
+    if k < 1:
+        raise ValueError("power split requires at least one exchange")
+    if not 1 <= i <= k:
+        raise ValueError(f"exchange index {i} outside 1..{k}")
+    scheme = config.scheme
+    if isinstance(scheme, Symmetric):
+        return params.P12 / k, params.P21 / k
+    if k % 2 == 0:
+        starter_power = 2.0 * _budget(params, scheme.starter) / k
+        other_power = 2.0 * _budget(params, scheme.starter.other) / k
+    else:
+        starter_power = 2.0 * _budget(params, scheme.starter) / (k + 1)
+        other_power = 0.0 if k == 1 else 2.0 * _budget(params, scheme.starter.other) / (k - 1)
+    p = {scheme.starter: starter_power, scheme.starter.other: other_power}
+    return p[Receiver.R1], p[Receiver.R2]
+
+
+def _budget(params: ChannelParams, receiver: Receiver) -> float:
+    return params.P12 if receiver is Receiver.R1 else params.P21
+
+
+def exchange_powers(params: ChannelParams, config: CoopConfig) -> np.ndarray:
+    """(K, 2) power sent from receiver 1 to 2 and from 2 to 1 at each exchange
+    1..K under `power_per_exchange`, zero where a receiver is silent."""
+    rows = []
+    for i in range(1, config.count + 1):
+        powers = power_per_exchange(params, config, i)
+        sends = ((True, True) if isinstance(config.scheme, Symmetric)
+                 else (transmitter_at(config.scheme, i) is Receiver.R1,
+                       transmitter_at(config.scheme, i) is Receiver.R2))
+        rows.append([p if s else 0.0 for p, s in zip(powers, sends)])
+    return np.array(rows).reshape(config.count, 2)
 
 
 @dataclass(frozen=True)

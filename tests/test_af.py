@@ -4,6 +4,7 @@ against the verbatim scalar recursion and the coefficient-vector campaign of
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from coopbc.channel import (
     Strategy,
     Symmetric,
     plan_bandwidth,
-    power_per_exchange,
 )
 from oracles import (
     SnrState,
@@ -30,6 +30,7 @@ from oracles import (
     initial_state,
     mi_conservation_check,
     mrc_weights_symmetric,
+    power_per_exchange,
     ratio_form_snr,
     s1_vs_s2_numerator,
     step_asymmetric,
@@ -352,7 +353,8 @@ class TestEngineRobustness:
         # never loses SNR, and no receiver beats owning both downlinks
         params, config = scenario
         traj = campaign(params, config)
-        ceiling = params.P / traj.plan.N1 + params.P / traj.plan.N2
+        plan = plan_bandwidth(params, config)
+        ceiling = params.P / plan.N1 + params.P / plan.N2
         prev = None
         for s in traj.states:
             for rho in (s.rho_I, s.rho_II):
@@ -384,7 +386,7 @@ class TestRunRecursion:
     def test_forward_original_flat_under_fixed_downlink(self):
         cfg = _cfg(Symmetric(5), Strategy.S2, Regime.H2)
         traj = run_recursion(TWO_BRANCH, cfg, 5)
-        rI, rII = s2_closed_form(TWO_BRANCH, traj.plan, 5)
+        rI, rII = s2_closed_form(TWO_BRANCH, plan_bandwidth(TWO_BRANCH, cfg), 5)
         for s in traj.states[1:]:
             assert s.rho_I == pytest.approx(rI, rel=1e-12)
             assert s.rho_II == pytest.approx(rII, rel=1e-12)
@@ -399,6 +401,19 @@ class TestRunRecursion:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             run_recursion(TWO_BRANCH, _cfg(Symmetric(1)), -1)
+
+    @pytest.mark.parametrize("scheme", [Symmetric(1), Asymmetric(1, Receiver.R2)])
+    def test_memory_is_linear_in_the_count(self, scheme):
+        # a per-step power layout of every count would hold (K + 1) x K x 2
+        # floats: 16 MiB at K = 1024
+        tracemalloc.start()
+        try:
+            traj = run_recursion(TWO_BRANCH, _cfg(scheme), 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) == 1025
+        assert peak < 4 * 2**20
 
 
 FROZEN = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=1.0, n21=1.0, P12=0.0, P21=100.0, B=1.0)
@@ -422,7 +437,7 @@ class TestClosedForm:
     def test_matches_recursion(self, params, Ks, regime):
         cfg = _cfg(Symmetric(Ks), Strategy.S2, regime)
         traj = run_recursion(params, cfg, Ks)
-        rI, rII = s2_closed_form(params, traj.plan, Ks)
+        rI, rII = s2_closed_form(params, plan_bandwidth(params, cfg), Ks)
         assert traj.states[-1].rho_I == pytest.approx(rI, rel=1e-9)
         assert traj.states[-1].rho_II == pytest.approx(rII, rel=1e-9)
 

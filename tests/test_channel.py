@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopbc.channel import (
     Asymmetric,
@@ -16,11 +18,10 @@ from coopbc.channel import (
     Strategy,
     Symmetric,
     plan_bandwidth,
-    power_per_exchange,
     power_schedule,
-    transmissions_per_step,
+    transmissions,
 )
-from oracles import transmitter_at
+from oracles import exchange_powers, transmitter_at
 
 PARAMS = ChannelParams(P=10.0, n1=0.5, n2=2.0, n12=0.25, n21=1.0, P12=4.0, P21=6.0, B=8.0)
 
@@ -64,36 +65,44 @@ class TestBandwidthPlan:
         assert plan.N21 == pytest.approx(PARAMS.n21 * plan.deltaB)
 
 
+def _layout(period: np.ndarray, k: int) -> np.ndarray:
+    """(k, 2) powers of exchanges 1..k: exchange t (from 0) sends row t % 2."""
+    return period[np.arange(k) % 2]
+
+
 class TestPowerPerExchange:
     def test_symmetric_even_split(self):
         cfg = _cfg(Symmetric(4))
-        for i in range(1, 5):
-            assert power_per_exchange(PARAMS, cfg, i) == (1.0, 1.5)
+        assert transmissions(cfg) == (4, 4)
+        assert power_schedule(PARAMS, cfg).tolist() == [[1.0, 1.5], [1.0, 1.5]]
 
     def test_asymmetric_even_count(self):
         cfg = _cfg(Asymmetric(2))
-        assert power_per_exchange(PARAMS, cfg, 1) == (4.0, 6.0)
-        assert power_per_exchange(PARAMS, cfg, 2) == (4.0, 6.0)
+        assert transmissions(cfg) == (1, 1)
+        assert power_schedule(PARAMS, cfg).tolist() == [[4.0, 0.0], [0.0, 6.0]]
 
     def test_asymmetric_odd_count(self):
         # starter transmits (Ka+1)/2 times, the partner (Ka-1)/2 times
         cfg = _cfg(Asymmetric(3))
-        assert power_per_exchange(PARAMS, cfg, 1) == (2.0, 6.0)
+        assert transmissions(cfg) == (2, 1)
+        assert power_schedule(PARAMS, cfg).tolist() == [[2.0, 0.0], [0.0, 6.0]]
 
     def test_single_exchange_is_starter_only(self):
         cfg = _cfg(Asymmetric(1))
-        assert power_per_exchange(PARAMS, cfg, 1) == (4.0, 0.0)
+        assert transmissions(cfg) == (1, 0)
+        assert power_schedule(PARAMS, cfg).tolist() == [[4.0, 0.0], [0.0, 0.0]]
         cfg2 = _cfg(Asymmetric(1, starter=Receiver.R2))
-        assert power_per_exchange(PARAMS, cfg2, 1) == (0.0, 6.0)
+        assert transmissions(cfg2) == (0, 1)
+        assert power_schedule(PARAMS, cfg2).tolist() == [[0.0, 6.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("starter", [Receiver.R1, Receiver.R2])
     def test_asymmetric_budget_conservation(self, k, starter):
         cfg = _cfg(Asymmetric(k, starter=starter))
         spent = {Receiver.R1: 0.0, Receiver.R2: 0.0}
-        for i in range(1, k + 1):
-            p12, p21 = power_per_exchange(PARAMS, cfg, i)
+        for i, (p12, p21) in enumerate(_layout(power_schedule(PARAMS, cfg), k), start=1):
             tx = transmitter_at(cfg.scheme, i)
+            assert (p21 if tx is Receiver.R1 else p12) == 0.0  # the listener is silent
             spent[tx] += p12 if tx is Receiver.R1 else p21
         assert spent[starter] == pytest.approx(4.0 if starter is Receiver.R1 else 6.0)
         other_budget = 6.0 if starter is Receiver.R1 else 4.0
@@ -102,7 +111,7 @@ class TestPowerPerExchange:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_symmetric_budget_conservation(self, k):
         cfg = _cfg(Symmetric(k))
-        total = np.sum([power_per_exchange(PARAMS, cfg, i) for i in range(1, k + 1)], axis=0)
+        total = _layout(power_schedule(PARAMS, cfg), k).sum(axis=0)
         assert total == pytest.approx([4.0, 6.0])
 
     @pytest.mark.parametrize("scheme", [
@@ -110,31 +119,39 @@ class TestPowerPerExchange:
     ])
     def test_schedule_lays_out_the_split(self, scheme):
         cfg = _cfg(scheme)
-        schedule = power_schedule(PARAMS, cfg)
-        assert schedule.shape == (cfg.count, 2)
-        for i, row in enumerate(schedule, start=1):
-            powers = power_per_exchange(PARAMS, cfg, i)
-            sends = ((True, True) if isinstance(scheme, Symmetric)
-                     else (transmitter_at(scheme, i) is Receiver.R1,
-                           transmitter_at(scheme, i) is Receiver.R2))
-            assert tuple(row) == tuple(p if s else 0.0 for p, s in zip(powers, sends))
+        period = power_schedule(PARAMS, cfg)
+        assert period.shape == (2, 2)
+        assert _layout(period, cfg.count).tolist() == exchange_powers(PARAMS, cfg).tolist()
 
-    def test_index_bounds(self):
-        cfg = _cfg(Symmetric(2))
-        with pytest.raises(ValueError):
-            power_per_exchange(PARAMS, cfg, 0)
-        with pytest.raises(ValueError):
-            power_per_exchange(PARAMS, cfg, 3)
-        with pytest.raises(ValueError):
-            power_per_exchange(PARAMS, _cfg(Symmetric(0)), 1)
+    @given(
+        scheme=st.one_of(
+            st.builds(Symmetric, st.integers(0, 64)),
+            st.builds(Asymmetric, st.integers(0, 64), st.sampled_from(list(Receiver))),
+        ),
+        budgets=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-300, 1e300))] * 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_period_equals_the_per_exchange_split(self, scheme, budgets):
+        # budget / sends and the case-by-case 2 budget / k or 2 budget / (k + 1)
+        # are correctly rounded quotients of one real number, so equal
+        params = dataclasses.replace(PARAMS, P12=budgets[0], P21=budgets[1])
+        cfg = _cfg(scheme)
+        expected = exchange_powers(params, cfg)
+        assert np.array_equal(_layout(power_schedule(params, cfg), cfg.count), expected)
+        if 0.0 not in budgets:  # a receiver's power goes out on its transmissions only
+            assert transmissions(cfg) == tuple((expected > 0).sum(axis=0))
 
 
 class TestSchemes:
     def test_counts_and_transmissions(self):
         assert Symmetric(3).count == 3
         assert Asymmetric(5).count == 5
-        assert transmissions_per_step(Symmetric(3)) == 2
-        assert transmissions_per_step(Asymmetric(3)) == 1
+        assert transmissions(_cfg(Symmetric(3))) == (3, 3)
+        assert transmissions(_cfg(Asymmetric(3))) == (2, 1)
+        assert transmissions(_cfg(Asymmetric(3, starter=Receiver.R2))) == (1, 2)
+        for scheme in (Symmetric(0), Symmetric(3), Asymmetric(0), Asymmetric(5)):
+            plan = plan_bandwidth(PARAMS, _cfg(scheme))  # one sub-channel per transmission
+            assert plan.B_C == pytest.approx(sum(transmissions(_cfg(scheme))) * plan.deltaB)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from coopbc.channel import (
 )
 from coopbc.cli import main
 from coopbc.errors import EnumerationBoundError
+from coopbc.mc import simulate_af
 
 AF_TEXT = """
 [channel]
@@ -234,6 +235,25 @@ class TestOutputs:
         for r in rows:
             assert all(0.0 <= float(v) <= 1.0 for v in r[1:])
 
+    def test_compare_samples_k0_once(self, capsys, scenario_file, monkeypatch):
+        # without an exchange S1 and S2 are one campaign: the AF sweep samples
+        # it once and both strategy columns report it
+        sizes = []
+
+        def spy(params, configs, *args, **kwargs):
+            sizes.append(len(configs))
+            return simulate_af(params, configs, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_af", spy)
+        text = AF_TEXT.replace("trials = 30000", "trials = 4096")
+        code, out = run(capsys, ["compare", "--scenario", scenario_file(text)])
+        assert code == 0
+        assert sizes == [2 * 2 + 1]
+        _, header, rows = parse_csv(out)
+        k0 = dict(zip(header, rows[0]))
+        assert [k0[f"af_s1_{c}"] for c in ("ber_max", "pe_sys")] == [
+            k0[f"af_s2_{c}"] for c in ("ber_max", "pe_sys")]
+
     def test_out_file_matches_stdout(self, capsys, scenario_file, tmp_path):
         path = scenario_file(AF_TEXT)
         dest = tmp_path / "out.csv"
@@ -269,6 +289,31 @@ class TestDeterminism:
     def test_monte_carlo_csv_is_pinned(self, scenario_file, tmp_path, command, text, digest):
         # a change to any draw, scaling, decision or tally of the samplers
         # moves these hashes; a deliberate change to the numbers re-pins them
+        out = tmp_path / "out.csv"
+        assert main([command, "--scenario", scenario_file(text), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, text, digest", [
+        ("snr", AF_TEXT.replace("k = 2", "k = 512"),
+         "fff93ec0e38002acbc6b774e8b920dc15167044b230db1cd40e60cc90886746b"),
+        ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64"),
+         "0b5c134ec0ce4e2a61ea31e4bd657b4911cf3a2031d975123219ffe316bda660"),
+        ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64").replace("s1", "s2")
+         .replace("h1", "h2"),
+         "0cf388892b27c13ee04bd5fa2aad170f47d55e9d7fc967c53bfce2d05f2b60fd"),
+        ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64").replace("h1", "h2")
+         .replace("symmetric", "asymmetric\nstarter = r2"),
+         "294eaa753071f9a70d6cd86017b910528e000b759e228d577a6d9176e5ed2da1"),
+        ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64").replace("s1", "s2")
+         .replace("symmetric", "asymmetric\nstarter = r1"),
+         "f244fe52884f2e571fe08bbf284b16ecb819f86c7d899c68bcbd47d4599a2a71"),
+        ("regions", REGIONS_TEXT.replace("k = 1", "k = 2").replace("grid_points = 3", "grid_points = 9")
+         .replace("ratios_db = 0", "ratios_db = -10, 0, 10"),
+         "2502ba46f267a536fb91c3b65b964eb149259fcd12a6c0fc318e73a19b29b893"),
+    ])
+    def test_analytic_csv_is_pinned(self, scenario_file, tmp_path, command, text, digest):
+        # the recursion's outputs, byte for byte: a change to the power
+        # schedule, the bandwidth plan or a combine moves these hashes
         out = tmp_path / "out.csv"
         assert main([command, "--scenario", scenario_file(text), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

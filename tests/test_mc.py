@@ -450,7 +450,7 @@ class TestEmpiricalCrossCorrelation:
     )
     def test_matches_analytic_recursion(self, config, K):
         replay = oracles.campaign(self.PARAMS, config, K)
-        states = af.campaign(self.PARAMS, config, K).states
+        states = af.campaign(self.PARAMS, config).states
         assert len(states) == len(replay.coeffs)
         for est, state in zip(oracles.empirical_cross_correlation(replay, 200_000, seed=29), states):
             if est.stderr:

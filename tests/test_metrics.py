@@ -144,24 +144,24 @@ class TestDecisionRegions:
     PARAMS = ChannelParams(P=1.0, n1=1.0, n2=1.0, n12=1.0, n21=1.0, P12=10.0, P21=10.0, B=1.0)
     CONFIG = CoopConfig(Protocol.AF, Asymmetric(2, Receiver.R1), Strategy.S1, Regime.H1)
 
-    def small(self, ratios=(0.0,), n=7, params=None, config=None, K=2):
+    def small(self, ratios=(0.0,), n=7, params=None, config=None):
         grid = np.logspace(-2, 2, n)
         return decision_regions(
-            params or self.PARAMS, config or self.CONFIG, K,
+            params or self.PARAMS, config or self.CONFIG,
             n1_grid=grid, n2_grid=grid, ratios_db=ratios,
         )
 
     def test_validation(self):
         sym = CoopConfig(Protocol.AF, Symmetric(2), Strategy.S1, Regime.H1)
         with pytest.raises(ValueError, match="asymmetric"):
-            decision_regions(self.PARAMS, sym, 2)
+            decision_regions(self.PARAMS, sym)
         with pytest.raises(ValueError, match="K >= 1"):
-            decision_regions(self.PARAMS, self.CONFIG, 0)
+            decision_regions(self.PARAMS, self.CONFIG.with_count(0))
         with pytest.raises(ValueError, match="budget"):
-            decision_regions(replace(self.PARAMS, P12=0.0, P21=0.0), self.CONFIG, 2)
+            decision_regions(replace(self.PARAMS, P12=0.0, P21=0.0), self.CONFIG)
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="grid"):
-                decision_regions(self.PARAMS, self.CONFIG, 2, n1_grid=[1.0, bad])
+                decision_regions(self.PARAMS, self.CONFIG, n1_grid=[1.0, bad])
 
     def test_balanced_diagonal_is_a_tie(self):
         rm = self.small(ratios=(0.0,))
@@ -181,7 +181,7 @@ class TestDecisionRegions:
         )
         grid = c * np.logspace(-2, 2, 5)
         scaled = decision_regions(
-            scaled_params, self.CONFIG, 2, n1_grid=grid, n2_grid=grid, ratios_db=(10.0,)
+            scaled_params, self.CONFIG, n1_grid=grid, n2_grid=grid, ratios_db=(10.0,)
         )
         np.testing.assert_array_equal(base.winners, scaled.winners)
 
