@@ -21,12 +21,10 @@ from .channel import (
 )
 from .af import (
     SnrState,
-    SnrTrajectory,
     campaign,
     evolve,
     final_covariance,
     run_recursion,
-    s2_closed_form,
 )
 from .df import (
     BlockShape,
@@ -50,13 +48,12 @@ from .mc import (
     simulate_df,
 )
 from .metrics import (
-    CriteriaReport,
     RegionMap,
-    criteria,
     decision_regions,
+    error_criteria,
     optimal_k,
     rate_af,
     simo_bound,
 )
-from .scenario import Scenario, parse_scenario, parse_scenario_text, serialize_scenario
+from .scenario import Scenario, parse_scenario, parse_scenario_text
 from .errors import EnumerationBoundError, ModulationError, ScenarioError

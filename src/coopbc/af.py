@@ -40,12 +40,10 @@ from .channel import (
 
 __all__ = [
     "SnrState",
-    "SnrTrajectory",
     "evolve",
     "final_covariance",
     "campaign",
     "run_recursion",
-    "s2_closed_form",
 ]
 
 # A combine whose 2x2 branch noise covariance has a determinant this small
@@ -70,27 +68,21 @@ class SnrState:
     rho_II: float
 
 
-@dataclass(frozen=True)
-class SnrTrajectory:
-    states: tuple[SnrState, ...]
-
-
 def evolve(
-    P, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray, forward_original: bool
+    P: float, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray, forward_original: bool
 ) -> Iterator[np.ndarray]:
     """Run the unit-gain covariance recursion for S scenarios at once.
 
-    P: source power, (S,) or a scalar; noises: (S, 4) plan noise powers
-    (N1, N2, N12, N21); periods: (S, 2, 2) power schedules (see
-    `channel.power_schedule`): step t sends row t % 2, the power from
-    receiver 1 to 2 and from 2 to 1, zero where silent; counts: (S,) steps
-    per scenario, all silent past its count. Yields max(counts) + 1
-    covariances (S, 4, 4): the initial state, then one per step. A silent or
-    singular combine leaves its receiver's state exactly as it was.
+    P: source power; noises: (S, 4) plan noise powers (N1, N2, N12, N21);
+    periods: (S, 2, 2) power schedules (see `channel.power_schedule`): step t
+    sends row t % 2, the power from receiver 1 to 2 and from 2 to 1, zero
+    where silent; counts: (S,) steps per scenario, all silent past its count.
+    Yields max(counts) + 1 covariances (S, 4, 4): the initial state, then one
+    per step. A silent or singular combine leaves its receiver's state
+    exactly as it was.
     """
     S, K = len(counts), int(np.max(counts, initial=0))
     N1, N2, N12, N21 = np.moveaxis(np.asarray(noises, dtype=float), -1, 0)
-    P = np.asarray(P, dtype=float)[..., None]
     C = np.zeros((S, 4, 4))
     C[:, [0, 0, 2, 2], [0, 2, 0, 2]] = N1[:, None]
     C[:, [1, 1, 3, 3], [1, 3, 1, 3]] = N2[:, None]
@@ -129,7 +121,7 @@ def evolve(
 
 
 def final_covariance(
-    P, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray, forward_original: bool
+    P: float, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray, forward_original: bool
 ) -> np.ndarray:
     """Covariance (S, 4, 4) after the last step of `evolve`."""
     for C in evolve(P, noises, periods, counts, forward_original):
@@ -146,20 +138,20 @@ def _plan_noises(plan: BandwidthPlan) -> tuple[float, float, float, float]:
     return plan.N1, plan.N2, plan.N12, plan.N21
 
 
-def campaign(params: ChannelParams, config: CoopConfig) -> SnrTrajectory:
+def campaign(params: ChannelParams, config: CoopConfig) -> tuple[SnrState, ...]:
     """Run one cooperation campaign of the config's count of scheme steps
     under its bandwidth plan and power schedule.
 
-    The trajectory holds one state per step, index 0 = before cooperation at
-    this campaign's bandwidth plan.
+    Returns one state per step, index 0 = before cooperation at this
+    campaign's bandwidth plan.
     """
     steps = evolve(params.P, np.array([_plan_noises(plan_bandwidth(params, config))]),
                    power_schedule(params, config)[None], np.array([config.count]),
                    config.strategy is Strategy.S2)
-    return SnrTrajectory(tuple(_state(i, params.P, C[0]) for i, C in enumerate(steps)))
+    return tuple(_state(i, params.P, C[0]) for i, C in enumerate(steps))
 
 
-def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> SnrTrajectory:
+def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> tuple[SnrState, ...]:
     """Equivalent SNRs as a function of the exchange count.
 
     Entry i is the final state of an i-step campaign run under the bandwidth
@@ -174,29 +166,5 @@ def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> SnrTraje
                          np.array([_plan_noises(plan_bandwidth(params, c)) for c in configs]),
                          np.array([power_schedule(params, c) for c in configs]),
                          np.arange(K + 1), config.strategy is Strategy.S2)
-    return SnrTrajectory(tuple(_state(k, params.P, C[k]) for k in range(K + 1)))
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for the forward-original strategy and the strategy comparison.
-# ---------------------------------------------------------------------------
-
-
-def s2_closed_form(params: ChannelParams, plan: BandwidthPlan, Ks: int) -> tuple[float, float]:
-    """Final SNR pair when both receivers always forward their original
-    downlink signal: rho_dest = rho_direct + a^2 P / (a^2 N_src + N_coop) with
-    a^2 = P_budget / (P + N_src).
-
-    Splitting the budget over Ks rounds scales each gain by 1/sqrt(Ks), which
-    cancels exactly against jointly combining the Ks repetition branches, so
-    the value is independent of Ks for a fixed plan.
-    """
-    if Ks < 1:
-        raise ValueError("closed form requires at least one exchange")
-    P = params.P
-    a12sq = params.P12 / (P + plan.N1)
-    a21sq = params.P21 / (P + plan.N2)
-    rho_I = P / plan.N1 + a21sq * P / (a21sq * plan.N2 + plan.N21)
-    rho_II = P / plan.N2 + a12sq * P / (a12sq * plan.N1 + plan.N12)
-    return rho_I, rho_II
+    return tuple(_state(k, params.P, C[k]) for k in range(K + 1))
 

@@ -27,7 +27,6 @@ from . import __version__
 from .af import campaign, run_recursion
 from .channel import (
     Asymmetric,
-    ChannelParams,
     CoopConfig,
     Protocol,
     Strategy,
@@ -36,7 +35,7 @@ from .channel import (
 )
 from .errors import EnumerationBoundError, ModulationError, ScenarioError
 from .mc import AfRunResult, DfRunResult, TrialConfig, simulate_af, simulate_df
-from .metrics import criteria, decision_regions, rate_af, simo_bound
+from .metrics import decision_regions, error_criteria, rate_af, simo_bound
 from .scenario import Scenario, parse_scenario
 
 __all__ = ["main"]
@@ -62,8 +61,6 @@ def _summary(s: Scenario) -> str:
 def _fmt(value: Cell) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12g")
@@ -101,7 +98,7 @@ def cmd_snr(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list
     # combiner outputs are kept at unit signal gain (alpha = 1)
     rows: list[list[Cell]] = [
         [st.i, 1.0, 1.0, st.N_I, st.N_II, st.e, st.rho_I, st.rho_II]
-        for st in campaign(s.params, s.config).states
+        for st in campaign(s.params, s.config)
     ]
     return ["i", "alpha_1", "alpha_2", "N_1", "N_2", "e", "rho_1", "rho_2"], rows
 
@@ -109,10 +106,9 @@ def cmd_snr(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list
 def cmd_rate(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
     """Final SNRs and achievable rate for each provisioned count k = 0..k_max."""
     _require_af(s, "rate")
-    traj = run_recursion(s.params, s.config, s.k_max)
     bound = simo_bound(s.params)
     rows: list[list[Cell]] = []
-    for k, st in enumerate(traj.states):
+    for k, st in enumerate(run_recursion(s.params, s.config, s.k_max)):
         plan = plan_bandwidth(s.params, s.config.with_count(k))
         rows.append([
             k, plan.B_DL, plan.B_C, st.rho_I, st.rho_II,
@@ -141,13 +137,12 @@ def cmd_ber(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list
     configs = [s.config.with_count(k) for k in range(s.k_max + 1)]
     rows: list[list[Cell]] = []
     for config, r in zip(configs, _sweep(s, configs, args)):
-        plan = plan_bandwidth(s.params, config)
-        rep = criteria(plan, ber_pair=(r.ber_I.ber, r.ber_II.ber), pe_sys_mc=r.pe_sys.ber)
+        pe_max, pe_sum = error_criteria(r.ber_I.ber, r.ber_II.ber, r.pe_sys.ber)
         tail = ([r.snr_I.value, r.snr_II.value, r.analytic.rho_I, r.analytic.rho_II] if af
                 else [r.source_order, r.relay_order])
         rows.append([
             config.count, r.ber_I.ber, r.ber_I.stderr, r.ber_II.ber, r.ber_II.stderr,
-            r.pe_sys.ber, r.pe_sys.stderr, rep.pe_max, rep.pe_sum, *tail,
+            r.pe_sys.ber, r.pe_sys.stderr, pe_max, pe_sum, *tail,
         ])
     header = ["k", "ber_1", "stderr_1", "ber_2", "stderr_2", "pe_sys", "pe_sys_stderr",
               "pe_max", "pe_sum"]

@@ -86,17 +86,12 @@ class Constellation:
         bits = (indices[..., None] >> shifts) & 1
         return bits.reshape(*indices.shape[:-1], -1).astype(np.int8)
 
-    def detect(self, y: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
-        """Minimum-distance symbol decisions against amplitude * points.
+    def edges(self, amplitude: float) -> np.ndarray:
+        """Decision edges of one axis of amplitude * levels, ascending.
 
-        The nearest point of a square grid is the nearest level on each axis,
-        so each axis is sliced on its own by a binary search over its decision
-        edges: O(T) memory and O(T log M) time for T samples. BPSK slices the
-        real part and ignores the imaginary one. Each edge is the exact
-        midpoint of two neighbouring levels of amplitude * levels (the
-        rounding of their sum is compensated), so every decision is the
-        exactly nearest level; a sample exactly on a midpoint takes the larger
-        level.
+        Each edge stands for the exact midpoint of two neighbouring levels
+        (the rounding of their sum is compensated): a sample lies above that
+        midpoint iff it is >= the edge.
         """
         scaled = amplitude * self.levels
         lo, hi = scaled[:-1], scaled[1:]
@@ -104,8 +99,19 @@ class Constellation:
         back = total - lo
         err = (lo - (total - back)) + (hi - back)
         mid = total / 2.0
-        # a sample lies above the exact midpoint iff it is >= its edge
-        edges = np.where(err > 0.0, np.nextafter(mid, np.inf), mid)
+        return np.where(err > 0.0, np.nextafter(mid, np.inf), mid)
+
+    def detect(self, y: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
+        """Minimum-distance symbol decisions against amplitude * points.
+
+        The nearest point of a square grid is the nearest level on each axis,
+        so each axis is sliced on its own by a binary search over its decision
+        `edges`: O(T) memory and O(T log M) time for T samples. BPSK slices
+        the real part and ignores the imaginary one. Every decision is the
+        exactly nearest level; a sample exactly on a midpoint takes the larger
+        level.
+        """
+        edges = self.edges(amplitude)
         i_label = self.labels[np.searchsorted(edges, y.real, side="right")]
         if self.order == 2:
             return i_label
@@ -229,14 +235,15 @@ def relay_decode_and_remap(
 def _decision_law(constellation: Constellation, amplitude: float, noise_power: float) -> np.ndarray:
     """law[j, l]: probability that minimum-distance detection decides axis
     label l when axis label j was sent at `amplitude` over complex noise of
-    `noise_power`, on one axis of the constellation.
+    `noise_power`, on one axis of the constellation, with the edges
+    `Constellation.detect` slices at.
 
     An entry is the Gaussian mass of a decision interval, taken from erfc of
     the tail nearer the sent level, so it keeps its precision far out in the
     tails.
     """
     pos = amplitude * constellation.levels
-    edges = np.concatenate([[-np.inf], (pos[:-1] + pos[1:]) / 2.0, [np.inf]])
+    edges = np.concatenate([[-np.inf], constellation.edges(amplitude), [np.inf]])
     d = (edges - pos[:, None]) / math.sqrt(noise_power)
     erfc = np.vectorize(math.erfc, otypes=[float])
     above = 0.5 * erfc(d)  # mass above each edge

@@ -208,8 +208,8 @@ def _stop_on_target(tc: TrialConfig, totals: tuple) -> bool:
     for errors in totals[2:4]:
         if errors == 0:
             return False
-        ber = errors / bits
-        if math.sqrt(ber * (1.0 - ber) / bits) > tc.target_half_width * ber:
+        est = BerEstimate.from_counts(errors, bits, totals[0])
+        if est.stderr > tc.target_half_width * est.ber:
             return False
     return True
 
@@ -247,7 +247,7 @@ def simulate_af(
     """
     if any(c.protocol is not Protocol.AF for c in configs):
         raise ValueError("simulate_af requires amplify-and-forward configs")
-    finals = [campaign(params, c).states[-1] for c in configs]
+    finals = [campaign(params, c)[-1] for c in configs]
     # Z_I = l_I g_0 and Z_II = l_c g_0 + l_II g_1 for unit complex normals g;
     # when the outputs are nearly equal, rounding can push the Schur
     # complement N_II - e^2 / N_I a few ulps below zero
@@ -347,13 +347,7 @@ def _df_plan(
     plan = plan_bandwidth(params, config)
     if coop_bandwidth_fraction is not None:
         deltaB = coop_bandwidth_fraction * plan.B_DL
-        plan = replace(
-            plan,
-            deltaB=deltaB,
-            B_C=sum(transmissions(config)) * deltaB,
-            N12=params.n12 * deltaB,
-            N21=params.n21 * deltaB,
-        )
+        plan = replace(plan, deltaB=deltaB, N12=params.n12 * deltaB, N21=params.n21 * deltaB)
     relay_order, shape = choose_compatible_modulation(source_order, plan.B_DL, plan.deltaB)
     # m equal-power repeats (amplitude a, noise N) of one relay block are
     # sufficient as their sum: one branch of gain m*a and noise m*N

@@ -23,28 +23,15 @@ from .channel import (
 )
 
 __all__ = [
-    "CriteriaReport",
     "RegionMap",
     "rate_af",
-    "criteria",
+    "error_criteria",
     "simo_bound",
     "optimal_k",
     "decision_regions",
 ]
 
 _TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CriteriaReport:
-    """The four system criteria for one operating point. Fields are None when
-    the corresponding inputs (SNRs for the rate, BERs for the error criteria)
-    were not supplied."""
-
-    rate_af: Optional[float]
-    pe_max: Optional[float]
-    pe_sum: Optional[float]
-    pe_sys_mc: Optional[float]
 
 
 def rate_af(plan: BandwidthPlan, rho_pair: tuple[float, float]) -> float:
@@ -54,41 +41,23 @@ def rate_af(plan: BandwidthPlan, rho_pair: tuple[float, float]) -> float:
     return plan.B_DL * np.minimum(np.log2(1.0 + rho_I), np.log2(1.0 + rho_II))
 
 
-def criteria(
-    plan: BandwidthPlan,
-    *,
-    rho_pair: Optional[tuple[float, float]] = None,
-    ber_pair: Optional[tuple[float, float]] = None,
-    pe_sys_mc: Optional[float] = None,
-) -> CriteriaReport:
-    """Assemble the per-point criteria report.
-
-    pe_max = max of the two raw BERs (every user's minimum quality), pe_sum =
-    their sum (system average bound); any direct estimate of the joint error
-    probability must land in [pe_max, pe_sum].
-    """
-    if rho_pair is None and ber_pair is None:
-        raise ValueError("need rho_pair and/or ber_pair")
-    rate = rate_af(plan, rho_pair) if rho_pair is not None else None
-    pe_max = pe_sum = None
-    if ber_pair is not None:
-        p_I, p_II = ber_pair
-        if not (0.0 <= p_I <= 1.0 and 0.0 <= p_II <= 1.0):
-            raise ValueError("bit error rates must lie in [0, 1]")
-        pe_max = max(p_I, p_II)
-        pe_sum = p_I + p_II
-        if pe_sys_mc is not None and not pe_max - 1e-15 <= pe_sys_mc <= pe_sum + 1e-15:
-            raise ValueError("joint error estimate violates the max/union sandwich")
-    elif pe_sys_mc is not None:
-        raise ValueError("a joint error estimate needs the per-receiver pair")
-    return CriteriaReport(rate, pe_max, pe_sum, pe_sys_mc)
+def error_criteria(ber_I: float, ber_II: float, pe_sys: float) -> tuple[float, float]:
+    """(pe_max, pe_sum): the larger of the two raw BERs (every user's minimum
+    quality) and their sum (system average bound). Raises ValueError unless
+    the joint error rate pe_sys lands in [pe_max, pe_sum]."""
+    if not (0.0 <= ber_I <= 1.0 and 0.0 <= ber_II <= 1.0):
+        raise ValueError("bit error rates must lie in [0, 1]")
+    pe_max, pe_sum = max(ber_I, ber_II), ber_I + ber_II
+    if not pe_max - 1e-15 <= pe_sys <= pe_sum + 1e-15:
+        raise ValueError("joint error estimate violates the max/union sandwich")
+    return pe_max, pe_sum
 
 
-def simo_bound(params: ChannelParams, B_DL: Optional[float] = None) -> float:
+def simo_bound(params: ChannelParams) -> float:
     """Cooperation ceiling: the rate of a single receiver owning both downlink
-    branches, B_DL * log2(1 + P/N1 + P/N2), over the full band by default."""
-    bdl = params.B if B_DL is None else B_DL
-    return bdl * math.log2(1.0 + params.P / (params.n1 * bdl) + params.P / (params.n2 * bdl))
+    branches over the full band, B log2(1 + P/N1 + P/N2)."""
+    B = params.B
+    return B * math.log2(1.0 + params.P / (params.n1 * B) + params.P / (params.n2 * B))
 
 
 def optimal_k(
@@ -96,15 +65,12 @@ def optimal_k(
 ) -> tuple[int, tuple[float, ...]]:
     """Exchange count maximizing the worst-receiver rate over 0..k_max, with
     ties broken toward fewer exchanges; returns (K*, rate per count)."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    trajectory = run_recursion(params, config, k_max)
     rates = tuple(
         rate_af(
             plan_bandwidth(params, config.with_count(state.i)),
             (state.rho_I, state.rho_II),
         )
-        for state in trajectory.states
+        for state in run_recursion(params, config, k_max)
     )
     best = 0
     for k, rate in enumerate(rates):

@@ -10,8 +10,7 @@ cooperation noise densities so each stated SNR is reproduced exactly.
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -28,7 +27,7 @@ from .channel import (
 )
 from .errors import ScenarioError
 
-__all__ = ["Scenario", "parse_scenario", "parse_scenario_text", "serialize_scenario"]
+__all__ = ["Scenario", "parse_scenario", "parse_scenario_text"]
 
 _DB_KEYS = ("snr1", "snr2", "snr12", "snr21")
 _LINEAR_KEYS = ("p", "n1", "n2", "n12", "n21", "p12", "p21")
@@ -252,44 +251,3 @@ def parse_scenario(path: Union[str, Path]) -> Scenario:
         raise ScenarioError(f"cannot read scenario {p}: {exc}") from None
     return parse_scenario_text(text, origin=str(p))
 
-
-def serialize_scenario(s: Scenario) -> str:
-    """Render a Scenario back to INI text; parsing the result reproduces the
-    scenario exactly (floats are written with full precision)."""
-    cp = configparser.ConfigParser()
-    p = s.params
-    cp["channel"] = {
-        "p": repr(p.P), "n1": repr(p.n1), "n2": repr(p.n2), "n12": repr(p.n12),
-        "n21": repr(p.n21), "p12": repr(p.P12), "p21": repr(p.P21), "b": repr(p.B),
-    }
-    coop = {
-        "protocol": s.config.protocol.value,
-        "scheme": "symmetric" if isinstance(s.config.scheme, Symmetric) else "asymmetric",
-        "strategy": s.config.strategy.value,
-        "regime": s.config.regime.value,
-        "k": str(s.config.count),
-        "k_max": str(s.k_max),
-    }
-    if isinstance(s.config.scheme, Asymmetric):
-        coop["starter"] = "r1" if s.config.scheme.starter is Receiver.R1 else "r2"
-    if s.coop_bandwidth_fraction is not None:
-        coop["coop_bandwidth_fraction"] = repr(s.coop_bandwidth_fraction)
-    cp["cooperation"] = coop
-    mod = {"source_order": str(s.source_order)}
-    if s.relay_order is not None:
-        mod["relay_order"] = str(s.relay_order)
-    cp["modulation"] = mod
-    trials = {"trials": str(s.trials), "seed": str(s.seed), "combiner": s.combiner,
-              "relay_model": s.relay_model}
-    if s.target_half_width is not None:
-        trials["target_half_width"] = repr(s.target_half_width)
-    cp["trials"] = trials
-    cp["regions"] = {
-        "grid_points": str(s.grid_points),
-        "grid_min": repr(s.grid_min),
-        "grid_max": repr(s.grid_max),
-        "ratios_db": ", ".join(repr(r) for r in s.ratios_db),
-    }
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()

@@ -12,7 +12,8 @@ None of this is used by the package itself:
   its per-combine mutual-information and ratio-form audits;
 - a signal-level replay of that campaign on sampled elementary noises, which
   estimates the noise cross-correlation after every exchange;
-- the two-exchange forward-original vs forward-latest SNR gap polynomial;
+- the forward-original closed-form SNR pair and the two-exchange
+  forward-original vs forward-latest SNR gap polynomial;
 - the minimum-distance detector that compares each sample with every
   constellation point;
 - single-block DF likelihoods and the single-block ML detector wrapper;
@@ -23,11 +24,14 @@ None of this is used by the package itself:
 - the relay pilot: the decode-and-remap chain run over sampled symbols with
   the all-points detector, whose substitution counts the exact relay law is
   tested against;
-- the exact Gray square-QAM bit error rate over AWGN.
+- the exact Gray square-QAM bit error rate over AWGN;
+- the scenario INI writer, whose output the parser must read back exactly.
 """
 from __future__ import annotations
 
+import configparser
 import functools
+import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -53,6 +57,7 @@ from coopbc.df import (
     mld_llr_batch,
     qam,
 )
+from coopbc.scenario import Scenario
 
 _LOG_FLOOR = math.log(1e-300)
 
@@ -258,6 +263,30 @@ def mi_conservation_check(
     det = N_keep * N_br - c * c
     mi_vector = math.log2(1.0 + P * num / det)
     return mi_combined, mi_vector
+
+
+# ---------------------------------------------------------------------------
+# Closed forms for the forward-original strategy and the strategy comparison.
+# ---------------------------------------------------------------------------
+
+
+def s2_closed_form(params: ChannelParams, plan: BandwidthPlan, Ks: int) -> tuple[float, float]:
+    """Final SNR pair when both receivers always forward their original
+    downlink signal: rho_dest = rho_direct + a^2 P / (a^2 N_src + N_coop) with
+    a^2 = P_budget / (P + N_src).
+
+    Splitting the budget over Ks rounds scales each gain by 1/sqrt(Ks), which
+    cancels exactly against jointly combining the Ks repetition branches, so
+    the value is independent of Ks for a fixed plan.
+    """
+    if Ks < 1:
+        raise ValueError("closed form requires at least one exchange")
+    P = params.P
+    a12sq = params.P12 / (P + plan.N1)
+    a21sq = params.P21 / (P + plan.N2)
+    rho_I = P / plan.N1 + a21sq * P / (a21sq * plan.N2 + plan.N21)
+    rho_II = P / plan.N2 + a12sq * P / (a12sq * plan.N1 + plan.N12)
+    return rho_I, rho_II
 
 
 def s1_vs_s2_numerator(params: ChannelParams, plan: BandwidthPlan) -> float:
@@ -889,3 +918,50 @@ def exact_qam_ber(order: int, amplitude: float, noise_power: float) -> float:
         p = trans[re_idx[j]][re_idx] * trans[im_idx[j]][im_idx]
         total += float(p @ ham[j]) / m
     return total / order
+
+
+# ---------------------------------------------------------------------------
+# Scenario writer
+# ---------------------------------------------------------------------------
+
+
+def serialize_scenario(s: Scenario) -> str:
+    """Render a Scenario back to INI text; parsing the result reproduces the
+    scenario exactly (floats are written with full precision)."""
+    cp = configparser.ConfigParser()
+    p = s.params
+    cp["channel"] = {
+        "p": repr(p.P), "n1": repr(p.n1), "n2": repr(p.n2), "n12": repr(p.n12),
+        "n21": repr(p.n21), "p12": repr(p.P12), "p21": repr(p.P21), "b": repr(p.B),
+    }
+    coop = {
+        "protocol": s.config.protocol.value,
+        "scheme": "symmetric" if isinstance(s.config.scheme, Symmetric) else "asymmetric",
+        "strategy": s.config.strategy.value,
+        "regime": s.config.regime.value,
+        "k": str(s.config.count),
+        "k_max": str(s.k_max),
+    }
+    if isinstance(s.config.scheme, Asymmetric):
+        coop["starter"] = "r1" if s.config.scheme.starter is Receiver.R1 else "r2"
+    if s.coop_bandwidth_fraction is not None:
+        coop["coop_bandwidth_fraction"] = repr(s.coop_bandwidth_fraction)
+    cp["cooperation"] = coop
+    mod = {"source_order": str(s.source_order)}
+    if s.relay_order is not None:
+        mod["relay_order"] = str(s.relay_order)
+    cp["modulation"] = mod
+    trials = {"trials": str(s.trials), "seed": str(s.seed), "combiner": s.combiner,
+              "relay_model": s.relay_model}
+    if s.target_half_width is not None:
+        trials["target_half_width"] = repr(s.target_half_width)
+    cp["trials"] = trials
+    cp["regions"] = {
+        "grid_points": str(s.grid_points),
+        "grid_min": repr(s.grid_min),
+        "grid_max": repr(s.grid_max),
+        "ratios_db": ", ".join(repr(r) for r in s.ratios_db),
+    }
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()

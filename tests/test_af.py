@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from coopbc.af import campaign, run_recursion, s2_closed_form
+from coopbc.af import campaign, run_recursion
 from coopbc.channel import (
     Asymmetric,
     ChannelParams,
@@ -33,6 +33,7 @@ from oracles import (
     power_per_exchange,
     ratio_form_snr,
     s1_vs_s2_numerator,
+    s2_closed_form,
     step_asymmetric,
     step_symmetric,
 )
@@ -151,8 +152,8 @@ class TestStepSymmetric:
         # forwarding the latest output or the original signal is the same at i=1
         cfg1 = _cfg(Symmetric(1), Strategy.S1, Regime.H2)
         cfg2 = _cfg(Symmetric(1), Strategy.S2, Regime.H2)
-        s1 = campaign(TWO_BRANCH, cfg1).states[-1]
-        s2 = campaign(TWO_BRANCH, cfg2).states[-1]
+        s1 = campaign(TWO_BRANCH, cfg1)[-1]
+        s2 = campaign(TWO_BRANCH, cfg2)[-1]
         assert s1.rho_I == pytest.approx(s2.rho_I, rel=1e-12)
         assert s1.rho_II == pytest.approx(s2.rho_II, rel=1e-12)
 
@@ -239,7 +240,7 @@ class TestEngineMatchesScalarRecursion:
         st = initial_state(TWO_BRANCH, plan)
         for i in range(1, 4):
             st = step_symmetric(st, TWO_BRANCH.P, plan, power_per_exchange(TWO_BRANCH, cfg, i))
-        assert_matches_raw(campaign(TWO_BRANCH, cfg).states[-1], st, 1e-9)
+        assert_matches_raw(campaign(TWO_BRANCH, cfg)[-1], st, 1e-9)
 
     @pytest.mark.parametrize("starter", list(Receiver))
     def test_asymmetric_forward_latest(self, starter):
@@ -250,20 +251,20 @@ class TestEngineMatchesScalarRecursion:
             st = step_asymmetric(
                 st, TWO_BRANCH.P, plan, power_per_exchange(TWO_BRANCH, cfg, i), i, starter=starter
             )
-        assert_matches_raw(campaign(TWO_BRANCH, cfg).states[-1], st, 1e-9)
+        assert_matches_raw(campaign(TWO_BRANCH, cfg)[-1], st, 1e-9)
 
     def test_normalization_preserves_snrs(self):
         # the unit-gain engine carries the unnormalized trajectory's SNRs
         cfg = _cfg(Symmetric(4), Strategy.S1, Regime.H1)
         raw = oracles.campaign(TWO_BRANCH, cfg, normalize=False).states
-        normed = campaign(TWO_BRANCH, cfg).states
+        normed = campaign(TWO_BRANCH, cfg)
         for s0, s1 in zip(raw, normed):
             assert_matches_raw(s1, s0, 1e-12)
 
     def test_normalized_engine_survives_large_counts(self):
         # the raw weight recursion overflows float64 long before K = 12
         cfg = _cfg(Symmetric(12), Strategy.S1, Regime.H2)
-        final = campaign(TWO_BRANCH, cfg).states[-1]
+        final = campaign(TWO_BRANCH, cfg)[-1]
         assert math.isfinite(final.rho_I) and final.rho_I > 0
         assert math.isfinite(final.rho_II) and final.rho_II > 0
 
@@ -279,7 +280,7 @@ class TestEngineMatchesScalarRecursion:
     @given(params=channel_params(), config=any_config)
     def test_state_invariants(self, params, config):
         traj = campaign(params, config)
-        for s in traj.states:
+        for s in traj:
             assert s.rho_I > 0 and math.isfinite(s.rho_I)
             assert s.rho_II > 0 and math.isfinite(s.rho_II)
             assert abs(s.e) <= math.sqrt(s.N_I * s.N_II) * (1 + 1e-12)
@@ -292,7 +293,7 @@ class TestEngineMatchesScalarRecursion:
                 cfg = _cfg(scheme, strategy, Regime.H1)
                 replay = oracles.campaign(TWO_BRANCH, cfg)
                 var = replay.noise_vars
-                states = campaign(TWO_BRANCH, cfg).states
+                states = campaign(TWO_BRANCH, cfg)
                 assert len(states) == len(replay.coeffs)
                 for (c_I, c_II), state in zip(replay.coeffs, states):
                     assert float(np.dot(c_I**2, var)) == pytest.approx(state.N_I, rel=1e-12)
@@ -321,7 +322,7 @@ class TestEngineMatchesCoefficientCampaign:
         for _ in range(300):
             params, cfg = draw_scenario(rng)
             ref = oracles.campaign(params, cfg).states
-            got = campaign(params, cfg).states
+            got = campaign(params, cfg)
             assert len(got) == len(ref)
             for state, raw in zip(got, ref):
                 assert_matches_raw(state, raw, 1e-12)
@@ -356,7 +357,7 @@ class TestEngineRobustness:
         plan = plan_bandwidth(params, config)
         ceiling = params.P / plan.N1 + params.P / plan.N2
         prev = None
-        for s in traj.states:
+        for s in traj:
             for rho in (s.rho_I, s.rho_II):
                 assert 0.0 < rho < math.inf
                 assert rho <= ceiling * (1 + 1e-12)
@@ -370,8 +371,8 @@ class TestEngineRobustness:
 class TestRunRecursion:
     def test_zero_exchanges(self):
         traj = run_recursion(TWO_BRANCH, _cfg(Symmetric(0)), 0)
-        assert len(traj.states) == 1
-        s = traj.states[0]
+        assert len(traj) == 1
+        s = traj[0]
         assert s.rho_I == pytest.approx(10.0 / 1.0)
         assert s.rho_II == pytest.approx(10.0 / 2.0)
         assert (s.N_I, s.N_II, s.e) == (1.0, 2.0, 0.0)
@@ -380,22 +381,22 @@ class TestRunRecursion:
         cfg = _cfg(Symmetric(3), Strategy.S1, Regime.H1)
         t1 = run_recursion(TWO_BRANCH, cfg, 3)
         t2 = run_recursion(TWO_BRANCH, cfg, 3)
-        assert len(t1.states) == 4
-        assert t1.states == t2.states
+        assert len(t1) == 4
+        assert t1 == t2
 
     def test_forward_original_flat_under_fixed_downlink(self):
         cfg = _cfg(Symmetric(5), Strategy.S2, Regime.H2)
         traj = run_recursion(TWO_BRANCH, cfg, 5)
         rI, rII = s2_closed_form(TWO_BRANCH, plan_bandwidth(TWO_BRANCH, cfg), 5)
-        for s in traj.states[1:]:
+        for s in traj[1:]:
             assert s.rho_I == pytest.approx(rI, rel=1e-12)
             assert s.rho_II == pytest.approx(rII, rel=1e-12)
 
     def test_forward_original_beats_forward_latest_two_exchanges(self):
         cfg1 = _cfg(Asymmetric(2), Strategy.S1, Regime.H2)
         cfg2 = _cfg(Asymmetric(2), Strategy.S2, Regime.H2)
-        r1 = run_recursion(TWO_BRANCH, cfg1, 2).states[-1].rho_I
-        r2 = run_recursion(TWO_BRANCH, cfg2, 2).states[-1].rho_I
+        r1 = run_recursion(TWO_BRANCH, cfg1, 2)[-1].rho_I
+        r2 = run_recursion(TWO_BRANCH, cfg2, 2)[-1].rho_I
         assert r1 <= r2 * (1 + 1e-12)
 
     def test_negative_count_rejected(self):
@@ -412,7 +413,7 @@ class TestRunRecursion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(traj.states) == 1025
+        assert len(traj) == 1025
         assert peak < 4 * 2**20
 
 
@@ -438,8 +439,8 @@ class TestClosedForm:
         cfg = _cfg(Symmetric(Ks), Strategy.S2, regime)
         traj = run_recursion(params, cfg, Ks)
         rI, rII = s2_closed_form(params, plan_bandwidth(params, cfg), Ks)
-        assert traj.states[-1].rho_I == pytest.approx(rI, rel=1e-9)
-        assert traj.states[-1].rho_II == pytest.approx(rII, rel=1e-9)
+        assert traj[-1].rho_I == pytest.approx(rI, rel=1e-9)
+        assert traj[-1].rho_II == pytest.approx(rII, rel=1e-9)
 
     @settings(deadline=None)
     @given(params=channel_params())
@@ -453,8 +454,8 @@ class TestClosedForm:
 
     def test_symmetric_pair_equals_two_asymmetric_exchanges(self):
         for regime in Regime:
-            sym = campaign(TWO_BRANCH, _cfg(Symmetric(1), Strategy.S2, regime)).states[-1]
-            asym = campaign(TWO_BRANCH, _cfg(Asymmetric(2), Strategy.S2, regime)).states[-1]
+            sym = campaign(TWO_BRANCH, _cfg(Symmetric(1), Strategy.S2, regime))[-1]
+            asym = campaign(TWO_BRANCH, _cfg(Asymmetric(2), Strategy.S2, regime))[-1]
             assert asym.rho_I == pytest.approx(sym.rho_I, rel=1e-12)
             assert asym.rho_II == pytest.approx(sym.rho_II, rel=1e-12)
 
@@ -475,10 +476,10 @@ class TestStrategyComparison:
         num = s1_vs_s2_numerator(params, plan)
         assert num >= 0.0
         diff = (
-            run_recursion(params, cfg2, 2).states[-1].rho_I
-            - run_recursion(params, cfg1, 2).states[-1].rho_I
+            run_recursion(params, cfg2, 2)[-1].rho_I
+            - run_recursion(params, cfg1, 2)[-1].rho_I
         )
-        assert diff >= -1e-9 * abs(run_recursion(params, cfg1, 2).states[-1].rho_I)
+        assert diff >= -1e-9 * abs(run_recursion(params, cfg1, 2)[-1].rho_I)
         if num > 0:
             assert diff >= 0.0
 

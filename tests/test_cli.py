@@ -14,7 +14,6 @@ import pytest
 import numpy as np
 
 from coopbc import cli
-from coopbc.af import s2_closed_form
 from coopbc.channel import (
     ChannelParams,
     CoopConfig,
@@ -27,6 +26,7 @@ from coopbc.channel import (
 from coopbc.cli import main
 from coopbc.errors import EnumerationBoundError
 from coopbc.mc import simulate_af
+from oracles import s2_closed_form
 
 AF_TEXT = """
 [channel]

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from coopbc import df
 from coopbc.df import (
     BlockShape,
-    Constellation,
     RelayErrorModel,
     RelayObservation,
     choose_compatible_modulation,
@@ -156,6 +155,18 @@ class TestConstellation:
         resolved = d2[:, 1] - d2[:, 0] > 16.0 * np.spacing(d2[:, 0])
         assert np.count_nonzero(resolved) >= count // 4
         assert np.array_equal(got[resolved], want[resolved])
+
+    @pytest.mark.parametrize("order", [2, 4, 64, 4096])
+    @pytest.mark.parametrize("amplitude", [1.0, 0.3, 7.1, 1e-5])
+    def test_edges_stand_for_the_exact_midpoints(self, order, amplitude):
+        # each edge is the smallest float at or above the exact midpoint
+        c = qam(order)
+        scaled = amplitude * c.levels
+        edges = c.edges(amplitude)
+        assert len(edges) == len(scaled) - 1
+        for lo, hi, e in zip(scaled[:-1], scaled[1:], edges):
+            mid = (Fraction(lo) + Fraction(hi)) / 2
+            assert Fraction(e) >= mid > Fraction(np.nextafter(e, -np.inf))
 
     @pytest.mark.parametrize("order", [2, 64])
     @pytest.mark.parametrize("amplitude", [1.0, 0.3, 7.1])

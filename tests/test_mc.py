@@ -437,7 +437,7 @@ class TestEmpiricalCrossCorrelation:
         cfg = CoopConfig(Protocol.AF, Symmetric(1), Strategy.S1, Regime.H2)
         replay = oracles.campaign(self.PARAMS, cfg)
         est = oracles.empirical_cross_correlation(replay, 200_000, seed=23)[0]
-        analytic = af.campaign(self.PARAMS, cfg).states[0].e
+        analytic = af.campaign(self.PARAMS, cfg)[0].e
         assert abs(est.estimate) < 3.0 * est.stderr and analytic == 0.0
 
     @pytest.mark.parametrize(
@@ -450,7 +450,7 @@ class TestEmpiricalCrossCorrelation:
     )
     def test_matches_analytic_recursion(self, config, K):
         replay = oracles.campaign(self.PARAMS, config, K)
-        states = af.campaign(self.PARAMS, config).states
+        states = af.campaign(self.PARAMS, config)
         assert len(states) == len(replay.coeffs)
         for est, state in zip(oracles.empirical_cross_correlation(replay, 200_000, seed=29), states):
             if est.stderr:

@@ -7,10 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from coopbc import af
 from coopbc.channel import (
     Asymmetric,
     ChannelParams,
@@ -23,8 +22,8 @@ from coopbc.channel import (
     plan_bandwidth,
 )
 from coopbc.metrics import (
-    criteria,
     decision_regions,
+    error_criteria,
     optimal_k,
     rate_af,
     simo_bound,
@@ -46,6 +45,7 @@ PLAN0 = plan_bandwidth(FLAT, CoopConfig(Protocol.AF, Symmetric(0), Strategy.S1, 
 class TestRateAf:
     def test_equal_branches(self):
         assert rate_af(PLAN0, (3.0, 3.0)) == pytest.approx(2.0)
+        assert rate_af(PLAN0, (0.0, 0.0)) == 0.0
 
     def test_min_branch_semantics(self):
         assert rate_af(PLAN0, (1e6, 3.0)) == pytest.approx(2.0)
@@ -60,29 +60,18 @@ class TestRateAf:
 
 class TestCriteria:
     def test_worked_example(self):
-        rep = criteria(PLAN0, ber_pair=(0.1, 0.2), pe_sys_mc=0.25)
-        assert rep.pe_max == pytest.approx(0.2)
-        assert rep.pe_sum == pytest.approx(0.3)
-        assert rep.pe_sys_mc == 0.25
+        pe_max, pe_sum = error_criteria(0.1, 0.2, 0.25)
+        assert pe_max == pytest.approx(0.2)
+        assert pe_sum == pytest.approx(0.3)
 
     def test_error_free(self):
-        rep = criteria(PLAN0, rho_pair=(0.0, 0.0), ber_pair=(0.0, 0.0), pe_sys_mc=0.0)
-        assert (rep.rate_af, rep.pe_max, rep.pe_sum) == (0.0, 0.0, 0.0)
-
-    def test_rate_only(self):
-        rep = criteria(PLAN0, rho_pair=(3.0, 7.0))
-        assert rep.rate_af == pytest.approx(2.0)
-        assert rep.pe_max is None and rep.pe_sum is None
+        assert error_criteria(0.0, 0.0, 0.0) == (0.0, 0.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            criteria(PLAN0)
-        with pytest.raises(ValueError):
-            criteria(PLAN0, ber_pair=(0.5, 1.5))
+            error_criteria(0.5, 1.5, 0.5)
         with pytest.raises(ValueError, match="sandwich"):
-            criteria(PLAN0, ber_pair=(0.1, 0.2), pe_sys_mc=0.05)
-        with pytest.raises(ValueError, match="pair"):
-            criteria(PLAN0, rho_pair=(1.0, 1.0), pe_sys_mc=0.1)
+            error_criteria(0.1, 0.2, 0.05)
 
     @given(
         p1=st.floats(0.0, 0.5),
@@ -91,10 +80,8 @@ class TestCriteria:
     )
     def test_sandwich_interval_always_accepts_valid_joint_error(self, p1, p2, t):
         joint = max(p1, p2) + t * (p1 + p2 - max(p1, p2))
-        rep = criteria(PLAN0, ber_pair=(p1, p2), pe_sys_mc=joint)
-        lo, hi = rep.pe_max, rep.pe_sum
+        lo, hi = error_criteria(p1, p2, joint)
         assert lo <= joint <= hi
-        assert rep.rate_af is None
 
 
 class TestSimoBound:
@@ -106,8 +93,8 @@ class TestSimoBound:
         assert simo_bound(p) == pytest.approx(math.log2(11.0), rel=1e-9)
 
     def test_explicit_band(self):
-        p = replace(FLAT, P=10.0, B=4.0)
-        assert simo_bound(p, B_DL=2.0) == pytest.approx(2.0 * math.log2(1.0 + 5.0 + 5.0))
+        p = replace(FLAT, P=10.0, B=2.0)
+        assert simo_bound(p) == pytest.approx(2.0 * math.log2(1.0 + 5.0 + 5.0))
 
 
 class TestOptimalK:

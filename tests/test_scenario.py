@@ -17,8 +17,8 @@ from coopbc import (
     Symmetric,
     parse_scenario,
     parse_scenario_text,
-    serialize_scenario,
 )
+from oracles import serialize_scenario
 
 DB_TEXT = """
 [channel]
