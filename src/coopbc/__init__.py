@@ -22,8 +22,7 @@ from .channel import (
 from .af import (
     SnrState,
     campaign,
-    evolve,
-    final_covariance,
+    final_state,
     run_recursion,
 )
 from .df import (

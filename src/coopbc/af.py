@@ -5,22 +5,25 @@ elementary noises (two downlink noises plus one noise per cooperation
 transmission). A combiner output is only defined up to scale, so every one is
 kept at unit signal gain, Y = X + Z, and its equivalent SNR is P / Var(Z).
 
-The state of a scenario is the 4x4 covariance of the noise vector
-(Z_I, Z_II, Z_1, Z_2): the two combiner outputs and the two original downlink
-noises. At every cooperation step a destination maximum-ratio-combines a kept
+At every cooperation step a destination maximum-ratio-combines a kept
 unit-gain signal with a branch g (X + Z_fwd) + W, where W is cooperation noise
-independent of everything before it. One rule serves both strategies:
+independent of everything before it. The state of a scenario is what the next
+combine reads: the noise powers N_I, N_II of the two outputs and their
+cross-correlation e.
 
 - forward-latest (S1) keeps the destination's own output and receives the
-  partner's output, with the relay gain a and cooperation noise N_c;
-- forward-original (S2) keeps the destination's direct signal and receives the
-  partner's direct signal. All m branches received so far have equal gain, so
-  their sum is a sufficient statistic: one branch with gain m a and noise
-  m N_c.
+  partner's output. The three arrays are stepped elementwise, on the slice
+  of a count-ordered batch that is still cooperating.
+- forward-original (S2) keeps the destination's direct signal and receives
+  the partner's direct signal. The m branches received so far have equal
+  gain, so their sum is one branch with gain m a and noise m N_c. Every
+  combine rebuilds the output from the direct signals, whose noises are
+  independent, so a state is a closed form of the branch counts: O(1) per
+  count, with no loop over steps.
 
-The recursion runs for a batch of scenarios at once (leading axis), which is
-how rate sweeps and decision regions evaluate many counts and grid points.
-The final (Z_I, Z_II) block is the noise law the Monte Carlo sampler draws.
+A silent branch, a combine singular to rounding (the branch repeats the kept
+signal) and one whose noise product overflows leave the receiver unchanged.
+No step calls BLAS, so results do not depend on the BLAS kernel.
 """
 from __future__ import annotations
 
@@ -29,22 +32,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .channel import (
-    BandwidthPlan,
-    ChannelParams,
-    CoopConfig,
-    Strategy,
-    plan_bandwidth,
-    power_schedule,
-)
+from .channel import ChannelParams, CoopConfig, Strategy, plan_bandwidth, power_schedule
 
-__all__ = [
-    "SnrState",
-    "evolve",
-    "final_covariance",
-    "campaign",
-    "run_recursion",
-]
+__all__ = ["SnrState", "final_state", "campaign", "run_recursion"]
 
 # A combine whose 2x2 branch noise covariance has a determinant this small
 # relative to the product of its variances is singular to rounding: the branch
@@ -68,74 +58,84 @@ class SnrState:
     rho_II: float
 
 
-def evolve(
+# a silent or overflowing branch is skipped, not reported
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _combine(P: float, N: np.ndarray, Nf: np.ndarray, c: np.ndarray | float, Nc: np.ndarray,
+             p: np.ndarray, m: np.ndarray | float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both receivers' combines, receiver d in column d: kept noise N,
+    forwarded noise Nf, cross term c, m branches of power p over cooperation
+    noise Nc. Returns the weights on the kept signal and on the branch, and
+    the new noise powers; a skipped combine has weights (1, 0)."""
+    a2 = p / (P + Nf)
+    Nb = Nf + Nc / (m * a2)  # branch noise at unit gain
+    D, E = Nb - c, N - c
+    DE = D + E
+    # combined noise power (N Nb - c^2) / (D + E), in a form that does not
+    # cancel when one branch is far noisier than the other
+    var = c + D * E / DE
+    NNb = N * Nb
+    live = (p > 0.0) & (NNb - c * c > _SINGULAR * NNb)
+    return np.where(live, D / DE, 1.0), np.where(live, E / DE, 0.0), np.where(live, var, N)
+
+
+def _cross(w_k: np.ndarray, w_b: np.ndarray, N: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Cross-correlation of the two outputs after the combines of `_combine`;
+    bit-exact under a swap of the receivers."""
+    return ((w_k[:, 0] * w_k[:, 1] + w_b[:, 0] * w_b[:, 1]) * e
+            + ((w_k[:, 0] * w_b[:, 1]) * N[:, 0] + (w_b[:, 0] * w_k[:, 1]) * N[:, 1]))
+
+
+def _forward_latest(
+    P: float, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the S1 state (N, e), N = (N_I, N_II) per row, updated in place,
+    before the first step and after each step of ascending `counts`."""
+    N, e = noises[:, :2].copy(), np.zeros(len(counts))
+    Nc, heard = noises[:, [3, 2]], periods[:, :, ::-1]  # receiver 1 hears 2, and back
+    yield N, e
+    # the scenarios still cooperating at step t: those from starts[t] on
+    starts = np.searchsorted(counts, np.arange(counts[-1] if len(counts) else 0), side="right")
+    for t, start in enumerate(starts.tolist()):
+        Ns, es = N[start:], e[start:]
+        w_k, w_b, var = _combine(P, Ns, Ns[:, ::-1], es[:, None], Nc[start:],
+                                 heard[start:, t % 2], 1.0)
+        e[start:] = _cross(w_k, w_b, Ns, es)
+        N[start:] = var
+        yield N, e
+
+
+def final_state(
     P: float, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray, forward_original: bool
-) -> Iterator[np.ndarray]:
-    """Run the unit-gain covariance recursion for S scenarios at once.
-
-    P: source power; noises: (S, 4) plan noise powers (N1, N2, N12, N21);
-    periods: (S, 2, 2) power schedules (see `channel.power_schedule`): step t
-    sends row t % 2, the power from receiver 1 to 2 and from 2 to 1, zero
-    where silent; counts: (S,) steps per scenario, all silent past its count.
-    Yields max(counts) + 1 covariances (S, 4, 4): the initial state, then one
-    per step. A silent or singular combine leaves its receiver's state
-    exactly as it was.
-    """
-    S, K = len(counts), int(np.max(counts, initial=0))
-    N1, N2, N12, N21 = np.moveaxis(np.asarray(noises, dtype=float), -1, 0)
-    C = np.zeros((S, 4, 4))
-    C[:, [0, 0, 2, 2], [0, 2, 0, 2]] = N1[:, None]
-    C[:, [1, 1, 3, 3], [1, 3, 1, 3]] = N2[:, None]
-    eye = np.eye(4)
-    yield C
-    # column d is receiver d: what it keeps (k), what its partner forwards (f),
-    # and the cooperation noise of the link it listens to
-    rx = np.array([0, 1])
-    k, f = (rx + 2, 3 - rx) if forward_original else (rx, 1 - rx)
-    coop_noise = np.stack([N21, N12], axis=-1)
-    repeats = np.zeros((S, 2))
-    unchanged = np.broadcast_to(eye[2:], (S, 2, 4))  # the downlink noises
-    for t in range(K):
-        # power each receiver hears
-        p = np.where((t < counts)[:, None], periods[:, t % 2, ::-1], 0.0)
-        live = p > 0.0
-        repeats += live
-        m = repeats if forward_original else 1.0
-        Nk, Nf, c = C[:, k, k], C[:, f, f], C[:, k, f]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a2 = p / (P + Nf)
-            Nb = Nf + coop_noise / (m * a2)  # branch noise at unit gain
-            live &= Nk * Nb - c * c > _SINGULAR * Nk * Nb
-            D, E = Nb - c, Nk - c
-            w_k, w_b = D / (D + E), E / (D + E)
-            # combined noise power (Nk Nb - c^2) / (D + E), in a form that does
-            # not cancel when one branch is far noisier than the other
-            var = c + D * E / (D + E)
-        rows = np.zeros((S, 2, 4))
-        rows[:, rx, k] = w_k
-        rows[:, rx, f] = w_b
-        T = np.concatenate([np.where(live[..., None], rows, eye[:2]), unchanged], axis=1)
-        C = T @ C @ T.transpose(0, 2, 1)
-        C[:, rx, rx] = np.where(live, var, C[:, rx, rx])
-        yield C
-
-
-def final_covariance(
-    P: float, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray, forward_original: bool
-) -> np.ndarray:
-    """Covariance (S, 4, 4) after the last step of `evolve`."""
-    for C in evolve(P, noises, periods, counts, forward_original):
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N_I, N_II, e), each (S,), after `counts` (S,) steps of S scenarios
+    with plan noise powers (S, 4) (N1, N2, N12, N21) and power periods
+    (S, 2, 2) (see `channel.power_schedule`: step t sends row t % 2)."""
+    noises, counts = np.asarray(noises, dtype=float), np.asarray(counts)
+    if forward_original:
+        N, heard, steps = noises[:, :2], periods[:, :, ::-1], counts[:, None]
+        # branches each receiver has heard: one per passed row that it hears
+        m = (steps + 1) // 2 * (heard[:, 0] > 0.0) + steps // 2 * (heard[:, 1] > 0.0)
+        p = np.maximum(heard[:, 0], heard[:, 1])  # the power of each branch heard
+        w_k, w_b, var = _combine(P, N, N[:, ::-1], 0.0, noises[:, [3, 2]], p, m)
+        return var[:, 0], var[:, 1], _cross(w_k, w_b, N, np.zeros(len(N)))
+    order = slice(None) if np.all(np.diff(counts) >= 0) else np.argsort(counts, kind="stable")
+    for N, e in _forward_latest(P, noises[order], periods[order], counts[order]):
         pass
-    return C
+    state = np.empty((len(counts), 3))
+    state[order, :2], state[order, 2] = N, e
+    return state[:, 0], state[:, 1], state[:, 2]
 
 
-def _state(i: int, P: float, C: np.ndarray) -> SnrState:
-    N_I, N_II = float(C[0, 0]), float(C[1, 1])
-    return SnrState(i, N_I, N_II, float(C[0, 1]), P / N_I, P / N_II)
+def _inputs(params: ChannelParams, configs: list[CoopConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """Plan noise powers (S, 4) and power periods (S, 2, 2) of the configs."""
+    plans = [plan_bandwidth(params, c) for c in configs]
+    return (np.array([(p.N1, p.N2, p.N12, p.N21) for p in plans]),
+            np.array([power_schedule(params, c) for c in configs]))
 
 
-def _plan_noises(plan: BandwidthPlan) -> tuple[float, float, float, float]:
-    return plan.N1, plan.N2, plan.N12, plan.N21
+def _states(P: float, N_I: np.ndarray, N_II: np.ndarray, e: np.ndarray) -> tuple[SnrState, ...]:
+    return tuple(SnrState(i, a, b, c, P / a, P / b)
+                 for i, (a, b, c) in enumerate(zip(N_I.tolist(), N_II.tolist(), e.tolist())))
 
 
 def campaign(params: ChannelParams, config: CoopConfig) -> tuple[SnrState, ...]:
@@ -145,10 +145,13 @@ def campaign(params: ChannelParams, config: CoopConfig) -> tuple[SnrState, ...]:
     Returns one state per step, index 0 = before cooperation at this
     campaign's bandwidth plan.
     """
-    steps = evolve(params.P, np.array([_plan_noises(plan_bandwidth(params, config))]),
-                   power_schedule(params, config)[None], np.array([config.count]),
-                   config.strategy is Strategy.S2)
-    return tuple(_state(i, params.P, C[0]) for i, C in enumerate(steps))
+    k, (noises, period) = config.count, _inputs(params, [config])
+    if config.strategy is Strategy.S2:
+        return _states(params.P, *final_state(params.P, noises.repeat(k + 1, 0),
+                                              period.repeat(k + 1, 0), np.arange(k + 1), True))
+    trajectory = [(N[0, 0], N[0, 1], e[0])
+                  for N, e in _forward_latest(params.P, noises, period, np.array([k]))]
+    return _states(params.P, *np.array(trajectory).T)
 
 
 def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> tuple[SnrState, ...]:
@@ -161,10 +164,6 @@ def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> tuple[Sn
     """
     if K < 0:
         raise ValueError("exchange count must be >= 0")
-    configs = [config.with_count(k) for k in range(K + 1)]
-    C = final_covariance(params.P,
-                         np.array([_plan_noises(plan_bandwidth(params, c)) for c in configs]),
-                         np.array([power_schedule(params, c) for c in configs]),
-                         np.arange(K + 1), config.strategy is Strategy.S2)
-    return tuple(_state(k, params.P, C[k]) for k in range(K + 1))
-
+    noises, periods = _inputs(params, [config.with_count(k) for k in range(K + 1)])
+    return _states(params.P, *final_state(params.P, noises, periods, np.arange(K + 1),
+                                          config.strategy is Strategy.S2))

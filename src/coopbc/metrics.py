@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 # campaign is not called here, but bench/tracing.py wraps it under this module's name
-from .af import campaign, final_covariance, run_recursion  # noqa: F401
+from .af import campaign, final_state, run_recursion  # noqa: F401
 from .channel import (
     Asymmetric,
     BandwidthPlan,
@@ -115,9 +116,9 @@ def _starter_gaps(
         ])[ratio]
         for starter in (Receiver.R1, Receiver.R2)
     ]
-    C = final_covariance(params.P, np.concatenate([noises, noises]), np.concatenate(periods),
-                         np.full(2 * len(n1), config.count), config.strategy is Strategy.S2)
-    rates = rate_af(plan, (params.P / C[:, 0, 0], params.P / C[:, 1, 1]))
+    N_I, N_II, _ = final_state(params.P, np.concatenate([noises, noises]), np.concatenate(periods),
+                               np.full(2 * len(n1), config.count), config.strategy is Strategy.S2)
+    rates = rate_af(plan, (params.P / N_I, params.P / N_II))
     r1, r2 = np.split(rates, 2)
     return r1 - r2, np.maximum(np.maximum(r1, r2), 1.0)
 
@@ -165,20 +166,15 @@ def decision_regions(
     mid = np.sqrt(lo * hi)
     d_mid, _ = _starter_gaps(params, config, n1g[i_c], mid, budgets, r_c)
     keep_lo = (d_mid > 0) == (diffs[r_c, i_c, j_c] > 0)
-    refined = dict(zip(zip(r_c, i_c, j_c),
-                       np.sqrt(np.where(keep_lo, mid, lo) * np.where(keep_lo, hi, mid))))
+    # boundary points in (r, i, j) order: every tie at its grid n2, every
+    # crossing at its refined n2
+    points_n2 = np.broadcast_to(n2g, winners.shape).copy()
+    points_n2[r_c, i_c, j_c] = np.sqrt(np.where(keep_lo, mid, lo) * np.where(keep_lo, hi, mid))
+    on_boundary = winners == 0
+    on_boundary[r_c, i_c, j_c] = True
+    r_b, i_b, j_b = np.nonzero(on_boundary)
+    points = zip(n1g[i_b].tolist(), points_n2[r_b, i_b, j_b].tolist())
+    per_ratio = np.bincount(r_b, minlength=len(ratios)).tolist()
+    boundaries = tuple(tuple(islice(points, n)) for n in per_ratio)
 
-    boundaries: list[tuple[tuple[float, float], ...]] = []
-    for r in range(len(ratios)):
-        points: list[tuple[float, float]] = []
-        for i, n1 in enumerate(n1g):
-            for j in range(len(n2g) - 1):
-                if winners[r, i, j] == 0:
-                    points.append((float(n1), float(n2g[j])))
-                elif (r, i, j) in refined:
-                    points.append((float(n1), float(refined[r, i, j])))
-            if winners[r, i, -1] == 0:
-                points.append((float(n1), float(n2g[-1])))
-        boundaries.append(tuple(points))
-
-    return RegionMap(n1g, n2g, tuple(float(r) for r in ratios_db), winners, tuple(boundaries))
+    return RegionMap(n1g, n2g, tuple(float(r) for r in ratios_db), winners, boundaries)

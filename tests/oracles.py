@@ -4,6 +4,9 @@ None of this is used by the package itself:
 
 - the verbatim scalar AF recursion (one exchange per call, unnormalized
   weights, forwarding the latest combiner output);
+- the batched AF engine on the 4x4 covariance of both combiner outputs and
+  both downlink noises (two matrix products per step), in float64 or long
+  double;
 - the asymmetric exchange parity rule (which receiver sends at exchange i)
   and the per-exchange cooperation power split, stated case by case;
 - the coefficient-vector AF campaign, which represents every combiner output
@@ -34,7 +37,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -307,6 +310,83 @@ def s1_vs_s2_numerator(params: ChannelParams, plan: BandwidthPlan) -> float:
         + N1 * P12 * N21 * N2
     )
     return P * N2 * P21 * P12 * poly
+
+
+# ---------------------------------------------------------------------------
+# The 4x4 covariance AF engine
+# ---------------------------------------------------------------------------
+
+# A combine whose 2x2 branch noise covariance has a determinant this small
+# relative to the product of its variances is singular to rounding.
+_SINGULAR = 1e-12
+
+
+def evolve(
+    P: float, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray,
+    forward_original: bool, dtype: type = float,
+) -> Iterator[np.ndarray]:
+    """Run the unit-gain covariance recursion for S scenarios at once, in
+    `dtype` arithmetic (np.longdouble for a higher-precision reference).
+
+    The state is the 4x4 covariance of the noise vector (Z_I, Z_II, Z_1, Z_2):
+    the two combiner outputs and the two original downlink noises. A step
+    applies one 4x4 linear map T to it, C -> T C T^T, and then sets the
+    combined noise powers.
+
+    P: source power; noises: (S, 4) plan noise powers (N1, N2, N12, N21);
+    periods: (S, 2, 2) power schedules (see `channel.power_schedule`): step t
+    sends row t % 2, the power from receiver 1 to 2 and from 2 to 1, zero
+    where silent; counts: (S,) steps per scenario, all silent past its count.
+    Yields max(counts) + 1 covariances (S, 4, 4): the initial state, then one
+    per step. A silent or singular combine leaves its receiver's state
+    exactly as it was.
+    """
+    S, K = len(counts), int(np.max(counts, initial=0))
+    N1, N2, N12, N21 = np.moveaxis(np.asarray(noises, dtype=dtype), -1, 0)
+    periods = np.asarray(periods, dtype=dtype)
+    C = np.zeros((S, 4, 4), dtype=dtype)
+    C[:, [0, 0, 2, 2], [0, 2, 0, 2]] = N1[:, None]
+    C[:, [1, 1, 3, 3], [1, 3, 1, 3]] = N2[:, None]
+    eye = np.eye(4, dtype=dtype)
+    yield C
+    # column d is receiver d: what it keeps (k), what its partner forwards (f),
+    # and the cooperation noise of the link it listens to
+    rx = np.array([0, 1])
+    k, f = (rx + 2, 3 - rx) if forward_original else (rx, 1 - rx)
+    coop_noise = np.stack([N21, N12], axis=-1)
+    repeats = np.zeros((S, 2), dtype=dtype)
+    unchanged = np.broadcast_to(eye[2:], (S, 2, 4))  # the downlink noises
+    for t in range(K):
+        # power each receiver hears
+        p = np.where((t < counts)[:, None], periods[:, t % 2, ::-1], 0.0)
+        live = p > 0.0
+        repeats += live
+        m = repeats if forward_original else 1.0
+        Nk, Nf, c = C[:, k, k], C[:, f, f], C[:, k, f]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a2 = p / (P + Nf)
+            Nb = Nf + coop_noise / (m * a2)  # branch noise at unit gain
+            live &= Nk * Nb - c * c > _SINGULAR * Nk * Nb
+            D, E = Nb - c, Nk - c
+            w_k, w_b = D / (D + E), E / (D + E)
+            var = c + D * E / (D + E)
+        rows = np.zeros((S, 2, 4), dtype=dtype)
+        rows[:, rx, k] = w_k
+        rows[:, rx, f] = w_b
+        T = np.concatenate([np.where(live[..., None], rows, eye[:2]), unchanged], axis=1)
+        C = T @ C @ T.transpose(0, 2, 1)
+        C[:, rx, rx] = np.where(live, var, C[:, rx, rx])
+        yield C
+
+
+def final_covariance(
+    P: float, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray,
+    forward_original: bool, dtype: type = float,
+) -> np.ndarray:
+    """Covariance (S, 4, 4) after the last step of `evolve`."""
+    for C in evolve(P, noises, periods, counts, forward_original, dtype):
+        pass
+    return C
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,6 +23,7 @@ from coopbc.channel import (
     Strategy,
     Symmetric,
     plan_bandwidth,
+    power_schedule,
 )
 from oracles import (
     SnrState,
@@ -96,6 +97,13 @@ class TestAmplificationGains:
         assert a12 == pytest.approx(math.sqrt(2.0))
 
 
+def assert_weights(got, expect, terms):
+    """Weights within rtol 1e-8 of `expect`, or within 1e-12 of the sum of
+    the magnitudes of the two terms each weight is the difference of."""
+    err = np.abs(np.subtract(got, expect))
+    assert np.all(err <= 1e-8 * np.abs(expect) + 1e-12 * np.asarray(terms)), (got, expect)
+
+
 class TestMrcWeights:
     def test_independent_branches(self):
         st0 = make_state(N_I=1.0, N_II=2.0, e=0.0)
@@ -120,20 +128,29 @@ class TestMrcWeights:
         N12=st.floats(0.1, 10),
         N21=st.floats(0.1, 10),
     )
+    # each weight is a difference of two terms; here w12 cancels to exactly 0.0
+    # while the solve leaves a rounding residue of about -5.5e-18
+    @example(alpha_I=1.0, alpha_II=1.0, N_I=10.0, N_II=0.1, ecorr=0.1,
+             a12=1.0, a21=1.0, N12=1.0, N21=1.0)
     def test_matches_covariance_inverse(self, alpha_I, alpha_II, N_I, N_II, ecorr, a12, a21, N12, N21):
         # weights must equal det(R_zz) * R_zz^{-1} h for each receiver's
-        # 2x2 branch noise covariance
+        # 2x2 branch noise covariance, to rtol, or to the rounding of the two
+        # terms that cancel in the weight
         e = ecorr * math.sqrt(N_I * N_II)
         st0 = make_state(alpha_I, alpha_II, N_I, N_II, e)
         w12, w2, w21, w1 = mrc_weights_symmetric(st0, (a12, a21), (N12, N21))
         R2 = np.array([[a12**2 * N_I + N12, a12 * e], [a12 * e, N_II]])
         h2 = np.array([a12 * alpha_I, alpha_II])
         expect2 = np.linalg.det(R2) * np.linalg.solve(R2, h2)
-        np.testing.assert_allclose([w12, w2], expect2, rtol=1e-8)
+        terms2 = [abs(a12 * alpha_I * N_II) + abs(a12 * alpha_II * e),
+                  abs((a12**2 * N_I + N12) * alpha_II) + abs(a12**2 * alpha_I * e)]
+        assert_weights([w12, w2], expect2, terms2)
         R1 = np.array([[a21**2 * N_II + N21, a21 * e], [a21 * e, N_I]])
         h1 = np.array([a21 * alpha_II, alpha_I])
         expect1 = np.linalg.det(R1) * np.linalg.solve(R1, h1)
-        np.testing.assert_allclose([w21, w1], expect1, rtol=1e-8)
+        terms1 = [abs(a21 * alpha_II * N_I) + abs(a21 * alpha_I * e),
+                  abs((a21**2 * N_II + N21) * alpha_I) + abs(a21**2 * alpha_II * e)]
+        assert_weights([w21, w1], expect1, terms1)
 
 
 TWO_BRANCH = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=1.0, n21=1.0, P12=100.0, P21=100.0, B=1.0)
@@ -326,6 +343,57 @@ class TestEngineMatchesCoefficientCampaign:
             assert len(got) == len(ref)
             for state, raw in zip(got, ref):
                 assert_matches_raw(state, raw, 1e-12)
+
+
+@st.composite
+def count_sweeps(draw):
+    """A channel of downlink and cooperation SNRs in [-30, 60] dB (P = 1,
+    unit cooperation noise densities) with either budget possibly zero, any
+    scheme and starter, strategy and regime, and a sweep bound K in 0..64."""
+    lin = lambda d: 10.0 ** (d / 10.0)  # noqa: E731
+    dbs = st.floats(min_value=-30.0, max_value=60.0)
+    budget = st.one_of(st.just(0.0), dbs.map(lin))
+    params = ChannelParams(P=1.0, n1=1.0 / lin(draw(dbs)), n2=1.0 / lin(draw(dbs)),
+                           n12=1.0, n21=1.0, P12=draw(budget), P21=draw(budget), B=1.0)
+    K = draw(st.integers(0, 64))
+    scheme = draw(st.sampled_from([Symmetric(K), Asymmetric(K, Receiver.R1),
+                                   Asymmetric(K, Receiver.R2)]))
+    return params, _cfg(scheme, draw(st.sampled_from(list(Strategy))),
+                        draw(st.sampled_from(list(Regime))))
+
+
+def moments(C):
+    """(N_I, N_II, e) per scenario of a batch of 4x4 covariances."""
+    return np.stack([C[:, 0, 0], C[:, 1, 1], C[:, 0, 1]], axis=-1)
+
+
+def max_error(got, exact):
+    """Largest relative error of the noise powers, and of e relative to
+    sqrt(N_I N_II), against a reference state."""
+    scale = np.stack([exact[:, 0], exact[:, 1], np.sqrt(exact[:, 0] * exact[:, 1])], axis=-1)
+    return float(np.max(np.abs(got - exact) / scale))
+
+
+class TestEngineMatchesCovarianceEngine:
+    @settings(deadline=None)
+    @given(sweep=count_sweeps())
+    def test_against_4x4_engine_and_long_double(self, sweep):
+        # the elementwise engine against the 4x4 covariance engine, both in
+        # float64, and against that engine run in long double: its error is
+        # no worse than the 4x4 engine's, up to a few rounding units
+        params, config = sweep
+        K = config.count
+        configs = [config.with_count(k) for k in range(K + 1)]
+        plans = [plan_bandwidth(params, c) for c in configs]
+        args = (params.P, np.array([(p.N1, p.N2, p.N12, p.N21) for p in plans]),
+                np.array([power_schedule(params, c) for c in configs]), np.arange(K + 1),
+                config.strategy is Strategy.S2)
+        got = np.array([(s.N_I, s.N_II, s.e) for s in run_recursion(params, config, K)])
+        ref = moments(oracles.final_covariance(*args))
+        exact = moments(oracles.final_covariance(*args, dtype=np.longdouble))
+        eps = np.finfo(float).eps
+        assert max_error(got, ref) <= 1e-12
+        assert max_error(got, exact) <= 2.0 * max_error(ref, exact) + 4.0 * eps
 
 
 db = st.floats(min_value=-150.0, max_value=150.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -124,6 +125,66 @@ trials = 1000
 """
 
 
+# The analytic CSVs byte for byte: a change to the power schedule, the
+# bandwidth plan or a combine moves these hashes.
+ANALYTIC_PINS = [
+    ("snr", AF_TEXT.replace("k = 2", "k = 512"),
+     "1732bec8e0f7546a21d1851ec89289cd17c53ec0072010d49247ae847d220819"),
+    ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64"),
+     "0b5c134ec0ce4e2a61ea31e4bd657b4911cf3a2031d975123219ffe316bda660"),
+    ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64").replace("s1", "s2")
+     .replace("h1", "h2"),
+     "0cf388892b27c13ee04bd5fa2aad170f47d55e9d7fc967c53bfce2d05f2b60fd"),
+    ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64").replace("h1", "h2")
+     .replace("symmetric", "asymmetric\nstarter = r2"),
+     "294eaa753071f9a70d6cd86017b910528e000b759e228d577a6d9176e5ed2da1"),
+    ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64").replace("s1", "s2")
+     .replace("symmetric", "asymmetric\nstarter = r1"),
+     "f244fe52884f2e571fe08bbf284b16ecb819f86c7d899c68bcbd47d4599a2a71"),
+    ("regions", REGIONS_TEXT.replace("k = 1", "k = 2").replace("grid_points = 3", "grid_points = 9")
+     .replace("ratios_db = 0", "ratios_db = -10, 0, 10"),
+     "2502ba46f267a536fb91c3b65b964eb149259fcd12a6c0fc318e73a19b29b893"),
+]
+
+# A branch whose noise overflows: receiver 1 sends 1e-300 W over a link of
+# noise density 1e300, so receiver 2 must skip that branch.
+OVERFLOW_TEXT = """
+[channel]
+p = 1
+n1 = 0.1
+n2 = 1
+n12 = 1e300
+n21 = 1
+p12 = 1e-300
+p21 = 1000
+
+[cooperation]
+protocol = af
+scheme = symmetric
+strategy = s2
+regime = h1
+k = 2
+k_max = 2
+"""
+
+# Runs each (command, scenario, out) of the JSON list in argv[1] and prints
+# the SHA-256 of each output, one a line.
+HASH_SCRIPT = """
+import hashlib, json, sys
+from coopbc.cli import main
+for command, scenario, out in json.loads(sys.argv[1]):
+    assert main([command, "--scenario", scenario, "--out", out]) == 0
+    print(hashlib.sha256(open(out, "rb").read()).hexdigest())
+"""
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child process that imports the same package as
+    this test, installed or not, without an inherited BLAS kernel choice."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    return {**env, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **extra}
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     def write(text: str, name: str = "scenario.ini") -> str:
@@ -213,6 +274,19 @@ class TestOutputs:
             row = dict(zip(header, r))
             assert (row["source_order"], row["relay_order"]) == ("64", "4096")
 
+    def test_overflowing_branch_is_skipped_quietly(self, scenario_file):
+        # a real process, so a numpy RuntimeWarning would reach its stderr
+        res = subprocess.run(
+            [sys.executable, "-m", "coopbc", "rate", "--scenario", scenario_file(OVERFLOW_TEXT)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert res.returncode == 0 and res.stderr == ""
+        _, cols, rows = parse_csv(res.stdout)
+        # receiver 2 keeps its direct signal: P / N2 with a downlink of B/3 and B/5
+        rho_2 = [float(r[cols.index("rho_2")]) for r in rows]
+        assert rho_2[1:] == pytest.approx([3.0, 5.0], rel=1e-12)
+        assert all(math.isfinite(float(r[cols.index("rho_1")])) for r in rows)
+
     def test_regions_diagonal_ties(self, capsys, scenario_file):
         code, out = run(capsys, ["regions", "--scenario", scenario_file(REGIONS_TEXT)])
         assert code == 0
@@ -293,30 +367,28 @@ class TestDeterminism:
         assert main([command, "--scenario", scenario_file(text), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("command, text, digest", [
-        ("snr", AF_TEXT.replace("k = 2", "k = 512"),
-         "fff93ec0e38002acbc6b774e8b920dc15167044b230db1cd40e60cc90886746b"),
-        ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64"),
-         "0b5c134ec0ce4e2a61ea31e4bd657b4911cf3a2031d975123219ffe316bda660"),
-        ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64").replace("s1", "s2")
-         .replace("h1", "h2"),
-         "0cf388892b27c13ee04bd5fa2aad170f47d55e9d7fc967c53bfce2d05f2b60fd"),
-        ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64").replace("h1", "h2")
-         .replace("symmetric", "asymmetric\nstarter = r2"),
-         "294eaa753071f9a70d6cd86017b910528e000b759e228d577a6d9176e5ed2da1"),
-        ("rate", AF_TEXT.replace("k_max = 2", "k_max = 64").replace("s1", "s2")
-         .replace("symmetric", "asymmetric\nstarter = r1"),
-         "f244fe52884f2e571fe08bbf284b16ecb819f86c7d899c68bcbd47d4599a2a71"),
-        ("regions", REGIONS_TEXT.replace("k = 1", "k = 2").replace("grid_points = 3", "grid_points = 9")
-         .replace("ratios_db = 0", "ratios_db = -10, 0, 10"),
-         "2502ba46f267a536fb91c3b65b964eb149259fcd12a6c0fc318e73a19b29b893"),
-    ])
+    @pytest.mark.parametrize("command, text, digest", ANALYTIC_PINS)
     def test_analytic_csv_is_pinned(self, scenario_file, tmp_path, command, text, digest):
-        # the recursion's outputs, byte for byte: a change to the power
-        # schedule, the bandwidth plan or a combine moves these hashes
         out = tmp_path / "out.csv"
         assert main([command, "--scenario", scenario_file(text), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_analytic_csv_is_the_same_on_every_blas_kernel(self, scenario_file, tmp_path):
+        # numpy's OpenBLAS picks its kernel from the CPU at load time, and
+        # OPENBLAS_CORETYPE overrides that choice in the child processes only.
+        # ber and compare stay out: the AF sampler's np.vdot and the DF
+        # detector's matrix products are BLAS calls
+        jobs = [(command, scenario_file(text, f"case{i}.ini"), str(tmp_path / f"case{i}.csv"))
+                for i, (command, text, _) in enumerate(ANALYTIC_PINS)]
+        hashes = []
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"},
+                       {"OPENBLAS_CORETYPE": "Sandybridge"}):
+            res = subprocess.run([sys.executable, "-c", HASH_SCRIPT, json.dumps(jobs)],
+                                 capture_output=True, text=True, env=child_env(**kernel))
+            assert res.returncode == 0, res.stderr
+            hashes.append(res.stdout.split())
+        for (command, _, digest), *per_kernel in zip(ANALYTIC_PINS, *hashes):
+            assert set(per_kernel) == {digest}, command
 
     def test_seed_override_changes_monte_carlo_output(self, scenario_file, tmp_path):
         path = scenario_file(DF_TEXT)
@@ -336,11 +408,9 @@ class TestDeterminism:
 
     def test_module_entry_point(self, scenario_file, tmp_path):
         path = scenario_file(AF_TEXT)
-        # the child imports the same package as this test, installed or not
-        src = str(Path(cli.__file__).resolve().parents[1])
         res = subprocess.run(
             [sys.executable, "-m", "coopbc", "rate", "--scenario", path],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, env=child_env(),
         )
         assert res.returncode == 0
         assert res.stdout.splitlines()[1].startswith("k,")

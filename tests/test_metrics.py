@@ -3,6 +3,7 @@ ceiling, optimal exchange count and who-starts-first regions."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,36 @@ class TestDecisionRegions:
         for n1, n2 in rm.boundaries[0]:
             assert n1 in rm.n1_grid
             assert lo <= n2 <= hi
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_boundary_lists_ties_and_crossings_in_grid_order(self, strategy):
+        rm = self.small(ratios=(-10.0, 0.0, 10.0), n=9, config=replace(self.CONFIG, strategy=strategy))
+        n2g = rm.n2_grid
+        for r, points in enumerate(rm.boundaries):
+            expected = []  # (n1, grid n2 of a tie, or the bracket of a crossing)
+            for i, n1 in enumerate(rm.n1_grid):
+                for j, w in enumerate(rm.winners[r, i]):
+                    if w == 0:
+                        expected.append((n1, n2g[j], n2g[j]))
+                    elif j + 1 < len(n2g) and w * rm.winners[r, i, j + 1] < 0:
+                        expected.append((n1, n2g[j], n2g[j + 1]))
+            assert len(points) == len(expected)
+            for (n1, n2), (e1, lo, hi) in zip(points, expected):
+                assert n1 == e1 and lo <= n2 <= hi
+                assert type(n1) is float and type(n2) is float
+
+    def test_memory_of_a_101_point_grid(self):
+        # five ratios of a 101 x 101 grid, both starters: 102,010 scenarios;
+        # a 4x4 covariance per scenario with its step temporaries peaks at 90 MiB
+        grid = np.logspace(-2, 2, 101)
+        tracemalloc.start()
+        try:
+            rm = decision_regions(self.PARAMS, self.CONFIG, n1_grid=grid, n2_grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rm.winners.shape == (5, 101, 101)
+        assert peak < 64 * 2**20
 
     def test_one_curve_per_ratio(self):
         rm = self.small(ratios=(-10.0, 0.0, 10.0), n=6)
