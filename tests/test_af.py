@@ -1,6 +1,7 @@
-"""Analytic AF engine tests: the package's unit-gain covariance recursion
-against the verbatim scalar recursion and the coefficient-vector campaign of
-`oracles`, plus the closed forms."""
+"""Analytic AF engine tests: the package's unit-gain recursion against the
+verbatim scalar recursion, the coefficient-vector campaign and the 4x4
+covariance engine (in float64 and long double) of `oracles`, plus the closed
+forms."""
 from __future__ import annotations
 
 import math
