@@ -102,21 +102,38 @@ class Constellation:
         return np.where(err > 0.0, np.nextafter(mid, np.inf), mid)
 
     def detect(self, y: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
-        """Minimum-distance symbol decisions against amplitude * points.
+        """Minimum-distance symbol decisions against amplitude * points, for
+        a scalar or an array y of any shape (1-D batches, (T, s) blocks).
 
         The nearest point of a square grid is the nearest level on each axis,
-        so each axis is sliced on its own by a binary search over its decision
-        `edges`: O(T) memory and O(T log M) time for T samples. BPSK slices
-        the real part and ignores the imaginary one. Every decision is the
-        exactly nearest level; a sample exactly on a midpoint takes the larger
-        level.
+        so each axis is sliced on its own by a branchless binary search over
+        its decision `edges`: O(T) memory and h = log2(levels) compares per
+        axis sample. BPSK slices the real part and ignores the imaginary one.
+        Every decision is the exactly nearest level; a sample exactly on a
+        midpoint takes the larger level, and a NaN part takes the top level.
         """
         edges = self.edges(amplitude)
-        i_label = self.labels[np.searchsorted(edges, y.real, side="right")]
+        i_label = self.labels.take(_slice_axis(edges, y.real))
         if self.order == 2:
             return i_label
-        q_label = self.labels[np.searchsorted(edges, y.imag, side="right")]
+        q_label = self.labels.take(_slice_axis(edges, y.imag))
         return (i_label << (self.bits_per_symbol // 2)) | q_label
+
+
+def _slice_axis(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Level index of each sample of x: the count of the 2^h - 1 ascending
+    `edges` at or below it, as uint8. A branchless binary search: a scalar
+    compare against the middle edge, then h - 1 steps that each gather one
+    edge per sample. `~(x < edge)` counts a NaN as above every edge, so every
+    float, signed zeros and infinities included, gets the index of numpy's
+    right-sided sorted search. Gathers by a uint8 index use `take`, about
+    twice as fast as fancy indexing with it."""
+    step = (len(edges) + 1) >> 1
+    idx = np.uint8(step) * ~(x < edges[step - 1])
+    while step > 1:
+        step >>= 1
+        idx += np.uint8(step) * ~(x < edges.take(idx + (step - 1)))
+    return idx
 
 
 @functools.lru_cache(maxsize=None)

@@ -159,9 +159,18 @@ def _rng(seed: int, batch: int) -> np.random.Generator:
 
 
 def _unit_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Unit-variance complex normals (real part drawn first), to be scaled by
-    sqrt(noise power / 2)."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Unit-variance complex normals (every real part drawn first, then every
+    imaginary part), to be scaled by sqrt(noise power / 2).
+
+    The draws are written straight into one complex array. Against forming
+    re + 1j * im, only the sign of a draw that is exactly zero can differ
+    (that sum turns -0.0 into +0.0), and no signal sees it: every sample adds
+    the zero, scaled, to a symbol part, which is nonzero or +0.0.
+    """
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
 
 
 def _run_ordered(
@@ -400,7 +409,10 @@ def simulate_df(
     batch: the two direct draws, then one per cooperation link in send order,
     of which a config with fewer links uses a prefix. Direct signals, relay
     decisions and relay error models are formed once per distinct downlink
-    noise power, and each result equals that config's solo run.
+    noise power, and each result equals that config's solo run. A link's draw
+    and a relay's decisions are released after the last config that reads
+    them, and each destination's branch is formed just before its detector
+    reads it.
     """
     if combiner not in ("mld", "mrc"):
         raise ValueError(f"unknown combiner {combiner!r}")
@@ -467,6 +479,9 @@ def simulate_df(
         groups: dict[tuple[float, float], list[int]] = {}  # downlink noises -> configs
         for c in active:
             groups.setdefault(downlinks[c], []).append(c)
+        # the last config to read each link slot's draw; it releases the draw
+        last_draw = {j: c for members in groups.values() for c in members
+                     for j in range(len(links[c]))}
         out: dict[int, tuple] = {}
         for noises, members in groups.items():
             direct = {dest: x + math.sqrt(noises[dest.value - 1] / 2.0) * g
@@ -474,19 +489,27 @@ def simulate_df(
             if len(out) + len(members) == len(active):  # last group: free the draws early
                 unit_direct.clear()
             labels: dict[Receiver, np.ndarray] = {}
+            # the last config of the group to read each relay's decisions
+            last_labels = {relay: c for c in members for relay, _, _ in links[c]}
             for c in members:
-                received: dict[Receiver, list[RelayObservation]] = {r: [] for r in Receiver}
-                for (relay, gain, noise), g in zip(links[c], unit_links):
-                    if relay not in labels:
-                        labels[relay] = (true_labels if relay_model == "genie" else
-                                         relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s))
-                    y = gain * rel_c.points[labels[relay]] + math.sqrt(noise / 2.0) * g
-                    model = models.get(noises[relay.value - 1])
-                    received[relay.other] = [RelayObservation(y, gain, noise, model)]
-                wrong_I, wrong_II = (
-                    decide(direct[dest], received[dest], noises[dest.value - 1]) != bits
-                    for dest in Receiver
-                )
+                wrong = []
+                for dest in Receiver:  # form each branch just before its detector reads it
+                    received = []
+                    for j, (relay, gain, noise) in enumerate(links[c]):
+                        if relay is not dest.other:
+                            continue
+                        if relay not in labels:
+                            labels[relay] = (true_labels if relay_model == "genie" else
+                                             relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s))
+                        received.append(RelayObservation(
+                            gain * rel_c.points[labels[relay]] + math.sqrt(noise / 2.0) * unit_links[j],
+                            gain, noise, models.get(noises[relay.value - 1])))
+                        if last_draw[j] == c:
+                            unit_links[j] = None
+                        if last_labels[relay] == c:
+                            del labels[relay]
+                    wrong.append(decide(direct[dest], received, noises[dest.value - 1]) != bits)
+                wrong_I, wrong_II = wrong
                 out[c] = (T * shape.s, T * shape.n, int(wrong_I.sum()), int(wrong_II.sum()),
                           int((wrong_I | wrong_II).sum()))
             del direct, labels  # free this noise level's signals before forming the next

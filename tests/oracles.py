@@ -18,7 +18,8 @@ None of this is used by the package itself:
 - the forward-original closed-form SNR pair and the two-exchange
   forward-original vs forward-latest SNR gap polynomial;
 - the minimum-distance detector that compares each sample with every
-  constellation point;
+  constellation point, and the per-axis slicer by np.searchsorted over the
+  decision edges;
 - single-block DF likelihoods and the single-block ML detector wrapper;
 - the dense relay law: the Mr x Mr substitution matrix of a relay symbol,
   pooled over the r relay symbols of a block and built by marginalizing
@@ -736,6 +737,18 @@ def detect_min_distance(const: Constellation, y: np.ndarray, amplitude: float = 
     goes to the lowest label."""
     d2 = np.abs(y[..., None] - amplitude * const.points) ** 2
     return d2.argmin(axis=-1)
+
+
+def detect_searchsorted(const: Constellation, y: np.ndarray, amplitude: float = 1.0) -> np.ndarray:
+    """The per-axis slicer by np.searchsorted(edges, axis, side="right") over
+    the decision edges: each axis's level index is the number of edges at or
+    below it, with NaN above every edge."""
+    edges = const.edges(amplitude)
+    i_label = const.labels[np.searchsorted(edges, np.real(y), side="right")]
+    if const.order == 2:
+        return i_label
+    q_label = const.labels[np.searchsorted(edges, np.imag(y), side="right")]
+    return (i_label << (const.bits_per_symbol // 2)) | q_label
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

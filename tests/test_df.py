@@ -27,6 +27,7 @@ from coopbc.errors import EnumerationBoundError, ModulationError
 from oracles import (
     LlrBlock,
     detect_min_distance,
+    detect_searchsorted,
     exact_qam_ber,
     likelihood_direct,
     likelihood_relay,
@@ -186,6 +187,52 @@ class TestConstellation:
         if order > 2:  # the quadrature part sits on the lowest level
             want = (want << c.bits_per_symbol // 2) | c.labels[0]
         assert np.array_equal(c.detect(y + 1j * scaled[0], amplitude), want)
+
+
+    @pytest.mark.parametrize("order", [2, 4, 16, 64, 256, 1024, 4096])
+    @pytest.mark.parametrize("amplitude", [1e-6, 1e-3, 0.3, 1.0, 7.1, 1e3, 1e6])
+    def test_detect_equals_the_searchsorted_slicer(self, order, amplitude):
+        # every edge and the floats beside it, every level, signed zeros,
+        # infinities and NaN, in every pairing of real and imaginary part
+        c = qam(order)
+        edges = c.edges(amplitude)
+        axis = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
+                               amplitude * c.levels, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        y = np.empty((len(axis), len(axis)), dtype=complex)  # a (T, s) block
+        y.real, y.imag = axis[:, None], axis[None, :]
+        for batch in (y, y.ravel()):
+            got, want = c.detect(batch, amplitude), detect_searchsorted(c, batch, amplitude)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        # scalars: every axis value against each special value, both ways round
+        specials = slice(-5, None)
+        for v in np.concatenate([y[specials].ravel(), y[:, specials].ravel()]):
+            want = detect_searchsorted(c, v, amplitude)
+            for scalar in (v, complex(v)):
+                got = c.detect(scalar, amplitude)
+                assert got == want and np.asarray(got).dtype == want.dtype
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.sampled_from([2, 4, 16, 64, 256, 1024, 4096]),
+        log_amplitude=st.floats(-6.0, 6.0),
+        y=st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), min_size=1,
+                   max_size=32),
+    )
+    def test_detect_equals_the_searchsorted_slicer_on_any_floats(self, order, log_amplitude, y):
+        c = qam(order)
+        amplitude = 10.0**log_amplitude
+        y = np.array(y, dtype=complex)
+        assert np.array_equal(c.detect(y, amplitude), detect_searchsorted(c, y, amplitude))
+
+    def test_detect_does_not_call_searchsorted(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("detect called np.searchsorted")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        for order in (2, 4, 16, 4096):
+            c = qam(order)
+            assert np.array_equal(c.detect(3.0 * c.points, 3.0), np.arange(order))
 
 
 class TestCompatibility:

@@ -65,6 +65,44 @@ class TestBerEstimate:
         assert est.ber == 0.0 and est.stderr == 0.0
 
 
+class TestUnitNormals:
+    @pytest.mark.parametrize("shape", [(5000,), (2, 5000), (5000, 3)])
+    def test_equal_to_the_summed_draws(self, shape):
+        z = mc._unit_cn(mc._rng(2**63 + 5, 7), shape)
+        rng = mc._rng(2**63 + 5, 7)
+        re = rng.standard_normal(shape)
+        im = rng.standard_normal(shape)
+        summed = re + 1j * im
+        assert z.shape == shape and z.dtype == complex
+        assert np.array_equal(z, summed)
+        for part, draw, through_sum in ((z.real, re, summed.real), (z.imag, im, summed.imag)):
+            # the draws, bit for bit and in their order; the sum can move only
+            # the sign of a draw that is exactly zero
+            assert np.array_equal(part.view(np.uint64), draw.view(np.uint64))
+            assert np.all(draw[through_sum.view(np.uint64) != draw.view(np.uint64)] == 0.0)
+
+    def test_the_sign_of_a_zero_draw_reaches_no_signal(self):
+        # every pairing of signed zeros and nonzero parts, written as drawn
+        # and through re + 1j * im
+        parts = np.array([0.0, -0.0, 1.25, -0.5])
+        re, im = (a.ravel() for a in np.meshgrid(parts, parts))
+        written = np.empty(re.shape, dtype=complex)
+        written.real, written.imag = re, im
+        summed = re + 1j * im
+        moved = written.view(np.uint64) != summed.view(np.uint64)
+        assert np.any(moved) and np.all(written.view(float)[moved] == 0.0)
+        # every sampled signal adds scaled draws to a symbol, as the samplers
+        # form it (one draw, or AF's second output with two)
+        for order in (2, 4, 16, 4096):
+            for amplitude in (1e-3, 1.0, 31.6):
+                x = (amplitude * qam(order).points)[:, None]
+                for scale in (0.0, 1e-300, 0.7, 3.0):
+                    for g in (written, summed):
+                        assert (x + scale * g).tobytes() == (x + scale * written).tobytes()
+                        assert ((x + (scale * g + 0.5 * g[::-1])).tobytes()
+                                == (x + (scale * written + 0.5 * written[::-1])).tobytes())
+
+
 class TestSimulateAf:
     def test_no_cooperation_matches_qpsk_oracle(self):
         r = simulate_af(NO_COOP, [AF0], TrialConfig(trials=200_000, seed=7))[0]
@@ -419,6 +457,28 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_branch_draws_and_relay_decisions_are_released_after_last_read(self):
+        # one full batch of 4-QAM blocks under weight-and-add, where every
+        # complex signal of the batch takes 1 MiB: x, two direct signals and
+        # two link draws stay alive; a link's draw and a relay's decisions
+        # go after the last config that reads them, and each destination's
+        # branch is formed just before it is detected. Holding every draw and
+        # both branches through detection peaked at 11.1 MiB (sweep) and
+        # 10.9 MiB (count 2 alone)
+        configs = df_sweep(Symmetric(0), Regime.H2, range(3))
+        tc = TrialConfig(trials=mc.BATCH_SYMBOLS, seed=71)
+        simulate_df(COOP, configs, 4, TrialConfig(trials=10), combiner="mrc")  # warm caches
+        peaks = []
+        for sweep in (configs, configs[2:]):
+            tracemalloc.start()
+            try:
+                simulate_df(COOP, sweep, 4, tc, combiner="mrc")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 10.6 * 2**20
+        assert peaks[1] < 9 * 2**20
 
     def test_pooled_receiver_one_counts(self):
         sweep = simulate_af(COOP, af_sweep(Symmetric(0), [Strategy.S1], Regime.H2, range(2)),
