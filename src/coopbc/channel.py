@@ -55,33 +55,25 @@ class Receiver(enum.Enum):
 
 @dataclass(frozen=True)
 class Symmetric:
-    """Both receivers transmit one cooperation signal per round; `pairs` rounds."""
+    """Both receivers transmit one cooperation signal per round; `count` rounds."""
 
-    pairs: int
+    count: int
 
     def __post_init__(self) -> None:
-        if self.pairs < 0:
-            raise ValueError(f"pair count must be >= 0, got {self.pairs}")
-
-    @property
-    def count(self) -> int:
-        return self.pairs
+        if self.count < 0:
+            raise ValueError(f"pair count must be >= 0, got {self.count}")
 
 
 @dataclass(frozen=True)
 class Asymmetric:
-    """Receivers alternate single transmissions, `starter` first; `exchanges` total."""
+    """Receivers alternate single transmissions, `starter` first; `count` in total."""
 
-    exchanges: int
+    count: int
     starter: Receiver = Receiver.R1
 
     def __post_init__(self) -> None:
-        if self.exchanges < 0:
-            raise ValueError(f"exchange count must be >= 0, got {self.exchanges}")
-
-    @property
-    def count(self) -> int:
-        return self.exchanges
+        if self.count < 0:
+            raise ValueError(f"exchange count must be >= 0, got {self.count}")
 
 
 Scheme = Union[Symmetric, Asymmetric]
@@ -137,19 +129,16 @@ class CoopConfig:
 
     def with_count(self, k: int) -> "CoopConfig":
         """Copy of this config with the scheme count replaced by `k`."""
-        return replace(self, scheme=replace(self.scheme, **{_count_field(self.scheme): k}))
-
-
-def _count_field(scheme: Scheme) -> str:
-    return "pairs" if isinstance(scheme, Symmetric) else "exchanges"
+        return replace(self, scheme=replace(self.scheme, count=k))
 
 
 @dataclass(frozen=True)
 class BandwidthPlan:
-    """Bandwidth split and the resulting integrated noise powers (W)."""
+    """Bandwidth split and the resulting integrated noise powers (W). Every
+    cooperation sub-channel is B_DL wide, so N12 and N21 integrate over B_DL;
+    only `mc.simulate_df` narrows a sub-channel, to a fraction of B_DL."""
 
     B_DL: float
-    deltaB: float
     B_C: float
     N1: float
     N2: float
@@ -160,29 +149,19 @@ class BandwidthPlan:
 def plan_bandwidth(params: ChannelParams, config: CoopConfig) -> BandwidthPlan:
     """Split the spectrum for the configured scheme, count and regime.
 
-    Fixed total bandwidth: deltaB = B/(2*Ks+1) (symmetric) or B/(Ka+1)
-    (asymmetric), with B_DL = deltaB. Fixed downlink bandwidth: deltaB = B_DL = B.
-    K = 0 yields B_DL = B, B_C = 0 under both regimes.
+    With n cooperation sub-channels, fixed total bandwidth (H1) gives
+    B_DL = B/(n+1), fixed downlink bandwidth (H2) gives B_DL = B; either way
+    B_C = n * B_DL, so K = 0 yields B_DL = B, B_C = 0 under both regimes.
     """
-    B = params.B
     n_coop = sum(transmissions(config))  # cooperation sub-channels
-    if n_coop == 0:
-        B_DL, deltaB = B, B  # deltaB irrelevant without cooperation
-    elif config.regime is Regime.H1:
-        deltaB = B / (n_coop + 1)
-        B_DL = deltaB
-    else:
-        B_DL = B
-        deltaB = B
-    B_C = n_coop * deltaB if n_coop else 0.0
+    B_DL = params.B / (n_coop + 1) if config.regime is Regime.H1 else params.B
     return BandwidthPlan(
         B_DL=B_DL,
-        deltaB=deltaB,
-        B_C=B_C,
+        B_C=n_coop * B_DL,
         N1=params.n1 * B_DL,
         N2=params.n2 * B_DL,
-        N12=params.n12 * deltaB,
-        N21=params.n21 * deltaB,
+        N12=params.n12 * B_DL,
+        N21=params.n21 * B_DL,
     )
 
 

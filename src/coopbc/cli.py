@@ -34,7 +34,7 @@ from .channel import (
     plan_bandwidth,
 )
 from .errors import EnumerationBoundError, ModulationError, ScenarioError
-from .mc import AfRunResult, DfRunResult, TrialConfig, simulate_af, simulate_df
+from .mc import AfRunResult, DfRunResult, simulate_af, simulate_df
 from .metrics import decision_regions, error_criteria, rate_af, simo_bound
 from .scenario import Scenario, parse_scenario
 
@@ -51,7 +51,7 @@ def _summary(s: Scenario) -> str:
         f"regime={c.regime.value} k={c.count} k_max={s.k_max}",
         f"P={p.P:.12g} n1={p.n1:.12g} n2={p.n2:.12g} n12={p.n12:.12g} "
         f"n21={p.n21:.12g} P12={p.P12:.12g} P21={p.P21:.12g} B={p.B:.12g}",
-        f"trials={s.trials} seed={s.seed}",
+        f"trials={s.trial.trials} seed={s.trial.seed}",
     ]
     if isinstance(c.scheme, Asymmetric):
         parts[0] += f" starter=r{c.scheme.starter.value}"
@@ -121,11 +121,10 @@ def _sweep(s: Scenario, configs: Sequence[CoopConfig], args: argparse.Namespace
            ) -> Union[Sequence[AfRunResult], Sequence[DfRunResult]]:
     """One Monte Carlo sweep of `configs` (all of one protocol) with the
     scenario's trial budget, modulation and decode-and-forward options."""
-    tc = TrialConfig(s.trials, seed=s.seed, target_half_width=s.target_half_width)
     if configs[0].protocol is Protocol.AF:
-        return simulate_af(s.params, configs, tc, order=s.source_order, threads=args.threads)
+        return simulate_af(s.params, configs, s.trial, order=s.source_order, threads=args.threads)
     return simulate_df(
-        s.params, configs, (s.source_order, s.relay_order), tc,
+        s.params, configs, (s.source_order, s.relay_order), s.trial,
         combiner=s.combiner, relay_model=s.relay_model,
         coop_bandwidth_fraction=s.coop_bandwidth_fraction, threads=args.threads,
     )
@@ -220,9 +219,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         scenario = parse_scenario(args.scenario)
         if args.seed is not None:
-            if not 0 <= args.seed < 1 << 64:
-                raise ScenarioError("--seed must fit in 64 bits")
-            scenario = dataclasses.replace(scenario, seed=args.seed)
+            trial = dataclasses.replace(scenario.trial, seed=args.seed)
+            scenario = dataclasses.replace(scenario, trial=trial)
         if args.threads < 1:
             raise ScenarioError("--threads must be >= 1")
         header, rows = args.func(scenario, args)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
@@ -345,28 +345,25 @@ def _mrc_decisions(
 
 
 def _df_plan(
-    params: ChannelParams, config: CoopConfig, source_order: int,
-    coop_bandwidth_fraction: Optional[float],
-) -> tuple[int, BlockShape, tuple[float, float], list[tuple[Receiver, float, float]]]:
-    """Relay order, block shape, downlink noise powers (N1, N2) and one
-    (relay, gain, noise) cooperation link per sending relay, in the order of
-    each relay's first send, of one DF config."""
-    if config.protocol is not Protocol.DF:
-        raise ValueError("simulate_df requires decode-and-forward configs")
+    params: ChannelParams, config: CoopConfig, fraction: float,
+) -> tuple[tuple[float, float], dict[Receiver, tuple[int, float, float]]]:
+    """Downlink noise powers (N1, N2) of one DF config, and for each sending
+    relay its (link slot, gain, noise): slots number the relays in the order
+    of their first send, and each link is `fraction` of the downlink band
+    wide."""
     plan = plan_bandwidth(params, config)
-    if coop_bandwidth_fraction is not None:
-        deltaB = coop_bandwidth_fraction * plan.B_DL
-        plan = replace(plan, deltaB=deltaB, N12=params.n12 * deltaB, N21=params.n21 * deltaB)
-    relay_order, shape = choose_compatible_modulation(source_order, plan.B_DL, plan.deltaB)
+    coop_band = fraction * plan.B_DL
     # m equal-power repeats (amplitude a, noise N) of one relay block are
     # sufficient as their sum: one branch of gain m*a and noise m*N
     period, sends = power_schedule(params, config), transmissions(config)
-    links = []
-    for relay in dict.fromkeys(Receiver(i % 2 + 1) for i in np.flatnonzero(period)):
+    senders = dict.fromkeys(Receiver(i % 2 + 1) for i in np.flatnonzero(period))
+    links = {}
+    for slot, relay in enumerate(senders):
         m = sends[relay.value - 1]
-        noise = plan.N12 if relay is Receiver.R1 else plan.N21
-        links.append((relay, m * math.sqrt(period[:, relay.value - 1].max()), m * noise))
-    return relay_order, shape, (plan.N1, plan.N2), links
+        density = params.n12 if relay is Receiver.R1 else params.n21
+        links[relay] = (slot, m * math.sqrt(period[:, relay.value - 1].max()),
+                        m * (density * coop_band))
+    return (plan.N1, plan.N2), links
 
 
 def simulate_df(
@@ -400,20 +397,22 @@ def simulate_df(
     (the law of the relay's decode-and-remap chain at its receive SNR, see
     `estimate_relay_errors`) or "genie" (error-free relay).
     `coop_bandwidth_fraction` narrows each cooperation sub-channel to that
-    fraction of the downlink band, which raises the relay constellation order
-    needed to conserve the coded bit rate and shrinks the integrated
-    cooperation noise accordingly.
+    fraction of the downlink band (the full band when None), which raises the
+    relay constellation order needed to conserve the coded bit rate and
+    shrinks the integrated cooperation noise accordingly.
 
-    Every config must resolve the same block shape and relay order (else
-    ValueError), so all of them share the source bits and unit normals of a
-    batch: the two direct draws, then one per cooperation link in send order,
-    of which a config with fewer links uses a prefix. Direct signals, relay
-    decisions and relay error models are formed once per distinct downlink
-    noise power, and each result equals that config's solo run. A link's draw
-    and a relay's decisions are released after the last config that reads
-    them, and each destination's branch is formed just before its detector
-    reads it.
+    The fraction alone fixes the ratio of relay to source symbol rates, so
+    one relay order and block shape serve every config, and all of them share
+    the source bits and unit normals of a batch: the two direct draws, then
+    one per cooperation link slot in first-send order, of which a config with
+    fewer links uses a prefix. Direct signals, relay decisions and relay
+    error models are formed once per distinct downlink noise power, and each
+    result equals that config's solo run. A link's draw and a relay's
+    decisions are released after the last config that reads them, and each
+    destination's branch is formed just before its detector reads it.
     """
+    if any(c.protocol is not Protocol.DF for c in configs):
+        raise ValueError("simulate_df requires decode-and-forward configs")
     if combiner not in ("mld", "mrc"):
         raise ValueError(f"unknown combiner {combiner!r}")
     if relay_model not in ("exact", "genie"):
@@ -426,13 +425,9 @@ def simulate_df(
     src_c = qam(source_order)
     if not configs:
         return Sweep()
-    orders, shapes, downlinks, links = zip(
-        *(_df_plan(params, c, source_order, coop_bandwidth_fraction) for c in configs)
-    )
-    if len(set(zip(orders, shapes))) > 1:
-        raise ValueError("every config of a DF sweep must resolve the same block shape "
-                         "and relay order")
-    relay_order, shape = orders[0], shapes[0]
+    fraction = 1.0 if coop_bandwidth_fraction is None else coop_bandwidth_fraction
+    relay_order, shape = choose_compatible_modulation(source_order, 1.0, fraction)
+    downlinks, links = zip(*(_df_plan(params, c, fraction) for c in configs))
     if combiner == "mld":
         ensure_enumerable(shape.n)  # fail before building any error model
     if relay_expect is not None and relay_expect != relay_order:
@@ -451,7 +446,7 @@ def simulate_df(
     models: dict[float, RelayErrorModel] = {}
     if combiner == "mld":
         for noises, config_links in zip(downlinks, links):
-            for relay, _, _ in config_links:
+            for relay in config_links:
                 noise = noises[relay.value - 1]
                 if noise not in models:
                     models[noise] = (RelayErrorModel.error_free(src_c) if relay_model == "genie"
@@ -480,8 +475,8 @@ def simulate_df(
         for c in active:
             groups.setdefault(downlinks[c], []).append(c)
         # the last config to read each link slot's draw; it releases the draw
-        last_draw = {j: c for members in groups.values() for c in members
-                     for j in range(len(links[c]))}
+        last_draw = {slot: c for members in groups.values() for c in members
+                     for slot, _, _ in links[c].values()}
         out: dict[int, tuple] = {}
         for noises, members in groups.items():
             direct = {dest: x + math.sqrt(noises[dest.value - 1] / 2.0) * g
@@ -490,22 +485,23 @@ def simulate_df(
                 unit_direct.clear()
             labels: dict[Receiver, np.ndarray] = {}
             # the last config of the group to read each relay's decisions
-            last_labels = {relay: c for c in members for relay, _, _ in links[c]}
+            last_labels = {relay: c for c in members for relay in links[c]}
             for c in members:
                 wrong = []
                 for dest in Receiver:  # form each branch just before its detector reads it
                     received = []
-                    for j, (relay, gain, noise) in enumerate(links[c]):
-                        if relay is not dest.other:
-                            continue
+                    relay = dest.other  # a destination hears only its partner
+                    if relay in links[c]:
+                        slot, gain, noise = links[c][relay]
                         if relay not in labels:
                             labels[relay] = (true_labels if relay_model == "genie" else
                                              relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s))
                         received.append(RelayObservation(
-                            gain * rel_c.points[labels[relay]] + math.sqrt(noise / 2.0) * unit_links[j],
+                            gain * rel_c.points[labels[relay]]
+                            + math.sqrt(noise / 2.0) * unit_links[slot],
                             gain, noise, models.get(noises[relay.value - 1])))
-                        if last_draw[j] == c:
-                            unit_links[j] = None
+                        if last_draw[slot] == c:
+                            unit_links[slot] = None
                         if last_labels[relay] == c:
                             del labels[relay]
                     wrong.append(decide(direct[dest], received, noises[dest.value - 1]) != bits)

@@ -26,6 +26,7 @@ from .channel import (
     Symmetric,
 )
 from .errors import ScenarioError
+from .mc import TrialConfig
 
 __all__ = ["Scenario", "parse_scenario", "parse_scenario_text"]
 
@@ -53,9 +54,7 @@ class Scenario:
     source_order: int
     relay_order: Optional[int]
     coop_bandwidth_fraction: Optional[float]
-    trials: int
-    seed: int
-    target_half_width: Optional[float]
+    trial: TrialConfig
     combiner: str
     relay_model: str
     grid_points: int
@@ -203,15 +202,11 @@ def parse_scenario_text(text: str, origin: str = "<scenario>") -> Scenario:
     trials = sections.get("trials", _Section("trials", {}))
     regions = sections.get("regions", _Section("regions", {}))
 
-    n_trials = trials.integer("trials", 100_000)
-    if n_trials < 1:
-        raise ScenarioError("[trials] trials must be >= 1")
-    seed = trials.integer("seed", 0)
-    if not 0 <= seed < 1 << 64:
-        raise ScenarioError("[trials] seed must fit in 64 bits")
-    target = trials.number("target_half_width", None)
-    if target is not None and not target > 0.0:
-        raise ScenarioError("[trials] target_half_width must be positive")
+    try:
+        trial = TrialConfig(trials.integer("trials", 100_000), seed=trials.integer("seed", 0),
+                            target_half_width=trials.number("target_half_width", None))
+    except ValueError as exc:
+        raise ScenarioError(f"[trials] {exc}") from None
     combiner = trials.choice("combiner", {"mld": "mld", "mrc": "mrc"}, "mld")
     relay_model = trials.choice("relay_model", {"exact": "exact", "genie": "genie"}, "exact")
     grid_points = regions.integer("grid_points", 21)
@@ -230,9 +225,7 @@ def parse_scenario_text(text: str, origin: str = "<scenario>") -> Scenario:
         source_order=source_order,
         relay_order=relay_order,
         coop_bandwidth_fraction=fraction,
-        trials=n_trials,
-        seed=seed,
-        target_half_width=target,
+        trial=trial,
         combiner=combiner,
         relay_model=relay_model,
         grid_points=grid_points,

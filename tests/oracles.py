@@ -1044,10 +1044,10 @@ def serialize_scenario(s: Scenario) -> str:
     if s.relay_order is not None:
         mod["relay_order"] = str(s.relay_order)
     cp["modulation"] = mod
-    trials = {"trials": str(s.trials), "seed": str(s.seed), "combiner": s.combiner,
+    trials = {"trials": str(s.trial.trials), "seed": str(s.trial.seed), "combiner": s.combiner,
               "relay_model": s.relay_model}
-    if s.target_half_width is not None:
-        trials["target_half_width"] = repr(s.target_half_width)
+    if s.trial.target_half_width is not None:
+        trials["target_half_width"] = repr(s.trial.target_half_width)
     cp["trials"] = trials
     cp["regions"] = {
         "grid_points": str(s.grid_points),

@@ -34,21 +34,21 @@ class TestBandwidthPlan:
     def test_fixed_total_band_symmetric(self):
         plan = plan_bandwidth(PARAMS, _cfg(Symmetric(2)))
         # 2 pairs -> 4 cooperation sub-channels -> 5 equal slices of B
-        assert plan.deltaB == pytest.approx(8.0 / 5.0)
         assert plan.B_DL == pytest.approx(8.0 / 5.0)
         assert plan.B_C == pytest.approx(4 * 8.0 / 5.0)
         assert plan.B_DL + plan.B_C == pytest.approx(PARAMS.B)
 
     def test_fixed_total_band_asymmetric(self):
         plan = plan_bandwidth(PARAMS, _cfg(Asymmetric(3)))
-        assert plan.deltaB == pytest.approx(8.0 / 4.0)
+        assert plan.B_DL == pytest.approx(8.0 / 4.0)
         assert plan.B_DL + plan.B_C == pytest.approx(PARAMS.B)
 
     def test_fixed_downlink_band(self):
         for scheme in (Symmetric(3), Asymmetric(5)):
-            plan = plan_bandwidth(PARAMS, _cfg(scheme, Regime.H2))
-            assert plan.B_DL == PARAMS.B
-            assert plan.deltaB == PARAMS.B
+            cfg = _cfg(scheme, Regime.H2)
+            plan = plan_bandwidth(PARAMS, cfg)
+            assert plan.B_DL == PARAMS.B  # every sub-channel is as wide as the downlink
+            assert plan.B_C == sum(transmissions(cfg)) * PARAMS.B
 
     def test_no_cooperation_uses_full_band(self):
         for regime in Regime:
@@ -61,8 +61,8 @@ class TestBandwidthPlan:
         plan = plan_bandwidth(PARAMS, _cfg(Symmetric(2)))
         assert plan.N1 == pytest.approx(PARAMS.n1 * plan.B_DL)
         assert plan.N2 == pytest.approx(PARAMS.n2 * plan.B_DL)
-        assert plan.N12 == pytest.approx(PARAMS.n12 * plan.deltaB)
-        assert plan.N21 == pytest.approx(PARAMS.n21 * plan.deltaB)
+        assert plan.N12 == pytest.approx(PARAMS.n12 * plan.B_DL)
+        assert plan.N21 == pytest.approx(PARAMS.n21 * plan.B_DL)
 
 
 def _layout(period: np.ndarray, k: int) -> np.ndarray:
@@ -151,7 +151,7 @@ class TestSchemes:
         assert transmissions(_cfg(Asymmetric(3, starter=Receiver.R2))) == (1, 2)
         for scheme in (Symmetric(0), Symmetric(3), Asymmetric(0), Asymmetric(5)):
             plan = plan_bandwidth(PARAMS, _cfg(scheme))  # one sub-channel per transmission
-            assert plan.B_C == pytest.approx(sum(transmissions(_cfg(scheme))) * plan.deltaB)
+            assert plan.B_C == pytest.approx(sum(transmissions(_cfg(scheme))) * plan.B_DL)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

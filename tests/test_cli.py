@@ -454,6 +454,14 @@ class TestExitCodes:
         path = scenario_file(AF_TEXT)
         assert run(capsys, ["ber", "--scenario", path, "--threads", "0"])[0] == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_64_bits_exits_2(self, capsys, scenario_file, seed):
+        path = scenario_file(AF_TEXT)
+        assert main(["ber", "--scenario", path, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must fit in 64 bits\n"
+
     def test_enumeration_bound_exits_3(self, capsys, scenario_file):
         path = scenario_file(BOUND_TEXT)
         code = main(["ber", "--scenario", path])

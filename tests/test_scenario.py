@@ -15,6 +15,7 @@ from coopbc import (
     ScenarioError,
     Strategy,
     Symmetric,
+    TrialConfig,
     parse_scenario,
     parse_scenario_text,
 )
@@ -167,7 +168,7 @@ class TestParsing:
         assert s.k_max == 3  # defaults to k
         assert s.coop_bandwidth_fraction == 0.5
         assert (s.source_order, s.relay_order) == (16, 16)
-        assert (s.trials, s.seed, s.target_half_width) == (50000, 1, 0.05)
+        assert s.trial == TrialConfig(50000, seed=1, target_half_width=0.05)
         assert (s.combiner, s.relay_model) == ("mrc", "genie")
         assert (s.grid_points, s.grid_min, s.grid_max) == (11, 0.5, 2.0)
         assert s.ratios_db == (-3.0, 0.0, 3.0)
@@ -181,8 +182,7 @@ class TestParsing:
         assert s.k_max == 2
         assert s.relay_order is None
         assert s.coop_bandwidth_fraction is None
-        assert (s.trials, s.seed) == (100000, 0)
-        assert s.target_half_width is None
+        assert s.trial == TrialConfig(100000, seed=0, target_half_width=None)
         assert (s.combiner, s.relay_model) == ("mld", "exact")
         assert s.ratios_db == (-30.0, -10.0, 0.0, 10.0, 30.0)
 
