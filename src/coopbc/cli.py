@@ -10,16 +10,17 @@ Subcommands:
 Every command reads a scenario file, writes CSV (stdout or --out) with one
 leading comment line describing the resolved scenario, and is byte-for-byte
 deterministic for a fixed scenario, seed and thread count. Exit codes:
-0 success, 2 configuration error, 3 numeric or enumeration-bound error.
+0 success, 2 configuration or output error, 3 numeric or enumeration-bound error.
 """
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import dataclasses
+import itertools
 import math
 import sys
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +41,28 @@ from .scenario import Scenario, parse_scenario
 
 __all__ = ["main"]
 
-Cell = Union[str, int, float]
+Row = Sequence[Union[str, int, float]]
+# A table's columns as (name, format) pairs: counts and orders print as
+# integers, every other number with 12 significant digits, text as is.
+Columns = tuple[tuple[str, str], ...]
+Table = tuple[Columns, Iterable[Row]]
+
+_INT, _FLOAT, _TEXT = "{:d}", "{:.12g}", "{}"
+
+
+def _floats(*names: str) -> Columns:
+    return tuple((name, _FLOAT) for name in names)
+
+
+SNR_COLUMNS = (("i", _INT), *_floats("alpha_1", "alpha_2", "N_1", "N_2", "e", "rho_1", "rho_2"))
+RATE_COLUMNS = (("k", _INT), *_floats("b_dl", "b_c", "rho_1", "rho_2", "rate_af", "simo_bound"))
+_BER_COLUMNS = (("k", _INT), *_floats("ber_1", "stderr_1", "ber_2", "stderr_2", "pe_sys",
+                                      "pe_sys_stderr", "pe_max", "pe_sum"))
+BER_AF_COLUMNS = _BER_COLUMNS + _floats("snr_1", "snr_2", "rho_1", "rho_2")
+BER_DF_COLUMNS = _BER_COLUMNS + (("source_order", _INT), ("relay_order", _INT))
+REGIONS_COLUMNS = (("kind", _TEXT), *_floats("ratio_db", "n1", "n2"), ("winner", _INT))
+COMPARE_COLUMNS = (("k", _INT), *_floats("af_s1_ber_max", "af_s1_pe_sys", "af_s2_ber_max",
+                                         "af_s2_pe_sys", "df_ber_max", "df_pe_sys"))
 
 
 def _summary(s: Scenario) -> str:
@@ -58,30 +80,14 @@ def _summary(s: Scenario) -> str:
     return " | ".join(parts)
 
 
-def _fmt(value: Cell) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
-
-
-def _emit(
-    out: Optional[str], scenario: Scenario, header: Sequence[str],
-    rows: Iterable[Sequence[Cell]],
-) -> None:
-    def write(stream) -> None:
-        stream.write(f"# {_summary(scenario)} | coopbc {__version__}\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-    if out is None:
-        write(sys.stdout)
-    else:
-        with open(out, "w", newline="") as fh:
-            write(fh)
+def _emit(out: Optional[str], scenario: Scenario, columns: Columns, rows: Iterable[Row]) -> None:
+    """Write the comment line, the header and one line per row. No name or
+    text cell holds a comma, quote or line break, so no field is quoted."""
+    names, formats = zip(*columns)
+    line = ",".join(formats) + "\n"
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
+        fh.write(f"# {_summary(scenario)} | coopbc {__version__}\n{','.join(names)}\n")
+        fh.writelines(itertools.starmap(line.format, rows))
 
 
 def _require_af(s: Scenario, command: str) -> None:
@@ -92,29 +98,24 @@ def _require_af(s: Scenario, command: str) -> None:
         )
 
 
-def cmd_snr(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
+def cmd_snr(s: Scenario, args: argparse.Namespace) -> Table:
     """Within-campaign combiner states i = 0..k under the provisioned plan."""
     _require_af(s, "snr")
     # combiner outputs are kept at unit signal gain (alpha = 1)
-    rows: list[list[Cell]] = [
-        [st.i, 1.0, 1.0, st.N_I, st.N_II, st.e, st.rho_I, st.rho_II]
-        for st in campaign(s.params, s.config)
-    ]
-    return ["i", "alpha_1", "alpha_2", "N_1", "N_2", "e", "rho_1", "rho_2"], rows
+    return SNR_COLUMNS, [(st.i, 1.0, 1.0, st.N_I, st.N_II, st.e, st.rho_I, st.rho_II)
+                         for st in campaign(s.params, s.config)]
 
 
-def cmd_rate(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
+def cmd_rate(s: Scenario, args: argparse.Namespace) -> Table:
     """Final SNRs and achievable rate for each provisioned count k = 0..k_max."""
     _require_af(s, "rate")
     bound = simo_bound(s.params)
-    rows: list[list[Cell]] = []
+    rows: list[Row] = []
     for k, st in enumerate(run_recursion(s.params, s.config, s.k_max)):
         plan = plan_bandwidth(s.params, s.config.with_count(k))
-        rows.append([
-            k, plan.B_DL, plan.B_C, st.rho_I, st.rho_II,
-            rate_af(plan, (st.rho_I, st.rho_II)), bound,
-        ])
-    return ["k", "b_dl", "b_c", "rho_1", "rho_2", "rate_af", "simo_bound"], rows
+        rows.append((k, plan.B_DL, plan.B_C, st.rho_I, st.rho_II,
+                     rate_af(plan, (st.rho_I, st.rho_II)), bound))
+    return RATE_COLUMNS, rows
 
 
 def _sweep(s: Scenario, configs: Sequence[CoopConfig], args: argparse.Namespace
@@ -130,42 +131,40 @@ def _sweep(s: Scenario, configs: Sequence[CoopConfig], args: argparse.Namespace
     )
 
 
-def cmd_ber(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
+def cmd_ber(s: Scenario, args: argparse.Namespace) -> Table:
     """Monte Carlo error rates for each provisioned count k = 0..k_max."""
     af = s.config.protocol is Protocol.AF
     configs = [s.config.with_count(k) for k in range(s.k_max + 1)]
-    rows: list[list[Cell]] = []
+    rows: list[Row] = []
     for config, r in zip(configs, _sweep(s, configs, args)):
         pe_max, pe_sum = error_criteria(r.ber_I.ber, r.ber_II.ber, r.pe_sys.ber)
-        tail = ([r.snr_I.value, r.snr_II.value, r.analytic.rho_I, r.analytic.rho_II] if af
-                else [r.source_order, r.relay_order])
-        rows.append([
-            config.count, r.ber_I.ber, r.ber_I.stderr, r.ber_II.ber, r.ber_II.stderr,
-            r.pe_sys.ber, r.pe_sys.stderr, pe_max, pe_sum, *tail,
-        ])
-    header = ["k", "ber_1", "stderr_1", "ber_2", "stderr_2", "pe_sys", "pe_sys_stderr",
-              "pe_max", "pe_sum"]
-    header += ["snr_1", "snr_2", "rho_1", "rho_2"] if af else ["source_order", "relay_order"]
-    return header, rows
+        tail = ((r.snr_I.value, r.snr_II.value, r.analytic.rho_I, r.analytic.rho_II) if af
+                else (r.source_order, r.relay_order))
+        rows.append((config.count, r.ber_I.ber, r.ber_I.stderr, r.ber_II.ber, r.ber_II.stderr,
+                     r.pe_sys.ber, r.pe_sys.stderr, pe_max, pe_sum, *tail))
+    return (BER_AF_COLUMNS if af else BER_DF_COLUMNS), rows
 
 
-def cmd_regions(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
+def cmd_regions(s: Scenario, args: argparse.Namespace) -> Table:
     """Winning-strategy map over a log grid of receiver noise densities."""
     _require_af(s, "regions")
     grid = np.logspace(math.log10(s.grid_min), math.log10(s.grid_max), s.grid_points)
     rmap = decision_regions(s.params, s.config, n1_grid=grid, n2_grid=grid,
                             ratios_db=s.ratios_db)
-    rows: list[list[Cell]] = []
-    for r_idx, ratio in enumerate(rmap.ratios_db):
-        for i, n1 in enumerate(rmap.n1_grid):
-            for j, n2 in enumerate(rmap.n2_grid):
-                rows.append(["cell", ratio, n1, n2, int(rmap.winners[r_idx, i, j])])
-        for n1, n2 in rmap.boundaries[r_idx]:
-            rows.append(["boundary", ratio, n1, n2, 0])
-    return ["kind", "ratio_db", "n1", "n2", "winner"], rows
+
+    def rows() -> Iterator[Row]:
+        # the map is computed, so nothing raises from here: the rows stream
+        n1 = np.repeat(rmap.n1_grid, len(rmap.n2_grid)).tolist()
+        n2 = np.tile(rmap.n2_grid, len(rmap.n1_grid)).tolist()
+        for ratio, winners, boundary in zip(rmap.ratios_db, rmap.winners, rmap.boundaries):
+            yield from zip(itertools.repeat("cell"), itertools.repeat(ratio), n1, n2,
+                           winners.ravel().tolist())
+            yield from (("boundary", ratio, b1, b2, 0) for b1, b2 in boundary)
+
+    return REGIONS_COLUMNS, rows()
 
 
-def cmd_compare(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[list[Cell]]]:
+def cmd_compare(s: Scenario, args: argparse.Namespace) -> Table:
     """AF under both forwarding strategies versus DF, shared seed, per count."""
     counts = range(s.k_max + 1)
     # without an exchange there is no strategy: S2 at k = 0 is the S1 campaign
@@ -173,14 +172,10 @@ def cmd_compare(s: Scenario, args: argparse.Namespace) -> tuple[list[str], list[
           for strategy, ks in ((Strategy.S1, counts), (Strategy.S2, counts[1:])) for k in ks]
     df = [dataclasses.replace(s.config, protocol=Protocol.DF).with_count(k) for k in counts]
     af_runs, df_runs = _sweep(s, af, args), _sweep(s, df, args)
-    rows: list[list[Cell]] = []
-    for k, *runs in zip(counts, af_runs, af_runs[:1] + af_runs[len(counts):], df_runs):
-        row: list[Cell] = [k]
-        for r in runs:
-            row += [max(r.ber_I.ber, r.ber_II.ber), r.pe_sys.ber]
-        rows.append(row)
-    return ["k", "af_s1_ber_max", "af_s1_pe_sys", "af_s2_ber_max", "af_s2_pe_sys",
-            "df_ber_max", "df_pe_sys"], rows
+    return COMPARE_COLUMNS, [
+        (k, *(x for r in runs for x in (max(r.ber_I.ber, r.ber_II.ber), r.pe_sys.ber)))
+        for k, *runs in zip(counts, af_runs, af_runs[:1] + af_runs[len(counts):], df_runs)
+    ]
 
 
 _COMMANDS = {
@@ -223,8 +218,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scenario = dataclasses.replace(scenario, trial=trial)
         if args.threads < 1:
             raise ScenarioError("--threads must be >= 1")
-        header, rows = args.func(scenario, args)
-        _emit(args.out, scenario, header, rows)
+        columns, rows = args.func(scenario, args)
+        try:
+            _emit(args.out, scenario, columns, rows)
+        except OSError as exc:
+            where = "stdout" if args.out is None else args.out
+            raise ScenarioError(f"cannot write {where}: {exc.strerror or exc}") from None
     # LinAlgError subclasses ValueError, so numeric errors are caught first
     except (EnumerationBoundError, FloatingPointError, OverflowError, ZeroDivisionError,
             np.linalg.LinAlgError, MemoryError) as exc:

@@ -29,11 +29,14 @@ None of this is used by the package itself:
   the all-points detector, whose substitution counts the exact relay law is
   tested against;
 - the exact Gray square-QAM bit error rate over AWGN;
-- the scenario INI writer, whose output the parser must read back exactly.
+- the scenario INI writer, whose output the parser must read back exactly;
+- the CLI's CSV writer before format templates: `csv.writer` with minimal
+  quoting over cells formatted one at a time by their Python type.
 """
 from __future__ import annotations
 
 import configparser
+import csv
 import functools
 import io
 import math
@@ -1058,3 +1061,26 @@ def serialize_scenario(s: Scenario) -> str:
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# CLI output
+# ---------------------------------------------------------------------------
+
+
+def format_cell(value) -> str:
+    """One CSV cell: text as is, Python and numpy integers in decimal, every
+    other number with 12 significant digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+def write_csv(stream, header: Sequence[str], rows) -> None:
+    """The header line and one line per row, through `csv.writer`."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_cell(v) for v in row])

@@ -1,8 +1,10 @@
 """Command-line interface: output shape, determinism, and exit codes."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -27,7 +31,8 @@ from coopbc.channel import (
 from coopbc.cli import main
 from coopbc.errors import EnumerationBoundError
 from coopbc.mc import simulate_af
-from oracles import s2_closed_form
+from coopbc.scenario import parse_scenario_text
+from oracles import s2_closed_form, write_csv
 
 AF_TEXT = """
 [channel]
@@ -144,6 +149,11 @@ ANALYTIC_PINS = [
     ("regions", REGIONS_TEXT.replace("k = 1", "k = 2").replace("grid_points = 3", "grid_points = 9")
      .replace("ratios_db = 0", "ratios_db = -10, 0, 10"),
      "2502ba46f267a536fb91c3b65b964eb149259fcd12a6c0fc318e73a19b29b893"),
+    # every cell ties under S2, so each ratio's cell rows are followed by one
+    # boundary row per cell at its grid n2
+    ("regions", REGIONS_TEXT.replace("k = 1", "k = 2").replace("strategy = s1", "strategy = s2")
+     .replace("grid_points = 3", "grid_points = 9").replace("ratios_db = 0", "ratios_db = -10, 0, 10"),
+     "fb9a4714b1f5d29652035861051a9b99315f5b5ee29043f09850755d8008e24e"),
 ]
 
 # A branch whose noise overflows: receiver 1 sends 1e-300 W over a link of
@@ -338,6 +348,56 @@ class TestOutputs:
         assert dest.read_text() == out
 
 
+# Cells of each column format, with the values whose formatting is most
+# likely to differ: signed zeros, non-finite values, subnormals, extreme
+# exponents, values near a 12-digit rounding tie and numpy scalars.
+_EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300,
+                1e-300, 999999999999.5, 99999999999.95, 0.1 + 0.2, 1.0000000000005, 1e16)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_CELLS = {
+    "{:d}": st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                      st.integers(-128, 127).map(np.int8)),
+    "{:.12g}": st.one_of(_FLOATS, _FLOATS.map(np.float64)),
+    "{}": st.one_of(st.sampled_from(("cell", "boundary")),
+                    st.text(st.characters(blacklist_characters=',"\r\n',
+                                          blacklist_categories=("Cs",)))),
+}
+_UNQUOTED = ',"\r\n'  # csv.writer quotes a field holding any of these
+_ALL_COLUMNS = [v for k, v in vars(cli).items() if k.endswith("_COLUMNS") and k[0] != "_"]
+
+
+class TestEmit:
+    @pytest.mark.parametrize("columns", _ALL_COLUMNS)
+    def test_names_need_no_quoting(self, columns):
+        assert {fmt for _, fmt in columns} <= set(_CELLS)
+        for name, _ in columns:
+            assert name and not set(name) & set(_UNQUOTED)
+
+    def test_text_cells_need_no_quoting(self, capsys, scenario_file):
+        code, out = run(capsys, ["regions", "--scenario", scenario_file(REGIONS_TEXT)])
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        kinds = {row[header.index("kind")] for row in rows}
+        assert kinds == {"cell", "boundary"}
+        assert not set("".join(kinds)) & set(_UNQUOTED)
+
+    @pytest.mark.parametrize("columns", _ALL_COLUMNS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_csv_writer_reference(self, columns, data):
+        # one template per table gives the bytes of csv.writer over per-cell
+        # formatting, on any cells of the declared formats and on no rows
+        rows = data.draw(st.lists(st.tuples(*(_CELLS[fmt] for _, fmt in columns)), max_size=4))
+        scenario = parse_scenario_text(AF_TEXT)
+        for table in (rows, []):
+            expected = io.StringIO()
+            write_csv(expected, [name for name, _ in columns], table)
+            with contextlib.redirect_stdout(io.StringIO()) as got:
+                cli._emit(None, scenario, columns, table)
+            comment, body = got.getvalue().split("\n", 1)
+            assert comment.startswith("# ") and body == expected.getvalue()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command, text", [
         ("snr", AF_TEXT),
@@ -468,6 +528,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert "2^60" in err
+
+    @pytest.mark.parametrize("out", ["missing/out.csv", "."])
+    def test_unwritable_out_exits_2(self, scenario_file, tmp_path, out):
+        # a path in a missing directory, and a directory
+        dest = tmp_path / out
+        res = subprocess.run(
+            [sys.executable, "-m", "coopbc", "rate", "--scenario", scenario_file(AF_TEXT),
+             "--out", str(dest)], capture_output=True, text=True, env=child_env(),
+        )
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith(f"error: cannot write {dest}: ")
+        assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+    def test_failed_run_leaves_out_untouched(self, capsys, scenario_file, tmp_path):
+        dest = tmp_path / "out.csv"
+        dest.write_text("kept\n")
+        path = scenario_file(DF_TEXT)
+        assert run(capsys, ["regions", "--scenario", path, "--out", str(dest)])[0] == 2
+        assert dest.read_text() == "kept\n"
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
