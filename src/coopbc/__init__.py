@@ -31,7 +31,6 @@ from .df import (
     RelayErrorModel,
     RelayObservation,
     choose_compatible_modulation,
-    ensure_enumerable,
     estimate_relay_errors,
     mld_llr_batch,
     qam,
@@ -55,4 +54,4 @@ from .metrics import (
     simo_bound,
 )
 from .scenario import Scenario, parse_scenario, parse_scenario_text
-from .errors import EnumerationBoundError, ModulationError, ScenarioError
+from .errors import ModulationError, ScenarioError

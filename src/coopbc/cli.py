@@ -10,7 +10,7 @@ Subcommands:
 Every command reads a scenario file, writes CSV (stdout or --out) with one
 leading comment line describing the resolved scenario, and is byte-for-byte
 deterministic for a fixed scenario, seed and thread count. Exit codes:
-0 success, 2 configuration or output error, 3 numeric or enumeration-bound error.
+0 success, 2 configuration, modulation or output error, 3 numeric error.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .channel import (
     Symmetric,
     plan_bandwidth,
 )
-from .errors import EnumerationBoundError, ModulationError, ScenarioError
+from .errors import ModulationError, ScenarioError
 from .mc import AfRunResult, DfRunResult, simulate_af, simulate_df
 from .metrics import decision_regions, error_criteria, rate_af, simo_bound
 from .scenario import Scenario, parse_scenario
@@ -225,8 +225,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             where = "stdout" if args.out is None else args.out
             raise ScenarioError(f"cannot write {where}: {exc.strerror or exc}") from None
     # LinAlgError subclasses ValueError, so numeric errors are caught first
-    except (EnumerationBoundError, FloatingPointError, OverflowError, ZeroDivisionError,
-            np.linalg.LinAlgError, MemoryError) as exc:
+    except (FloatingPointError, OverflowError, ZeroDivisionError, np.linalg.LinAlgError,
+            MemoryError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 3
     except (ScenarioError, ModulationError, ValueError) as exc:

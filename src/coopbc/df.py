@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EnumerationBoundError, ModulationError
+from .errors import ModulationError
 
 __all__ = [
     "Constellation",
@@ -27,26 +27,10 @@ __all__ = [
     "RelayObservation",
     "qam",
     "choose_compatible_modulation",
-    "ensure_enumerable",
     "mld_llr_batch",
     "relay_decode_and_remap",
     "estimate_relay_errors",
 ]
-
-ENUMERATION_BIT_LIMIT = 20
-
-
-def ensure_enumerable(n: int) -> None:
-    """Reject blocks of more than ENUMERATION_BIT_LIMIT coded bits. The
-    detector enumerates only the 2^L labels of each unit of L <= n bits, but
-    the Monte Carlo batch partition still budgets 2^n cells per block."""
-    if n > ENUMERATION_BIT_LIMIT:
-        raise EnumerationBoundError(
-            f"block carries {n} coded bits; its 2^{n} cells per block exceed the "
-            f"2^{ENUMERATION_BIT_LIMIT} bound of the detector's batch partition — "
-            "use a smaller block shape"
-        )
-
 
 # ---------------------------------------------------------------------------
 # Constellations
@@ -175,18 +159,24 @@ class BlockShape:
             raise ValueError("block shape fields must be positive")
 
 
-def choose_compatible_modulation(Ms: int, B_DL: float, deltaB: float) -> tuple[int, BlockShape]:
+def choose_compatible_modulation(Ms: int, fraction: float) -> tuple[int, BlockShape]:
     """Smallest relay constellation and block shape conserving the coded bit
-    rate when the relay's symbol rate is deltaB/B_DL times the source's.
+    rate when the relay's symbol rate is `fraction` times the source's.
 
-    The relay must pack log2(Ms) * B_DL/deltaB bits into each of its symbols,
+    The relay must pack log2(Ms) / fraction bits into each of its symbols,
     so that many bits per symbol must be a positive even integer (square QAM)
-    with order at most 4096.
+    of at most 12 (order 4096).
     """
     source = qam(Ms)  # validates the source order
     ms_bits = source.bits_per_symbol
-    ratio = B_DL / deltaB
-    mr_exact = ms_bits * ratio
+    mr_exact = ms_bits / fraction
+    # checked before any rounding: a tiny fraction makes mr_exact too large
+    # for an integer shift, or infinite
+    if not mr_exact <= 12.0 * (1.0 + 1e-9):
+        raise ModulationError(
+            f"relay would need {mr_exact:g} bits per symbol; the largest supported order, "
+            "4096, carries 12"
+        )
     mr_bits = round(mr_exact)
     if abs(mr_exact - mr_bits) > 1e-9 * max(1.0, abs(mr_exact)) or mr_bits < 1:
         raise ModulationError(
@@ -196,13 +186,8 @@ def choose_compatible_modulation(Ms: int, B_DL: float, deltaB: float) -> tuple[i
         raise ModulationError(
             f"relay would need {mr_bits} bit(s) per symbol; no square QAM carries an odd width"
         )
-    Mr = 1 << mr_bits
-    if Mr > 4096:
-        raise ModulationError(
-            f"relay would need {mr_bits} bits per symbol (order {Mr}); largest supported is 4096"
-        )
     n = math.lcm(ms_bits, mr_bits)
-    return Mr, BlockShape(s=n // ms_bits, r=n // mr_bits, n=n)
+    return 1 << mr_bits, BlockShape(s=n // ms_bits, r=n // mr_bits, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +396,6 @@ def mld_llr_batch(
     observation. Each bit's numerator and denominator are masses of the
     max-shifted unit likelihoods, floored at 1e-300 before the ratio.
     """
-    ensure_enumerable(shape.n)
     unit = _unit_bits(source_constellation, relay_constellation)
     trials, units = y2.shape[0], shape.n // unit
     total = _unit_table(y2, source_constellation, source_amplitude, direct_noise_power, units)

@@ -8,7 +8,3 @@ class ScenarioError(Exception):
 
 class ModulationError(Exception):
     """No compatible modulation exists for the requested bandwidth split (exit code 2)."""
-
-
-class EnumerationBoundError(Exception):
-    """Detection block too large to enumerate exhaustively (CLI exit code 3)."""

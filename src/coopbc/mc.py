@@ -40,8 +40,8 @@ from .df import (
     Constellation,
     RelayErrorModel,
     RelayObservation,
+    _unit_bits,
     choose_compatible_modulation,
-    ensure_enumerable,
     estimate_relay_errors,
     mld_llr_batch,
     qam,
@@ -63,11 +63,14 @@ __all__ = [
 BATCH_SYMBOLS = 65536
 BIT_CAP = 10_000_000
 _STOP_CHECK_BATCHES = 4  # early-stop boundary, fixed so thread count cannot move it
-# blocks-per-batch * 2^n budget of the MLD batch partition: a conservative
-# bound on the detector's tables, which hold 2^L labels per unit of L <= n
-# bits. The partition fixes the RNG streams, and with them every DF result,
-# so it does not follow the smaller tables
-_MLD_CELL_CAP = 1 << 22
+# detector-table cells one DF batch may fill: a block fills 2^L labels for
+# each of its n / L units of L bits. 2^20 is the smallest cap at which
+# 64->64 (two 3-bit units) still fills BATCH_SYMBOLS. The shapes with the
+# widest units, 16->1024 (fraction 0.4, 20 k trials) and 256->4096 (2/3,
+# 30 k trials), reach about 80 MB max RSS in `coopbc ber` at one thread
+# (about 120 MB at 2^21, 205 MB at 2^22). The partition sets the random
+# streams, so the cap is part of the DF result of every shape it binds
+_MLD_CELL_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -399,7 +402,13 @@ def simulate_df(
     `coop_bandwidth_fraction` narrows each cooperation sub-channel to that
     fraction of the downlink band (the full band when None), which raises the
     relay constellation order needed to conserve the coded bit rate and
-    shrinks the integrated cooperation noise accordingly.
+    shrinks the integrated cooperation noise accordingly. Relay symbols that
+    would split source axes raise ModulationError before any error model is
+    built; the block width sets no bound.
+
+    A batch holds whole blocks: at most BATCH_SYMBOLS source symbols and
+    _MLD_CELL_CAP detector-table cells. The partition sets the random
+    streams, so it is part of every DF result.
 
     The fraction alone fixes the ratio of relay to source symbol rates, so
     one relay order and block shape serve every config, and all of them share
@@ -426,10 +435,8 @@ def simulate_df(
     if not configs:
         return Sweep()
     fraction = 1.0 if coop_bandwidth_fraction is None else coop_bandwidth_fraction
-    relay_order, shape = choose_compatible_modulation(source_order, 1.0, fraction)
+    relay_order, shape = choose_compatible_modulation(source_order, fraction)
     downlinks, links = zip(*(_df_plan(params, c, fraction) for c in configs))
-    if combiner == "mld":
-        ensure_enumerable(shape.n)  # fail before building any error model
     if relay_expect is not None and relay_expect != relay_order:
         raise ModulationError(
             f"relay order {relay_expect} cannot conserve the coded bit rate; need {relay_order}"
@@ -440,6 +447,7 @@ def simulate_df(
         raise ModulationError(
             "weight-and-add combining requires the relay to reuse the source constellation"
         )
+    unit = _unit_bits(src_c, rel_c)  # rejects split source axes before any error model
 
     # the relay's substitution law depends only on its downlink noise power;
     # weight-and-add never reads it, so it skips building any
@@ -458,7 +466,8 @@ def simulate_df(
         return _mrc_decisions(y, observations, src_c, amp_s, noise)
 
     tc = trial_config
-    blocks_per_batch = max(1, min(BATCH_SYMBOLS // shape.s, _MLD_CELL_CAP >> shape.n))
+    blocks_per_batch = max(1, min(BATCH_SYMBOLS // shape.s,
+                                  _MLD_CELL_CAP // ((shape.n // unit) << unit)))
     total_blocks = -(-tc.trials // shape.s)
 
     def worker(b: int, active: tuple[int, ...]) -> list[tuple]:

@@ -249,19 +249,19 @@ def test_criterion_08_mld_vs_brute_force():
     with criterion(8, "per-bit ML detector vs brute force"):
         rng = np.random.default_rng(80)
         shape_specs = [
-            (2, 1.0, 0.25),    # BPSK x4 -> one 16-QAM symbol (n = 4)
-            (4, 1.0, 1.0),     # aligned 4-QAM (n = 2)
-            (4, 1.0, 0.5),     # 4-QAM x2 -> one 16-QAM symbol (n = 4)
-            (16, 1.0, 2.0),    # 16-QAM -> two 4-QAM symbols (n = 4)
-            (2, 1.0, 0.125),   # BPSK x8 -> one 256-QAM symbol (n = 8)
+            (2, 0.25),    # BPSK x4 -> one 16-QAM symbol (n = 4)
+            (4, 1.0),     # aligned 4-QAM (n = 2)
+            (4, 0.5),     # 4-QAM x2 -> one 16-QAM symbol (n = 4)
+            (16, 2.0),    # 16-QAM -> two 4-QAM symbols (n = 4)
+            (2, 0.125),   # BPSK x8 -> one 256-QAM symbol (n = 8)
         ]
         total = 0
-        for Ms, B_DL, deltaB in shape_specs:
-            Mr, shape = choose_compatible_modulation(Ms, B_DL, deltaB)
+        for Ms, fraction in shape_specs:
+            Mr, shape = choose_compatible_modulation(Ms, fraction)
             assert shape.n <= 8
             src_c, rel_c = qam(Ms), qam(Mr)
             T = 200
-            branches = 2 if (Ms, deltaB) == (4, 1.0) else 1
+            branches = 2 if (Ms, fraction) == (4, 1.0) else 1
             amp = float(rng.uniform(0.5, 2.0))
             N2 = float(rng.uniform(0.2, 2.0))
             bits = rng.integers(0, 2, size=(T, shape.n)).astype(np.int8)

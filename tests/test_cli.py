@@ -29,7 +29,6 @@ from coopbc.channel import (
     plan_bandwidth,
 )
 from coopbc.cli import main
-from coopbc.errors import EnumerationBoundError
 from coopbc.mc import simulate_af
 from coopbc.scenario import parse_scenario_text
 from oracles import s2_closed_form, write_csv
@@ -105,7 +104,7 @@ grid_max = 10
 ratios_db = 0
 """
 
-BOUND_TEXT = """
+SPLIT_TEXT = """
 [channel]
 snr1 = 7
 snr2 = 3
@@ -270,19 +269,22 @@ class TestOutputs:
                 max(float(row["ber_1"]), float(row["ber_2"])))
 
     def test_ber_df_mld_relay_order_4096(self, capsys, scenario_file):
-        # 64-QAM forwarded as 4096-QAM on half-width cooperation slices
-        text = (
-            DF_TEXT.replace("starter = r1", "starter = r1\ncoop_bandwidth_fraction = 0.5")
-            .replace("trials = 30000", "trials = 4096")
-            + "\n[modulation]\nsource_order = 64\n"
-        )
-        code, out = run(capsys, ["ber", "--scenario", scenario_file(text)])
-        assert code == 0
-        _, header, rows = parse_csv(out)
-        assert rows
-        for r in rows:
-            row = dict(zip(header, r))
-            assert (row["source_order"], row["relay_order"]) == ("64", "4096")
+        # 64-QAM forwarded as 4096-QAM on half-width cooperation slices, and
+        # 256-QAM on two-thirds-width ones (24-bit blocks of two 12-bit units)
+        for source, fraction, trials in [("64", 0.5, 4096), ("256", 2 / 3, 600)]:
+            coop = f"starter = r1\ncoop_bandwidth_fraction = {fraction!r}"
+            text = (
+                DF_TEXT.replace("starter = r1", coop)
+                .replace("trials = 30000", f"trials = {trials}")
+                + f"\n[modulation]\nsource_order = {source}\n"
+            )
+            code, out = run(capsys, ["ber", "--scenario", scenario_file(text)])
+            assert code == 0
+            _, header, rows = parse_csv(out)
+            assert rows
+            for r in rows:
+                row = dict(zip(header, r))
+                assert (row["source_order"], row["relay_order"]) == (source, "4096")
 
     def test_overflowing_branch_is_skipped_quietly(self, scenario_file):
         # a real process, so a numpy RuntimeWarning would reach its stderr
@@ -522,12 +524,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: seed must fit in 64 bits\n"
 
-    def test_enumeration_bound_exits_3(self, capsys, scenario_file):
-        path = scenario_file(BOUND_TEXT)
-        code = main(["ber", "--scenario", path])
+    def test_split_source_axes_exit_2(self, capsys, scenario_file):
+        # 1024-QAM forwarded as 4096-QAM: a 60-bit block whose 6-bit relay
+        # axes split the 5-bit source axes
+        assert main(["ber", "--scenario", scenario_file(SPLIT_TEXT)]) == 2
+        assert capsys.readouterr().err == ("error: 4096-point relay symbols split the "
+                                           "32-level axes of 1024-point source symbols\n")
+
+    @pytest.mark.parametrize("fraction", ["1e-300", "5e-324"])
+    def test_vanishing_fraction_exits_2(self, capsys, scenario_file, fraction):
+        text = DF_TEXT.replace("starter = r1",
+                               f"starter = r1\ncoop_bandwidth_fraction = {fraction}")
+        assert main(["ber", "--scenario", scenario_file(text)]) == 2
         err = capsys.readouterr().err
-        assert code == 3
-        assert "2^60" in err
+        assert err.startswith("error: relay would need ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("out", ["missing/out.csv", "."])
     def test_unwritable_out_exits_2(self, scenario_file, tmp_path, out):
@@ -557,7 +567,6 @@ class TestExitCodes:
         FloatingPointError("overflow"),
         OverflowError("math range error"),
         ZeroDivisionError("float division by zero"),
-        EnumerationBoundError("too many candidates"),
         MemoryError(),
     ])
     def test_numeric_errors_exit_3(self, capsys, scenario_file, monkeypatch, exc):

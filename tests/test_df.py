@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopbc import df
@@ -23,7 +23,7 @@ from coopbc.df import (
     qam,
     relay_decode_and_remap,
 )
-from coopbc.errors import EnumerationBoundError, ModulationError
+from coopbc.errors import ModulationError
 from oracles import (
     LlrBlock,
     detect_min_distance,
@@ -41,7 +41,9 @@ from oracles import (
 )
 
 # every (source order, cooperation bandwidth fraction) pair that
-# choose_compatible_modulation accepts with a block of at most 20 bits
+# choose_compatible_modulation accepts with a block of at most 20 bits: all
+# pairs whose relay symbols carry whole source axes but 256 -> 4096 (n = 24),
+# whose dense 4096 x 4096 law the oracles would build
 ACCEPTED_PAIRS = [
     (1 << ms, ms / mr)
     for ms in (1, 2, 4, 6, 8, 10, 12)
@@ -237,33 +239,48 @@ class TestConstellation:
 
 class TestCompatibility:
     def test_equal_bandwidths(self):
-        assert choose_compatible_modulation(4, 1.0, 1.0) == (4, BlockShape(1, 1, 2))
+        assert choose_compatible_modulation(4, 1.0) == (4, BlockShape(1, 1, 2))
 
     def test_narrow_cooperation_band(self):
         # 1 bit/sym source, cooperation band a quarter of the downlink
-        assert choose_compatible_modulation(2, 1.0, 0.25) == (16, BlockShape(4, 1, 4))
+        assert choose_compatible_modulation(2, 0.25) == (16, BlockShape(4, 1, 4))
 
     def test_half_band(self):
-        assert choose_compatible_modulation(16, 1.0, 0.5) == (256, BlockShape(2, 1, 8))
+        assert choose_compatible_modulation(16, 0.5) == (256, BlockShape(2, 1, 8))
 
     def test_odd_width_rejected(self):
         with pytest.raises(ModulationError, match="1 bit"):
-            choose_compatible_modulation(2, 1.0, 1.0)
+            choose_compatible_modulation(2, 1.0)
 
     def test_fractional_width_rejected(self):
         with pytest.raises(ModulationError, match="no integral"):
-            choose_compatible_modulation(4, 1.0, 0.3)
+            choose_compatible_modulation(4, 0.3)
 
     def test_order_cap(self):
         with pytest.raises(ModulationError, match="4096"):
-            choose_compatible_modulation(1024, 1.4, 1.0)
+            choose_compatible_modulation(1024, 1.0 / 1.4)
 
     def test_rate_conservation_invariant(self):
         for Ms, bdl, db in [(4, 1.0, 1.0), (2, 1.0, 0.25), (16, 1.0, 0.5), (1024, 1.2, 1.0)]:
-            Mr, shape = choose_compatible_modulation(Ms, bdl, db)
+            Mr, shape = choose_compatible_modulation(Ms, db / bdl)
             ms_bits = int(math.log2(Ms))
             mr_bits = int(math.log2(Mr))
             assert shape.r * mr_bits == shape.s * ms_bits == shape.n
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        Ms=st.sampled_from([2, 4, 16, 64, 256, 1024, 4096]),
+        fraction=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=True),
+    )
+    @example(Ms=4, fraction=1e-300)  # 2e300 relay bits: too many digits to shift by
+    @example(Ms=4, fraction=5e-324)  # an infinite relay width
+    def test_any_fraction_gives_a_shape_or_a_modulation_error(self, Ms, fraction):
+        try:
+            Mr, shape = choose_compatible_modulation(Ms, fraction)
+        except ModulationError:
+            return
+        assert Mr <= 4096
+        assert shape.r * (Mr.bit_length() - 1) == shape.s * (Ms.bit_length() - 1) == shape.n
 
 
 class TestLikelihoods:
@@ -388,7 +405,7 @@ class TestRelayErrorModel:
     )
     def test_law_is_stochastic_and_identity_at_high_snr(self, pair, snr_db):
         Ms, fraction = pair
-        Mr, shape = choose_compatible_modulation(Ms, 1.0, fraction)
+        Mr, shape = choose_compatible_modulation(Ms, fraction)
         src, rel = qam(Ms), qam(Mr)
         size = len(src.levels)
         if rel.bits_per_symbol % (size.bit_length() - 1):  # 64 -> 256: split axes
@@ -420,7 +437,7 @@ class TestRelayErrorModel:
         # marginalized source laws over the block's relay symbols gives the
         # axis law's Kronecker power, for the exact law and for any other;
         # compared 64 rows at a time, so only the dense law is Mr x Mr
-        Mr, shape = choose_compatible_modulation(Ms, 1.0, fraction)
+        Mr, shape = choose_compatible_modulation(Ms, fraction)
         src, rel = qam(Ms), qam(Mr)
         size = len(src.levels)
         axes = rel.bits_per_symbol // (size.bit_length() - 1)
@@ -449,7 +466,7 @@ class TestAlignment:
         assert len(ACCEPTED_PAIRS) == 22
         whole_symbol_units = set()
         for Ms, fraction in ACCEPTED_PAIRS:
-            Mr, shape = choose_compatible_modulation(Ms, 1.0, fraction)
+            Mr, shape = choose_compatible_modulation(Ms, fraction)
             src, rel = qam(Ms), qam(Mr)
             source_axis = len(src.levels).bit_length() - 1
             assert rel.bits_per_symbol % source_axis == 0, (Ms, Mr)
@@ -461,21 +478,21 @@ class TestAlignment:
         assert whole_symbol_units == {(16, 64), (16, 1024)}
 
     def test_split_source_axes_are_rejected(self):
-        # 256-QAM axes carry 4 bits; a 4-QAM relay symbol carries 2
+        # 256-QAM axes carry 4 bits; a 4-QAM relay symbol carries 2. The
+        # block width sets no bound: the 24- and 60-bit blocks of 64 -> 256
+        # and 1024 -> 4096 are rejected only for splitting source axes
         src, rel = qam(256), qam(4)
         with pytest.raises(ModulationError, match="split"):
             estimate_relay_errors(src, rel, 1.0, 1.0)
         with pytest.raises(ModulationError, match="split"):
             mld_llr_batch(np.zeros((1, 1), dtype=complex), [], BlockShape(1, 4, 8),
                           src, rel, 1.0, 1.0)
-
-    def test_enumeration_bound_is_checked_first(self):
-        # 64 -> 256 splits 64-QAM axes, but its 24-bit block is too wide first
-        Mr, shape = choose_compatible_modulation(64, 1.0, 0.75)
-        assert (Mr, shape.n) == (256, 24)
-        with pytest.raises(EnumerationBoundError):
-            mld_llr_batch(np.zeros((1, shape.s), dtype=complex), [], shape,
-                          qam(64), qam(Mr), 1.0, 1.0)
+        for Ms, fraction, n in [(64, 0.75, 24), (1024, 5 / 6, 60)]:
+            Mr, shape = choose_compatible_modulation(Ms, fraction)
+            assert shape.n == n
+            with pytest.raises(ModulationError, match="split"):
+                mld_llr_batch(np.zeros((1, shape.s), dtype=complex), [], shape,
+                              qam(Ms), qam(Mr), 1.0, 1.0)
 
 
 class TestDecodeAndRemap:
@@ -603,7 +620,7 @@ class TestMldDetector:
     def test_matches_dense_enumeration(self, Ms, fraction):
         # every accepted pair with n <= 12: exact, error-free and random axis
         # laws, against the 2^n enumerator with the dense pooled law
-        Mr, shape = choose_compatible_modulation(Ms, 1.0, fraction)
+        Mr, shape = choose_compatible_modulation(Ms, fraction)
         assert shape.n <= 12
         src, rel = qam(Ms), qam(Mr)
         size = len(src.levels)
@@ -639,18 +656,6 @@ class TestMldDetector:
         lik = rng.random((size**modes, 5))
         want = functools.reduce(np.kron, [axis_law] * modes) @ lik
         np.testing.assert_allclose(df._mix(lik.copy(), axis_law, modes), want, rtol=1e-12)
-
-    def test_enumeration_bound(self):
-        with pytest.raises(EnumerationBoundError, match="2\\^60"):
-            mld_llr_batch(
-                np.zeros((1, 6), dtype=complex),
-                [],
-                BlockShape(6, 5, 60),
-                qam(1024),
-                qam(4096),
-                1.0,
-                1.0,
-            )
 
     def test_llr_block_views(self):
         blk = LlrBlock(np.array([2.0, 0.5]))

@@ -242,10 +242,13 @@ class TestSimulateDf:
     def test_determinism_and_threads(self):
         p = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=0.5, n21=0.5, P12=10.0, P21=10.0, B=1.0)
         cfg = CoopConfig(Protocol.DF, Symmetric(2), Strategy.S2, Regime.H2)
-        tc = TrialConfig(trials=60_000, seed=31)
-        a = simulate_df(p, [cfg], 4, tc)[0]
-        b = simulate_df(p, [cfg], 4, tc, threads=3)[0]
-        assert a == b
+        # 4-QAM, and 16-QAM forwarded as 1024-QAM over two batches of at
+        # most 512 five-symbol blocks
+        for source, trials, fraction in [(4, 60_000, None), (16, 5000, 0.4)]:
+            tc = TrialConfig(trials=trials, seed=31)
+            a = simulate_df(p, [cfg], source, tc, coop_bandwidth_fraction=fraction)[0]
+            b = simulate_df(p, [cfg], source, tc, coop_bandwidth_fraction=fraction, threads=3)[0]
+            assert a == b
 
     def test_early_stop_respects_target_and_threads(self):
         tc = TrialConfig(trials=2_000_000, seed=7, target_half_width=0.10)
@@ -256,12 +259,13 @@ class TestSimulateDf:
         assert simulate_df(NO_COOP, [DF0], 4, tc, threads=2)[0] == r
 
     def test_relay_order_256_batch_has_bounded_memory(self):
-        # 16-QAM forwarded as 256-QAM: a full batch is 2^22 >> 8 two-symbol
-        # blocks; a (blocks, r, Mr, Mr) substitution table would be 8 GiB,
-        # and the 256-candidate tables of every block 168 MiB
+        # 16-QAM forwarded as 256-QAM: a full batch is 2^20 // (2 << 4) =
+        # 32,768 two-symbol blocks of two 4-bit units; a (blocks, r, Mr, Mr)
+        # substitution table would be 16 GiB, and the 256-candidate table of
+        # the batch alone 64 MiB
         p = ChannelParams(P=1.0, n1=0.1, n2=1.0, n12=1.0, n21=1.0, P12=1e3, P21=1e3, B=1.0)
         cfg = CoopConfig(Protocol.DF, Symmetric(1), Strategy.S2, Regime.H2)
-        blocks = mc._MLD_CELL_CAP >> 8
+        blocks = mc._MLD_CELL_CAP // (2 << 4)
         tracemalloc.start()
         try:
             r = simulate_df(p, [cfg], 16, TrialConfig(trials=2 * blocks, seed=41),
@@ -269,17 +273,38 @@ class TestSimulateDf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (r.relay_order, r.shape.s, r.shape.n) == (256, 2, 8)
+        assert (r.relay_order, r.shape.s, r.shape.n, blocks) == (256, 2, 8, 32768)
         assert r.ber_I.trials == 2 * blocks
         assert peak < 64 * 2**20
 
+    def test_relay_order_4096_24_bit_blocks_have_bounded_memory(self):
+        # 256-QAM forwarded as 4096-QAM on two-thirds-width slices: a batch
+        # is 2^20 // (2 << 12) = 128 three-symbol blocks of two 12-bit units,
+        # so two batches peak as one does (40 MiB); a batch of twice the
+        # blocks, or the 4096 x 4096 law alone (128 MiB), would pass the bound
+        p = ChannelParams(P=1.0, n1=0.01, n2=0.1, n12=1.0, n21=1.0, P12=1e3, P21=1e3, B=1.0)
+        cfg = CoopConfig(Protocol.DF, Symmetric(1), Strategy.S2, Regime.H2)
+        blocks = mc._MLD_CELL_CAP // (2 << 12)
+        tracemalloc.start()
+        try:
+            r = simulate_df(p, [cfg], 256, TrialConfig(trials=2 * 3 * blocks, seed=53),
+                            coop_bandwidth_fraction=2 / 3)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.relay_order, r.shape.s, r.shape.n, blocks) == (4096, 3, 24, 128)
+        assert r.ber_I.trials == 2 * 3 * blocks
+        assert peak < 48 * 2**20
+
     def test_relay_order_4096_detector_batch_has_bounded_memory(self):
-        # 64-QAM forwarded as 4096-QAM on half-width slices: one full MLD
-        # batch of 2^22 >> 12 blocks, each two 6-bit units of 64 labels; the
-        # 2^12-candidate tables and the 4096 x 4096 law took 161 MiB
-        Mr, shape = choose_compatible_modulation(64, 1.0, 0.5)
+        # 64-QAM forwarded as 4096-QAM on half-width slices: 1024 blocks, each
+        # two 6-bit units of 64 labels, an eighth of the 2^20 // (2 << 6)
+        # blocks of a full batch (whose tables take 8 MiB each and peak at
+        # 27 MiB); the 2^12-candidate tables of these blocks alone would take
+        # 32 MiB, and the 4096 x 4096 law 128 MiB
+        Mr, shape = choose_compatible_modulation(64, 0.5)
         src, rel = qam(64), qam(Mr)
-        blocks = mc._MLD_CELL_CAP >> shape.n
+        blocks = 1024
         rng = np.random.default_rng(43)
         bits = rng.integers(0, 2, (blocks, shape.n), dtype=np.int8)
         y2 = 4.0 * src.points[src.bits_to_indices(bits)] + 0.1 * rng.standard_normal((blocks, shape.s))
