@@ -567,6 +567,7 @@ class TestExitCodes:
         FloatingPointError("overflow"),
         OverflowError("math range error"),
         ZeroDivisionError("float division by zero"),
+        OverflowError("cannot convert float infinity to integer"),
         MemoryError(),
     ])
     def test_numeric_errors_exit_3(self, capsys, scenario_file, monkeypatch, exc):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coopbc import df
+from coopbc import df, mc
+from coopbc.channel import Asymmetric, ChannelParams, CoopConfig, Protocol, Regime, Strategy
 from coopbc.df import (
     BlockShape,
     RelayErrorModel,
@@ -478,21 +479,32 @@ class TestAlignment:
         assert whole_symbol_units == {(16, 64), (16, 1024)}
 
     def test_split_source_axes_are_rejected(self):
-        # 256-QAM axes carry 4 bits; a 4-QAM relay symbol carries 2. The
-        # block width sets no bound: the 24- and 60-bit blocks of 64 -> 256
-        # and 1024 -> 4096 are rejected only for splitting source axes
+        # 256-QAM axes carry 4 bits; a 4-QAM relay symbol carries 2
         src, rel = qam(256), qam(4)
         with pytest.raises(ModulationError, match="split"):
             estimate_relay_errors(src, rel, 1.0, 1.0)
         with pytest.raises(ModulationError, match="split"):
             mld_llr_batch(np.zeros((1, 1), dtype=complex), [], BlockShape(1, 4, 8),
                           src, rel, 1.0, 1.0)
-        for Ms, fraction, n in [(64, 0.75, 24), (1024, 5 / 6, 60)]:
-            Mr, shape = choose_compatible_modulation(Ms, fraction)
-            assert shape.n == n
-            with pytest.raises(ModulationError, match="split"):
-                mld_llr_batch(np.zeros((1, shape.s), dtype=complex), [], shape,
-                              qam(Ms), qam(Mr), 1.0, 1.0)
+
+    def test_enumeration_bound_is_checked_first(self, monkeypatch):
+        # 64 -> 256 splits 64-QAM axes; its 24-bit block sets no width bound,
+        # and a sweep rejects the split before it builds any error model
+        Mr, shape = choose_compatible_modulation(64, 0.75)
+        assert (Mr, shape.n) == (256, 24)
+        with pytest.raises(ModulationError, match="split"):
+            mld_llr_batch(np.zeros((1, shape.s), dtype=complex), [], shape,
+                          qam(64), qam(Mr), 1.0, 1.0)
+
+        def refuse(*args):
+            raise AssertionError("error model built before the split check")
+
+        monkeypatch.setattr(mc, "estimate_relay_errors", refuse)
+        p = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=1.0, n21=1.0, P12=4.0, P21=4.0, B=1.0)
+        cfg = CoopConfig(Protocol.DF, Asymmetric(1), Strategy.S2, Regime.H2)
+        with pytest.raises(ModulationError, match="split"):
+            mc.simulate_df(p, [cfg], 64, mc.TrialConfig(trials=10),
+                           coop_bandwidth_fraction=0.75)
 
 
 class TestDecodeAndRemap:
@@ -656,6 +668,30 @@ class TestMldDetector:
         lik = rng.random((size**modes, 5))
         want = functools.reduce(np.kron, [axis_law] * modes) @ lik
         np.testing.assert_allclose(df._mix(lik.copy(), axis_law, modes), want, rtol=1e-12)
+
+    def test_enumeration_bound(self):
+        # no 2^n bound remains: the 60-bit 1024 -> 4096 block is rejected only
+        # for splitting source axes, and the 24-bit 256 -> 4096 block detects
+        with pytest.raises(ModulationError, match="split"):
+            mld_llr_batch(
+                np.zeros((1, 6), dtype=complex),
+                [],
+                BlockShape(6, 5, 60),
+                qam(1024),
+                qam(4096),
+                1.0,
+                1.0,
+            )
+        Mr, shape = choose_compatible_modulation(256, 2 / 3)
+        assert (Mr, shape.n) == (4096, 24)
+        src, rel = qam(256), qam(Mr)
+        bits = np.random.default_rng(9).integers(0, 2, (4, shape.n), dtype=np.int8)
+        y2 = src.points[src.bits_to_indices(bits)]
+        y12 = rel.points[rel.bits_to_indices(bits)]
+        genie = RelayObservation(y12, 1.0, 1e-3, RelayErrorModel.error_free(src))
+        llr = mld_llr_batch(y2, [genie], shape, src, rel, 1.0, 1e-3)
+        assert llr.shape == (4, 24)
+        np.testing.assert_array_equal(llr > 1.0, bits == 1)
 
     def test_llr_block_views(self):
         blk = LlrBlock(np.array([2.0, 0.5]))
