@@ -64,11 +64,9 @@ class Constellation:
         return grouped @ weights
 
     def indices_to_bits(self, indices: np.ndarray) -> np.ndarray:
-        """Expand symbol labels (..., k) into bits (..., k*m)."""
-        m = self.bits_per_symbol
-        shifts = np.arange(m - 1, -1, -1)
-        bits = (indices[..., None] >> shifts) & 1
-        return bits.reshape(*indices.shape[:-1], -1).astype(np.int8)
+        """Expand symbol labels (..., k) into bits (..., k*m), as int8."""
+        return _label_bits(self.bits_per_symbol).take(indices, axis=0).reshape(
+            *indices.shape[:-1], -1)
 
     def edges(self, amplitude: float) -> np.ndarray:
         """Decision edges of one axis of amplitude * levels, ascending.
@@ -102,6 +100,13 @@ class Constellation:
             return i_label
         q_label = self.labels.take(_slice_axis(edges, y.imag))
         return (i_label << (self.bits_per_symbol // 2)) | q_label
+
+
+@functools.lru_cache(maxsize=None)
+def _label_bits(m: int) -> np.ndarray:
+    """The MSB-first bits of all 2^m labels of m bits, (2^m, m) int8: one
+    gather expands a batch of labels."""
+    return ((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.int8)
 
 
 def _slice_axis(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -316,7 +321,7 @@ class RelayObservation:
 @functools.lru_cache(maxsize=None)
 def _bit_columns(n: int) -> np.ndarray:
     """[bits, 1 - bits] of all 2^n bit vectors (MSB first), shape (2^n, 2n)."""
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    bits = _label_bits(n)
     return np.hstack([bits, 1 - bits]).astype(float)
 
 

@@ -18,7 +18,6 @@ many worker threads execute the batches.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
@@ -65,12 +64,20 @@ BIT_CAP = 10_000_000
 _STOP_CHECK_BATCHES = 4  # early-stop boundary, fixed so thread count cannot move it
 # detector-table cells one DF batch may fill: a block fills 2^L labels for
 # each of its n / L units of L bits. 2^20 is the smallest cap at which
-# 64->64 (two 3-bit units) still fills BATCH_SYMBOLS. The shapes with the
-# widest units, 16->1024 (fraction 0.4, 20 k trials) and 256->4096 (2/3,
-# 30 k trials), reach about 80 MB max RSS in `coopbc ber` at one thread
-# (about 120 MB at 2^21, 205 MB at 2^22). The partition sets the random
-# streams, so the cap is part of the DF result of every shape it binds
+# 64->64 (two 3-bit units) still fills BATCH_SYMBOLS. The cap only fixes the
+# partition, and so the random streams: it is part of the DF result of every
+# shape it binds. The tile below bounds the detector's memory: in `coopbc
+# ber` at one thread, 16->1024 (fraction 0.4, 20 k trials) reaches 38 MB max
+# RSS, and 256->4096 (2/3, 30 k trials), whose tile is a whole batch, 80 MB
 _MLD_CELL_CAP = 1 << 20
+# a DF batch's draws are made whole, then every later stage runs over tiles
+# of blocks whose detector tables take _TILE_CELLS cells (256 KiB each), so
+# that they stay in a core's L2 cache. A shape whose tile would hold fewer
+# than _TILE_MIN_BLOCKS blocks (256->4096, 2^13 cells a block) runs a whole
+# batch as one tile: on 4- to 32-block tiles its per-call costs (BLAS
+# threads, page faults) outweighed the cache gain
+_TILE_CELLS = 1 << 15
+_TILE_MIN_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,11 @@ def _run_ordered(
     neither on the thread count nor on the other configs."""
     totals: list[tuple] = [()] * n_configs
     active = tuple(range(n_configs))
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    executor = None
+    if threads > 1:  # imported here: a one-thread run never loads the pool's modules
+        from concurrent.futures import ThreadPoolExecutor
+
+        executor = ThreadPoolExecutor(max_workers=threads)
     try:
         for start in range(0, n_batches, _STOP_CHECK_BATCHES):
             if not active:
@@ -414,11 +425,14 @@ def simulate_df(
     one relay order and block shape serve every config, and all of them share
     the source bits and unit normals of a batch: the two direct draws, then
     one per cooperation link slot in first-send order, of which a config with
-    fewer links uses a prefix. Direct signals, relay decisions and relay
-    error models are formed once per distinct downlink noise power, and each
-    result equals that config's solo run. A link's draw and a relay's
-    decisions are released after the last config that reads them, and each
-    destination's branch is formed just before its detector reads it.
+    fewer links uses a prefix. Every draw is made for the whole batch; every
+    later stage (symbols, direct signals, relay decisions and branches,
+    detection and error counts) runs over tiles of blocks whose detector
+    tables stay cache-sized, and each config's counts are summed over the
+    tiles. Blocks are independent, so the tile size sets no result. Direct
+    signals, relay decisions and relay error models are formed once per
+    distinct downlink noise power, and each result equals that config's solo
+    run.
     """
     if any(c.protocol is not Protocol.DF for c in configs):
         raise ValueError("simulate_df requires decode-and-forward configs")
@@ -466,59 +480,52 @@ def simulate_df(
         return _mrc_decisions(y, observations, src_c, amp_s, noise)
 
     tc = trial_config
-    blocks_per_batch = max(1, min(BATCH_SYMBOLS // shape.s,
-                                  _MLD_CELL_CAP // ((shape.n // unit) << unit)))
+    cells = (shape.n // unit) << unit  # detector-table cells of one block
+    blocks_per_batch = max(1, min(BATCH_SYMBOLS // shape.s, _MLD_CELL_CAP // cells))
+    tile_blocks = _TILE_CELLS // cells
+    if tile_blocks < _TILE_MIN_BLOCKS:
+        tile_blocks = blocks_per_batch
     total_blocks = -(-tc.trials // shape.s)
 
     def worker(b: int, active: tuple[int, ...]) -> list[tuple]:
         T = min(blocks_per_batch, total_blocks - b * blocks_per_batch)
         rng = _rng(tc.seed, b)
         bits = rng.integers(0, 2, (T, shape.n), dtype=np.int8)
-        x = amp_s * src_c.points[src_c.bits_to_indices(bits)]
-        unit_direct = [_unit_cn(rng, x.shape) for _ in Receiver]
+        unit_direct = [_unit_cn(rng, (T, shape.s)) for _ in Receiver]
         unit_links = [_unit_cn(rng, (T, shape.r))
                       for _ in range(max(len(links[c]) for c in active))]
-        if relay_model == "genie":  # perfect decoding: every relay transmits the true block
-            true_labels = rel_c.bits_to_indices(bits)
         groups: dict[tuple[float, float], list[int]] = {}  # downlink noises -> configs
         for c in active:
             groups.setdefault(downlinks[c], []).append(c)
-        # the last config to read each link slot's draw; it releases the draw
-        last_draw = {slot: c for members in groups.values() for c in members
-                     for slot, _, _ in links[c].values()}
-        out: dict[int, tuple] = {}
-        for noises, members in groups.items():
-            direct = {dest: x + math.sqrt(noises[dest.value - 1] / 2.0) * g
-                      for dest, g in zip(Receiver, unit_direct)}
-            if len(out) + len(members) == len(active):  # last group: free the draws early
-                unit_direct.clear()
-            labels: dict[Receiver, np.ndarray] = {}
-            # the last config of the group to read each relay's decisions
-            last_labels = {relay: c for c in members for relay in links[c]}
-            for c in members:
-                wrong = []
-                for dest in Receiver:  # form each branch just before its detector reads it
-                    received = []
-                    relay = dest.other  # a destination hears only its partner
-                    if relay in links[c]:
-                        slot, gain, noise = links[c][relay]
-                        if relay not in labels:
-                            labels[relay] = (true_labels if relay_model == "genie" else
-                                             relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s))
-                        received.append(RelayObservation(
-                            gain * rel_c.points[labels[relay]]
-                            + math.sqrt(noise / 2.0) * unit_links[slot],
-                            gain, noise, models.get(noises[relay.value - 1])))
-                        if last_draw[slot] == c:
-                            unit_links[slot] = None
-                        if last_labels[relay] == c:
-                            del labels[relay]
-                    wrong.append(decide(direct[dest], received, noises[dest.value - 1]) != bits)
-                wrong_I, wrong_II = wrong
-                out[c] = (T * shape.s, T * shape.n, int(wrong_I.sum()), int(wrong_II.sum()),
-                          int((wrong_I | wrong_II).sum()))
-            del direct, labels  # free this noise level's signals before forming the next
-        return [out[c] for c in active]
+        errors = {c: np.zeros(3, dtype=np.int64) for c in active}
+        for tile in (slice(a, a + tile_blocks) for a in range(0, T, tile_blocks)):
+            tile_bits = bits[tile]
+            x = amp_s * src_c.points[src_c.bits_to_indices(tile_bits)]
+            if relay_model == "genie":  # perfect decoding: every relay transmits the true block
+                true_labels = rel_c.bits_to_indices(tile_bits)
+            for noises, members in groups.items():
+                direct = {dest: x + math.sqrt(noises[dest.value - 1] / 2.0) * g[tile]
+                          for dest, g in zip(Receiver, unit_direct)}
+                labels: dict[Receiver, np.ndarray] = {}
+                for c in members:
+                    wrong = []
+                    for dest in Receiver:
+                        received = []
+                        relay = dest.other  # a destination hears only its partner
+                        if relay in links[c]:
+                            slot, gain, noise = links[c][relay]
+                            if relay not in labels:
+                                labels[relay] = (true_labels if relay_model == "genie" else
+                                                 relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s))
+                            received.append(RelayObservation(
+                                gain * rel_c.points[labels[relay]]
+                                + math.sqrt(noise / 2.0) * unit_links[slot][tile],
+                                gain, noise, models.get(noises[relay.value - 1])))
+                        wrong.append(decide(direct[dest], received, noises[dest.value - 1])
+                                     != tile_bits)
+                    wrong_I, wrong_II = wrong
+                    errors[c] += wrong_I.sum(), wrong_II.sum(), (wrong_I | wrong_II).sum()
+        return [(T * shape.s, T * shape.n, *map(int, errors[c])) for c in active]
 
     totals = _run_ordered(worker, len(configs), -(-total_blocks // blocks_per_batch), threads,
                           lambda t: _stop_on_target(tc, t))

@@ -125,12 +125,15 @@ class TestConstellation:
             qam(order)
 
     def test_bit_symbol_round_trip(self):
-        c = qam(16)
         rng = np.random.default_rng(3)
-        bits = rng.integers(0, 2, (7, 12), dtype=np.int8)
-        idx = c.bits_to_indices(bits)
-        assert np.array_equal(c.detect(c.points[idx]), idx)
-        assert np.array_equal(c.indices_to_bits(idx), bits)
+        for order in (2, 4, 16, 256, 4096):
+            c = qam(order)
+            bits = rng.integers(0, 2, (7, 3 * c.bits_per_symbol), dtype=np.int8)
+            idx = c.bits_to_indices(bits)
+            assert np.array_equal(c.detect(c.points[idx]), idx)
+            got = c.indices_to_bits(idx)
+            assert got.dtype == np.int8 and np.array_equal(got, bits)
+            assert np.array_equal(c.indices_to_bits(idx[0]), bits[0])
 
     def test_detect_with_amplitude(self):
         c = qam(4)

@@ -24,6 +24,7 @@ from coopbc.channel import (
 )
 from coopbc.df import (
     RelayObservation,
+    _unit_bits,
     choose_compatible_modulation,
     estimate_relay_errors,
     mld_llr_batch,
@@ -483,12 +484,14 @@ class TestSweep:
 
     def test_branch_draws_and_relay_decisions_are_released_after_last_read(self):
         # one full batch of 4-QAM blocks under weight-and-add, where every
-        # complex signal of the batch takes 1 MiB: x, two direct signals and
-        # two link draws stay alive; a link's draw and a relay's decisions
-        # go after the last config that reads them, and each destination's
-        # branch is formed just before it is detected. Holding every draw and
-        # both branches through detection peaked at 11.1 MiB (sweep) and
-        # 10.9 MiB (count 2 alone)
+        # complex signal of the batch takes 1 MiB: the two direct and two link
+        # draws are made for the whole batch and stay alive through it, while
+        # x, the direct signals, the relay decisions and the branches exist
+        # for one tile of blocks at a time; both runs peak at 5.2 MiB.
+        # Forming those signals for the whole batch peaked at 11.1 MiB
+        # (sweep) and 10.9 MiB (count 2 alone) when every one was held
+        # through detection, and at 10.1 and 7.8 MiB when each was released
+        # after its last reader
         configs = df_sweep(Symmetric(0), Regime.H2, range(3))
         tc = TrialConfig(trials=mc.BATCH_SYMBOLS, seed=71)
         simulate_df(COOP, configs, 4, TrialConfig(trials=10), combiner="mrc")  # warm caches
@@ -509,6 +512,68 @@ class TestSweep:
         assert sweep.ber_I.trials == 2000
         assert sweep.ber_I.bits == sum(r.ber_I.bits for r in sweep)
         assert sweep.ber_I.errors == sum(r.ber_I.errors for r in sweep)
+
+
+# source order and cooperation band fraction of each DF block shape the tile
+# tests run: 4->4, 16->16 and 64->64 (3-bit units) reuse the source
+# constellation; BPSK->16-QAM and 16->256-QAM (4-bit units) do not
+TILE_SHAPES = {"4": (4, None), "16": (16, None), "2to16": (2, 0.25), "64": (64, None),
+               "16to256": (16, 0.5)}
+# weight-and-add only where the relay reuses the source constellation
+TILE_RUNS = [(case, "mld", model) for case in TILE_SHAPES for model in ("exact", "genie")] + [
+    (case, "mrc", "exact") for case, (_, fraction) in TILE_SHAPES.items() if fraction is None]
+
+
+class TestTiles:
+    """A DF batch is drawn whole and then detected tile by tile; the tile
+    size must set no result."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("case,combiner,relay_model", TILE_RUNS)
+    def test_tile_size_sets_no_result(self, monkeypatch, case, combiner, relay_model, threads):
+        source, fraction = TILE_SHAPES[case]
+        # an h1 sweep gives each count its own downlink noises, so several noise
+        # groups share a batch; batches of 64 symbols make 4 of them, the last
+        # one short, so that 3 threads run batches side by side
+        monkeypatch.setattr(mc, "BATCH_SYMBOLS", 64)
+        monkeypatch.setattr(mc, "_TILE_MIN_BLOCKS", 1)
+        params = replace(NOISY_LINKS, n1=10.0, n2=20.0, n12=40.0, n21=40.0)
+        configs = df_sweep(Symmetric(0), Regime.H1, range(3))
+        tc = TrialConfig(trials=3 * 64 + 40, seed=79)
+        relay_order, shape = choose_compatible_modulation(source, fraction or 1.0)
+        unit = _unit_bits(qam(source), qam(relay_order))
+        cells = (shape.n // unit) << unit
+
+        def run(tile_blocks: int) -> mc.Sweep:
+            monkeypatch.setattr(mc, "_TILE_CELLS", tile_blocks * cells)
+            return simulate_df(params, configs, source, tc, combiner=combiner,
+                               relay_model=relay_model, coop_bandwidth_fraction=fraction,
+                               threads=threads)
+
+        whole = run(64)  # one tile per batch
+        assert all(r.ber_II.errors for r in whole)
+        for tile_blocks in (1, 5):  # one block, and tiles that leave a ragged last one
+            assert run(tile_blocks) == whole
+
+    def test_relay_order_256_batch_peaks_at_tile_size(self):
+        # one full batch of 32,768 two-symbol 16-QAM blocks forwarded as
+        # 256-QAM: the draws take 3 MiB and a tile's tables 256 KiB, where
+        # detecting the whole batch at once held 2^20-cell (8 MiB) tables and
+        # peaked at 36.8 MiB
+        p = ChannelParams(P=1.0, n1=0.1, n2=1.0, n12=1.0, n21=1.0, P12=1e3, P21=1e3, B=1.0)
+        cfg = CoopConfig(Protocol.DF, Symmetric(1), Strategy.S2, Regime.H2)
+        blocks = mc._MLD_CELL_CAP // (2 << 4)
+        tc = TrialConfig(trials=2 * blocks, seed=41)
+        simulate_df(p, [cfg], 16, TrialConfig(trials=10), coop_bandwidth_fraction=0.5)  # warm caches
+        tracemalloc.start()
+        try:
+            r = simulate_df(p, [cfg], 16, tc, coop_bandwidth_fraction=0.5)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.relay_order, r.shape.s, blocks) == (256, 2, 32768)
+        assert r.ber_I.trials == 2 * blocks
+        assert peak < 12 * 2**20
 
 
 class TestEmpiricalCrossCorrelation:
