@@ -12,8 +12,10 @@ combine reads: the noise powers N_I, N_II of the two outputs and their
 cross-correlation e.
 
 - forward-latest (S1) keeps the destination's own output and receives the
-  partner's output. The three arrays are stepped elementwise, on the slice
-  of a count-ordered batch that is still cooperating.
+  partner's output. A batch steps the three arrays elementwise, on the slice
+  of a count-ordered batch that is still cooperating; a single campaign steps
+  its trajectory on Python floats, with the same operations in the same
+  order, so both agree bit for bit.
 - forward-original (S2) keeps the destination's direct signal and receives
   the partner's direct signal. The m branches received so far have equal
   gain, so their sum is one branch with gain m a and noise m N_c. Every
@@ -28,7 +30,6 @@ No step calls BLAS, so results do not depend on the BLAS kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -87,12 +88,11 @@ def _cross(w_k: np.ndarray, w_b: np.ndarray, N: np.ndarray, e: np.ndarray) -> np
 
 def _forward_latest(
     P: float, noises: np.ndarray, periods: np.ndarray, counts: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the S1 state (N, e), N = (N_I, N_II) per row, updated in place,
-    before the first step and after each step of ascending `counts`."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The S1 state (N, e), N = (N_I, N_II) per row, after the steps of
+    ascending `counts`."""
     N, e = noises[:, :2].copy(), np.zeros(len(counts))
     Nc, heard = noises[:, [3, 2]], periods[:, :, ::-1]  # receiver 1 hears 2, and back
-    yield N, e
     # the scenarios still cooperating at step t: those from starts[t] on
     starts = np.searchsorted(counts, np.arange(counts[-1] if len(counts) else 0), side="right")
     for t, start in enumerate(starts.tolist()):
@@ -101,7 +101,41 @@ def _forward_latest(
                                  heard[start:, t % 2], 1.0)
         e[start:] = _cross(w_k, w_b, Ns, es)
         N[start:] = var
-        yield N, e
+    return N, e
+
+
+def _combine_one(P: float, N: float, Nf: float, c: float, Nc: float,
+                 p: float) -> tuple[float, float, float]:
+    """One receiver's `_combine` (m = 1) on Python floats, bit for bit. Every
+    combine `_combine` skips (silent or NaN power, a gain that underflows to
+    0, an overflowing or NaN noise product, a singular branch) returns
+    (1, 0, N) before it could divide by zero, which a Python float raises."""
+    if not p > 0.0:
+        return 1.0, 0.0, N
+    a2 = p / (P + Nf)
+    if a2 == 0.0:
+        return 1.0, 0.0, N
+    Nb = Nf + Nc / a2
+    NNb = N * Nb
+    if not NNb - c * c > _SINGULAR * NNb:
+        return 1.0, 0.0, N
+    D, E = Nb - c, N - c
+    DE = D + E
+    return D / DE, E / DE, c + D * E / DE
+
+
+def _trajectory(P: float, noises: list[float],
+                period: list[list[float]], k: int) -> list[tuple[float, float, float]]:
+    """The S1 states (N_I, N_II, e) before and after each of k steps of one
+    scenario: `_forward_latest`'s arithmetic on Python floats."""
+    N1, N2, N12, N21 = noises
+    state = [(N1, N2, 0.0)]
+    for t in range(k):
+        (N_I, N_II, e), (p12, p21) = state[-1], period[t % 2]
+        k1, b1, v1 = _combine_one(P, N_I, N_II, e, N21, p21)
+        k2, b2, v2 = _combine_one(P, N_II, N_I, e, N12, p12)
+        state.append((v1, v2, (k1 * k2 + b1 * b2) * e + ((k1 * b2) * N_I + (b1 * k2) * N_II)))
+    return state
 
 
 def final_state(
@@ -119,8 +153,7 @@ def final_state(
         w_k, w_b, var = _combine(P, N, N[:, ::-1], 0.0, noises[:, [3, 2]], p, m)
         return var[:, 0], var[:, 1], _cross(w_k, w_b, N, np.zeros(len(N)))
     order = slice(None) if np.all(np.diff(counts) >= 0) else np.argsort(counts, kind="stable")
-    for N, e in _forward_latest(P, noises[order], periods[order], counts[order]):
-        pass
+    N, e = _forward_latest(P, noises[order], periods[order], counts[order])
     state = np.empty((len(counts), 3))
     state[order, :2], state[order, 2] = N, e
     return state[:, 0], state[:, 1], state[:, 2]
@@ -133,9 +166,9 @@ def _inputs(params: ChannelParams, configs: list[CoopConfig]) -> tuple[np.ndarra
             np.array([power_schedule(params, c) for c in configs]))
 
 
-def _states(P: float, N_I: np.ndarray, N_II: np.ndarray, e: np.ndarray) -> tuple[SnrState, ...]:
-    return tuple(SnrState(i, a, b, c, P / a, P / b)
-                 for i, (a, b, c) in enumerate(zip(N_I.tolist(), N_II.tolist(), e.tolist())))
+def _states(P: float, rows: list) -> tuple[SnrState, ...]:
+    """One state per (N_I, N_II, e) row of Python floats, index = step."""
+    return tuple(SnrState(i, a, b, c, P / a, P / b) for i, (a, b, c) in enumerate(rows))
 
 
 def campaign(params: ChannelParams, config: CoopConfig) -> tuple[SnrState, ...]:
@@ -146,12 +179,10 @@ def campaign(params: ChannelParams, config: CoopConfig) -> tuple[SnrState, ...]:
     campaign's bandwidth plan.
     """
     k, (noises, period) = config.count, _inputs(params, [config])
-    if config.strategy is Strategy.S2:
-        return _states(params.P, *final_state(params.P, noises.repeat(k + 1, 0),
-                                              period.repeat(k + 1, 0), np.arange(k + 1), True))
-    trajectory = [(N[0, 0], N[0, 1], e[0])
-                  for N, e in _forward_latest(params.P, noises, period, np.array([k]))]
-    return _states(params.P, *np.array(trajectory).T)
+    if config.strategy is Strategy.S1:
+        return _states(params.P, _trajectory(params.P, noises[0].tolist(), period[0].tolist(), k))
+    return _states(params.P, np.column_stack(final_state(
+        params.P, noises.repeat(k + 1, 0), period.repeat(k + 1, 0), np.arange(k + 1), True)).tolist())
 
 
 def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> tuple[SnrState, ...]:
@@ -165,5 +196,5 @@ def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> tuple[Sn
     if K < 0:
         raise ValueError("exchange count must be >= 0")
     noises, periods = _inputs(params, [config.with_count(k) for k in range(K + 1)])
-    return _states(params.P, *final_state(params.P, noises, periods, np.arange(K + 1),
-                                          config.strategy is Strategy.S2))
+    return _states(params.P, np.column_stack(final_state(
+        params.P, noises, periods, np.arange(K + 1), config.strategy is Strategy.S2)).tolist())

@@ -326,7 +326,8 @@ def simulate_af(
             # the cross-moment, equivalent noise power from the residual
             alpha_hat = syx / Sxx
             noise_hat = (syy - abs(syx) ** 2 / Sxx) / n
-            rho = abs(alpha_hat) ** 2 * P / noise_hat
+            # noise far below the signal can leave no residual at all
+            rho = abs(alpha_hat) ** 2 * P / noise_hat if noise_hat else math.inf
             return SnrEstimate(rho, rho * math.sqrt((1.0 + 2.0 / rho) / n))
 
         return AfRunResult(*_ber_estimates(t), snr_estimate(Syx_I, Syy_I),

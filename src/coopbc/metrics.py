@@ -118,9 +118,13 @@ def _starter_gaps(
     ]
     N_I, N_II, _ = final_state(params.P, np.concatenate([noises, noises]), np.concatenate(periods),
                                np.full(2 * len(n1), config.count), config.strategy is Strategy.S2)
-    rates = rate_af(plan, (params.P / N_I, params.P / N_II))
-    r1, r2 = np.split(rates, 2)
-    return r1 - r2, np.maximum(np.maximum(r1, r2), 1.0)
+    # a subnormal noise density makes P / N infinite (an overflow, or a
+    # division by a noise power that underflowed to 0); when both starters'
+    # rates are infinite their gap is NaN, which compares as a tie
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rates = rate_af(plan, (params.P / N_I, params.P / N_II))
+        r1, r2 = np.split(rates, 2)
+        return r1 - r2, np.maximum(np.maximum(r1, r2), 1.0)
 
 
 def decision_regions(

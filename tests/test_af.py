@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from coopbc.af import campaign, run_recursion
+from coopbc.af import campaign, final_state, run_recursion
 from coopbc.channel import (
     Asymmetric,
     ChannelParams,
@@ -435,6 +435,52 @@ class TestEngineRobustness:
                 assert s.rho_I >= prev.rho_I * (1 - 1e-12)
                 assert s.rho_II >= prev.rho_II * (1 - 1e-12)
             prev = s
+
+
+# extreme SNRs, and the moderate ones at which every combine is live
+huge_db = st.one_of(st.floats(min_value=-30.0, max_value=60.0),
+                    st.floats(min_value=-320.0, max_value=320.0))
+
+
+@st.composite
+def single_campaigns(draw):
+    """One S1 campaign: downlink and cooperation SNRs up to +-320 dB (P = 1),
+    budgets that are zero, subnormal, 1e300 or any of those SNRs, any scheme,
+    starter and regime, and a count in 0..64."""
+    lin = lambda d: 10.0 ** (d / 10.0)  # noqa: E731
+    budget = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e300]), huge_db.map(lin))
+    params = ChannelParams(P=1.0, n1=1.0 / lin(draw(huge_db)), n2=1.0 / lin(draw(huge_db)),
+                           n12=1.0 / lin(draw(huge_db)), n21=1.0 / lin(draw(huge_db)),
+                           P12=draw(budget), P21=draw(budget), B=1.0)
+    K = draw(st.integers(0, 64))
+    scheme = draw(st.sampled_from([Symmetric(K), Asymmetric(K, Receiver.R1),
+                                   Asymmetric(K, Receiver.R2)]))
+    return params, _cfg(scheme, Strategy.S1, draw(st.sampled_from(list(Regime))))
+
+
+# receiver 1 sends 1e-300 W over a link of noise density 1e300: receiver 2's
+# branch noise overflows and that combine is skipped
+OVERFLOW = ChannelParams(P=1.0, n1=0.1, n2=1.0, n12=1e300, n21=1.0, P12=1e-300, P21=1000.0, B=1.0)
+
+
+class TestScalarTrajectory:
+    @settings(deadline=None, max_examples=300)
+    @given(scenario=single_campaigns())
+    @example(scenario=(OVERFLOW, _cfg(Symmetric(2))))
+    @example(scenario=(ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=1.0, n21=1.0, P12=0.0,
+                                     P21=100.0, B=1.0), _cfg(Asymmetric(5, Receiver.R2))))
+    def test_campaign_equals_batched_engine(self, scenario):
+        # a campaign steps on Python floats; its states must be the batched
+        # engine's, bit for bit, run over k + 1 copies of the plan inputs
+        # with counts 0..k
+        params, config = scenario
+        k = config.count
+        plan = plan_bandwidth(params, config)
+        noises = np.tile([plan.N1, plan.N2, plan.N12, plan.N21], (k + 1, 1))
+        periods = np.tile(power_schedule(params, config), (k + 1, 1, 1))
+        ref = np.column_stack(final_state(params.P, noises, periods, np.arange(k + 1), False))
+        got = np.array([(s.N_I, s.N_II, s.e) for s in campaign(params, config)])
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestRunRecursion:

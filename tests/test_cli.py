@@ -299,6 +299,32 @@ class TestOutputs:
         assert rho_2[1:] == pytest.approx([3.0, 5.0], rel=1e-12)
         assert all(math.isfinite(float(r[cols.index("rho_1")])) for r in rows)
 
+    def test_ber_without_sampled_noise_reports_infinite_snr(self, capsys, scenario_file):
+        # every link at 310 dB: the sampled noise is exactly 0 beside the symbols
+        text = (AF_TEXT.replace("snr1 = 10", "snr1 = 310").replace("snr2 = 0", "snr2 = 310")
+                .replace("snr12 = 30", "snr12 = 310").replace("snr21 = 30", "snr21 = 310"))
+        code = main(["ber", "--scenario", scenario_file(text)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 3
+        cols = [header.index(c) for c in ("snr_1", "snr_2")]
+        assert "inf" in {r[c] for r in rows for c in cols}
+        for r in rows:
+            row = dict(zip(header, r))
+            assert math.isfinite(float(row["rho_1"])) and math.isfinite(float(row["rho_2"]))
+
+    @pytest.mark.parametrize("grid_min", ["1e-320", "5e-324"])
+    def test_regions_at_subnormal_densities_is_quiet(self, capsys, scenario_file, grid_min):
+        # P / N overflows (or meets a noise power that underflowed to 0): both
+        # starters' rates are infinite and the cell is a tie, without a warning
+        text = REGIONS_TEXT.replace("grid_min = 0.1", f"grid_min = {grid_min}")
+        code = main(["regions", "--scenario", scenario_file(text)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        _, _, rows = parse_csv(out)
+        assert rows[0][:2] == ["cell", "0"] and rows[0][4] == "0"
+
     def test_regions_diagonal_ties(self, capsys, scenario_file):
         code, out = run(capsys, ["regions", "--scenario", scenario_file(REGIONS_TEXT)])
         assert code == 0
