@@ -23,6 +23,9 @@ cross-correlation e.
   independent, so a state is a closed form of the branch counts: O(1) per
   count, with no loop over steps.
 
+Sweeps (`run_recursion`, the Monte Carlo sweeps) read their final states from
+one `final_state` batch per strategy; only `campaign` steps a trajectory.
+
 A silent branch, a combine singular to rounding (the branch repeats the kept
 signal) and one whose noise product overflows leave the receiver unchanged.
 No step calls BLAS, so results do not depend on the BLAS kernel.
@@ -166,9 +169,21 @@ def _inputs(params: ChannelParams, configs: list[CoopConfig]) -> tuple[np.ndarra
             np.array([power_schedule(params, c) for c in configs]))
 
 
-def _states(P: float, rows: list) -> tuple[SnrState, ...]:
-    """One state per (N_I, N_II, e) row of Python floats, index = step."""
-    return tuple(SnrState(i, a, b, c, P / a, P / b) for i, (a, b, c) in enumerate(rows))
+def _states(P: float, steps: range | list[int], rows: list) -> tuple[SnrState, ...]:
+    """One state per step and (N_I, N_II, e) row of Python floats; N = 0 is rho = inf."""
+    return tuple(SnrState(i, a, b, c, P / a if a else np.inf, P / b if b else np.inf)
+                 for i, (a, b, c) in zip(steps, rows))
+
+
+def _finals(params: ChannelParams, configs: list[CoopConfig]) -> tuple[SnrState, ...]:
+    """Each config's final state (i = its count), one `final_state` per strategy."""
+    noises, periods = _inputs(params, configs)
+    counts, rows = np.array([c.count for c in configs]), np.empty((len(configs), 3))
+    for strategy in dict.fromkeys(c.strategy for c in configs):
+        pick = np.array([c.strategy is strategy for c in configs])
+        rows[pick] = np.column_stack(final_state(
+            params.P, noises[pick], periods[pick], counts[pick], strategy is Strategy.S2))
+    return _states(params.P, counts.tolist(), rows.tolist())
 
 
 def campaign(params: ChannelParams, config: CoopConfig) -> tuple[SnrState, ...]:
@@ -180,8 +195,9 @@ def campaign(params: ChannelParams, config: CoopConfig) -> tuple[SnrState, ...]:
     """
     k, (noises, period) = config.count, _inputs(params, [config])
     if config.strategy is Strategy.S1:
-        return _states(params.P, _trajectory(params.P, noises[0].tolist(), period[0].tolist(), k))
-    return _states(params.P, np.column_stack(final_state(
+        return _states(params.P, range(k + 1), _trajectory(
+            params.P, noises[0].tolist(), period[0].tolist(), k))
+    return _states(params.P, range(k + 1), np.column_stack(final_state(
         params.P, noises.repeat(k + 1, 0), period.repeat(k + 1, 0), np.arange(k + 1), True)).tolist())
 
 
@@ -195,6 +211,4 @@ def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> tuple[Sn
     """
     if K < 0:
         raise ValueError("exchange count must be >= 0")
-    noises, periods = _inputs(params, [config.with_count(k) for k in range(K + 1)])
-    return _states(params.P, np.column_stack(final_state(
-        params.P, noises, periods, np.arange(K + 1), config.strategy is Strategy.S2)).tolist())
+    return _finals(params, [config.with_count(k) for k in range(K + 1)])

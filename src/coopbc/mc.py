@@ -24,7 +24,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .af import SnrState, campaign
+# campaign is not called here, but bench/tracing.py wraps it under this module's name
+from .af import SnrState, _finals, campaign  # noqa: F401
 from .channel import (
     ChannelParams,
     CoopConfig,
@@ -263,14 +264,15 @@ def simulate_af(
 
     Both combiner outputs are X + Z at unit signal gain, so one symbol needs
     only the joint law of (Z_I, Z_II): a zero-mean complex normal pair with
-    the recursion's final covariance [[N_I, e], [e, N_II]], drawn through its
-    Cholesky factor. Every config scales the same symbols and unit normals of
-    a batch by its own factor, so each result equals that config's solo run.
-    Decisions are minimum-distance on each output.
+    the final covariance [[N_I, e], [e, N_II]] of the config's campaign, read
+    for the whole sweep from one engine batch per strategy and drawn through
+    its Cholesky factor. Every config scales the same symbols and unit normals
+    of a batch by its own factor, so each result equals that config's solo
+    run. Decisions are minimum-distance on each output.
     """
     if any(c.protocol is not Protocol.AF for c in configs):
         raise ValueError("simulate_af requires amplify-and-forward configs")
-    finals = [campaign(params, c)[-1] for c in configs]
+    finals = _finals(params, configs)
     # Z_I = l_I g_0 and Z_II = l_c g_0 + l_II g_1 for unit complex normals g;
     # when the outputs are nearly equal, rounding can push the Schur
     # complement N_II - e^2 / N_I a few ulps below zero

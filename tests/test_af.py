@@ -443,19 +443,31 @@ huge_db = st.one_of(st.floats(min_value=-30.0, max_value=60.0),
 
 
 @st.composite
-def single_campaigns(draw):
-    """One S1 campaign: downlink and cooperation SNRs up to +-320 dB (P = 1),
-    budgets that are zero, subnormal, 1e300 or any of those SNRs, any scheme,
-    starter and regime, and a count in 0..64."""
+def extreme_params(draw):
+    """Downlink and cooperation SNRs up to +-320 dB (P = 1) and budgets that
+    are zero, subnormal, 1e300 or any of those SNRs."""
     lin = lambda d: 10.0 ** (d / 10.0)  # noqa: E731
     budget = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e300]), huge_db.map(lin))
-    params = ChannelParams(P=1.0, n1=1.0 / lin(draw(huge_db)), n2=1.0 / lin(draw(huge_db)),
-                           n12=1.0 / lin(draw(huge_db)), n21=1.0 / lin(draw(huge_db)),
-                           P12=draw(budget), P21=draw(budget), B=1.0)
-    K = draw(st.integers(0, 64))
+    return ChannelParams(P=1.0, n1=1.0 / lin(draw(huge_db)), n2=1.0 / lin(draw(huge_db)),
+                         n12=1.0 / lin(draw(huge_db)), n21=1.0 / lin(draw(huge_db)),
+                         P12=draw(budget), P21=draw(budget), B=1.0)
+
+
+@st.composite
+def af_configs(draw, strategies=st.just(Strategy.S1), counts=st.integers(0, 64)):
+    """An AF config of any scheme, starter and regime, with a drawn strategy
+    and count."""
+    K = draw(counts)
     scheme = draw(st.sampled_from([Symmetric(K), Asymmetric(K, Receiver.R1),
                                    Asymmetric(K, Receiver.R2)]))
-    return params, _cfg(scheme, Strategy.S1, draw(st.sampled_from(list(Regime))))
+    return _cfg(scheme, draw(strategies), draw(st.sampled_from(list(Regime))))
+
+
+@st.composite
+def single_campaigns(draw):
+    """One S1 campaign on `extreme_params`: any scheme, starter and regime,
+    and a count in 0..64."""
+    return draw(extreme_params()), draw(af_configs())
 
 
 # receiver 1 sends 1e-300 W over a link of noise density 1e300: receiver 2's

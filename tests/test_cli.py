@@ -325,6 +325,16 @@ class TestOutputs:
         _, _, rows = parse_csv(out)
         assert rows[0][:2] == ["cell", "0"] and rows[0][4] == "0"
 
+    @pytest.mark.parametrize("command", ["snr", "rate"])
+    def test_zero_noise_power_is_infinite_snr(self, capsys, scenario_file, command):
+        # n1 = 5e-324 plans N1 = 0: receiver 1 sees an infinite SNR at every count
+        text = REGIONS_TEXT.replace("n1 = 0.5", "n1 = 5e-324").replace("k = 1", "k = 1\nk_max = 2")
+        code = main([command, "--scenario", scenario_file(text)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        _, header, rows = parse_csv(out)
+        assert len(rows) >= 2 and {r[header.index("rho_1")] for r in rows} == {"inf"}
+
     def test_regions_diagonal_ties(self, capsys, scenario_file):
         code, out = run(capsys, ["regions", "--scenario", scenario_file(REGIONS_TEXT)])
         assert code == 0

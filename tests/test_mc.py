@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from coopbc import af, mc
@@ -32,6 +34,7 @@ from coopbc.df import (
 )
 from coopbc.errors import ModulationError
 from coopbc.mc import BerEstimate, TrialConfig, simulate_af, simulate_df
+from test_af import af_configs, extreme_params
 
 NO_COOP = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=1.0, n21=1.0, P12=0.0, P21=0.0, B=1.0)
 AF0 = CoopConfig(Protocol.AF, Symmetric(0), Strategy.S1, Regime.H2)
@@ -522,6 +525,64 @@ TILE_SHAPES = {"4": (4, None), "16": (16, None), "2to16": (2, 0.25), "64": (64, 
 # weight-and-add only where the relay reuses the source constellation
 TILE_RUNS = [(case, "mld", model) for case in TILE_SHAPES for model in ("exact", "genie")] + [
     (case, "mrc", "exact") for case, (_, fraction) in TILE_SHAPES.items() if fraction is None]
+
+
+@st.composite
+def af_sweeps(draw):
+    """Up to 8 AF configs on `extreme_params` with mixed strategies, schemes,
+    starters and regimes; counts up to 64, unsorted and repeated."""
+    pool = draw(st.lists(st.integers(0, 64), min_size=1, max_size=4))
+    configs = st.lists(af_configs(st.sampled_from(list(Strategy)), st.sampled_from(pool)),
+                       min_size=1, max_size=8)
+    return draw(extreme_params()), draw(configs)
+
+
+# mixed strategies, schemes and regimes; counts unsorted and repeated
+MIXED = [CoopConfig(Protocol.AF, scheme, strategy, regime) for scheme, strategy, regime in [
+    (Symmetric(5), Strategy.S2, Regime.H1), (Asymmetric(3, Receiver.R2), Strategy.S1, Regime.H2),
+    (Symmetric(5), Strategy.S1, Regime.H1), (Symmetric(0), Strategy.S2, Regime.H2),
+    (Asymmetric(3, Receiver.R2), Strategy.S1, Regime.H2), (Symmetric(1), Strategy.S1, Regime.H1),
+]]
+
+
+def _final_rows(states) -> bytes:
+    return np.array([(s.i, s.N_I, s.N_II, s.e, s.rho_I, s.rho_II) for s in states]).tobytes()
+
+
+class TestAfFinals:
+    """A sweep reads every config's final state from one engine batch per
+    strategy; each must be that config's own campaign's, bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(sweep=af_sweeps())
+    @example(sweep=(COOP, MIXED))
+    def test_sweep_finals_equal_campaigns(self, sweep):
+        params, configs = sweep
+        results = simulate_af(params, configs, TrialConfig(trials=1, seed=0))
+        assert _final_rows(r.analytic for r in results) == _final_rows(
+            af.campaign(params, c)[-1] for c in configs)
+
+    def test_empty_sweep(self):
+        assert simulate_af(COOP, [], TrialConfig(trials=1, seed=0)) == mc.Sweep()
+
+    def test_one_final_state_per_strategy(self, monkeypatch):
+        # a K^2 loop of one campaign per config must not come back: the sweep
+        # calls the batched engine once per strategy present and no campaign
+        strategies = []
+        final_state = af.final_state
+
+        def spy(*args):
+            strategies.append(args[-1])
+            return final_state(*args)
+
+        def no_campaign(*args):
+            raise AssertionError("a sweep stepped a campaign")
+
+        monkeypatch.setattr(af, "final_state", spy)
+        monkeypatch.setattr(af, "campaign", no_campaign)
+        monkeypatch.setattr(mc, "campaign", no_campaign)
+        assert len(simulate_af(COOP, MIXED, TrialConfig(trials=64, seed=1))) == len(MIXED)
+        assert sorted(strategies) == [False, True]
 
 
 class TestTiles:
