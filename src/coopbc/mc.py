@@ -418,7 +418,8 @@ def simulate_df(
     relay constellation order needed to conserve the coded bit rate and
     shrinks the integrated cooperation noise accordingly. Relay symbols that
     would split source axes raise ModulationError before any error model is
-    built; the block width sets no bound.
+    built; the block width sets no bound. So does, as a ValueError naming its
+    density field, a planned SNR that is not positive and finite.
 
     A batch holds whole blocks: at most BATCH_SYMBOLS source symbols and
     _MLD_CELL_CAP detector-table cells. The partition sets the random
@@ -465,6 +466,15 @@ def simulate_df(
             "weight-and-add combining requires the relay to reuse the source constellation"
         )
     unit = _unit_bits(src_c, rel_c)  # rejects split source axes before any error model
+    # the detectors divide by every noise power and scale by every SNR
+    for (N1, N2), config_links in zip(downlinks, links):
+        snrs = [("n1", params.P, N1), ("n2", params.P, N2)]
+        snrs += [("n12" if relay is Receiver.R1 else "n21", gain * gain, noise)
+                 for relay, (_, gain, noise) in config_links.items()]
+        for name, power, noise in snrs:
+            if not (noise > 0.0 and 0.0 < power / noise < math.inf):
+                raise ValueError(f"{name}: the planned SNR {power:.6g} / {noise:.6g} "
+                                 "is not positive and finite")
 
     # the relay's substitution law depends only on its downlink noise power;
     # weight-and-add never reads it, so it skips building any

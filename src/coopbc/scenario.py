@@ -10,6 +10,7 @@ cooperation noise densities so each stated SNR is reproduced exactly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -32,16 +33,42 @@ __all__ = ["Scenario", "parse_scenario", "parse_scenario_text"]
 
 _DB_KEYS = ("snr1", "snr2", "snr12", "snr21")
 _LINEAR_KEYS = ("p", "n1", "n2", "n12", "n21", "p12", "p21")
-_KNOWN = {
-    "channel": set(_DB_KEYS) | set(_LINEAR_KEYS) | {"b"},
+
+
+def _float(text: str) -> float:
+    """A finite float: nan and +-inf are refused like any other non-number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_float(token) for token in text.split(","))
+
+
+# How each key of each section is read: a conversion of its text, or the
+# tokens it accepts (case-insensitive) and what each stands for.
+_KEYS: dict[str, dict[str, object]] = {
+    "channel": dict.fromkeys((*_DB_KEYS, *_LINEAR_KEYS, "b"), _float),
     "cooperation": {
-        "protocol", "scheme", "strategy", "regime", "k", "k_max", "starter",
-        "coop_bandwidth_fraction",
+        "protocol": {"af": Protocol.AF, "df": Protocol.DF},
+        "scheme": {"symmetric": Symmetric, "asymmetric": Asymmetric},
+        "strategy": {"s1": Strategy.S1, "s2": Strategy.S2},
+        "regime": {"h1": Regime.H1, "h2": Regime.H2},
+        "starter": {"r1": Receiver.R1, "r2": Receiver.R2},
+        "k": int, "k_max": int, "coop_bandwidth_fraction": _float,
     },
-    "modulation": {"source_order", "relay_order"},
-    "trials": {"trials", "seed", "target_half_width", "combiner", "relay_model"},
-    "regions": {"grid_points", "grid_min", "grid_max", "ratios_db"},
+    "modulation": {"source_order": int, "relay_order": int},
+    "trials": {
+        "trials": int, "seed": int, "target_half_width": _float,
+        "combiner": {"mld": "mld", "mrc": "mrc"},
+        "relay_model": {"exact": "exact", "genie": "genie"},
+    },
+    "regions": {"grid_points": int, "grid_min": _float, "grid_max": _float, "ratios_db": _floats},
 }
+_EXPECTED = {int: "int", _float: "float", _floats: "comma-separated numbers"}
+_REQUIRED = object()  # the default of a key that must be given
 
 
 @dataclass(frozen=True)
@@ -63,103 +90,76 @@ class Scenario:
     ratios_db: tuple[float, ...]
 
 
-class _Section:
-    """Typed, error-reporting access to one INI section."""
-
-    def __init__(self, name: str, values: dict[str, str]):
-        self.name = name
-        self.values = values
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.values
-
-    def raw(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        return self.values.get(key, default)
-
-    def _convert(self, key: str, kind: type, default):
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ScenarioError(
-                f"[{self.name}] {key}: expected {kind.__name__}, got {raw!r}"
-            ) from None
-
-    def number(self, key: str, default: Optional[float] = None) -> Optional[float]:
-        return self._convert(key, float, default)
-
-    def integer(self, key: str, default: Optional[int] = None) -> Optional[int]:
-        return self._convert(key, int, default)
-
-    def choice(self, key: str, options: dict[str, object], default: object) -> object:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        token = raw.strip().lower()
-        if token not in options:
-            raise ScenarioError(
-                f"[{self.name}] {key}: expected one of {sorted(options)}, got {raw!r}"
-            )
-        return options[token]
-
-    def require(self, key: str) -> float:
-        if key not in self.values:
-            raise ScenarioError(f"[{self.name}] missing required key {key!r}")
-        return self.number(key)
+def _read(raw: dict[str, dict[str, str]], section: str, key: str, default: object = None):
+    """The value of `key` in `section` as `_KEYS` reads it, or `default` when
+    the key is absent."""
+    text = raw.get(section, {}).get(key)
+    if text is None:
+        if default is _REQUIRED:
+            raise ScenarioError(f"[{section}] missing required key {key!r}")
+        return default
+    kind = _KEYS[section][key]
+    try:
+        return kind[text.strip().lower()] if isinstance(kind, dict) else kind(text)
+    except (KeyError, ValueError):
+        expected = f"one of {sorted(kind)}" if isinstance(kind, dict) else _EXPECTED[kind]
+        raise ScenarioError(f"[{section}] {key}: expected {expected}, got {text!r}") from None
 
 
-def _channel_params(sec: _Section) -> ChannelParams:
-    has_db = [k for k in _DB_KEYS if k in sec]
-    has_linear = [k for k in _LINEAR_KEYS if k in sec]
+def _linear(section: str, key: str, db: float, zero_ok: bool = True) -> float:
+    """10^(db/10), refusing a dB value whose linear value overflows, or
+    underflows to 0 unless `zero_ok`."""
+    try:
+        value = 10.0 ** (db / 10.0)
+        if zero_ok or value:
+            return value
+    except OverflowError:
+        pass
+    raise ScenarioError(f"[{section}] {key}: {db:g} dB is out of range")
+
+
+def _channel_params(raw: dict[str, dict[str, str]]) -> ChannelParams:
+    has_db = [k for k in _DB_KEYS if k in raw["channel"]]
+    has_linear = [k for k in _LINEAR_KEYS if k in raw["channel"]]
     if has_db and has_linear:
-        raise ScenarioError(
-            f"[channel] mixes dB keys {has_db} with linear keys {has_linear}"
-        )
-    B = sec.number("b", 1.0)
+        raise ScenarioError(f"[channel] mixes dB keys {has_db} with linear keys {has_linear}")
+    B = _read(raw, "channel", "b", 1.0)
     try:
         if has_db:
-            s1, s2, s12, s21 = (10.0 ** (sec.require(k) / 10.0) for k in _DB_KEYS)
-            return ChannelParams(
-                P=1.0, n1=1.0 / (B * s1), n2=1.0 / (B * s2),
-                n12=1.0 / B, n21=1.0 / B, P12=s12, P21=s21, B=B,
-            )
-        if has_linear:
-            vals = {k: sec.require(k) for k in _LINEAR_KEYS}
-            return ChannelParams(
-                P=vals["p"], n1=vals["n1"], n2=vals["n2"], n12=vals["n12"],
-                n21=vals["n21"], P12=vals["p12"], P21=vals["p21"], B=B,
-            )
+            # a downlink SNR of 0 would divide by zero; a cooperation one is a zero budget
+            s1, s2, s12, s21 = (_linear("channel", k, _read(raw, "channel", k, _REQUIRED),
+                                        zero_ok=k in ("snr12", "snr21")) for k in _DB_KEYS)
+            if not B > 0.0:
+                raise ScenarioError("[channel] b must be strictly positive")
+            return ChannelParams(P=1.0, n1=1.0 / (B * s1), n2=1.0 / (B * s2), n12=1.0 / B,
+                                 n21=1.0 / B, P12=s12, P21=s21, B=B)
+        if has_linear:  # the linear keys are ChannelParams' fields in order
+            return ChannelParams(*(_read(raw, "channel", k, _REQUIRED) for k in _LINEAR_KEYS), B=B)
     except ValueError as exc:
         raise ScenarioError(f"[channel] {exc}") from None
-    raise ScenarioError(
-        "[channel] needs either the dB keys snr1/snr2/snr12/snr21 or the "
-        "linear keys p/n1/n2/n12/n21/p12/p21"
-    )
+    raise ScenarioError("[channel] needs either the dB keys snr1/snr2/snr12/snr21 or the "
+                        "linear keys p/n1/n2/n12/n21/p12/p21")
 
 
-def _coop_config(sec: _Section) -> tuple[CoopConfig, int, Optional[float]]:
-    protocol = sec.choice("protocol", {"af": Protocol.AF, "df": Protocol.DF}, Protocol.AF)
-    strategy = sec.choice("strategy", {"s1": Strategy.S1, "s2": Strategy.S2}, Strategy.S1)
-    regime = sec.choice("regime", {"h1": Regime.H1, "h2": Regime.H2}, Regime.H1)
-    scheme_kind = sec.choice(
-        "scheme", {"symmetric": Symmetric, "asymmetric": Asymmetric}, Symmetric
-    )
-    k = sec.integer("k", 2)
+def _coop_config(raw: dict[str, dict[str, str]]) -> tuple[CoopConfig, int, Optional[float]]:
+    protocol = _read(raw, "cooperation", "protocol", Protocol.AF)
+    strategy = _read(raw, "cooperation", "strategy", Strategy.S1)
+    regime = _read(raw, "cooperation", "regime", Regime.H1)
+    scheme_kind = _read(raw, "cooperation", "scheme", Symmetric)
+    k = _read(raw, "cooperation", "k", 2)
     if k < 0:
         raise ScenarioError("[cooperation] k must be >= 0")
-    starter = sec.choice("starter", {"r1": Receiver.R1, "r2": Receiver.R2}, None)
+    starter = _read(raw, "cooperation", "starter")
     if scheme_kind is Symmetric:
         if starter is not None:
             raise ScenarioError("[cooperation] starter only applies to the asymmetric scheme")
         scheme: Scheme = Symmetric(k)
     else:
         scheme = Asymmetric(k, starter or Receiver.R1)
-    k_max = sec.integer("k_max", k)
+    k_max = _read(raw, "cooperation", "k_max", k)
     if k_max < 0:
         raise ScenarioError("[cooperation] k_max must be >= 0")
-    fraction = sec.number("coop_bandwidth_fraction", None)
+    fraction = _read(raw, "cooperation", "coop_bandwidth_fraction")
     if fraction is not None:
         if protocol is not Protocol.DF:
             raise ScenarioError(
@@ -170,14 +170,6 @@ def _coop_config(sec: _Section) -> tuple[CoopConfig, int, Optional[float]]:
     return CoopConfig(protocol, scheme, strategy, regime), k_max, fraction
 
 
-def _ratios(sec: _Section) -> tuple[float, ...]:
-    raw = sec.raw("ratios_db", "-30, -10, 0, 10, 30")
-    try:
-        return tuple(float(tok) for tok in raw.split(","))
-    except ValueError:
-        raise ScenarioError(f"[regions] ratios_db: expected comma-separated numbers, got {raw!r}")
-
-
 def parse_scenario_text(text: str, origin: str = "<scenario>") -> Scenario:
     """Parse scenario INI text into a fully resolved Scenario."""
     parser = configparser.ConfigParser()
@@ -185,54 +177,40 @@ def parse_scenario_text(text: str, origin: str = "<scenario>") -> Scenario:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
         raise ScenarioError(str(exc)) from None
-    sections: dict[str, _Section] = {}
+    raw: dict[str, dict[str, str]] = {}
     for name in parser.sections():
-        if name not in _KNOWN:
-            raise ScenarioError(f"unknown section [{name}]; expected one of {sorted(_KNOWN)}")
-        values = dict(parser.items(name))
-        unknown = set(values) - _KNOWN[name]
+        if name not in _KEYS:
+            raise ScenarioError(f"unknown section [{name}]; expected one of {sorted(_KEYS)}")
+        raw[name] = dict(parser.items(name))
+        unknown = set(raw[name]) - set(_KEYS[name])
         if unknown:
             raise ScenarioError(f"[{name}] unknown key(s) {sorted(unknown)}")
-        sections[name] = _Section(name, values)
-    if "channel" not in sections:
+    if "channel" not in raw:
         raise ScenarioError("missing required section [channel]")
-    params = _channel_params(sections["channel"])
-    config, k_max, fraction = _coop_config(sections.get("cooperation", _Section("cooperation", {})))
-    mod = sections.get("modulation", _Section("modulation", {}))
-    trials = sections.get("trials", _Section("trials", {}))
-    regions = sections.get("regions", _Section("regions", {}))
-
+    params = _channel_params(raw)
+    config, k_max, fraction = _coop_config(raw)
     try:
-        trial = TrialConfig(trials.integer("trials", 100_000), seed=trials.integer("seed", 0),
-                            target_half_width=trials.number("target_half_width", None))
+        trial = TrialConfig(_read(raw, "trials", "trials", 100_000),
+                            seed=_read(raw, "trials", "seed", 0),
+                            target_half_width=_read(raw, "trials", "target_half_width"))
     except ValueError as exc:
         raise ScenarioError(f"[trials] {exc}") from None
-    combiner = trials.choice("combiner", {"mld": "mld", "mrc": "mrc"}, "mld")
-    relay_model = trials.choice("relay_model", {"exact": "exact", "genie": "genie"}, "exact")
-    grid_points = regions.integer("grid_points", 21)
+    combiner = _read(raw, "trials", "combiner", "mld")
+    relay_model = _read(raw, "trials", "relay_model", "exact")
+    grid_points = _read(raw, "regions", "grid_points", 21)
     if grid_points < 2:
         raise ScenarioError("[regions] grid_points must be >= 2")
-    grid_min = regions.number("grid_min", 1e-2)
-    grid_max = regions.number("grid_max", 1e2)
+    grid_min = _read(raw, "regions", "grid_min", 1e-2)
+    grid_max = _read(raw, "regions", "grid_max", 1e2)
     if not 0.0 < grid_min < grid_max:
         raise ScenarioError("[regions] need 0 < grid_min < grid_max")
-    source_order = mod.integer("source_order", 4)
-    relay_order = mod.integer("relay_order", None)
-    return Scenario(
-        params=params,
-        config=config,
-        k_max=k_max,
-        source_order=source_order,
-        relay_order=relay_order,
-        coop_bandwidth_fraction=fraction,
-        trial=trial,
-        combiner=combiner,
-        relay_model=relay_model,
-        grid_points=grid_points,
-        grid_min=grid_min,
-        grid_max=grid_max,
-        ratios_db=_ratios(regions),
-    )
+    source_order = _read(raw, "modulation", "source_order", 4)
+    relay_order = _read(raw, "modulation", "relay_order")
+    ratios_db = _read(raw, "regions", "ratios_db", (-30.0, -10.0, 0.0, 10.0, 30.0))
+    for ratio in ratios_db:  # decision_regions converts each to a linear power ratio
+        _linear("regions", "ratios_db", ratio)
+    return Scenario(params, config, k_max, source_order, relay_order, fraction, trial, combiner,
+                    relay_model, grid_points, grid_min, grid_max, ratios_db)
 
 
 def parse_scenario(path: Union[str, Path]) -> Scenario:

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,11 @@ grid_min = 0.1
 grid_max = 10
 ratios_db = 0
 """
+
+# REGIONS_TEXT under DF, for noise densities whose planned noise power
+# leaves a detector SNR outside (0, inf)
+DF_ZERO_NOISE = (REGIONS_TEXT.replace("protocol = af", "protocol = df")
+                 .replace("k = 1", "k = 1\nk_max = 2") + "\n[trials]\ntrials = 2000\n")
 
 SPLIT_TEXT = """
 [channel]
@@ -624,6 +630,51 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, command, key", [
+        # non-finite numbers, refused where they are read
+        pytest.param(AF_TEXT.replace("snr21 = 30", "snr21 = 30\nb = nan"), "snr", "b", id="b-nan"),
+        pytest.param(REGIONS_TEXT.replace("ratios_db = 0", "ratios_db = inf, 0"), "regions",
+                     "ratios_db", id="ratios-inf"),
+        pytest.param(REGIONS_TEXT.replace("ratios_db = 0", "ratios_db = nan, 0"), "regions",
+                     "ratios_db", id="ratios-nan"),
+        pytest.param(REGIONS_TEXT.replace("grid_max = 10", "grid_max = inf"), "regions",
+                     "grid_max", id="grid_max-inf"),
+        pytest.param(AF_TEXT.replace("seed = 3", "seed = 3\ntarget_half_width = inf"), "snr",
+                     "target_half_width", id="target_half_width-inf"),
+        # dB values and b that leave the float range
+        pytest.param(AF_TEXT.replace("snr1 = 10", "snr1 = 4000"), "snr", "snr1",
+                     id="snr1-overflows"),
+        pytest.param(AF_TEXT.replace("snr1 = 10", "snr1 = -4000"), "snr", "snr1",
+                     id="snr1-underflows"),
+        pytest.param(AF_TEXT.replace("snr12 = 30", "snr12 = 4000"), "snr", "snr12",
+                     id="snr12-overflows"),
+        pytest.param(AF_TEXT.replace("snr21 = 30", "snr21 = 30\nb = 1e-400"), "snr", "b",
+                     id="b-underflows"),
+        pytest.param(AF_TEXT.replace("snr21 = 30", "snr21 = 30\nb = -1"), "snr", "b",
+                     id="b-negative"),
+        pytest.param(REGIONS_TEXT.replace("ratios_db = 0", "ratios_db = 4000, 0"), "regions",
+                     "ratios_db", id="ratio-overflows"),
+        # DF sweeps whose detector would divide by a zero noise power
+        pytest.param(DF_ZERO_NOISE.replace("n1 = 0.5", "n1 = 5e-324"), "ber", "n1",
+                     id="df-downlink-noise"),
+        pytest.param(DF_ZERO_NOISE.replace("n12 = 1", "n12 = 5e-324")
+                     .replace("n21 = 1", "n21 = 5e-324"), "ber", "n12", id="df-link-noise"),
+        pytest.param(DF_ZERO_NOISE.replace("p = 1\n", "p = 1e300\n")
+                     .replace("n2 = 0.5", "n2 = 5e-324")
+                     .replace("trials = 2000", "trials = 2000\ncombiner = mrc"), "ber", "n2",
+                     id="df-mrc-snr-overflows"),
+        # the first of two faults is reported, as the keys are read in order
+        pytest.param(AF_TEXT.replace("snr1 = 10", "snr1 = abc").replace("snr2 = 0\n", ""), "snr",
+                     "snr1", id="first-of-two-faults"),
+    ])
+    def test_out_of_range_value_exits_2_naming_its_key(self, capsys, scenario_file, text,
+                                                       command, key):
+        assert main([command, "--scenario", scenario_file(text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert re.search(rf"\b{key}\b", captured.err), captured.err
 
 
 HIGH_COOP = AF_TEXT.replace("snr12 = 30", "snr12 = 200").replace("snr21 = 30", "snr21 = 200")

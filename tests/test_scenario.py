@@ -153,6 +153,10 @@ class TestParsing:
         assert math.isclose(p.P / (p.n1 * p.B), 10.0)
         assert math.isclose(p.P21 / (p.n21 * p.B), 1000.0)
 
+    def test_cooperation_db_underflow_is_a_zero_budget(self):
+        p = parse_scenario_text(DB_TEXT.replace("snr12 = 30", "snr12 = -4000")).params
+        assert p.P12 == 0.0 and math.isclose(p.P21, 1000.0)
+
     def test_linear_form_passthrough(self):
         s = parse_scenario_text(LINEAR_TEXT)
         p = s.params
