@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands:
+Commands:
   snr      per-exchange combiner states of one amplify-and-forward campaign
   rate     achievable rate versus provisioned exchange count
   ber      Monte Carlo bit error rates versus provisioned exchange count
@@ -125,7 +125,7 @@ def _sweep(s: Scenario, configs: Sequence[CoopConfig], args: argparse.Namespace
     if configs[0].protocol is Protocol.AF:
         return simulate_af(s.params, configs, s.trial, order=s.source_order, threads=args.threads)
     return simulate_df(
-        s.params, configs, (s.source_order, s.relay_order), s.trial,
+        s.params, configs, s.source_order, s.trial,
         combiner=s.combiner, relay_model=s.relay_model,
         coop_bandwidth_fraction=s.coop_bandwidth_fraction, threads=args.threads,
     )
@@ -191,17 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopbc",
         description="Cooperative broadcast channel analysis and simulation.",
+        epilog="commands:\n" + "\n".join(f"  {name:<8} {fn.__doc__}"
+                                          for name, fn in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__, description=fn.__doc__)
-        p.add_argument("--scenario", required=True, help="scenario INI file")
-        p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed (unsigned 64-bit)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for Monte Carlo batches")
-        p.set_defaults(func=fn)
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
+    parser.add_argument("--scenario", required=True, help="scenario INI file")
+    parser.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the scenario seed (unsigned 64-bit)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for Monte Carlo batches")
     return parser
 
 
@@ -218,7 +218,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scenario = dataclasses.replace(scenario, trial=trial)
         if args.threads < 1:
             raise ScenarioError("--threads must be >= 1")
-        columns, rows = args.func(scenario, args)
+        columns, rows = _COMMANDS[args.command](scenario, args)
         try:
             _emit(args.out, scenario, columns, rows)
         except OSError as exc:

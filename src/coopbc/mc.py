@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -275,10 +275,12 @@ def simulate_af(
     finals = _finals(params, configs)
     # Z_I = l_I g_0 and Z_II = l_c g_0 + l_II g_1 for unit complex normals g;
     # when the outputs are nearly equal, rounding can push the Schur
-    # complement N_II - e^2 / N_I a few ulps below zero
+    # complement N_II - e^2 / N_I a few ulps below zero. A noiseless output 1
+    # (N_I = 0) is uncorrelated with output 2
     factors = [
         (math.sqrt(f.N_I / 2.0), f.e / math.sqrt(2.0 * f.N_I),
-         math.sqrt(max(f.N_II - f.e**2 / f.N_I, 0.0) / 2.0))
+         math.sqrt(max(f.N_II - f.e**2 / f.N_I, 0.0) / 2.0)) if f.N_I
+        else (0.0, 0.0, math.sqrt(f.N_II / 2.0))
         for f in finals
     ]
     const = qam(order)
@@ -295,14 +297,17 @@ def simulate_af(
         idx = rng.integers(0, order, T)
         x = amp * const.points[idx]
         g = _unit_cn(rng, (2, T))
-        sxx = float(np.sum(np.abs(x) ** 2))
+        # the moments of the symbols and the unit normals, shared by every
+        # config; einsum sums without BLAS, so no BLAS setting moves them
+        xc, (r0, r1) = x.conj(), g.view(float)
+        sxx = float(np.einsum("i,i->", x.view(float), x.view(float)))
+        xg0, xg1 = (complex(np.einsum("i,i->", xc, gi)) for gi in g)
+        g00, g11, g01 = (float(np.einsum("i,i->", a, b)) for a, b in ((r0, r0), (r1, r1), (r0, r1)))
         out = []
         for c in active:
             l_I, l_c, l_II = factors[c]
-            y_I = x + l_I * g[0]
-            y_II = x + (l_c * g[0] + l_II * g[1])
-            wrong_I = const.detect(y_I, amp) ^ idx
-            wrong_II = const.detect(y_II, amp) ^ idx
+            wrong_I = const.detect(x + l_I * g[0], amp) ^ idx
+            wrong_II = const.detect(x + (l_c * g[0] + l_II * g[1]), amp) ^ idx
             out.append((
                 T,
                 T * m,
@@ -310,10 +315,10 @@ def simulate_af(
                 int(popcount[wrong_II].sum()),
                 int(popcount[wrong_I | wrong_II].sum()),
                 sxx,
-                complex(np.vdot(x, y_I)),
-                float(np.sum(np.abs(y_I) ** 2)),
-                complex(np.vdot(x, y_II)),
-                float(np.sum(np.abs(y_II) ** 2)),
+                l_I * xg0,  # sum of conj(x) Z_I, then sum of |Z_I|^2
+                l_I * l_I * g00,
+                l_c * xg0 + l_II * xg1,
+                l_c * l_c * g00 + l_II * l_II * g11 + 2.0 * l_c * l_II * g01,
             ))
         return out
 
@@ -321,19 +326,21 @@ def simulate_af(
                           lambda t: _stop_on_target(tc, t))
 
     def result(t: tuple, final: SnrState) -> AfRunResult:
-        n, _, _, _, _, Sxx, Syx_I, Syy_I, Syx_II, Syy_II = t
+        n, _, _, _, _, Sxx, Sxz_I, Szz_I, Sxz_II, Szz_II = t
 
-        def snr_estimate(syx: complex, syy: float) -> SnrEstimate:
-            # project the known symbols out of the output: signal gain from
-            # the cross-moment, equivalent noise power from the residual
-            alpha_hat = syx / Sxx
-            noise_hat = (syy - abs(syx) ** 2 / Sxx) / n
-            # noise far below the signal can leave no residual at all
-            rho = abs(alpha_hat) ** 2 * P / noise_hat if noise_hat else math.inf
+        def snr_estimate(sxz: complex, szz: float) -> SnrEstimate:
+            # project the known symbols out of the output y = x + z: signal
+            # gain 1 + Sxz/Sxx, equivalent noise power from the residual
+            # Szz - |Sxz|^2/Sxx. Both come from the noise moments, so a noise
+            # far below the signal cancels nothing
+            gain = abs(1.0 + sxz / Sxx)
+            noise_hat = (szz - abs(sxz) * (abs(sxz) / Sxx)) / n
+            # a noiseless output leaves no residual at all
+            rho = gain * gain * P / noise_hat if noise_hat else math.inf
             return SnrEstimate(rho, rho * math.sqrt((1.0 + 2.0 / rho) / n))
 
-        return AfRunResult(*_ber_estimates(t), snr_estimate(Syx_I, Syy_I),
-                           snr_estimate(Syx_II, Syy_II), final)
+        return AfRunResult(*_ber_estimates(t), snr_estimate(Sxz_I, Szz_I),
+                           snr_estimate(Sxz_II, Szz_II), final)
 
     return Sweep(map(result, totals, finals))
 
@@ -386,7 +393,7 @@ def _df_plan(
 def simulate_df(
     params: ChannelParams,
     configs: Sequence[CoopConfig],
-    modulations: Union[int, tuple[int, Optional[int]]],
+    source_order: int,
     trial_config: TrialConfig,
     *,
     combiner: str = "mld",
@@ -409,9 +416,8 @@ def simulate_df(
     substitution-error model, `combiner="mrc"` the weight-and-add baseline
     (symbol-aligned constellations only, no error model).
 
-    `modulations` is the source order, optionally paired with the expected
-    relay order; `relay_model` selects the substitution distribution: "exact"
-    (the law of the relay's decode-and-remap chain at its receive SNR, see
+    `relay_model` selects the substitution distribution: "exact" (the law of
+    the relay's decode-and-remap chain at its receive SNR, see
     `estimate_relay_errors`) or "genie" (error-free relay).
     `coop_bandwidth_fraction` narrows each cooperation sub-channel to that
     fraction of the downlink band (the full band when None), which raises the
@@ -446,22 +452,15 @@ def simulate_df(
         raise ValueError(f"unknown relay model {relay_model!r}")
     if coop_bandwidth_fraction is not None and not 0.0 < coop_bandwidth_fraction <= 1.0:
         raise ValueError("coop_bandwidth_fraction must be in (0, 1]")
-    source_order, relay_expect = (
-        modulations if isinstance(modulations, tuple) else (modulations, None)
-    )
     src_c = qam(source_order)
     if not configs:
         return Sweep()
     fraction = 1.0 if coop_bandwidth_fraction is None else coop_bandwidth_fraction
-    relay_order, shape = choose_compatible_modulation(source_order, fraction)
+    rel_order, shape = choose_compatible_modulation(source_order, fraction)
+    rel_c = qam(rel_order)
     downlinks, links = zip(*(_df_plan(params, c, fraction) for c in configs))
-    if relay_expect is not None and relay_expect != relay_order:
-        raise ModulationError(
-            f"relay order {relay_expect} cannot conserve the coded bit rate; need {relay_order}"
-        )
-    rel_c = qam(relay_order)
     amp_s = math.sqrt(params.P)
-    if combiner == "mrc" and relay_order != source_order:
+    if combiner == "mrc" and rel_order != source_order:
         raise ModulationError(
             "weight-and-add combining requires the relay to reuse the source constellation"
         )
@@ -542,5 +541,5 @@ def simulate_df(
 
     totals = _run_ordered(worker, len(configs), -(-total_blocks // blocks_per_batch), threads,
                           lambda t: _stop_on_target(tc, t))
-    return Sweep(DfRunResult(*_ber_estimates(t), source_order, relay_order, shape)
+    return Sweep(DfRunResult(*_ber_estimates(t), source_order, rel_order, shape)
                  for t in totals)

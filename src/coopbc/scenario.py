@@ -59,7 +59,7 @@ _KEYS: dict[str, dict[str, object]] = {
         "starter": {"r1": Receiver.R1, "r2": Receiver.R2},
         "k": int, "k_max": int, "coop_bandwidth_fraction": _float,
     },
-    "modulation": {"source_order": int, "relay_order": int},
+    "modulation": {"source_order": int},
     "trials": {
         "trials": int, "seed": int, "target_half_width": _float,
         "combiner": {"mld": "mld", "mrc": "mrc"},
@@ -79,7 +79,6 @@ class Scenario:
     config: CoopConfig
     k_max: int
     source_order: int
-    relay_order: Optional[int]
     coop_bandwidth_fraction: Optional[float]
     trial: TrialConfig
     combiner: str
@@ -106,12 +105,12 @@ def _read(raw: dict[str, dict[str, str]], section: str, key: str, default: objec
         raise ScenarioError(f"[{section}] {key}: expected {expected}, got {text!r}") from None
 
 
-def _linear(section: str, key: str, db: float, zero_ok: bool = True) -> float:
-    """10^(db/10), refusing a dB value whose linear value overflows, or
-    underflows to 0 unless `zero_ok`."""
+def _linear(section: str, key: str, db: float, inverted: bool = False) -> float:
+    """10^(db/10), refusing a dB value whose linear value overflows, or, when
+    it is `inverted`, whose reciprocal is not a positive finite float."""
     try:
         value = 10.0 ** (db / 10.0)
-        if zero_ok or value:
+        if not inverted or 0.0 < value and 1.0 / value < math.inf:
             return value
     except OverflowError:
         pass
@@ -126,13 +125,18 @@ def _channel_params(raw: dict[str, dict[str, str]]) -> ChannelParams:
     B = _read(raw, "channel", "b", 1.0)
     try:
         if has_db:
-            # a downlink SNR of 0 would divide by zero; a cooperation one is a zero budget
+            # a downlink SNR is inverted into a noise density; a cooperation
+            # one is a budget, which may be 0
             s1, s2, s12, s21 = (_linear("channel", k, _read(raw, "channel", k, _REQUIRED),
-                                        zero_ok=k in ("snr12", "snr21")) for k in _DB_KEYS)
+                                        inverted=k in ("snr1", "snr2")) for k in _DB_KEYS)
             if not B > 0.0:
                 raise ScenarioError("[channel] b must be strictly positive")
-            return ChannelParams(P=1.0, n1=1.0 / (B * s1), n2=1.0 / (B * s2), n12=1.0 / B,
-                                 n21=1.0 / B, P12=s12, P21=s21, B=B)
+            n1, n2, n12 = 1.0 / (B * s1), 1.0 / (B * s2), 1.0 / B
+            for name, density in (("1 / (b * snr1)", n1), ("1 / (b * snr2)", n2), ("1 / b", n12)):
+                if not 0.0 < density < math.inf:
+                    raise ScenarioError(f"[channel] b: {B:g} puts the noise density {name} "
+                                        "out of range")
+            return ChannelParams(P=1.0, n1=n1, n2=n2, n12=n12, n21=n12, P12=s12, P21=s21, B=B)
         if has_linear:  # the linear keys are ChannelParams' fields in order
             return ChannelParams(*(_read(raw, "channel", k, _REQUIRED) for k in _LINEAR_KEYS), B=B)
     except ValueError as exc:
@@ -205,12 +209,11 @@ def parse_scenario_text(text: str, origin: str = "<scenario>") -> Scenario:
     if not 0.0 < grid_min < grid_max:
         raise ScenarioError("[regions] need 0 < grid_min < grid_max")
     source_order = _read(raw, "modulation", "source_order", 4)
-    relay_order = _read(raw, "modulation", "relay_order")
     ratios_db = _read(raw, "regions", "ratios_db", (-30.0, -10.0, 0.0, 10.0, 30.0))
     for ratio in ratios_db:  # decision_regions converts each to a linear power ratio
         _linear("regions", "ratios_db", ratio)
-    return Scenario(params, config, k_max, source_order, relay_order, fraction, trial, combiner,
-                    relay_model, grid_points, grid_min, grid_max, ratios_db)
+    return Scenario(params, config, k_max, source_order, fraction, trial, combiner, relay_model,
+                    grid_points, grid_min, grid_max, ratios_db)
 
 
 def parse_scenario(path: Union[str, Path]) -> Scenario:

@@ -1043,10 +1043,7 @@ def serialize_scenario(s: Scenario) -> str:
     if s.coop_bandwidth_fraction is not None:
         coop["coop_bandwidth_fraction"] = repr(s.coop_bandwidth_fraction)
     cp["cooperation"] = coop
-    mod = {"source_order": str(s.source_order)}
-    if s.relay_order is not None:
-        mod["relay_order"] = str(s.relay_order)
-    cp["modulation"] = mod
+    cp["modulation"] = {"source_order": str(s.source_order)}
     trials = {"trials": str(s.trial.trials), "seed": str(s.trial.seed), "combiner": s.combiner,
               "relay_model": s.relay_model}
     if s.trial.target_half_width is not None:

@@ -80,6 +80,13 @@ seed = 5
 DF_R2_TEXT = (DF_TEXT.replace("starter = r1", "starter = r2").replace("k_max = 1", "k_max = 2")
               .replace("snr12 = 30", "snr12 = 5").replace("snr21 = 30", "snr21 = 5"))
 
+# 256-QAM AF on 10/10/30/30 dB, the bench's af_qam256 job at seed 101: its
+# SNR moments are sums over 32768 symbols, which a BLAS dot product would
+# order by kernel and thread count
+AF_QAM256_TEXT = (AF_TEXT.replace("snr2 = 0", "snr2 = 10")
+                  .replace("trials = 30000\nseed = 3", "trials = 32768\nseed = 8378308050785365554")
+                  + "\n[modulation]\nsource_order = 256\n")
+
 REGIONS_TEXT = """
 [channel]
 p = 1
@@ -195,8 +202,10 @@ for command, scenario, out in json.loads(sys.argv[1]):
 
 def child_env(**extra: str) -> dict[str, str]:
     """The environment of a child process that imports the same package as
-    this test, installed or not, without an inherited BLAS kernel choice."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    this test, installed or not, without an inherited BLAS kernel or thread
+    count."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")}
     return {**env, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **extra}
 
 
@@ -306,7 +315,8 @@ class TestOutputs:
         assert all(math.isfinite(float(r[cols.index("rho_1")])) for r in rows)
 
     def test_ber_without_sampled_noise_reports_infinite_snr(self, capsys, scenario_file):
-        # every link at 310 dB: the sampled noise is exactly 0 beside the symbols
+        # every link at 310 dB: the sampled noise is 1e-31 of the symbols, and
+        # the estimate still reads it, within 5 sigma of the analytic SNR
         text = (AF_TEXT.replace("snr1 = 10", "snr1 = 310").replace("snr2 = 0", "snr2 = 310")
                 .replace("snr12 = 30", "snr12 = 310").replace("snr21 = 30", "snr21 = 310"))
         code = main(["ber", "--scenario", scenario_file(text)])
@@ -314,11 +324,19 @@ class TestOutputs:
         assert code == 0 and err == ""
         _, header, rows = parse_csv(out)
         assert len(rows) == 3
-        cols = [header.index(c) for c in ("snr_1", "snr_2")]
-        assert "inf" in {r[c] for r in rows for c in cols}
         for r in rows:
             row = dict(zip(header, r))
-            assert math.isfinite(float(row["rho_1"])) and math.isfinite(float(row["rho_2"]))
+            for i in ("1", "2"):
+                rho, snr = float(row[f"rho_{i}"]), float(row[f"snr_{i}"])
+                assert math.isfinite(rho)
+                assert abs(snr - rho) <= 5.0 * rho * math.sqrt((1.0 + 2.0 / rho) / 30000)
+        # n1 = 5e-324 plans N1 = 0: output 1 has no noise, so no residual
+        text = REGIONS_TEXT.replace("n1 = 0.5", "n1 = 5e-324").replace("k = 1", "k = 1\nk_max = 2")
+        code = main(["ber", "--scenario", scenario_file(text)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 3 and {r[header.index("snr_1")] for r in rows} == {"inf"}
 
     @pytest.mark.parametrize("grid_min", ["1e-320", "5e-324"])
     def test_regions_at_subnormal_densities_is_quiet(self, capsys, scenario_file, grid_min):
@@ -480,19 +498,23 @@ class TestDeterminism:
     def test_analytic_csv_is_the_same_on_every_blas_kernel(self, scenario_file, tmp_path):
         # numpy's OpenBLAS picks its kernel from the CPU at load time, and
         # OPENBLAS_CORETYPE overrides that choice in the child processes only.
-        # ber and compare stay out: the AF sampler's np.vdot and the DF
-        # detector's matrix products are BLAS calls
+        # AF ber sums its sampled moments without BLAS, so it must not move
+        # with the kernel or the BLAS thread count either. DF ber and compare
+        # stay out: the DF detector's matrix products are BLAS calls
+        cases = [*((command, text) for command, text, _ in ANALYTIC_PINS), ("ber", AF_QAM256_TEXT)]
         jobs = [(command, scenario_file(text, f"case{i}.ini"), str(tmp_path / f"case{i}.csv"))
-                for i, (command, text, _) in enumerate(ANALYTIC_PINS)]
+                for i, (command, text) in enumerate(cases)]
         hashes = []
-        for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"},
-                       {"OPENBLAS_CORETYPE": "Sandybridge"}):
+        for blas in ({}, {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Sandybridge"},
+                     {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}):
             res = subprocess.run([sys.executable, "-c", HASH_SCRIPT, json.dumps(jobs)],
-                                 capture_output=True, text=True, env=child_env(**kernel))
+                                 capture_output=True, text=True, env=child_env(**blas))
             assert res.returncode == 0, res.stderr
             hashes.append(res.stdout.split())
-        for (command, _, digest), *per_kernel in zip(ANALYTIC_PINS, *hashes):
-            assert set(per_kernel) == {digest}, command
+        *analytic, af_ber = zip(*hashes)
+        for (command, _, digest), per_blas in zip(ANALYTIC_PINS, analytic):
+            assert set(per_blas) == {digest}, command
+        assert len(set(af_ber)) == 1, af_ber
 
     def test_seed_override_changes_monte_carlo_output(self, scenario_file, tmp_path):
         path = scenario_file(DF_TEXT)
@@ -551,8 +573,11 @@ class TestExitCodes:
             assert run(capsys, [command, "--scenario", path])[0] == 2
 
     def test_relay_order_mismatch_exits_2(self, capsys, scenario_file):
+        # the relay order is derived from the source order and the band
+        # fraction, so the scenario key that named it is gone
         text = DF_TEXT + "\n[modulation]\nsource_order = 4\nrelay_order = 16\n"
-        assert run(capsys, ["ber", "--scenario", scenario_file(text)])[0] == 2
+        assert main(["ber", "--scenario", scenario_file(text)]) == 2
+        assert capsys.readouterr().err == "error: [modulation] unknown key(s) ['relay_order']\n"
 
     def test_bad_thread_count_exits_2(self, capsys, scenario_file):
         path = scenario_file(AF_TEXT)
@@ -603,6 +628,14 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_help_lists_every_command(self, capsys):
+        # one parser: a command's --help is the same page, with every command
+        assert main(["snr", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("--threads") == 2  # in the usage line and once as an option
+        for name, fn in cli._COMMANDS.items():
+            assert f"  {name:<8} {fn.__doc__}" in out
 
     @pytest.mark.parametrize("exc", [
         np.linalg.LinAlgError("Singular matrix"),
@@ -655,6 +688,19 @@ class TestExitCodes:
                      id="b-negative"),
         pytest.param(REGIONS_TEXT.replace("ratios_db = 0", "ratios_db = 4000, 0"), "regions",
                      "ratios_db", id="ratio-overflows"),
+        # dB downlink SNRs whose noise density 1 / (b * snr) leaves the float range
+        pytest.param(AF_TEXT.replace("snr1 = 10", "snr1 = -3100"), "snr", "snr1",
+                     id="snr1-density-overflows"),
+        pytest.param(AF_TEXT.replace("snr2 = 0", "snr2 = -3100"), "snr", "snr2",
+                     id="snr2-density-overflows"),
+        pytest.param(AF_TEXT.replace("snr21 = 30", "snr21 = 30\nb = 1e-310"), "snr", "b",
+                     id="b-density-overflows"),
+        pytest.param(AF_TEXT.replace("snr1 = 10", "snr1 = 300").replace("snr21 = 30",
+                                                                       "snr21 = 30\nb = 1e300"),
+                     "snr", "b", id="b-density-underflows"),
+        pytest.param(AF_TEXT.replace("snr1 = 10", "snr1 = 3000").replace("snr21 = 30",
+                                                                        "snr21 = 30\nb = 1e10"),
+                     "snr", "b", id="b-product-overflows"),
         # DF sweeps whose detector would divide by a zero noise power
         pytest.param(DF_ZERO_NOISE.replace("n1 = 0.5", "n1 = 5e-324"), "ber", "n1",
                      id="df-downlink-noise"),
@@ -675,6 +721,69 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert re.search(rf"\b{key}\b", captured.err), captured.err
+
+
+AF_EXTREMES = {
+    # every link at 250 dB: the sampled noise is 1e-25 of the symbols
+    "250dB": (AF_TEXT.replace("snr1 = 10", "snr1 = 250").replace("snr2 = 0", "snr2 = 250")
+              .replace("snr12 = 30", "snr12 = 250").replace("snr21 = 30", "snr21 = 250")),
+    # a signal power near the float limit, and receiver 2's noise near 0
+    "float-max": """
+[channel]
+p = 1e300
+n1 = 338.6
+n2 = 1e-300
+n12 = 1
+n21 = 1
+p12 = 0
+p21 = 1e300
+
+[cooperation]
+protocol = af
+k = 0
+k_max = 0
+
+[trials]
+trials = 2236
+seed = 87
+""",
+    # n1 = 5e-324 plans N1 = 0: output 1 is noiseless
+    "zero-noise": REGIONS_TEXT.replace("n1 = 0.5", "n1 = 5e-324").replace("k = 1",
+                                                                         "k = 1\nk_max = 2"),
+}
+
+
+class TestAfExtremes:
+    @pytest.mark.parametrize("command", ["ber", "compare"])
+    @pytest.mark.parametrize("case, key", [("250dB", None), ("float-max", "n2"),
+                                           ("zero-noise", "n1")])
+    def test_sampled_snr_is_honest_or_the_key_is_named(self, capsys, monkeypatch,
+                                                       scenario_file, command, case, key):
+        # every AF sweep is recorded, so compare's SNRs are checked too; only
+        # compare's DF half may refuse the scenario, after its AF sweep
+        sweeps = []
+
+        def recorded(*args, **kwargs):
+            sweeps.append(simulate_af(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(cli, "simulate_af", recorded)
+        code = main([command, "--scenario", scenario_file(AF_EXTREMES[case])])
+        out, err = capsys.readouterr()
+        if code:
+            assert (code, out) == (2, "") and command == "compare", err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert re.search(rf"\b{key}\b", err), err
+        else:
+            assert err == ""
+        assert len(sweeps) == 1
+        for r in sweeps[0]:
+            n = r.ber_I.trials
+            for snr, rho in ((r.snr_I.value, r.analytic.rho_I), (r.snr_II.value, r.analytic.rho_II)):
+                if math.isinf(rho):
+                    assert snr == math.inf
+                else:  # sigma as bench/checks.py::af_snr
+                    assert abs(snr - rho) <= 5.0 * rho * math.sqrt((1.0 + 2.0 / rho) / n), (snr, rho)
 
 
 HIGH_COOP = AF_TEXT.replace("snr12 = 30", "snr12 = 200").replace("snr21 = 30", "snr21 = 200")

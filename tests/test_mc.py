@@ -219,10 +219,6 @@ class TestSimulateDf:
         with pytest.raises(ValueError, match="decode"):
             simulate_df(NO_COOP, [AF0], 4, TrialConfig(trials=10))
 
-    def test_relay_order_mismatch_rejected(self):
-        with pytest.raises(ModulationError, match="need 4"):
-            simulate_df(NO_COOP, [DF0], (4, 16), TrialConfig(trials=10))
-
     def test_mrc_needs_symbol_alignment(self):
         p = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=1.0, n21=1.0, P12=4.0, P21=4.0, B=1.0)
         cfg = CoopConfig(Protocol.DF, Asymmetric(1), Strategy.S2, Regime.H2)

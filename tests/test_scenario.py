@@ -63,7 +63,6 @@ coop_bandwidth_fraction = 0.5
 
 [modulation]
 source_order = 16
-relay_order = 16
 
 [trials]
 trials = 50000
@@ -113,7 +112,7 @@ def scenario_texts(draw) -> str:
     if protocol == "df":
         coop += maybe("coop_bandwidth_fraction", st.floats(1e-3, 1.0))
     orders = st.sampled_from([2, 4, 16, 64, 256, 1024, 4096])
-    modulation = ["[modulation]", *maybe("source_order", orders), *maybe("relay_order", orders)]
+    modulation = ["[modulation]", *maybe("source_order", orders)]
     trials = ["[trials]", *maybe("trials", st.integers(1, 10**9))]
     trials += maybe("seed", st.integers(0, 2**64 - 1))
     trials += maybe("target_half_width", POSITIVE)
@@ -171,7 +170,7 @@ class TestParsing:
         assert s.config.regime is Regime.H2
         assert s.k_max == 3  # defaults to k
         assert s.coop_bandwidth_fraction == 0.5
-        assert (s.source_order, s.relay_order) == (16, 16)
+        assert s.source_order == 16
         assert s.trial == TrialConfig(50000, seed=1, target_half_width=0.05)
         assert (s.combiner, s.relay_model) == ("mrc", "genie")
         assert (s.grid_points, s.grid_min, s.grid_max) == (11, 0.5, 2.0)
@@ -184,7 +183,7 @@ class TestParsing:
         assert s.config.strategy is Strategy.S1
         assert s.config.regime is Regime.H1
         assert s.k_max == 2
-        assert s.relay_order is None
+        assert s.source_order == 4
         assert s.coop_bandwidth_fraction is None
         assert s.trial == TrialConfig(100000, seed=0, target_half_width=None)
         assert (s.combiner, s.relay_model) == ("mld", "exact")
