@@ -30,7 +30,6 @@ from .channel import (
     ChannelParams,
     CoopConfig,
     Protocol,
-    Receiver,
     plan_bandwidth,
     power_schedule,
     transmissions,
@@ -370,24 +369,34 @@ def _mrc_decisions(
 
 def _df_plan(
     params: ChannelParams, config: CoopConfig, fraction: float,
-) -> tuple[tuple[float, float], dict[Receiver, tuple[int, float, float]]]:
-    """Downlink noise powers (N1, N2) of one DF config, and for each sending
-    relay its (link slot, gain, noise): slots number the relays in the order
+) -> tuple[tuple[float, float], tuple[Optional[tuple[int, float, float]], ...]]:
+    """Downlink noise powers (N1, N2) of one DF config, and for receivers 0
+    and 1 the branch each hears from its partner: (link slot, gain, noise),
+    or None if the partner never sends. Slots number the relays in the order
     of their first send, and each link is `fraction` of the downlink band
-    wide."""
+    wide. The detectors divide by every noise power and scale by every SNR,
+    so a planned SNR (P over a downlink noise, gain^2 over a link noise) that
+    is not positive and finite raises a ValueError naming its density: n1,
+    n2, then the links in first-send order.
+    """
     plan = plan_bandwidth(params, config)
     coop_band = fraction * plan.B_DL
+    snrs = [("n1", params.P, plan.N1), ("n2", params.P, plan.N2)]
+    heard: list[Optional[tuple[int, float, float]]] = [None, None]
     # m equal-power repeats (amplitude a, noise N) of one relay block are
     # sufficient as their sum: one branch of gain m*a and noise m*N
     period, sends = power_schedule(params, config), transmissions(config)
-    senders = dict.fromkeys(Receiver(i % 2 + 1) for i in np.flatnonzero(period))
-    links = {}
-    for slot, relay in enumerate(senders):
-        m = sends[relay.value - 1]
-        density = params.n12 if relay is Receiver.R1 else params.n21
-        links[relay] = (slot, m * math.sqrt(period[:, relay.value - 1].max()),
-                        m * (density * coop_band))
-    return (plan.N1, plan.N2), links
+    for slot, relay in enumerate(dict.fromkeys(i % 2 for i in np.flatnonzero(period).tolist())):
+        m = sends[relay]
+        gain = m * math.sqrt(period[:, relay].max())
+        noise = m * ((params.n12, params.n21)[relay] * coop_band)
+        snrs.append((("n12", "n21")[relay], gain * gain, noise))
+        heard[1 - relay] = (slot, gain, noise)
+    for name, power, noise in snrs:
+        if not (noise > 0.0 and 0.0 < power / noise < math.inf):
+            raise ValueError(f"{name}: the planned SNR {power:.6g} / {noise:.6g} "
+                             "is not positive and finite")
+    return (plan.N1, plan.N2), tuple(heard)
 
 
 def simulate_df(
@@ -398,7 +407,7 @@ def simulate_df(
     *,
     combiner: str = "mld",
     relay_model: str = "exact",
-    coop_bandwidth_fraction: Optional[float] = None,
+    coop_bandwidth_fraction: float = 1.0,
     threads: int = 1,
 ) -> Sweep:
     """Sample the full decode-and-forward chain of each config (at its own
@@ -408,24 +417,23 @@ def simulate_df(
     Each receiver hard-decodes the source block from its own downlink signal
     once, re-modulates it onto the bit-rate-compatible relay constellation and
     retransmits the same block at every exchange it owns (fresh cooperation
-    noise each time, equal power). The destination sums the m repeats into
-    one branch of gain m*a and noise m*N, a sufficient statistic that keeps
-    the one decoding error of the block from counting m times, and combines
-    it with the signal received directly from the source: `combiner="mld"`
-    runs the per-bit generalized ML detector with the relay's
-    substitution-error model, `combiner="mrc"` the weight-and-add baseline
-    (symbol-aligned constellations only, no error model).
+    noise each time, equal power). A destination combines the one branch it
+    hears from its partner (see `_df_plan`) with the signal received directly
+    from the source: `combiner="mld"` runs the per-bit generalized ML
+    detector with the relay's substitution-error model, `combiner="mrc"` the
+    weight-and-add baseline (symbol-aligned constellations only, no error
+    model).
 
     `relay_model` selects the substitution distribution: "exact" (the law of
     the relay's decode-and-remap chain at its receive SNR, see
-    `estimate_relay_errors`) or "genie" (error-free relay).
-    `coop_bandwidth_fraction` narrows each cooperation sub-channel to that
-    fraction of the downlink band (the full band when None), which raises the
-    relay constellation order needed to conserve the coded bit rate and
-    shrinks the integrated cooperation noise accordingly. Relay symbols that
-    would split source axes raise ModulationError before any error model is
-    built; the block width sets no bound. So does, as a ValueError naming its
-    density field, a planned SNR that is not positive and finite.
+    `estimate_relay_errors`) or "genie" (an error-free relay, which decodes
+    the noiseless source symbols). `coop_bandwidth_fraction` narrows each
+    cooperation sub-channel to that fraction of the downlink band, which
+    raises the relay constellation order needed to conserve the coded bit
+    rate and shrinks the integrated cooperation noise accordingly. Relay
+    symbols that would split source axes raise ModulationError before any
+    planned SNR is checked or error model built; the block width sets no
+    bound.
 
     A batch holds whole blocks: at most BATCH_SYMBOLS source symbols and
     _MLD_CELL_CAP detector-table cells. The partition sets the random
@@ -434,15 +442,14 @@ def simulate_df(
     The fraction alone fixes the ratio of relay to source symbol rates, so
     one relay order and block shape serve every config, and all of them share
     the source bits and unit normals of a batch: the two direct draws, then
-    one per cooperation link slot in first-send order, of which a config with
-    fewer links uses a prefix. Every draw is made for the whole batch; every
-    later stage (symbols, direct signals, relay decisions and branches,
-    detection and error counts) runs over tiles of blocks whose detector
-    tables stay cache-sized, and each config's counts are summed over the
-    tiles. Blocks are independent, so the tile size sets no result. Direct
-    signals, relay decisions and relay error models are formed once per
-    distinct downlink noise power, and each result equals that config's solo
-    run.
+    one per link slot, of which a config with fewer links uses a prefix.
+    Every draw is made for the whole batch; every later stage (symbols,
+    direct signals, relay decisions and branches, detection and error
+    counts) runs over tiles of blocks whose detector tables stay cache-sized.
+    Blocks are independent, so the tile size sets no result. Direct signals
+    and relay decisions are formed once per distinct pair of downlink noise
+    powers, relay error models once per distinct relay noise power, and each
+    result equals that config's solo run.
     """
     if any(c.protocol is not Protocol.DF for c in configs):
         raise ValueError("simulate_df requires decode-and-forward configs")
@@ -450,41 +457,28 @@ def simulate_df(
         raise ValueError(f"unknown combiner {combiner!r}")
     if relay_model not in ("exact", "genie"):
         raise ValueError(f"unknown relay model {relay_model!r}")
-    if coop_bandwidth_fraction is not None and not 0.0 < coop_bandwidth_fraction <= 1.0:
+    if not 0.0 < coop_bandwidth_fraction <= 1.0:
         raise ValueError("coop_bandwidth_fraction must be in (0, 1]")
     src_c = qam(source_order)
     if not configs:
         return Sweep()
-    fraction = 1.0 if coop_bandwidth_fraction is None else coop_bandwidth_fraction
-    rel_order, shape = choose_compatible_modulation(source_order, fraction)
+    rel_order, shape = choose_compatible_modulation(source_order, coop_bandwidth_fraction)
     rel_c = qam(rel_order)
-    downlinks, links = zip(*(_df_plan(params, c, fraction) for c in configs))
     amp_s = math.sqrt(params.P)
     if combiner == "mrc" and rel_order != source_order:
         raise ModulationError(
             "weight-and-add combining requires the relay to reuse the source constellation"
         )
     unit = _unit_bits(src_c, rel_c)  # rejects split source axes before any error model
-    # the detectors divide by every noise power and scale by every SNR
-    for (N1, N2), config_links in zip(downlinks, links):
-        snrs = [("n1", params.P, N1), ("n2", params.P, N2)]
-        snrs += [("n12" if relay is Receiver.R1 else "n21", gain * gain, noise)
-                 for relay, (_, gain, noise) in config_links.items()]
-        for name, power, noise in snrs:
-            if not (noise > 0.0 and 0.0 < power / noise < math.inf):
-                raise ValueError(f"{name}: the planned SNR {power:.6g} / {noise:.6g} "
-                                 "is not positive and finite")
+    plans = [_df_plan(params, c, coop_bandwidth_fraction) for c in configs]
 
     # the relay's substitution law depends only on its downlink noise power;
     # weight-and-add never reads it, so it skips building any
-    models: dict[float, RelayErrorModel] = {}
-    if combiner == "mld":
-        for noises, config_links in zip(downlinks, links):
-            for relay in config_links:
-                noise = noises[relay.value - 1]
-                if noise not in models:
-                    models[noise] = (RelayErrorModel.error_free(src_c) if relay_model == "genie"
-                                     else estimate_relay_errors(src_c, rel_c, amp_s, noise))
+    relay_noises = dict.fromkeys(noises[1 - dest] for noises, heard in plans
+                                 for dest, branch in enumerate(heard) if branch)
+    models = {noise: RelayErrorModel.error_free(src_c) if relay_model == "genie"
+              else estimate_relay_errors(src_c, rel_c, amp_s, noise)
+              for noise in (relay_noises if combiner == "mld" else ())}
 
     def decide(y: np.ndarray, observations: list[RelayObservation], noise: float) -> np.ndarray:
         if combiner == "mld":
@@ -503,41 +497,37 @@ def simulate_df(
         T = min(blocks_per_batch, total_blocks - b * blocks_per_batch)
         rng = _rng(tc.seed, b)
         bits = rng.integers(0, 2, (T, shape.n), dtype=np.int8)
-        unit_direct = [_unit_cn(rng, (T, shape.s)) for _ in Receiver]
+        unit_direct = [_unit_cn(rng, (T, shape.s)) for _ in range(2)]
         unit_links = [_unit_cn(rng, (T, shape.r))
-                      for _ in range(max(len(links[c]) for c in active))]
+                      for _ in range(max(sum(map(bool, plans[c][1])) for c in active))]
         groups: dict[tuple[float, float], list[int]] = {}  # downlink noises -> configs
         for c in active:
-            groups.setdefault(downlinks[c], []).append(c)
-        errors = {c: np.zeros(3, dtype=np.int64) for c in active}
+            groups.setdefault(plans[c][0], []).append(c)
+        errors = {c: [0, 0, 0] for c in active}  # Python ints
         for tile in (slice(a, a + tile_blocks) for a in range(0, T, tile_blocks)):
             tile_bits = bits[tile]
             x = amp_s * src_c.points[src_c.bits_to_indices(tile_bits)]
-            if relay_model == "genie":  # perfect decoding: every relay transmits the true block
-                true_labels = rel_c.bits_to_indices(tile_bits)
             for noises, members in groups.items():
-                direct = {dest: x + math.sqrt(noises[dest.value - 1] / 2.0) * g[tile]
-                          for dest, g in zip(Receiver, unit_direct)}
-                labels: dict[Receiver, np.ndarray] = {}
+                direct = [x + math.sqrt(N / 2.0) * g[tile] for N, g in zip(noises, unit_direct)]
+                # a genie relay decodes the noiseless source symbols
+                relay_in = direct if relay_model == "exact" else (x, x)
+                labels = {relay: relay_decode_and_remap(relay_in[relay], src_c, rel_c, amp_s)
+                          for relay in {1 - dest for c in members
+                                        for dest, branch in enumerate(plans[c][1]) if branch}}
                 for c in members:
                     wrong = []
-                    for dest in Receiver:
+                    for dest, branch in enumerate(plans[c][1]):
                         received = []
-                        relay = dest.other  # a destination hears only its partner
-                        if relay in links[c]:
-                            slot, gain, noise = links[c][relay]
-                            if relay not in labels:
-                                labels[relay] = (true_labels if relay_model == "genie" else
-                                                 relay_decode_and_remap(direct[relay], src_c, rel_c, amp_s))
+                        if branch:  # a destination hears only its partner
+                            slot, gain, noise = branch
                             received.append(RelayObservation(
-                                gain * rel_c.points[labels[relay]]
+                                gain * rel_c.points[labels[1 - dest]]
                                 + math.sqrt(noise / 2.0) * unit_links[slot][tile],
-                                gain, noise, models.get(noises[relay.value - 1])))
-                        wrong.append(decide(direct[dest], received, noises[dest.value - 1])
-                                     != tile_bits)
-                    wrong_I, wrong_II = wrong
-                    errors[c] += wrong_I.sum(), wrong_II.sum(), (wrong_I | wrong_II).sum()
-        return [(T * shape.s, T * shape.n, *map(int, errors[c])) for c in active]
+                                gain, noise, models.get(noises[1 - dest])))
+                        wrong.append(decide(direct[dest], received, noises[dest]) != tile_bits)
+                    wrong.append(wrong[0] | wrong[1])
+                    errors[c] = [e + np.count_nonzero(w) for e, w in zip(errors[c], wrong)]
+        return [(T * shape.s, T * shape.n, *errors[c]) for c in active]
 
     totals = _run_ordered(worker, len(configs), -(-total_blocks // blocks_per_batch), threads,
                           lambda t: _stop_on_target(tc, t))

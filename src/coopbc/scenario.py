@@ -13,7 +13,7 @@ import configparser
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .channel import (
     Asymmetric,
@@ -79,7 +79,7 @@ class Scenario:
     config: CoopConfig
     k_max: int
     source_order: int
-    coop_bandwidth_fraction: Optional[float]
+    coop_bandwidth_fraction: float
     trial: TrialConfig
     combiner: str
     relay_model: str
@@ -145,7 +145,7 @@ def _channel_params(raw: dict[str, dict[str, str]]) -> ChannelParams:
                         "linear keys p/n1/n2/n12/n21/p12/p21")
 
 
-def _coop_config(raw: dict[str, dict[str, str]]) -> tuple[CoopConfig, int, Optional[float]]:
+def _coop_config(raw: dict[str, dict[str, str]]) -> tuple[CoopConfig, int, float]:
     protocol = _read(raw, "cooperation", "protocol", Protocol.AF)
     strategy = _read(raw, "cooperation", "strategy", Strategy.S1)
     regime = _read(raw, "cooperation", "regime", Regime.H1)
@@ -163,14 +163,9 @@ def _coop_config(raw: dict[str, dict[str, str]]) -> tuple[CoopConfig, int, Optio
     k_max = _read(raw, "cooperation", "k_max", k)
     if k_max < 0:
         raise ScenarioError("[cooperation] k_max must be >= 0")
-    fraction = _read(raw, "cooperation", "coop_bandwidth_fraction")
-    if fraction is not None:
-        if protocol is not Protocol.DF:
-            raise ScenarioError(
-                "[cooperation] coop_bandwidth_fraction only applies to the df protocol"
-            )
-        if not 0.0 < fraction <= 1.0:
-            raise ScenarioError("[cooperation] coop_bandwidth_fraction must be in (0, 1]")
+    fraction = _read(raw, "cooperation", "coop_bandwidth_fraction", 1.0)
+    if not 0.0 < fraction <= 1.0:
+        raise ScenarioError("[cooperation] coop_bandwidth_fraction must be in (0, 1]")
     return CoopConfig(protocol, scheme, strategy, regime), k_max, fraction
 
 

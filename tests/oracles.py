@@ -1037,11 +1037,10 @@ def serialize_scenario(s: Scenario) -> str:
         "regime": s.config.regime.value,
         "k": str(s.config.count),
         "k_max": str(s.k_max),
+        "coop_bandwidth_fraction": repr(s.coop_bandwidth_fraction),
     }
     if isinstance(s.config.scheme, Asymmetric):
         coop["starter"] = "r1" if s.config.scheme.starter is Receiver.R1 else "r2"
-    if s.coop_bandwidth_fraction is not None:
-        coop["coop_bandwidth_fraction"] = repr(s.coop_bandwidth_fraction)
     cp["cooperation"] = coop
     cp["modulation"] = {"source_order": str(s.source_order)}
     trials = {"trials": str(s.trial.trials), "seed": str(s.trial.seed), "combiner": s.combiner,

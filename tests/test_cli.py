@@ -30,6 +30,8 @@ from coopbc.channel import (
     plan_bandwidth,
 )
 from coopbc.cli import main
+from coopbc.df import _unit_bits, choose_compatible_modulation, qam
+from coopbc.errors import ModulationError
 from coopbc.mc import simulate_af
 from coopbc.scenario import parse_scenario_text
 from oracles import s2_closed_form, write_csv
@@ -400,6 +402,18 @@ class TestOutputs:
         assert [k0[f"af_s1_{c}"] for c in ("ber_max", "pe_sys")] == [
             k0[f"af_s2_{c}"] for c in ("ber_max", "pe_sys")]
 
+    def test_compare_runs_bpsk_from_an_af_scenario(self, capsys, scenario_file):
+        # compare's DF half reads the AF scenario's band fraction: BPSK on
+        # half-width slices forwards as 4-QAM, where the full band would need
+        # a 1-bit relay, which no square QAM carries
+        text = (AF_TEXT.replace("k_max = 2", "k_max = 2\ncoop_bandwidth_fraction = 0.5")
+                .replace("trials = 30000", "trials = 3000") + "\n[modulation]\nsource_order = 2\n")
+        assert main(["compare", "--scenario", scenario_file(text)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        _, _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["0", "1", "2"]
+
     def test_out_file_matches_stdout(self, capsys, scenario_file, tmp_path):
         path = scenario_file(AF_TEXT)
         dest = tmp_path / "out.csv"
@@ -721,6 +735,81 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert re.search(rf"\b{key}\b", captured.err), captured.err
+
+
+# every source order, and band fractions whose relay is square QAM, odd-width,
+# not integral, splits source axes (1024 -> 4096 at 5/6) or is too wide
+SPACE_ORDERS = (2, 4, 16, 64, 256, 1024, 4096)
+SPACE_FRACTIONS = (1.0, 2 / 3, 0.4, 0.25, 1e-3, 0.8333333333333334)
+SPACE_TEXT = """
+[channel]
+snr1 = 7
+snr2 = 3
+snr12 = 30
+snr21 = 30
+
+[cooperation]
+protocol = {protocol}
+scheme = asymmetric
+strategy = s2
+regime = h2
+k = 1
+k_max = {k_max}
+coop_bandwidth_fraction = {fraction!r}
+
+[modulation]
+source_order = {order}
+
+[trials]
+trials = {trials}
+seed = 11
+combiner = {combiner}
+relay_model = {relay_model}
+"""
+
+
+def df_refuses(order: int, fraction: float, combiner: str) -> bool:
+    """Whether a DF sweep must refuse this modulation pair."""
+    try:
+        relay_order, _ = choose_compatible_modulation(order, fraction)
+        _unit_bits(qam(order), qam(relay_order))
+    except ModulationError:
+        return True
+    return combiner == "mrc" and relay_order != order
+
+
+class TestModulationSpace:
+    @settings(deadline=None, max_examples=100)
+    @given(order=st.sampled_from(SPACE_ORDERS), fraction=st.sampled_from(SPACE_FRACTIONS),
+           combiner=st.sampled_from(["mld", "mrc"]),
+           relay_model=st.sampled_from(["exact", "genie"]),
+           protocol=st.sampled_from(["af", "df"]), command=st.sampled_from(["ber", "compare"]),
+           trials=st.integers(1, 300), k_max=st.integers(0, 2))
+    def test_runs_or_refuses_the_pair_in_one_line(self, tmp_path_factory, order, fraction,
+                                                   combiner, relay_model, protocol, command,
+                                                   trials, k_max):
+        # a run that reads a DF sweep (every compare, a df ber) exits 2 exactly
+        # when the modulation pair does not exist; AF ignores the fraction
+        path = tmp_path_factory.mktemp("space") / "scenario.ini"
+        path.write_text(SPACE_TEXT.format(protocol=protocol, k_max=k_max, fraction=fraction,
+                                          order=order, trials=trials, combiner=combiner,
+                                          relay_model=relay_model))
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--scenario", str(path)])
+        refused = (protocol == "df" or command == "compare") and df_refuses(order, fraction,
+                                                                           combiner)
+        assert code == (2 if refused else 0), err.getvalue()
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            return
+        assert err.getvalue() == ""
+        _, header, rows = parse_csv(out.getvalue())
+        bers = {"ber_1", "ber_2", "pe_sys", "pe_max"} if command == "ber" else set(header[1:])
+        assert len(rows) == k_max + 1
+        for row in rows:
+            assert all(0.0 <= float(v) <= 1.0 for name, v in zip(header, row) if name in bers)
 
 
 AF_EXTREMES = {

@@ -244,7 +244,7 @@ class TestSimulateDf:
         cfg = CoopConfig(Protocol.DF, Symmetric(2), Strategy.S2, Regime.H2)
         # 4-QAM, and 16-QAM forwarded as 1024-QAM over two batches of at
         # most 512 five-symbol blocks
-        for source, trials, fraction in [(4, 60_000, None), (16, 5000, 0.4)]:
+        for source, trials, fraction in [(4, 60_000, 1.0), (16, 5000, 0.4)]:
             tc = TrialConfig(trials=trials, seed=31)
             a = simulate_df(p, [cfg], source, tc, coop_bandwidth_fraction=fraction)[0]
             b = simulate_df(p, [cfg], source, tc, coop_bandwidth_fraction=fraction, threads=3)[0]
@@ -334,6 +334,20 @@ class TestSimulateDf:
         ra = simulate_af(equiv, [AF0], TrialConfig(trials=300_000, seed=14))[0]
         gap = abs(r.ber_II.ber - ra.ber_II.ber)
         assert gap < 3.0 * math.hypot(r.ber_II.stderr, ra.ber_II.stderr)
+
+    def test_genie_relay_ignores_its_downlink_noise(self):
+        # a genie relay decodes the noiseless source symbols: receiver 1's
+        # downlink noise reaches receiver 2's errors only through an exact relay
+        cfg = CoopConfig(Protocol.DF, Asymmetric(1, Receiver.R1), Strategy.S2, Regime.H2)
+        tc = TrialConfig(trials=70_000, seed=13)
+
+        def ber_II(n1: float, relay_model: str) -> BerEstimate:
+            p = ChannelParams(P=10.0, n1=n1, n2=2.0, n12=4.0, n21=4.0, P12=20.0, P21=20.0, B=1.0)
+            return simulate_df(p, [cfg], 4, tc, relay_model=relay_model)[0].ber_II
+
+        assert ber_II(1.0, "genie") == ber_II(5.0, "genie")
+        exact = ber_II(1.0, "exact"), ber_II(5.0, "exact")
+        assert exact[0].errors < exact[1].errors, exact
 
     def test_mld_beats_mrc_with_imperfect_relay(self):
         snr1, snr2, snrc = 10**0.7, 10**0.3, 10**3.0
@@ -516,11 +530,11 @@ class TestSweep:
 # source order and cooperation band fraction of each DF block shape the tile
 # tests run: 4->4, 16->16 and 64->64 (3-bit units) reuse the source
 # constellation; BPSK->16-QAM and 16->256-QAM (4-bit units) do not
-TILE_SHAPES = {"4": (4, None), "16": (16, None), "2to16": (2, 0.25), "64": (64, None),
+TILE_SHAPES = {"4": (4, 1.0), "16": (16, 1.0), "2to16": (2, 0.25), "64": (64, 1.0),
                "16to256": (16, 0.5)}
 # weight-and-add only where the relay reuses the source constellation
 TILE_RUNS = [(case, "mld", model) for case in TILE_SHAPES for model in ("exact", "genie")] + [
-    (case, "mrc", "exact") for case, (_, fraction) in TILE_SHAPES.items() if fraction is None]
+    (case, "mrc", "exact") for case, (_, fraction) in TILE_SHAPES.items() if fraction == 1.0]
 
 
 @st.composite
@@ -597,7 +611,7 @@ class TestTiles:
         params = replace(NOISY_LINKS, n1=10.0, n2=20.0, n12=40.0, n21=40.0)
         configs = df_sweep(Symmetric(0), Regime.H1, range(3))
         tc = TrialConfig(trials=3 * 64 + 40, seed=79)
-        relay_order, shape = choose_compatible_modulation(source, fraction or 1.0)
+        relay_order, shape = choose_compatible_modulation(source, fraction)
         unit = _unit_bits(qam(source), qam(relay_order))
         cells = (shape.n // unit) << unit
 

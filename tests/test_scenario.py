@@ -109,8 +109,7 @@ def scenario_texts(draw) -> str:
     coop += maybe("k_max", st.integers(0, 64))
     if scheme == "asymmetric":
         coop += maybe("starter", st.sampled_from(["r1", "r2"]))
-    if protocol == "df":
-        coop += maybe("coop_bandwidth_fraction", st.floats(1e-3, 1.0))
+    coop += maybe("coop_bandwidth_fraction", st.floats(1e-3, 1.0))
     orders = st.sampled_from([2, 4, 16, 64, 256, 1024, 4096])
     modulation = ["[modulation]", *maybe("source_order", orders)]
     trials = ["[trials]", *maybe("trials", st.integers(1, 10**9))]
@@ -184,7 +183,7 @@ class TestParsing:
         assert s.config.regime is Regime.H1
         assert s.k_max == 2
         assert s.source_order == 4
-        assert s.coop_bandwidth_fraction is None
+        assert s.coop_bandwidth_fraction == 1.0
         assert s.trial == TrialConfig(100000, seed=0, target_half_width=None)
         assert (s.combiner, s.relay_model) == ("mld", "exact")
         assert s.ratios_db == (-30.0, -10.0, 0.0, 10.0, 30.0)
@@ -219,8 +218,8 @@ class TestValidation:
         ("k = -1", "k must be"),
         ("k_max = -2", "k_max"),
         ("scheme = symmetric\nstarter = r1", "starter only applies"),
-        ("coop_bandwidth_fraction = 0.5", "only applies to the df"),
         ("protocol = df\ncoop_bandwidth_fraction = 1.5", "in \\(0, 1\\]"),
+        ("coop_bandwidth_fraction = 0", "in \\(0, 1\\]"),  # under the default af protocol
     ])
     def test_cooperation_errors(self, coop, fragment):
         text = f"[channel]\nsnr1=0\nsnr2=0\nsnr12=0\nsnr21=0\n[cooperation]\n{coop}\n"
