@@ -89,6 +89,12 @@ AF_QAM256_TEXT = (AF_TEXT.replace("snr2 = 0", "snr2 = 10")
                   .replace("trials = 30000\nseed = 3", "trials = 32768\nseed = 8378308050785365554")
                   + "\n[modulation]\nsource_order = 256\n")
 
+# asymmetric forward-original AF at 16-QAM, receiver 2 sending first
+AF_S2_R2_QAM16_TEXT = (AF_TEXT.replace("scheme = symmetric", "scheme = asymmetric")
+                       .replace("strategy = s1", "strategy = s2")
+                       .replace("k_max = 2", "k_max = 2\nstarter = r2")
+                       + "\n[modulation]\nsource_order = 16\n")
+
 REGIONS_TEXT = """
 [channel]
 p = 1
@@ -190,6 +196,35 @@ regime = h1
 k = 2
 k_max = 2
 """
+
+AF_EXTREMES = {
+    # every link at 250 dB: the sampled noise is 1e-25 of the symbols
+    "250dB": (AF_TEXT.replace("snr1 = 10", "snr1 = 250").replace("snr2 = 0", "snr2 = 250")
+              .replace("snr12 = 30", "snr12 = 250").replace("snr21 = 30", "snr21 = 250")),
+    # a signal power near the float limit, and receiver 2's noise near 0
+    "float-max": """
+[channel]
+p = 1e300
+n1 = 338.6
+n2 = 1e-300
+n12 = 1
+n21 = 1
+p12 = 0
+p21 = 1e300
+
+[cooperation]
+protocol = af
+k = 0
+k_max = 0
+
+[trials]
+trials = 2236
+seed = 87
+""",
+    # n1 = 5e-324 plans N1 = 0: output 1 is noiseless
+    "zero-noise": REGIONS_TEXT.replace("n1 = 0.5", "n1 = 5e-324").replace("k = 1",
+                                                                         "k = 1\nk_max = 2"),
+}
 
 # Runs each (command, scenario, out) of the JSON list in argv[1] and prints
 # the SHA-256 of each output, one a line.
@@ -495,6 +530,18 @@ class TestDeterminism:
         ("compare", AF_TEXT, "d1b4d625c01a6063f97b87f2148141723d2c4078dbed13515da7640ca6e4b647"),
         ("ber", DF_R2_TEXT, "fff0631c3cd76898efd1dc7f6b99cee4f404dec0c9f2460f4c4f510627cee657"),
         ("compare", DF_R2_TEXT, "c488d2945f6ab9d05aff087bdbc1c969cebfc0b5b7120e613b6c5b89d033a4f5"),
+        ("ber", AF_TEXT + "\n[modulation]\nsource_order = 2\n",
+         "b8e92752cdad2903e67293812d61e29bfb6fcbf3c8900b6bf79427379eee4dfc"),
+        ("ber", AF_QAM256_TEXT, "bc8fc51d3f66f21bfe5dfe0c5e8fa555e40acc881ed4036c16f0daeed6ff651c"),
+        ("ber", AF_TEXT + "\n[modulation]\nsource_order = 4096\n",
+         "8f355aeb36f2c1c8885f9dec447eadb47de0feb09411fea48da778c9d2fd2566"),
+        ("ber", AF_S2_R2_QAM16_TEXT,
+         "e158cd53884def9de46220b47064d2ad43f8a113777ff9926b58a06155064ad9"),
+        *(("ber", AF_EXTREMES[case], digest) for case, digest in [
+            ("250dB", "d2be696535265cbdad602a76573fa5ac31125422678b09f56b20f3f8de60acf2"),
+            ("float-max", "872f6b006a63eb6660a17dad80f58ee524fb10fb03000e28f2b9417496320ea0"),
+            ("zero-noise", "5ae8c59d3369020c4e8c4e5a81ea235ee3ad1b788368a63837e928b81cabb2b4"),
+        ]),
     ])
     def test_monte_carlo_csv_is_pinned(self, scenario_file, tmp_path, command, text, digest):
         # a change to any draw, scaling, decision or tally of the samplers
@@ -810,36 +857,6 @@ class TestModulationSpace:
         assert len(rows) == k_max + 1
         for row in rows:
             assert all(0.0 <= float(v) <= 1.0 for name, v in zip(header, row) if name in bers)
-
-
-AF_EXTREMES = {
-    # every link at 250 dB: the sampled noise is 1e-25 of the symbols
-    "250dB": (AF_TEXT.replace("snr1 = 10", "snr1 = 250").replace("snr2 = 0", "snr2 = 250")
-              .replace("snr12 = 30", "snr12 = 250").replace("snr21 = 30", "snr21 = 250")),
-    # a signal power near the float limit, and receiver 2's noise near 0
-    "float-max": """
-[channel]
-p = 1e300
-n1 = 338.6
-n2 = 1e-300
-n12 = 1
-n21 = 1
-p12 = 0
-p21 = 1e300
-
-[cooperation]
-protocol = af
-k = 0
-k_max = 0
-
-[trials]
-trials = 2236
-seed = 87
-""",
-    # n1 = 5e-324 plans N1 = 0: output 1 is noiseless
-    "zero-noise": REGIONS_TEXT.replace("n1 = 0.5", "n1 = 5e-324").replace("k = 1",
-                                                                         "k = 1\nk_max = 2"),
-}
 
 
 class TestAfExtremes:
