@@ -39,6 +39,7 @@ from .df import (
     Constellation,
     RelayErrorModel,
     RelayObservation,
+    _slice_axis,
     _unit_bits,
     choose_compatible_modulation,
     estimate_relay_errors,
@@ -75,7 +76,8 @@ _MLD_CELL_CAP = 1 << 20
 # that they stay in a core's L2 cache. A shape whose tile would hold fewer
 # than _TILE_MIN_BLOCKS blocks (256->4096, 2^13 cells a block) runs a whole
 # batch as one tile: on 4- to 32-block tiles its per-call costs (BLAS
-# threads, page faults) outweighed the cache gain
+# threads, page faults) outweighed the cache gain. An AF tile is _TILE_CELLS
+# axis samples, whose float outputs take 256 KiB each as well
 _TILE_CELLS = 1 << 15
 _TILE_MIN_BLOCKS = 16
 
@@ -267,7 +269,16 @@ def simulate_af(
     for the whole sweep from one engine batch per strategy and drawn through
     its Cholesky factor. Every config scales the same symbols and unit normals
     of a batch by its own factor, so each result equals that config's solo
-    run. Decisions are minimum-distance on each output.
+    run.
+
+    Decisions are minimum-distance on each output, taken per axis: the
+    nearest point of a square grid is the nearest level on each axis, so
+    every real axis sample (both parts of a QAM symbol, the real part of
+    BPSK) is sliced on its own into a uint8 axis label, and its bit errors
+    are the set bits of that label XOR the sent one. A batch's draws and
+    moments are made whole; its outputs are formed, decided and counted in
+    tiles of _TILE_CELLS axis samples, which split only integer sums, so the
+    tile size sets no result.
     """
     if any(c.protocol is not Protocol.AF for c in configs):
         raise ValueError("simulate_af requires amplify-and-forward configs")
@@ -284,35 +295,69 @@ def simulate_af(
     ]
     const = qam(order)
     m = const.bits_per_symbol
-    # bit errors of a symbol decision: the popcount of its label XOR the sent one
-    popcount = np.array([bin(label).count("1") for label in range(order)], dtype=np.uint8)
     P = params.P
     amp = math.sqrt(P)
+    points = amp * const.points
+    edges = const.edges(amp)
+    axes = 1 if order == 2 else 2
+    axis_bits = m // axes
+    labels = const.labels.astype(np.uint8)
+    planes = [np.uint8(1 << i) for i in range(axis_bits)]  # bit errors are counted per plane
+    # (order, axes): the axis labels of each symbol, in-phase first
+    shifts = axis_bits * np.arange(axes - 1, -1, -1)
+    sent_labels = ((np.arange(order)[:, None] >> shifts) & (len(labels) - 1)).astype(np.uint8)
     tc = trial_config
 
     def worker(b: int, active: tuple[int, ...]) -> list[tuple]:
         T = min(BATCH_SYMBOLS, tc.trials - b * BATCH_SYMBOLS)
         rng = _rng(tc.seed, b)
         idx = rng.integers(0, order, T)
-        x = amp * const.points[idx]
         g = _unit_cn(rng, (2, T))
         # the moments of the symbols and the unit normals, shared by every
-        # config; einsum sums without BLAS, so no BLAS setting moves them
-        xc, (r0, r1) = x.conj(), g.view(float)
-        sxx = float(np.einsum("i,i->", x.view(float), x.view(float)))
+        # config; einsum sums without BLAS, so no BLAS setting moves them.
+        # conj(x) is gathered and freed before x, and the index array before
+        # the tile buffers, which take its place: a batch's heap then stays
+        # under glibc's trim threshold, so its pages are not handed back to
+        # the system and faulted in again by the next batch
+        xc, (r0, r1) = points.conj().take(idx), g.view(float)
         xg0, xg1 = (complex(np.einsum("i,i->", xc, gi)) for gi in g)
+        del xc
+        x = points.take(idx)
+        sxx = float(np.einsum("i,i->", x.view(float), x.view(float)))
         g00, g11, g01 = (float(np.einsum("i,i->", a, b)) for a, b in ((r0, r0), (r1, r1), (r0, r1)))
+        sent = sent_labels.take(idx, axis=0).ravel()
+        del idx
+        # the outputs x + l_I g_0 and x + (l_c g_0 + l_II g_1), formed on the
+        # float views of the axis samples: a real factor scales both parts of
+        # a complex draw alone, so the samples are those of the complex sums
+        if order == 2:
+            xs, g0, g1 = x.real, g[0].real, g[1].real
+        else:
+            xs, g0, g1 = x.view(float), r0, r1
+        n = len(xs)
+        buffers = np.empty((2, min(n, _TILE_CELLS)))
+        errors = {c: [0, 0, 0] for c in active}  # Python ints
+        for a in range(0, n, _TILE_CELLS):
+            tile = slice(a, a + _TILE_CELLS)
+            y, z = buffers[:, :n - a]
+            for c in active:
+                l_I, l_c, l_II = factors[c]
+                np.multiply(g0[tile], l_I, out=y)
+                y += xs[tile]
+                wrong_I = labels.take(_slice_axis(edges, y)) ^ sent[tile]
+                np.multiply(g0[tile], l_c, out=y)
+                y += np.multiply(g1[tile], l_II, out=z)
+                y += xs[tile]
+                wrong_II = labels.take(_slice_axis(edges, y)) ^ sent[tile]
+                for i, wrong in enumerate((wrong_I, wrong_II, wrong_I | wrong_II)):
+                    errors[c][i] += sum(np.count_nonzero(wrong & plane) for plane in planes)
         out = []
         for c in active:
             l_I, l_c, l_II = factors[c]
-            wrong_I = const.detect(x + l_I * g[0], amp) ^ idx
-            wrong_II = const.detect(x + (l_c * g[0] + l_II * g[1]), amp) ^ idx
             out.append((
                 T,
                 T * m,
-                int(popcount[wrong_I].sum()),
-                int(popcount[wrong_II].sum()),
-                int(popcount[wrong_I | wrong_II].sum()),
+                *errors[c],
                 sxx,
                 l_I * xg0,  # sum of conj(x) Z_I, then sum of |Z_I|^2
                 l_I * l_I * g00,

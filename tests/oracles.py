@@ -15,6 +15,9 @@ None of this is used by the package itself:
   its per-combine mutual-information and ratio-form audits;
 - a signal-level replay of that campaign on sampled elementary noises, which
   estimates the noise cross-correlation after every exchange;
+- the AF sampler's bit-error tally on whole symbols: the batch draws of
+  `mc.simulate_af`, complex combiner outputs, `Constellation.detect` and the
+  popcount of each decided label XOR the sent one;
 - the forward-original closed-form SNR pair and the two-exchange
   forward-original vs forward-latest SNR gap polynomial;
 - the minimum-distance detector that compares each sample with every
@@ -45,6 +48,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from coopbc import mc
 from coopbc.channel import (
     Asymmetric,
     BandwidthPlan,
@@ -727,6 +731,37 @@ def empirical_cross_correlation(
     estimates = sums / trials
     stderrs = np.sqrt(np.maximum(squares / trials - estimates**2, 0.0) / trials)
     return [CrossCorrelationEstimate(float(m), float(s)) for m, s in zip(estimates, stderrs)]
+
+
+def af_error_counts(
+    final, order: int, amplitude: float, trials: int, seed: int,
+) -> tuple[int, int, int]:
+    """Bit errors of output I, of output II and of either, as `mc.simulate_af`
+    counts them for one config whose final noise covariance is `final`
+    (N_I, e, N_II). Each batch of mc.BATCH_SYMBOLS symbols is drawn through
+    mc._rng and mc._unit_cn as the sampler draws it; the complex outputs x +
+    Z_I and x + Z_II are formed through the covariance's Cholesky factor and
+    decided whole by Constellation.detect, and a decision costs
+    popcount(decided label ^ sent label) bits."""
+    const = qam(order)
+    if final.N_I:
+        l_I, l_c = math.sqrt(final.N_I / 2.0), final.e / math.sqrt(2.0 * final.N_I)
+        l_II = math.sqrt(max(final.N_II - final.e**2 / final.N_I, 0.0) / 2.0)
+    else:
+        l_I, l_c, l_II = 0.0, 0.0, math.sqrt(final.N_II / 2.0)
+    popcount = np.array([bin(label).count("1") for label in range(order)])
+    errors = [0, 0, 0]
+    for b in range(-(-trials // mc.BATCH_SYMBOLS)):
+        T = min(mc.BATCH_SYMBOLS, trials - b * mc.BATCH_SYMBOLS)
+        rng = mc._rng(seed, b)
+        idx = rng.integers(0, order, T)
+        g = mc._unit_cn(rng, (2, T))
+        x = amplitude * const.points[idx]
+        wrong_I = const.detect(x + l_I * g[0], amplitude) ^ idx
+        wrong_II = const.detect(x + (l_c * g[0] + l_II * g[1]), amplitude) ^ idx
+        for i, wrong in enumerate((wrong_I, wrong_II, wrong_I | wrong_II)):
+            errors[i] += int(popcount[wrong].sum())
+    return errors[0], errors[1], errors[2]
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,25 @@ class TestSimulateAf:
         assert r.ber_I.trials == mc.BATCH_SYMBOLS
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("order", [2, 4, 16, 64, 256, 1024, 4096])
+    def test_error_counts_equal_the_symbol_oracle(self, monkeypatch, order):
+        # two batches, the second ending in a short tile: its 50,000 symbols
+        # are one full tile and 17,232 axis samples for BPSK, three full tiles
+        # and 1,696 samples for QAM; then tiles of 1,000 samples, which divide
+        # no batch
+        params = replace(COOP, P=1.0)
+        configs = [*af_sweep(Symmetric(0), [Strategy.S1], Regime.H1, range(3)),
+                   *af_sweep(Asymmetric(0, Receiver.R2), [Strategy.S2], Regime.H2, range(2))]
+        tc = TrialConfig(trials=mc.BATCH_SYMBOLS + 50_000, seed=61)
+        want = [oracles.af_error_counts(r.analytic, order, math.sqrt(params.P), tc.trials, tc.seed)
+                for r in simulate_af(params, configs, TrialConfig(trials=1), order=order)]
+        assert all(counts[1] for counts in want)
+        for threads, tile_cells in ((1, mc._TILE_CELLS), (2, mc._TILE_CELLS),
+                                    (3, mc._TILE_CELLS), (1, 1000)):
+            monkeypatch.setattr(mc, "_TILE_CELLS", tile_cells)
+            got = simulate_af(params, configs, tc, order=order, threads=threads)
+            assert [(r.ber_I.errors, r.ber_II.errors, r.pe_sys.errors) for r in got] == want
+
     def test_early_stop_respects_target_and_threads(self):
         tc = TrialConfig(trials=4_000_000, seed=3, target_half_width=0.10)
         r = simulate_af(NO_COOP, [AF0], tc)[0]
