@@ -85,7 +85,8 @@ class ChannelParams:
 
     P: source transmit power (W); n1, n2: downlink noise densities (W/Hz);
     n12, n21: cooperation-link noise densities (W/Hz); P12, P21: cooperation
-    power budgets (W, may be zero); B: reference bandwidth (Hz).
+    power budgets (W, may be zero); B: reference bandwidth (Hz). Each density
+    times B must be a finite noise power.
     """
 
     P: float
@@ -107,6 +108,11 @@ class ChannelParams:
         for name in ("P12", "P21"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
+        # a plan integrates each density over a band of at most B
+        for name in ("n1", "n2", "n12", "n21"):
+            if getattr(self, name) * self.B == math.inf:
+                raise ValueError(f"{name} = {getattr(self, name):g} times the band B = {self.B:g} "
+                                 "overflows the noise power")
 
 
 @dataclass(frozen=True)

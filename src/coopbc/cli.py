@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import math
 import sys
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -36,18 +35,19 @@ from .channel import (
 )
 from .errors import ModulationError, ScenarioError
 from .mc import AfRunResult, DfRunResult, simulate_af, simulate_df
-from .metrics import decision_regions, error_criteria, rate_af, simo_bound
+from .metrics import RegionMap, decision_regions, error_criteria, rate_af, simo_bound
 from .scenario import Scenario, parse_scenario
 
 __all__ = ["main"]
 
-Row = Sequence[Union[str, int, float]]
-# A table's columns as (name, format) pairs: counts and orders print as
+Row = tuple[Union[str, int, float], ...]
+# A table's columns as (name, printf format) pairs: counts and orders print as
 # integers, every other number with 12 significant digits, text as is.
 Columns = tuple[tuple[str, str], ...]
-Table = tuple[Columns, Iterable[Row]]
+# A table's columns and its body, rendered line by line or in larger blocks.
+Table = tuple[Columns, Iterable[str]]
 
-_INT, _FLOAT, _TEXT = "{:d}", "{:.12g}", "{}"
+_INT, _FLOAT, _TEXT = "%d", "%.12g", "%s"
 
 
 def _floats(*names: str) -> Columns:
@@ -80,14 +80,19 @@ def _summary(s: Scenario) -> str:
     return " | ".join(parts)
 
 
-def _emit(out: Optional[str], scenario: Scenario, columns: Columns, rows: Iterable[Row]) -> None:
-    """Write the comment line, the header and one line per row. No name or
-    text cell holds a comma, quote or line break, so no field is quoted."""
-    names, formats = zip(*columns)
-    line = ",".join(formats) + "\n"
+def _render(columns: Columns, rows: Iterable[Row]) -> Table:
+    """The table of `rows`, each line rendered through one printf template of
+    the column formats. No name or text cell holds a comma, quote or line
+    break, so no field is quoted."""
+    return columns, map((",".join(fmt for _, fmt in columns) + "\n").__mod__, rows)
+
+
+def _emit(out: Optional[str], scenario: Scenario, columns: Columns, body: Iterable[str]) -> None:
+    """Write the comment line, the header and the body."""
     with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
-        fh.write(f"# {_summary(scenario)} | coopbc {__version__}\n{','.join(names)}\n")
-        fh.writelines(itertools.starmap(line.format, rows))
+        fh.write(f"# {_summary(scenario)} | coopbc {__version__}\n"
+                 f"{','.join(name for name, _ in columns)}\n")
+        fh.writelines(body)
 
 
 def _require_af(s: Scenario, command: str) -> None:
@@ -102,20 +107,20 @@ def cmd_snr(s: Scenario, args: argparse.Namespace) -> Table:
     """Within-campaign combiner states i = 0..k under the provisioned plan."""
     _require_af(s, "snr")
     # combiner outputs are kept at unit signal gain (alpha = 1)
-    return SNR_COLUMNS, [(st.i, 1.0, 1.0, st.N_I, st.N_II, st.e, st.rho_I, st.rho_II)
-                         for st in campaign(s.params, s.config)]
+    return _render(SNR_COLUMNS, [(st.i, 1.0, 1.0, st.N_I, st.N_II, st.e, st.rho_I, st.rho_II)
+                                 for st in campaign(s.params, s.config)])
 
 
 def cmd_rate(s: Scenario, args: argparse.Namespace) -> Table:
     """Final SNRs and achievable rate for each provisioned count k = 0..k_max."""
     _require_af(s, "rate")
     bound = simo_bound(s.params)
-    rows: list[Row] = []
-    for k, st in enumerate(run_recursion(s.params, s.config, s.k_max)):
-        plan = plan_bandwidth(s.params, s.config.with_count(k))
-        rows.append((k, plan.B_DL, plan.B_C, st.rho_I, st.rho_II,
-                     rate_af(plan, (st.rho_I, st.rho_II)), bound))
-    return RATE_COLUMNS, rows
+    # each count's plan is built once, for the recursion and the rate
+    plans = [plan_bandwidth(s.params, s.config.with_count(k)) for k in range(s.k_max + 1)]
+    states = run_recursion(s.params, s.config, s.k_max, plans=plans)
+    return _render(RATE_COLUMNS, [
+        (st.i, plan.B_DL, plan.B_C, st.rho_I, st.rho_II, rate_af(plan, (st.rho_I, st.rho_II)),
+         bound) for plan, st in zip(plans, states)])
 
 
 def _sweep(s: Scenario, configs: Sequence[CoopConfig], args: argparse.Namespace
@@ -142,7 +147,7 @@ def cmd_ber(s: Scenario, args: argparse.Namespace) -> Table:
                 else (r.source_order, r.relay_order))
         rows.append((config.count, r.ber_I.ber, r.ber_I.stderr, r.ber_II.ber, r.ber_II.stderr,
                      r.pe_sys.ber, r.pe_sys.stderr, pe_max, pe_sum, *tail))
-    return (BER_AF_COLUMNS if af else BER_DF_COLUMNS), rows
+    return _render(BER_AF_COLUMNS if af else BER_DF_COLUMNS, rows)
 
 
 def cmd_regions(s: Scenario, args: argparse.Namespace) -> Table:
@@ -151,17 +156,33 @@ def cmd_regions(s: Scenario, args: argparse.Namespace) -> Table:
     grid = np.logspace(math.log10(s.grid_min), math.log10(s.grid_max), s.grid_points)
     rmap = decision_regions(s.params, s.config, n1_grid=grid, n2_grid=grid,
                             ratios_db=s.ratios_db)
+    return REGIONS_COLUMNS, _regions_lines(rmap)
 
-    def rows() -> Iterator[Row]:
-        # the map is computed, so nothing raises from here: the rows stream
-        n1 = np.repeat(rmap.n1_grid, len(rmap.n2_grid)).tolist()
-        n2 = np.tile(rmap.n2_grid, len(rmap.n1_grid)).tolist()
-        for ratio, winners, boundary in zip(rmap.ratios_db, rmap.winners, rmap.boundaries):
-            yield from zip(itertools.repeat("cell"), itertools.repeat(ratio), n1, n2,
-                           winners.ravel().tolist())
-            yield from (("boundary", ratio, b1, b2, 0) for b1, b2 in boundary)
 
-    return REGIONS_COLUMNS, rows()
+def _regions_lines(rmap: RegionMap) -> Iterator[str]:
+    """The rows of a region map, ratio by ratio: one block of cell lines
+    (n1 major), then one block of boundary lines. Every distinct grid value,
+    ratio and winner is formatted once, in the format REGIONS_COLUMNS
+    declares; the map is computed, so nothing raises from here."""
+    kind, ratio_fmt, n1_fmt, n2_fmt, winner_fmt = (fmt for _, fmt in REGIONS_COLUMNS)
+    n1 = [n1_fmt % v for v in rmap.n1_grid.tolist()]
+    n2 = [n2_fmt % v for v in rmap.n2_grid.tolist()]
+    # the end of a cell line at column j with winner w is tails[3 j + w + 1]
+    tails = np.array([f"{v},{winner_fmt % w}\n" for v in n2 for w in (-1, 0, 1)], dtype=object)
+    column = np.arange(1, 3 * len(n2), 3)
+    # a boundary point's n1 is a grid value, and so is a tie's n2; every map
+    # value is positive, so no two keys (0.0 and -0.0) format apart
+    known_n1, known_n2 = dict(zip(rmap.n1_grid.tolist(), n1)), dict(zip(rmap.n2_grid.tolist(), n2))
+    tie = winner_fmt % 0
+    for ratio, winners, boundary in zip(rmap.ratios_db, rmap.winners, rmap.boundaries):
+        ratio_text = ratio_fmt % ratio
+        heads = [f"{kind % 'cell'},{ratio_text},{v}," for v in n1]
+        # head + head.join(ends) puts the row's head before each of its ends
+        yield "".join(head + head.join(ends)
+                      for head, ends in zip(heads, tails[winners + column].tolist()) if ends)
+        head = f"{kind % 'boundary'},{ratio_text},"
+        yield "".join(f"{head}{known_n1.get(b1) or n1_fmt % b1},"
+                      f"{known_n2.get(b2) or n2_fmt % b2},{tie}\n" for b1, b2 in boundary)
 
 
 def cmd_compare(s: Scenario, args: argparse.Namespace) -> Table:
@@ -172,10 +193,10 @@ def cmd_compare(s: Scenario, args: argparse.Namespace) -> Table:
           for strategy, ks in ((Strategy.S1, counts), (Strategy.S2, counts[1:])) for k in ks]
     df = [dataclasses.replace(s.config, protocol=Protocol.DF).with_count(k) for k in counts]
     af_runs, df_runs = _sweep(s, af, args), _sweep(s, df, args)
-    return COMPARE_COLUMNS, [
+    return _render(COMPARE_COLUMNS, [
         (k, *(x for r in runs for x in (max(r.ber_I.ber, r.ber_II.ber), r.pe_sys.ber)))
         for k, *runs in zip(counts, af_runs, af_runs[:1] + af_runs[len(counts):], df_runs)
-    ]
+    ])
 
 
 _COMMANDS = {
@@ -218,9 +239,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scenario = dataclasses.replace(scenario, trial=trial)
         if args.threads < 1:
             raise ScenarioError("--threads must be >= 1")
-        columns, rows = _COMMANDS[args.command](scenario, args)
+        columns, body = _COMMANDS[args.command](scenario, args)
         try:
-            _emit(args.out, scenario, columns, rows)
+            _emit(args.out, scenario, columns, body)
         except OSError as exc:
             where = "stdout" if args.out is None else args.out
             raise ScenarioError(f"cannot write {where}: {exc.strerror or exc}") from None

@@ -18,8 +18,8 @@ many worker threads execute the batches.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -185,6 +185,43 @@ def _unit_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return z
 
 
+def _map_batches(worker: Callable[[int, tuple[int, ...]], list[tuple]], idxs: range,
+                 active: tuple[int, ...], threads: int) -> list[list[tuple]]:
+    """[worker(b, active) for b in idxs], run by the calling thread and up to
+    threads - 1 worker threads, each taking the next batch under one lock
+    and slotting its result by the batch's index. No thread outlives the
+    call. Batches are taken in order, so every batch before a failing one
+    has run: the exception of the earliest failing batch re-raises here,
+    after every thread has stopped."""
+    results: list = [None] * len(idxs)
+    todo, lock, failed = iter(range(len(idxs))), threading.Lock(), []
+
+    def run() -> None:
+        while True:
+            with lock:
+                n = None if failed else next(todo, None)
+            if n is None:
+                return
+            try:
+                results[n] = worker(idxs[n], active)
+            except BaseException as exc:
+                with lock:
+                    failed.append((n, exc))
+                return
+
+    helpers = [threading.Thread(target=run) for _ in range(min(threads, len(idxs)) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        run()
+    finally:
+        for t in helpers:
+            t.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return results
+
+
 def _run_ordered(
     worker: Callable[[int, tuple[int, ...]], list[tuple]],
     n_configs: int,
@@ -201,24 +238,14 @@ def _run_ordered(
     neither on the thread count nor on the other configs."""
     totals: list[tuple] = [()] * n_configs
     active = tuple(range(n_configs))
-    executor = None
-    if threads > 1:  # imported here: a one-thread run never loads the pool's modules
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=threads)
-    try:
-        for start in range(0, n_batches, _STOP_CHECK_BATCHES):
-            if not active:
-                break
-            idxs = range(start, min(start + _STOP_CHECK_BATCHES, n_batches))
-            runs = (executor.map if executor else map)(worker, idxs, repeat(active))
-            for batch in runs:
-                for c, sums in zip(active, batch):
-                    totals[c] = tuple(a + b for a, b in zip(totals[c] or (0,) * len(sums), sums))
-            active = tuple(c for c in active if not should_stop(totals[c]))
-    finally:
-        if executor:
-            executor.shutdown()
+    for start in range(0, n_batches, _STOP_CHECK_BATCHES):
+        if not active:
+            break
+        idxs = range(start, min(start + _STOP_CHECK_BATCHES, n_batches))
+        for batch in _map_batches(worker, idxs, active, threads):
+            for c, sums in zip(active, batch):
+                totals[c] = tuple(a + b for a, b in zip(totals[c] or (0,) * len(sums), sums))
+        active = tuple(c for c in active if not should_stop(totals[c]))
     return totals
 
 
@@ -282,7 +309,7 @@ def simulate_af(
     """
     if any(c.protocol is not Protocol.AF for c in configs):
         raise ValueError("simulate_af requires amplify-and-forward configs")
-    finals = _finals(params, configs)
+    finals = _finals(params, configs, [plan_bandwidth(params, c) for c in configs])
     # Z_I = l_I g_0 and Z_II = l_c g_0 + l_II g_1 for unit complex normals g;
     # when the outputs are nearly equal, rounding can push the Schur
     # complement N_II - e^2 / N_I a few ulps below zero. A noiseless output 1

@@ -34,6 +34,10 @@ __all__ = [
 
 _TIE_TOL = 1e-12
 
+# Grid points per `_starter_gaps` batch of `decision_regions`, two scenarios
+# each (one per starter): 2^14 scenarios, which bounds the batch's memory.
+_CHUNK = 1 << 13
+
 
 def rate_af(plan: BandwidthPlan, rho_pair: tuple[float, float]) -> float:
     """Worst-receiver common-message rate B_DL * min_j log2(1 + rho_j) in bits/s
@@ -66,13 +70,9 @@ def optimal_k(
 ) -> tuple[int, tuple[float, ...]]:
     """Exchange count maximizing the worst-receiver rate over 0..k_max, with
     ties broken toward fewer exchanges; returns (K*, rate per count)."""
-    rates = tuple(
-        rate_af(
-            plan_bandwidth(params, config.with_count(state.i)),
-            (state.rho_I, state.rho_II),
-        )
-        for state in run_recursion(params, config, k_max)
-    )
+    plans = [plan_bandwidth(params, config.with_count(k)) for k in range(k_max + 1)]
+    rates = tuple(rate_af(plan, (state.rho_I, state.rho_II))
+                  for plan, state in zip(plans, run_recursion(params, config, k_max, plans=plans)))
     best = 0
     for k, rate in enumerate(rates):
         if rate > rates[best] * (1.0 + _TIE_TOL) + _TIE_TOL:
@@ -154,22 +154,33 @@ def decision_regions(
     n2g = np.logspace(-2, 2, 21) if n2_grid is None else np.asarray(n2_grid, dtype=float)
     if not (np.all(np.isfinite(n1g) & (n1g > 0.0)) and np.all(np.isfinite(n2g) & (n2g > 0.0))):
         raise ValueError("noise density grids must be finite and strictly positive")
+    # a noise power is a density times a band of at most B
+    top = float(max(n1g.max(initial=0.0), n2g.max(initial=0.0)))
+    if top * params.B == math.inf:
+        raise ValueError(f"a grid noise density of {top:g} times the band B = {params.B:g} "
+                         "overflows the noise power; lower grid_max or b")
     ratios = [10.0 ** (r / 10.0) for r in ratios_db]
     budgets = [(total * r / (1.0 + r), total / (1.0 + r)) for r in ratios]
-    r_idx, i_idx, j_idx = np.indices((len(ratios), len(n1g), len(n2g))).reshape(3, -1)
-    diffs, scale = _starter_gaps(params, config, n1g[i_idx], n2g[j_idx], budgets, r_idx)
-    diffs = diffs.reshape(len(ratios), len(n1g), len(n2g))
-    scale = scale.reshape(diffs.shape)
-    winners = np.zeros(diffs.shape, dtype=np.int8)
-    winners[diffs > _TIE_TOL * scale] = 1
-    winners[diffs < -_TIE_TOL * scale] = -1
+    winners = np.zeros((len(ratios), len(n1g), len(n2g)), dtype=np.int8)
+    flat = winners.reshape(-1)
+    for start in range(0, flat.size, _CHUNK):
+        cells = np.arange(start, min(start + _CHUNK, flat.size))
+        r_idx, i_idx, j_idx = np.unravel_index(cells, winners.shape)
+        diffs, scale = _starter_gaps(params, config, n1g[i_idx], n2g[j_idx], budgets, r_idx)
+        flat[cells[diffs > _TIE_TOL * scale]] = 1
+        flat[cells[diffs < -_TIE_TOL * scale]] = -1
 
-    # one geometric bisection step at every sign change along an n1 column
+    # one geometric bisection step at every sign change along an n1 column;
+    # the gap there has the sign of the winner
     r_c, i_c, j_c = np.nonzero(winners[:, :, :-1] * winners[:, :, 1:] < 0)
     lo, hi = n2g[j_c], n2g[j_c + 1]
     mid = np.sqrt(lo * hi)
-    d_mid, _ = _starter_gaps(params, config, n1g[i_c], mid, budgets, r_c)
-    keep_lo = (d_mid > 0) == (diffs[r_c, i_c, j_c] > 0)
+    d_mid = np.empty(len(mid))
+    for start in range(0, len(mid), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        d_mid[part], _ = _starter_gaps(params, config, n1g[i_c[part]], mid[part], budgets,
+                                       r_c[part])
+    keep_lo = (d_mid > 0) == (winners[r_c, i_c, j_c] > 0)
     # boundary points in (r, i, j) order: every tie at its grid n2, every
     # crossing at its refined n2
     points_n2 = np.broadcast_to(n2g, winners.shape).copy()

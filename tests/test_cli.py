@@ -33,6 +33,7 @@ from coopbc.cli import main
 from coopbc.df import _unit_bits, choose_compatible_modulation, qam
 from coopbc.errors import ModulationError
 from coopbc.mc import simulate_af
+from coopbc.metrics import RegionMap
 from coopbc.scenario import parse_scenario_text
 from oracles import s2_closed_form, write_csv
 
@@ -466,13 +467,16 @@ _EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300
                 1e-300, 999999999999.5, 99999999999.95, 0.1 + 0.2, 1.0000000000005, 1e16)
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
 _CELLS = {
-    "{:d}": st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
-                      st.integers(-128, 127).map(np.int8)),
-    "{:.12g}": st.one_of(_FLOATS, _FLOATS.map(np.float64)),
-    "{}": st.one_of(st.sampled_from(("cell", "boundary")),
-                    st.text(st.characters(blacklist_characters=',"\r\n',
-                                          blacklist_categories=("Cs",)))),
+    cli._INT: st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                        st.integers(-128, 127).map(np.int8)),
+    cli._FLOAT: st.one_of(_FLOATS, _FLOATS.map(np.float64)),
+    cli._TEXT: st.one_of(st.sampled_from(("cell", "boundary")),
+                         st.text(st.characters(blacklist_characters=',"\r\n',
+                                               blacklist_categories=("Cs",)))),
 }
+# values a region map holds: positive densities up to the float limits
+_MAP_FLOATS = st.one_of(st.sampled_from((5e-324, 1e-300, 0.1, 1.0, 1e300, 1.7e308)),
+                        st.floats(min_value=5e-324, max_value=1.7e308))
 _UNQUOTED = ',"\r\n'  # csv.writer quotes a field holding any of these
 _ALL_COLUMNS = [v for k, v in vars(cli).items() if k.endswith("_COLUMNS") and k[0] != "_"]
 
@@ -504,9 +508,40 @@ class TestEmit:
             expected = io.StringIO()
             write_csv(expected, [name for name, _ in columns], table)
             with contextlib.redirect_stdout(io.StringIO()) as got:
-                cli._emit(None, scenario, columns, table)
+                cli._emit(None, scenario, *cli._render(columns, table))
             comment, body = got.getvalue().split("\n", 1)
             assert comment.startswith("# ") and body == expected.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_regions_blocks_match_the_csv_writer_reference(self, data):
+        # the pre-rendered cell and boundary blocks give the bytes of
+        # csv.writer over per-cell formatting of the rows they stand for,
+        # with repeated grid values and boundary points on and off the grid
+        n1 = data.draw(st.lists(_MAP_FLOATS, min_size=1, max_size=4))
+        n2 = data.draw(st.lists(st.one_of(st.sampled_from(n1), _MAP_FLOATS), min_size=1,
+                                max_size=4))
+        ratios = data.draw(st.lists(_FLOATS, min_size=1, max_size=3))
+        cells = len(ratios) * len(n1) * len(n2)
+        winners = np.array(data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=cells,
+                                              max_size=cells)), dtype=np.int8)
+        winners = winners.reshape(len(ratios), len(n1), len(n2))
+        on_grid = st.one_of(st.sampled_from(n1 + n2), _MAP_FLOATS)
+        boundaries = tuple(tuple(data.draw(st.lists(st.tuples(on_grid, on_grid), max_size=4)))
+                           for _ in ratios)
+        rmap = RegionMap(np.array(n1), np.array(n2), tuple(ratios), winners, boundaries)
+        rows = []
+        for ratio, w, boundary in zip(ratios, winners, boundaries):
+            rows += [("cell", ratio, a, b, w[i, j]) for i, a in enumerate(n1)
+                     for j, b in enumerate(n2)]
+            rows += [("boundary", ratio, a, b, 0) for a, b in boundary]
+        expected = io.StringIO()
+        write_csv(expected, [name for name, _ in cli.REGIONS_COLUMNS], rows)
+        with contextlib.redirect_stdout(io.StringIO()) as got:
+            cli._emit(None, parse_scenario_text(REGIONS_TEXT), cli.REGIONS_COLUMNS,
+                      cli._regions_lines(rmap))
+        comment, body = got.getvalue().split("\n", 1)
+        assert comment.startswith("# ") and body == expected.getvalue()
 
 
 class TestDeterminism:
@@ -592,6 +627,20 @@ class TestDeterminism:
         code, out = run(capsys, ["ber", "--scenario", path, "--seed", str((1 << 64) - 1)])
         assert code == 0
         assert f"seed={(1 << 64) - 1}" in out.splitlines()[0]
+
+    def test_threads_import_no_pool(self, scenario_file, tmp_path):
+        # two batches at two threads: one runs on a worker thread, which is a
+        # plain threading.Thread, so concurrent.futures is never imported
+        script = ("import sys; from coopbc.cli import main; "
+                  "assert main(sys.argv[1:]) == 0; "
+                  "assert 'concurrent.futures' not in sys.modules")
+        text = AF_TEXT.replace("trials = 30000", "trials = 131072")
+        res = subprocess.run(
+            [sys.executable, "-c", script, "ber", "--scenario", scenario_file(text),
+             "--out", str(tmp_path / "out.csv"), "--threads", "2"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert res.returncode == 0, res.stderr
 
     def test_module_entry_point(self, scenario_file, tmp_path):
         path = scenario_file(AF_TEXT)
@@ -771,6 +820,14 @@ class TestExitCodes:
                      .replace("n2 = 0.5", "n2 = 5e-324")
                      .replace("trials = 2000", "trials = 2000\ncombiner = mrc"), "ber", "n2",
                      id="df-mrc-snr-overflows"),
+        # noise densities whose noise power over the band b leaves the float range
+        pytest.param(REGIONS_TEXT.replace("n1 = 0.5", "n1 = 1.7e308").replace("n2 = 0.5", "n2 = 1")
+                     .replace("p12 = 10", "p12 = 1e300").replace("p21 = 10", "p21 = 1e300\nb = 10")
+                     .replace("k = 1", "k = 2\nk_max = 2"), "rate", "n1", id="n1-power-overflows"),
+        pytest.param(REGIONS_TEXT.replace("n1 = 0.5", "n1 = 0.1").replace("n2 = 0.5", "n2 = 1")
+                     .replace("p12 = 10", "p12 = 1").replace("p21 = 10", "p21 = 1\nb = 1.7e308")
+                     .replace("k = 1", "k = 2\nk_max = 2"), "regions", "grid_max",
+                     id="grid-power-overflows"),
         # the first of two faults is reported, as the keys are read in order
         pytest.param(AF_TEXT.replace("snr1 = 10", "snr1 = abc").replace("snr2 = 0\n", ""), "snr",
                      "snr1", id="first-of-two-faults"),

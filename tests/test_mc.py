@@ -4,6 +4,7 @@ analytic recursion."""
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -487,6 +488,21 @@ class TestSweep:
         sweep = simulate(params, configs, *args, tc, threads=threads, **kwargs)
         singles = tuple(simulate(params, [c], *args, tc, **kwargs)[0] for c in configs)
         assert sweep == singles
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_the_earliest_batch_error_reraises_once_every_thread_stops(self, threads):
+        # batches are taken in order, so every batch before a failing one has
+        # run: the caller sees the error of the earliest failing batch (the CLI
+        # maps a MemoryError to exit 3), after every worker thread has ended
+        def worker(b, active):
+            if b in (1, 2):
+                raise (MemoryError if b == 1 else ValueError)(f"batch {b}")
+            return [(1, 2, 0, 0, 0)]
+
+        alive = threading.active_count()
+        with pytest.raises(MemoryError, match="batch 1"):
+            mc._run_ordered(worker, 1, 8, threads, lambda totals: False)
+        assert threading.active_count() == alive
 
     def test_early_stop_per_config(self):
         # the counts reach the target after different numbers of 4-batch chunks

@@ -211,6 +211,20 @@ class TestDecisionRegions:
         assert rm.winners.shape == (5, 101, 101)
         assert peak < 64 * 2**20
 
+    def test_memory_of_a_201_point_grid_is_one_chunk(self):
+        # 404,010 scenarios, which peaked at 150 MiB as one batch; run in
+        # chunks of a fixed scenario count, the peak is one chunk's
+        # temporaries plus the map, whatever the grid size
+        grid = np.logspace(-2, 2, 201)
+        tracemalloc.start()
+        try:
+            rm = decision_regions(self.PARAMS, self.CONFIG, n1_grid=grid, n2_grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rm.winners.shape == (5, 201, 201)
+        assert peak < 16 * 2**20
+
     def test_one_curve_per_ratio(self):
         rm = self.small(ratios=(-10.0, 0.0, 10.0), n=6)
         assert len(rm.boundaries) == 3
