@@ -36,14 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    BandwidthPlan,
-    ChannelParams,
-    CoopConfig,
-    Strategy,
-    plan_bandwidth,
-    power_schedule,
-)
+from .channel import ChannelParams, CoopConfig, Strategy, plan_bandwidth, power_schedule
 
 __all__ = ["SnrState", "final_state", "campaign", "run_recursion"]
 
@@ -169,9 +162,9 @@ def final_state(
     return state[:, 0], state[:, 1], state[:, 2]
 
 
-def _inputs(params: ChannelParams, configs: list[CoopConfig],
-            plans: list[BandwidthPlan]) -> tuple[np.ndarray, np.ndarray]:
-    """Noise powers (S, 4) of the plans and power periods (S, 2, 2) of the configs."""
+def _inputs(params: ChannelParams, configs: list[CoopConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """Plan noise powers (S, 4) and power periods (S, 2, 2) of the configs."""
+    plans = [plan_bandwidth(params, c) for c in configs]
     return (np.array([(p.N1, p.N2, p.N12, p.N21) for p in plans]),
             np.array([power_schedule(params, c) for c in configs]))
 
@@ -182,11 +175,9 @@ def _states(P: float, steps: range | list[int], rows: list) -> tuple[SnrState, .
                  for i, (a, b, c) in zip(steps, rows))
 
 
-def _finals(params: ChannelParams, configs: list[CoopConfig],
-            plans: list[BandwidthPlan]) -> tuple[SnrState, ...]:
-    """Each config's final state (i = its count) under its plan (`plans[s]` is
-    `plan_bandwidth` of `configs[s]`), one `final_state` per strategy."""
-    noises, periods = _inputs(params, configs, plans)
+def _finals(params: ChannelParams, configs: list[CoopConfig]) -> tuple[SnrState, ...]:
+    """Each config's final state (i = its count), one `final_state` per strategy."""
+    noises, periods = _inputs(params, configs)
     counts, rows = np.array([c.count for c in configs]), np.empty((len(configs), 3))
     for strategy in dict.fromkeys(c.strategy for c in configs):
         pick = np.array([c.strategy is strategy for c in configs])
@@ -202,7 +193,7 @@ def campaign(params: ChannelParams, config: CoopConfig) -> tuple[SnrState, ...]:
     Returns one state per step, index 0 = before cooperation at this
     campaign's bandwidth plan.
     """
-    k, (noises, period) = config.count, _inputs(params, [config], [plan_bandwidth(params, config)])
+    k, (noises, period) = config.count, _inputs(params, [config])
     if config.strategy is Strategy.S1:
         return _states(params.P, range(k + 1), _trajectory(
             params.P, noises[0].tolist(), period[0].tolist(), k))
@@ -210,17 +201,14 @@ def campaign(params: ChannelParams, config: CoopConfig) -> tuple[SnrState, ...]:
         params.P, noises.repeat(k + 1, 0), period.repeat(k + 1, 0), np.arange(k + 1), True)).tolist())
 
 
-def run_recursion(params: ChannelParams, config: CoopConfig, K: int, *,
-                  plans: list[BandwidthPlan] | None = None) -> tuple[SnrState, ...]:
+def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> tuple[SnrState, ...]:
     """Equivalent SNRs as a function of the exchange count.
 
     Entry i is the final state of an i-step campaign run under the bandwidth
     plan and power schedule belonging to count i (entry 0 = pure broadcast), so
     the trajectory answers "what do the receivers end up with if the system is
-    provisioned for i exchanges". All counts run as one batch. A caller that
-    has already planned counts 0..K passes those plans as `plans`.
+    provisioned for i exchanges". All counts run as one batch.
     """
     if K < 0:
         raise ValueError("exchange count must be >= 0")
-    configs = [config.with_count(k) for k in range(K + 1)]
-    return _finals(params, configs, plans or [plan_bandwidth(params, c) for c in configs])
+    return _finals(params, [config.with_count(k) for k in range(K + 1)])

@@ -115,12 +115,12 @@ def cmd_rate(s: Scenario, args: argparse.Namespace) -> Table:
     """Final SNRs and achievable rate for each provisioned count k = 0..k_max."""
     _require_af(s, "rate")
     bound = simo_bound(s.params)
-    # each count's plan is built once, for the recursion and the rate
-    plans = [plan_bandwidth(s.params, s.config.with_count(k)) for k in range(s.k_max + 1)]
-    states = run_recursion(s.params, s.config, s.k_max, plans=plans)
-    return _render(RATE_COLUMNS, [
-        (st.i, plan.B_DL, plan.B_C, st.rho_I, st.rho_II, rate_af(plan, (st.rho_I, st.rho_II)),
-         bound) for plan, st in zip(plans, states)])
+    rows: list[Row] = []
+    for k, st in enumerate(run_recursion(s.params, s.config, s.k_max)):
+        plan = plan_bandwidth(s.params, s.config.with_count(k))
+        rows.append((k, plan.B_DL, plan.B_C, st.rho_I, st.rho_II,
+                     rate_af(plan, (st.rho_I, st.rho_II)), bound))
+    return _render(RATE_COLUMNS, rows)
 
 
 def _sweep(s: Scenario, configs: Sequence[CoopConfig], args: argparse.Namespace

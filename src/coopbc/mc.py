@@ -309,7 +309,7 @@ def simulate_af(
     """
     if any(c.protocol is not Protocol.AF for c in configs):
         raise ValueError("simulate_af requires amplify-and-forward configs")
-    finals = _finals(params, configs, [plan_bandwidth(params, c) for c in configs])
+    finals = _finals(params, configs)
     # Z_I = l_I g_0 and Z_II = l_c g_0 + l_II g_1 for unit complex normals g;
     # when the outputs are nearly equal, rounding can push the Schur
     # complement N_II - e^2 / N_I a few ulps below zero. A noiseless output 1

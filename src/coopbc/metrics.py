@@ -70,9 +70,13 @@ def optimal_k(
 ) -> tuple[int, tuple[float, ...]]:
     """Exchange count maximizing the worst-receiver rate over 0..k_max, with
     ties broken toward fewer exchanges; returns (K*, rate per count)."""
-    plans = [plan_bandwidth(params, config.with_count(k)) for k in range(k_max + 1)]
-    rates = tuple(rate_af(plan, (state.rho_I, state.rho_II))
-                  for plan, state in zip(plans, run_recursion(params, config, k_max, plans=plans)))
+    rates = tuple(
+        rate_af(
+            plan_bandwidth(params, config.with_count(state.i)),
+            (state.rho_I, state.rho_II),
+        )
+        for state in run_recursion(params, config, k_max)
+    )
     best = 0
     for k, rate in enumerate(rates):
         if rate > rates[best] * (1.0 + _TIE_TOL) + _TIE_TOL:

@@ -512,6 +512,35 @@ class TestEmit:
             comment, body = got.getvalue().split("\n", 1)
             assert comment.startswith("# ") and body == expected.getvalue()
 
+    @pytest.mark.parametrize("command, text", [
+        ("snr", AF_TEXT),
+        ("rate", AF_TEXT),
+        ("ber", AF_TEXT.replace("trials = 30000", "trials = 2048")),
+        ("ber", DF_TEXT.replace("trials = 30000", "trials = 2048")),
+        ("compare", DF_TEXT.replace("trials = 30000", "trials = 2048")),
+    ])
+    def test_rendered_rows_match_their_column_types(self, capsys, scenario_file, monkeypatch,
+                                                    command, text):
+        # every command hands `_render` integers for its %d columns, text for
+        # its %s columns and real numbers for its %.12g columns; `%d` prints
+        # a float truncated (1.5 as 1) without error, so this is the check
+        render, seen = cli._render, []
+
+        def checked(columns, rows):
+            rows = list(rows)
+            for row in rows:
+                assert len(row) == len(columns)
+                for (name, fmt), value in zip(columns, row):
+                    kinds = {cli._INT: (int, np.integer), cli._TEXT: str,
+                             cli._FLOAT: (float, np.floating, int, np.integer)}[fmt]
+                    assert isinstance(value, kinds) and not isinstance(value, bool), (name, value)
+            seen.append(len(rows))
+            return render(columns, rows)
+
+        monkeypatch.setattr(cli, "_render", checked)
+        code, _ = run(capsys, [command, "--scenario", scenario_file(text)])
+        assert code == 0 and seen and seen[0] > 0
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_regions_blocks_match_the_csv_writer_reference(self, data):
