@@ -48,10 +48,6 @@ class Receiver(enum.Enum):
     R1 = 1
     R2 = 2
 
-    @property
-    def other(self) -> "Receiver":
-        return Receiver.R2 if self is Receiver.R1 else Receiver.R1
-
 
 @dataclass(frozen=True)
 class Symmetric:

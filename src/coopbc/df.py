@@ -289,15 +289,11 @@ def _unit_bits(source_constellation: Constellation, relay_constellation: Constel
 
 
 def estimate_relay_errors(
-    source_constellation: Constellation,
-    relay_constellation: Constellation,
-    amplitude: float,
-    noise_power: float,
+    source_constellation: Constellation, amplitude: float, noise_power: float
 ) -> RelayErrorModel:
     """Exact substitution law of the decode-and-remap chain at the relay's
-    receive SNR: the decision law of one source axis. Raises ModulationError
-    when relay symbols split source axes."""
-    _unit_bits(source_constellation, relay_constellation)
+    receive SNR: the decision law of one source axis, for any relay whose
+    symbols carry whole source axes (`mld_llr_batch` checks that)."""
     return RelayErrorModel(_decision_law(source_constellation, amplitude, noise_power))
 
 
@@ -335,18 +331,21 @@ def _unit_table(
     Each real axis sample (the real and imaginary parts of a QAM symbol, in
     label-bit order; the real part of a BPSK symbol) gets a table over its
     axis labels, and a unit's table is the outer sum of its axes' tables.
+    Samples and levels are divided by sqrt(noise_power) before they are
+    squared, so no finite log likelihood overflows.
     """
     if constellation.order == 2:
         samples = y.real
     else:
         samples = np.ascontiguousarray(y, dtype=complex).view(float)
+    sigma = math.sqrt(noise_power)
     level = np.empty(len(constellation.levels))
-    level[constellation.labels] = amplitude * constellation.levels
+    level[constellation.labels] = amplitude * constellation.levels / sigma
     out = None
-    for x in samples.reshape(len(y) * units, -1).T:  # the axes of a unit, MSB first
+    for x in (samples / sigma).reshape(len(y) * units, -1).T:  # a unit's axes, MSB first
         tab = x - level[:, None]
         tab *= tab
-        tab /= -noise_power
+        np.negative(tab, out=tab)
         out = tab if out is None else (out[:, None] + tab).reshape(-1, len(x))
     return out
 

@@ -35,7 +35,6 @@ from .channel import (
     transmissions,
 )
 from .df import (
-    BlockShape,
     Constellation,
     RelayErrorModel,
     RelayObservation,
@@ -149,7 +148,6 @@ class DfRunResult:
     pe_sys: BerEstimate
     source_order: int
     relay_order: int
-    shape: BlockShape
 
 
 class Sweep(tuple):
@@ -227,15 +225,16 @@ def _run_ordered(
     n_configs: int,
     n_batches: int,
     threads: int,
-    should_stop: Callable[[tuple], bool],
+    tc: TrialConfig,
 ) -> list[tuple]:
     """Execute worker(b, active) for b = 0..n_batches-1, where `active` lists
     the configs still sampling and the worker returns one tuple of batch sums
     per active config, led by (symbols, bits, err_I, err_II, err_sys). Return
-    each config's sums folded in batch order. Each config's stop check runs
-    at fixed chunk boundaries and every batch of a started chunk is folded
-    for every config active in it, so the folded set of a config depends
-    neither on the thread count nor on the other configs."""
+    each config's sums folded in batch order. Each config's stop check
+    (`_stop_on_target` under `tc`) runs at fixed chunk boundaries and every
+    batch of a started chunk is folded for every config active in it, so the
+    folded set of a config depends neither on the thread count nor on the
+    other configs."""
     totals: list[tuple] = [()] * n_configs
     active = tuple(range(n_configs))
     for start in range(0, n_batches, _STOP_CHECK_BATCHES):
@@ -245,7 +244,7 @@ def _run_ordered(
         for batch in _map_batches(worker, idxs, active, threads):
             for c, sums in zip(active, batch):
                 totals[c] = tuple(a + b for a, b in zip(totals[c] or (0,) * len(sums), sums))
-        active = tuple(c for c in active if not should_stop(totals[c]))
+        active = tuple(c for c in active if not _stop_on_target(tc, totals[c]))
     return totals
 
 
@@ -322,8 +321,7 @@ def simulate_af(
     ]
     const = qam(order)
     m = const.bits_per_symbol
-    P = params.P
-    amp = math.sqrt(P)
+    amp = math.sqrt(params.P)
     points = amp * const.points
     edges = const.edges(amp)
     axes = 1 if order == 2 else 2
@@ -340,17 +338,17 @@ def simulate_af(
         rng = _rng(tc.seed, b)
         idx = rng.integers(0, order, T)
         g = _unit_cn(rng, (2, T))
-        # the moments of the symbols and the unit normals, shared by every
-        # config; einsum sums without BLAS, so no BLAS setting moves them.
-        # conj(x) is gathered and freed before x, and the index array before
-        # the tile buffers, which take its place: a batch's heap then stays
-        # under glibc's trim threshold, so its pages are not handed back to
-        # the system and faulted in again by the next batch
-        xc, (r0, r1) = points.conj().take(idx), g.view(float)
-        xg0, xg1 = (complex(np.einsum("i,i->", xc, gi)) for gi in g)
-        del xc
+        # the moments of the unit-power symbols u (x = amp u) and the unit
+        # normals, shared by every config; einsum sums without BLAS, so no
+        # BLAS setting moves them. conj(u) is gathered and freed before x, and
+        # the index array before the tile buffers, which take its place: a
+        # batch's heap then stays under glibc's trim threshold, so its pages
+        # are not handed back to the system and faulted in again by the next batch
+        uc, (r0, r1) = const.points.conj().take(idx), g.view(float)
+        ug0, ug1 = (complex(np.einsum("i,i->", uc, gi)) for gi in g)
+        suu = float(np.einsum("i,i->", uc.view(float), uc.view(float)))
+        del uc
         x = points.take(idx)
-        sxx = float(np.einsum("i,i->", x.view(float), x.view(float)))
         g00, g11, g01 = (float(np.einsum("i,i->", a, b)) for a, b in ((r0, r0), (r1, r1), (r0, r1)))
         sent = sent_labels.take(idx, axis=0).ravel()
         del idx
@@ -385,33 +383,32 @@ def simulate_af(
                 T,
                 T * m,
                 *errors[c],
-                sxx,
-                l_I * xg0,  # sum of conj(x) Z_I, then sum of |Z_I|^2
+                suu,
+                l_I * ug0,  # sum of conj(u) Z_I, then sum of |Z_I|^2
                 l_I * l_I * g00,
-                l_c * xg0 + l_II * xg1,
+                l_c * ug0 + l_II * ug1,
                 l_c * l_c * g00 + l_II * l_II * g11 + 2.0 * l_c * l_II * g01,
             ))
         return out
 
-    totals = _run_ordered(worker, len(configs), -(-tc.trials // BATCH_SYMBOLS), threads,
-                          lambda t: _stop_on_target(tc, t))
+    totals = _run_ordered(worker, len(configs), -(-tc.trials // BATCH_SYMBOLS), threads, tc)
 
     def result(t: tuple, final: SnrState) -> AfRunResult:
-        n, _, _, _, _, Sxx, Sxz_I, Szz_I, Sxz_II, Szz_II = t
+        n, _, _, _, _, Suu, Suz_I, Szz_I, Suz_II, Szz_II = t
 
-        def snr_estimate(sxz: complex, szz: float) -> SnrEstimate:
-            # project the known symbols out of the output y = x + z: signal
-            # gain 1 + Sxz/Sxx, equivalent noise power from the residual
-            # Szz - |Sxz|^2/Sxx. Both come from the noise moments, so a noise
-            # far below the signal cancels nothing
-            gain = abs(1.0 + sxz / Sxx)
-            noise_hat = (szz - abs(sxz) * (abs(sxz) / Sxx)) / n
+        def snr_estimate(suz: complex, szz: float) -> SnrEstimate:
+            # project the known symbols out of the output y = amp u + z:
+            # signal amplitude amp + Suz/Suu, noise power from the residual
+            # Szz - |Suz|^2/Suu. Noise moments cancel nothing when the noise is
+            # far below the signal, and unit-symbol moments do not underflow
+            a = abs(amp + suz / Suu)
+            noise_hat = (szz - abs(suz) * (abs(suz) / Suu)) / n
             # a noiseless output leaves no residual at all
-            rho = gain * gain * P / noise_hat if noise_hat else math.inf
+            rho = a * a / noise_hat if noise_hat else math.inf
             return SnrEstimate(rho, rho * math.sqrt((1.0 + 2.0 / rho) / n))
 
-        return AfRunResult(*_ber_estimates(t), snr_estimate(Sxz_I, Szz_I),
-                           snr_estimate(Sxz_II, Szz_II), final)
+        return AfRunResult(*_ber_estimates(t), snr_estimate(Suz_I, Szz_I),
+                           snr_estimate(Suz_II, Szz_II), final)
 
     return Sweep(map(result, totals, finals))
 
@@ -549,7 +546,7 @@ def simulate_df(
     relay_noises = dict.fromkeys(noises[1 - dest] for noises, heard in plans
                                  for dest, branch in enumerate(heard) if branch)
     models = {noise: RelayErrorModel.error_free(src_c) if relay_model == "genie"
-              else estimate_relay_errors(src_c, rel_c, amp_s, noise)
+              else estimate_relay_errors(src_c, amp_s, noise)
               for noise in (relay_noises if combiner == "mld" else ())}
 
     def decide(y: np.ndarray, observations: list[RelayObservation], noise: float) -> np.ndarray:
@@ -601,7 +598,5 @@ def simulate_df(
                     errors[c] = [e + np.count_nonzero(w) for e, w in zip(errors[c], wrong)]
         return [(T * shape.s, T * shape.n, *errors[c]) for c in active]
 
-    totals = _run_ordered(worker, len(configs), -(-total_blocks // blocks_per_batch), threads,
-                          lambda t: _stop_on_target(tc, t))
-    return Sweep(DfRunResult(*_ber_estimates(t), source_order, rel_order, shape)
-                 for t in totals)
+    totals = _run_ordered(worker, len(configs), -(-total_blocks // blocks_per_batch), threads, tc)
+    return Sweep(DfRunResult(*_ber_estimates(t), source_order, rel_order) for t in totals)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,9 +60,13 @@ def error_criteria(ber_I: float, ber_II: float, pe_sys: float) -> tuple[float, f
 
 def simo_bound(params: ChannelParams) -> float:
     """Cooperation ceiling: the rate of a single receiver owning both downlink
-    branches over the full band, B log2(1 + P/N1 + P/N2)."""
+    branches over the full band, B log2(1 + P/N1 + P/N2). It bounds every
+    `rate_af`, so a ValueError naming b is raised when it alone overflows."""
     B = params.B
-    return B * math.log2(1.0 + params.P / (params.n1 * B) + params.P / (params.n2 * B))
+    spectral = math.log2(1.0 + params.P / (params.n1 * B) + params.P / (params.n2 * B))
+    if math.isinf(B * spectral) and math.isfinite(spectral):
+        raise ValueError(f"the rate over the band B = {B:g} overflows; lower b")
+    return B * spectral
 
 
 def optimal_k(
@@ -135,9 +139,9 @@ def decision_regions(
     params: ChannelParams,
     config: CoopConfig,
     *,
-    n1_grid: Optional[Sequence[float]] = None,
-    n2_grid: Optional[Sequence[float]] = None,
-    ratios_db: Sequence[float] = (-30.0, -10.0, 0.0, 10.0, 30.0),
+    n1_grid: Sequence[float],
+    n2_grid: Sequence[float],
+    ratios_db: Sequence[float],
 ) -> RegionMap:
     """Which receiver should start cooperating, over a noise-density grid.
 
@@ -154,8 +158,7 @@ def decision_regions(
     total = params.P12 + params.P21
     if not total > 0.0:
         raise ValueError("decision regions need a positive total cooperation budget")
-    n1g = np.logspace(-2, 2, 21) if n1_grid is None else np.asarray(n1_grid, dtype=float)
-    n2g = np.logspace(-2, 2, 21) if n2_grid is None else np.asarray(n2_grid, dtype=float)
+    n1g, n2g = np.asarray(n1_grid, dtype=float), np.asarray(n2_grid, dtype=float)
     if not (np.all(np.isfinite(n1g) & (n1g > 0.0)) and np.all(np.isfinite(n2g) & (n2g > 0.0))):
         raise ValueError("noise density grids must be finite and strictly positive")
     # a noise power is a density times a band of at most B

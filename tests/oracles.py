@@ -7,8 +7,9 @@ None of this is used by the package itself:
 - the batched AF engine on the 4x4 covariance of both combiner outputs and
   both downlink noises (two matrix products per step), in float64 or long
   double;
-- the asymmetric exchange parity rule (which receiver sends at exchange i)
-  and the per-exchange cooperation power split, stated case by case;
+- a receiver's partner, the asymmetric exchange parity rule (which receiver
+  sends at exchange i) and the per-exchange cooperation power split, stated
+  case by case;
 - the coefficient-vector AF campaign, which represents every combiner output
   exactly as Y = alpha X + sum_k c_k zeta_k over the elementary noises and
   combines forward-original branches with a joint MRC solve, together with
@@ -31,7 +32,9 @@ None of this is used by the package itself:
 - the relay pilot: the decode-and-remap chain run over sampled symbols with
   the all-points detector, whose substitution counts the exact relay law is
   tested against;
-- the exact Gray square-QAM bit error rate over AWGN;
+- the exact Gray square-QAM bit error rate over AWGN, by CDF differences,
+  and from one axis's decision law weighted by the Hamming distance of its
+  labels;
 - the scenario INI writer, whose output the parser must read back exactly;
 - the CLI's CSV writer before format templates: `csv.writer` with minimal
   quoting over cells formatted one at a time by their Python type.
@@ -65,6 +68,7 @@ from coopbc.df import (
     Constellation,
     RelayErrorModel,
     RelayObservation,
+    _decision_law,
     mld_llr_batch,
     qam,
 )
@@ -176,7 +180,7 @@ def step_asymmetric(
 ) -> SnrState:
     """One alternating exchange: the starter transmits at odd `i`, the partner
     combines; the idle receiver's state passes through unchanged."""
-    transmitter = starter if i % 2 == 1 else starter.other
+    transmitter = starter if i % 2 == 1 else other(starter)
     P12_i, P21_i = powers
     if transmitter is Receiver.R1 and P12_i == 0.0 or transmitter is Receiver.R2 and P21_i == 0.0:
         return SnrState(
@@ -402,11 +406,16 @@ def final_covariance(
 # ---------------------------------------------------------------------------
 
 
+def other(receiver: Receiver) -> Receiver:
+    """The partner of `receiver`."""
+    return Receiver.R2 if receiver is Receiver.R1 else Receiver.R1
+
+
 def transmitter_at(scheme: Scheme, i: int) -> Receiver:
     """Which receiver transmits at asymmetric exchange `i` (starter at odd i)."""
     if not isinstance(scheme, Asymmetric):
         raise TypeError("exchange parity only applies to the asymmetric scheme")
-    return scheme.starter if i % 2 == 1 else scheme.starter.other
+    return scheme.starter if i % 2 == 1 else other(scheme.starter)
 
 
 def power_per_exchange(params: ChannelParams, config: CoopConfig, i: int) -> tuple[float, float]:
@@ -428,11 +437,11 @@ def power_per_exchange(params: ChannelParams, config: CoopConfig, i: int) -> tup
         return params.P12 / k, params.P21 / k
     if k % 2 == 0:
         starter_power = 2.0 * _budget(params, scheme.starter) / k
-        other_power = 2.0 * _budget(params, scheme.starter.other) / k
+        other_power = 2.0 * _budget(params, other(scheme.starter)) / k
     else:
         starter_power = 2.0 * _budget(params, scheme.starter) / (k + 1)
-        other_power = 0.0 if k == 1 else 2.0 * _budget(params, scheme.starter.other) / (k - 1)
-    p = {scheme.starter: starter_power, scheme.starter.other: other_power}
+        other_power = 0.0 if k == 1 else 2.0 * _budget(params, other(scheme.starter)) / (k - 1)
+    p = {scheme.starter: starter_power, other(scheme.starter): other_power}
     return p[Receiver.R1], p[Receiver.R2]
 
 
@@ -1049,6 +1058,21 @@ def exact_qam_ber(order: int, amplitude: float, noise_power: float) -> float:
         p = trans[re_idx[j]][re_idx] * trans[im_idx[j]][im_idx]
         total += float(p @ ham[j]) / m
     return total / order
+
+
+def decision_law_ber(order: int, amplitude: float, noise_power: float) -> tuple[float, float]:
+    """Exact bit error rate of minimum-distance detection of qam(order) at
+    `amplitude` over complex Gaussian noise of `noise_power`, and the
+    variance of the bit-error count of one axis sample: the decision law of
+    one axis (`df._decision_law`, at the edges the detector slices at)
+    weighted by the Hamming distance of its Gray labels. A uniform symbol
+    carries a uniform label on each axis, and its axes err independently."""
+    law = _decision_law(qam(order), amplitude, noise_power)
+    labels = np.arange(len(law))
+    distance = np.vectorize(lambda v: bin(v).count("1"))(labels[:, None] ^ labels)
+    mean = float(np.sum(law * distance)) / len(law)
+    second = float(np.sum(law * distance * distance)) / len(law)
+    return mean / (len(law).bit_length() - 1), second - mean * mean
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from coopbc.channel import (
     power_schedule,
     transmissions,
 )
-from oracles import exchange_powers, transmitter_at
+from oracles import exchange_powers, other, transmitter_at
 
 PARAMS = ChannelParams(P=10.0, n1=0.5, n2=2.0, n12=0.25, n21=1.0, P12=4.0, P21=6.0, B=8.0)
 
@@ -106,7 +106,7 @@ class TestPowerPerExchange:
             spent[tx] += p12 if tx is Receiver.R1 else p21
         assert spent[starter] == pytest.approx(4.0 if starter is Receiver.R1 else 6.0)
         other_budget = 6.0 if starter is Receiver.R1 else 4.0
-        assert spent[starter.other] == pytest.approx(0.0 if k == 1 else other_budget)
+        assert spent[other(starter)] == pytest.approx(0.0 if k == 1 else other_budget)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_symmetric_budget_conservation(self, k):
@@ -178,8 +178,8 @@ class TestSchemes:
             transmitter_at(Symmetric(2), 1)
 
     def test_receiver_other(self):
-        assert Receiver.R1.other is Receiver.R2
-        assert Receiver.R2.other is Receiver.R1
+        assert other(Receiver.R1) is Receiver.R2
+        assert other(Receiver.R2) is Receiver.R1
 
 
 class TestChannelParams:

@@ -857,6 +857,11 @@ class TestExitCodes:
                      .replace("p12 = 10", "p12 = 1").replace("p21 = 10", "p21 = 1\nb = 1.7e308")
                      .replace("k = 1", "k = 2\nk_max = 2"), "regions", "grid_max",
                      id="grid-power-overflows"),
+        # a rate over the band b beyond the float range
+        pytest.param(REGIONS_TEXT.replace("p = 1\n", "p = 1e300\n")
+                     .replace("n1 = 0.5", "n1 = 1e-10").replace("n2 = 0.5", "n2 = 1e-10")
+                     .replace("p12 = 10", "p12 = 1").replace("p21 = 10", "p21 = 1\nb = 1e308")
+                     .replace("k = 1", "k = 2\nk_max = 2"), "rate", "b", id="rate-overflows"),
         # the first of two faults is reported, as the keys are read in order
         pytest.param(AF_TEXT.replace("snr1 = 10", "snr1 = abc").replace("snr2 = 0\n", ""), "snr",
                      "snr1", id="first-of-two-faults"),
@@ -976,6 +981,25 @@ class TestAfExtremes:
                     assert snr == math.inf
                 else:  # sigma as bench/checks.py::af_snr
                     assert abs(snr - rho) <= 5.0 * rho * math.sqrt((1.0 + 2.0 / rho) / n), (snr, rho)
+
+    @pytest.mark.parametrize("power", ["1e-320", "5e-324"])
+    def test_subnormal_signal_reads_the_estimator_floor(self, capsys, scenario_file, power):
+        # with P far below the noise the projection's signal amplitude is
+        # |sqrt(P) + Suz/Suu| ~ |Suz/Suu|, so the sampled SNR is the
+        # estimator's floor, Exp(1) / trials, not inf or a division by zero
+        text = (REGIONS_TEXT.replace("p = 1\n", f"p = {power}\n").replace("n1 = 0.5", "n1 = 0.1")
+                .replace("n2 = 0.5", "n2 = 1").replace("p12 = 10", "p12 = 1")
+                .replace("p21 = 10", "p21 = 1").replace("k = 1", "k = 2\nk_max = 2")
+                + "\n[trials]\ntrials = 2000\nseed = 1\n")
+        code = main(["ber", "--scenario", scenario_file(text)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            cells = dict(zip(header, map(float, row)))
+            assert 0.0 < cells["rho_1"] < 1e-318 and 0.0 < cells["rho_2"] < 1e-318
+            assert 0.0 <= cells["snr_1"] < 20.0 / 2000 and 0.0 <= cells["snr_2"] < 20.0 / 2000
 
 
 HIGH_COOP = AF_TEXT.replace("snr12 = 30", "snr12 = 200").replace("snr21 = 30", "snr21 = 200")

@@ -231,7 +231,7 @@ class TestSimulateAf:
 class TestSimulateDf:
     def test_no_cooperation_matches_oracle(self):
         r = simulate_df(NO_COOP, [DF0], 4, TrialConfig(trials=200_000, seed=5))[0]
-        assert r.shape.n == 2 and r.relay_order == 4
+        assert r.relay_order == 4 and choose_compatible_modulation(4, 1.0)[1].n == 2
         assert abs(r.ber_I.ber - qpsk_ber(10.0)) < 3.0 * r.ber_I.stderr
         assert abs(r.ber_II.ber - qpsk_ber(5.0)) < 3.0 * r.ber_II.stderr
 
@@ -255,8 +255,9 @@ class TestSimulateDf:
         r = simulate_df(
             p, [cfg], 2, TrialConfig(trials=20_000, seed=2), coop_bandwidth_fraction=0.25
         )[0]
+        shape = choose_compatible_modulation(2, 0.25)[1]
         assert r.relay_order == 16
-        assert (r.shape.s, r.shape.r, r.shape.n) == (4, 1, 4)
+        assert (shape.s, shape.r, shape.n) == (4, 1, 4)
         assert r.ber_II.ber < oracles.exact_qam_ber(2, math.sqrt(10.0), 2.0)
 
     def test_determinism_and_threads(self):
@@ -293,7 +294,8 @@ class TestSimulateDf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (r.relay_order, r.shape.s, r.shape.n, blocks) == (256, 2, 8, 32768)
+        shape = choose_compatible_modulation(16, 0.5)[1]
+        assert (r.relay_order, shape.s, shape.n, blocks) == (256, 2, 8, 32768)
         assert r.ber_I.trials == 2 * blocks
         assert peak < 64 * 2**20
 
@@ -312,7 +314,8 @@ class TestSimulateDf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (r.relay_order, r.shape.s, r.shape.n, blocks) == (4096, 3, 24, 128)
+        shape = choose_compatible_modulation(256, 2 / 3)[1]
+        assert (r.relay_order, shape.s, shape.n, blocks) == (4096, 3, 24, 128)
         assert r.ber_I.trials == 2 * 3 * blocks
         assert peak < 48 * 2**20
 
@@ -329,7 +332,7 @@ class TestSimulateDf:
         bits = rng.integers(0, 2, (blocks, shape.n), dtype=np.int8)
         y2 = 4.0 * src.points[src.bits_to_indices(bits)] + 0.1 * rng.standard_normal((blocks, shape.s))
         y12 = 30.0 * rel.points[rel.bits_to_indices(bits)] + 0.1 * rng.standard_normal((blocks, 1))
-        model = estimate_relay_errors(src, rel, 4.0, 0.02)
+        model = estimate_relay_errors(src, 4.0, 0.02)
         tracemalloc.start()
         try:
             llr = mld_llr_batch(y2, [RelayObservation(y12, 30.0, 0.02, model)], shape,
@@ -412,7 +415,7 @@ class TestSimulateDf:
         cfg = CoopConfig(Protocol.DF, Asymmetric(2, Receiver.R1), Strategy.S1, Regime.H2)
         tc = TrialConfig(trials=2 * mc.BATCH_SYMBOLS, seed=4973492152032735815)
         one, two = simulate_df(p, [cfg.with_count(1), cfg], 2, tc, coop_bandwidth_fraction=0.25)
-        assert (two.relay_order, two.shape) == (16, one.shape)
+        assert (one.relay_order, two.relay_order) == (16, 16)
         noise = 3.0 * math.hypot(one.ber_I.stderr, two.ber_I.stderr)
         assert two.ber_I.ber <= one.ber_I.ber + noise
 
@@ -432,6 +435,76 @@ class TestSimulateDf:
         r = simulate_df(p, [cfg], 4, TrialConfig(trials=200_000, seed=11))[0]
         assert abs(r.ber_I.ber - qpsk_ber(10.0)) < 3.0 * r.ber_I.stderr
         assert r.ber_II.ber + 3.0 * r.ber_II.stderr < qpsk_ber(5.0)
+
+
+# Exact per-receiver BERs. An AF combiner output is X + Z at unit gain with
+# Z ~ CN(0, N), and so, up to scale, is the weight-and-add output of a DF
+# receiver that hears no relay (k = 0) or genie relays over a full-width band
+# (at the sum of its branch SNRs). Each error count is then a sum of iid
+# counts of one axis sample each, in [0, b] for b bits per axis, whose mean
+# and variance oracles.decision_law_ber gives. Every count must lie within
+# the Bernstein bound at level EXACT_ALPHA / EXACT_CHECKS: Bonferroni over
+# every count of the grid, and for one-bit axes a bound on the binomial tail.
+# The level and the grid are fixed, and every sweep runs at the default seed.
+EXACT_ORDERS = (2, 4, 16, 64, 256, 1024, 4096)
+EXACT_COUNTS = range(5)
+EXACT_AF_CELLS = [(order, strategy, scheme, regime) for order in EXACT_ORDERS
+                  for strategy in Strategy for scheme in (Symmetric, Asymmetric)
+                  for regime in Regime]
+EXACT_DF_CELLS = [("broadcast", 2), ("broadcast", 4),
+                  *(("mrc-genie", order) for order in EXACT_ORDERS[1:])]
+EXACT_CHECKS = 2 * (len(EXACT_AF_CELLS) * len(EXACT_COUNTS)  # two receivers per count
+                    + sum(1 if case == "broadcast" else len(EXACT_COUNTS)
+                          for case, _ in EXACT_DF_CELLS))
+EXACT_ALPHA = 1e-4
+
+
+def exact_params(order: int) -> ChannelParams:
+    """A channel whose downlink SNRs, 2 (M - 1) and M - 1, put every order's
+    BER near 1e-2 before cooperation."""
+    P = float(order - 1)
+    return ChannelParams(P=P, n1=0.5, n2=1.0, n12=0.5, n21=0.5, P12=P, P21=P, B=1.0)
+
+
+def assert_exact_ber(est: BerEstimate, order: int, amplitude: float, noise_power: float) -> None:
+    ber, var = oracles.decision_law_ber(order, amplitude, noise_power)
+    axes = 1 if order == 2 else 2
+    width = (order.bit_length() - 1) // axes
+    log_term = math.log(2.0 * EXACT_CHECKS / EXACT_ALPHA)
+    reach = width * log_term / 3.0
+    tol = reach + math.sqrt(reach * reach + 2.0 * log_term * est.trials * axes * var)
+    assert abs(est.errors - ber * est.bits) <= tol, (est.errors, ber * est.bits, tol)
+
+
+class TestExactBer:
+    @pytest.mark.parametrize("order, strategy, scheme, regime", EXACT_AF_CELLS)
+    def test_af_receivers_match_the_decision_law(self, order, strategy, scheme, regime):
+        params = exact_params(order)
+        configs = [CoopConfig(Protocol.AF, scheme(k), strategy, regime) for k in EXACT_COUNTS]
+        sweep = simulate_af(params, configs, TrialConfig(trials=mc.BATCH_SYMBOLS), order=order)
+        states = af.run_recursion(params, configs[0], EXACT_COUNTS[-1])
+        for r, state in zip(sweep, states, strict=True):
+            assert_exact_ber(r.ber_I, order, math.sqrt(params.P), state.N_I)
+            assert_exact_ber(r.ber_II, order, math.sqrt(params.P), state.N_II)
+
+    @pytest.mark.parametrize("case, order", EXACT_DF_CELLS)
+    def test_df_receivers_match_the_decision_law(self, case, order):
+        params = exact_params(order)
+        if case == "broadcast":  # a one-bit axis: the per-bit ML decision is the nearest level
+            counts, kwargs = [0], {"coop_bandwidth_fraction": 0.5 if order == 2 else 1.0}
+        else:
+            counts, kwargs = list(EXACT_COUNTS), {"combiner": "mrc", "relay_model": "genie"}
+        configs = [CoopConfig(Protocol.DF, Asymmetric(k), Strategy.S1, Regime.H1) for k in counts]
+        sweep = simulate_df(params, configs, order, TrialConfig(trials=mc.BATCH_SYMBOLS),
+                            **kwargs)
+        for config, r in zip(configs, sweep, strict=True):
+            sent = oracles.exchange_powers(params, config)  # (k, 2): receiver 1's, 2's sends
+            band = params.B / (1 + np.count_nonzero(sent))  # H1: one sub-channel per send
+            for dest, est in enumerate((r.ber_I, r.ber_II)):
+                relay = 1 - dest  # the partner; its m repeats sum to one branch
+                snr = (params.P / ((params.n1, params.n2)[dest] * band)
+                       + sent[:, relay].sum() / ((params.n12, params.n21)[relay] * band))
+                assert_exact_ber(est, order, math.sqrt(params.P), params.P / snr)
 
 
 COOP = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=0.5, n21=0.5, P12=10.0, P21=10.0, B=1.0)
@@ -501,7 +574,7 @@ class TestSweep:
 
         alive = threading.active_count()
         with pytest.raises(MemoryError, match="batch 1"):
-            mc._run_ordered(worker, 1, 8, threads, lambda totals: False)
+            mc._run_ordered(worker, 1, 8, threads, TrialConfig(trials=8))
         assert threading.active_count() == alive
 
     def test_early_stop_per_config(self):
@@ -677,7 +750,8 @@ class TestTiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (r.relay_order, r.shape.s, blocks) == (256, 2, 32768)
+        shape = choose_compatible_modulation(16, 0.5)[1]
+        assert (r.relay_order, shape.s, blocks) == (256, 2, 32768)
         assert r.ber_I.trials == 2 * blocks
         assert peak < 12 * 2**20
 

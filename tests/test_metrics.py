@@ -131,6 +131,7 @@ class TestOptimalK:
 class TestDecisionRegions:
     PARAMS = ChannelParams(P=1.0, n1=1.0, n2=1.0, n12=1.0, n21=1.0, P12=10.0, P21=10.0, B=1.0)
     CONFIG = CoopConfig(Protocol.AF, Asymmetric(2, Receiver.R1), Strategy.S1, Regime.H1)
+    RATIOS = (-30.0, -10.0, 0.0, 10.0, 30.0)
 
     def small(self, ratios=(0.0,), n=7, params=None, config=None):
         grid = np.logspace(-2, 2, n)
@@ -142,14 +143,15 @@ class TestDecisionRegions:
     def test_validation(self):
         sym = CoopConfig(Protocol.AF, Symmetric(2), Strategy.S1, Regime.H1)
         with pytest.raises(ValueError, match="asymmetric"):
-            decision_regions(self.PARAMS, sym)
+            self.small(config=sym)
         with pytest.raises(ValueError, match="K >= 1"):
-            decision_regions(self.PARAMS, self.CONFIG.with_count(0))
+            self.small(config=self.CONFIG.with_count(0))
         with pytest.raises(ValueError, match="budget"):
-            decision_regions(replace(self.PARAMS, P12=0.0, P21=0.0), self.CONFIG)
+            self.small(params=replace(self.PARAMS, P12=0.0, P21=0.0))
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="grid"):
-                decision_regions(self.PARAMS, self.CONFIG, n1_grid=[1.0, bad])
+                decision_regions(self.PARAMS, self.CONFIG, n1_grid=[1.0, bad], n2_grid=[1.0],
+                                 ratios_db=(0.0,))
 
     def test_balanced_diagonal_is_a_tie(self):
         rm = self.small(ratios=(0.0,))
@@ -204,7 +206,8 @@ class TestDecisionRegions:
         grid = np.logspace(-2, 2, 101)
         tracemalloc.start()
         try:
-            rm = decision_regions(self.PARAMS, self.CONFIG, n1_grid=grid, n2_grid=grid)
+            rm = decision_regions(self.PARAMS, self.CONFIG, n1_grid=grid, n2_grid=grid,
+                                  ratios_db=self.RATIOS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -218,7 +221,8 @@ class TestDecisionRegions:
         grid = np.logspace(-2, 2, 201)
         tracemalloc.start()
         try:
-            rm = decision_regions(self.PARAMS, self.CONFIG, n1_grid=grid, n2_grid=grid)
+            rm = decision_regions(self.PARAMS, self.CONFIG, n1_grid=grid, n2_grid=grid,
+                                  ratios_db=self.RATIOS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
