@@ -64,12 +64,13 @@ class SnrState:
 
 # a silent or overflowing branch is skipped, not reported
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _combine(P: float, N: np.ndarray, Nf: np.ndarray, c: np.ndarray | float, Nc: np.ndarray,
+def _combine(P: float, N: np.ndarray, c: np.ndarray | float, Nc: np.ndarray,
              p: np.ndarray, m: np.ndarray | float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both receivers' combines, receiver d in column d: kept noise N,
-    forwarded noise Nf, cross term c, m branches of power p over cooperation
-    noise Nc. Returns the weights on the kept signal and on the branch, and
-    the new noise powers; a skipped combine has weights (1, 0)."""
+    """Both receivers' combines, receiver d in column d: kept noise N, the
+    partner's column of N forwarded, cross term c, m branches of power p over
+    cooperation noise Nc. Returns the weights on the kept signal and on the
+    branch, and the new noise powers; a skipped combine has weights (1, 0)."""
+    Nf = N[:, ::-1]
     a2 = p / (P + Nf)
     Nb = Nf + Nc / (m * a2)  # branch noise at unit gain
     D, E = Nb - c, N - c
@@ -82,11 +83,12 @@ def _combine(P: float, N: np.ndarray, Nf: np.ndarray, c: np.ndarray | float, Nc:
     return np.where(live, D / DE, 1.0), np.where(live, E / DE, 0.0), np.where(live, var, N)
 
 
-def _cross(w_k: np.ndarray, w_b: np.ndarray, N: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Cross-correlation of the two outputs after the combines of `_combine`;
-    bit-exact under a swap of the receivers."""
-    return ((w_k[:, 0] * w_k[:, 1] + w_b[:, 0] * w_b[:, 1]) * e
-            + ((w_k[:, 0] * w_b[:, 1]) * N[:, 0] + (w_b[:, 0] * w_k[:, 1]) * N[:, 1]))
+def _cross(w_k, w_b, N, e):
+    """Cross-correlation of the two outputs after the combines of `_combine`
+    from (receiver 1, receiver 2) pairs of kept weights, branch weights and
+    kept noises, Python floats or columns; bit-exact under a receiver swap."""
+    (k1, k2), (b1, b2), (N1, N2) = w_k, w_b, N
+    return (k1 * k2 + b1 * b2) * e + ((k1 * b2) * N1 + (b1 * k2) * N2)
 
 
 def _forward_latest(
@@ -100,9 +102,8 @@ def _forward_latest(
     starts = np.searchsorted(counts, np.arange(counts[-1] if len(counts) else 0), side="right")
     for t, start in enumerate(starts.tolist()):
         Ns, es = N[start:], e[start:]
-        w_k, w_b, var = _combine(P, Ns, Ns[:, ::-1], es[:, None], Nc[start:],
-                                 heard[start:, t % 2], 1.0)
-        e[start:] = _cross(w_k, w_b, Ns, es)
+        w_k, w_b, var = _combine(P, Ns, es[:, None], Nc[start:], heard[start:, t % 2], 1.0)
+        e[start:] = _cross(w_k.T, w_b.T, Ns.T, es)
         N[start:] = var
     return N, e
 
@@ -137,7 +138,7 @@ def _trajectory(P: float, noises: list[float],
         (N_I, N_II, e), (p12, p21) = state[-1], period[t % 2]
         k1, b1, v1 = _combine_one(P, N_I, N_II, e, N21, p21)
         k2, b2, v2 = _combine_one(P, N_II, N_I, e, N12, p12)
-        state.append((v1, v2, (k1 * k2 + b1 * b2) * e + ((k1 * b2) * N_I + (b1 * k2) * N_II)))
+        state.append((v1, v2, _cross((k1, k2), (b1, b2), (N_I, N_II), e)))
     return state
 
 
@@ -153,8 +154,8 @@ def final_state(
         # branches each receiver has heard: one per passed row that it hears
         m = (steps + 1) // 2 * (heard[:, 0] > 0.0) + steps // 2 * (heard[:, 1] > 0.0)
         p = np.maximum(heard[:, 0], heard[:, 1])  # the power of each branch heard
-        w_k, w_b, var = _combine(P, N, N[:, ::-1], 0.0, noises[:, [3, 2]], p, m)
-        return var[:, 0], var[:, 1], _cross(w_k, w_b, N, np.zeros(len(N)))
+        w_k, w_b, var = _combine(P, N, 0.0, noises[:, [3, 2]], p, m)
+        return var[:, 0], var[:, 1], _cross(w_k.T, w_b.T, N.T, 0.0)
     order = slice(None) if np.all(np.diff(counts) >= 0) else np.argsort(counts, kind="stable")
     N, e = _forward_latest(P, noises[order], periods[order], counts[order])
     state = np.empty((len(counts), 3))

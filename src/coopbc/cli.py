@@ -154,8 +154,7 @@ def cmd_regions(s: Scenario, args: argparse.Namespace) -> Table:
     """Winning-strategy map over a log grid of receiver noise densities."""
     _require_af(s, "regions")
     grid = np.logspace(math.log10(s.grid_min), math.log10(s.grid_max), s.grid_points)
-    rmap = decision_regions(s.params, s.config, n1_grid=grid, n2_grid=grid,
-                            ratios_db=s.ratios_db)
+    rmap = decision_regions(s.params, s.config, grid=grid, ratios_db=s.ratios_db)
     return REGIONS_COLUMNS, _regions_lines(rmap)
 
 
@@ -163,26 +162,26 @@ def _regions_lines(rmap: RegionMap) -> Iterator[str]:
     """The rows of a region map, ratio by ratio: one block of cell lines
     (n1 major), then one block of boundary lines. Every distinct grid value,
     ratio and winner is formatted once, in the format REGIONS_COLUMNS
-    declares; the map is computed, so nothing raises from here."""
-    kind, ratio_fmt, n1_fmt, n2_fmt, winner_fmt = (fmt for _, fmt in REGIONS_COLUMNS)
-    n1 = [n1_fmt % v for v in rmap.n1_grid.tolist()]
-    n2 = [n2_fmt % v for v in rmap.n2_grid.tolist()]
+    declares (n1 and n2 share one); the map is computed, so nothing raises
+    from here."""
+    kind, ratio_fmt, n_fmt, _, winner_fmt = (fmt for _, fmt in REGIONS_COLUMNS)
+    grid = [n_fmt % v for v in rmap.grid.tolist()]
     # the end of a cell line at column j with winner w is tails[3 j + w + 1]
-    tails = np.array([f"{v},{winner_fmt % w}\n" for v in n2 for w in (-1, 0, 1)], dtype=object)
-    column = np.arange(1, 3 * len(n2), 3)
+    tails = np.array([f"{v},{winner_fmt % w}\n" for v in grid for w in (-1, 0, 1)], dtype=object)
+    column = np.arange(1, 3 * len(grid), 3)
     # a boundary point's n1 is a grid value, and so is a tie's n2; every map
     # value is positive, so no two keys (0.0 and -0.0) format apart
-    known_n1, known_n2 = dict(zip(rmap.n1_grid.tolist(), n1)), dict(zip(rmap.n2_grid.tolist(), n2))
+    known = dict(zip(rmap.grid.tolist(), grid))
     tie = winner_fmt % 0
     for ratio, winners, boundary in zip(rmap.ratios_db, rmap.winners, rmap.boundaries):
         ratio_text = ratio_fmt % ratio
-        heads = [f"{kind % 'cell'},{ratio_text},{v}," for v in n1]
+        heads = [f"{kind % 'cell'},{ratio_text},{v}," for v in grid]
         # head + head.join(ends) puts the row's head before each of its ends
         yield "".join(head + head.join(ends)
                       for head, ends in zip(heads, tails[winners + column].tolist()) if ends)
         head = f"{kind % 'boundary'},{ratio_text},"
-        yield "".join(f"{head}{known_n1.get(b1) or n1_fmt % b1},"
-                      f"{known_n2.get(b2) or n2_fmt % b2},{tie}\n" for b1, b2 in boundary)
+        yield "".join(f"{head}{known.get(b1) or n_fmt % b1},{known.get(b2) or n_fmt % b2},{tie}\n"
+                      for b1, b2 in boundary)
 
 
 def cmd_compare(s: Scenario, args: argparse.Namespace) -> Table:

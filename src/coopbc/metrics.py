@@ -91,12 +91,11 @@ def optimal_k(
 @dataclass(frozen=True, eq=False)
 class RegionMap:
     """Who-starts-first map: winners[r, i, j] is +1 when starting at receiver 1
-    yields the higher rate at (n1_grid[i], n2_grid[j]) under cooperation power
-    ratio ratios_db[r], -1 for receiver 2 and 0 for a tie; boundaries[r] is the
-    polyline of refined crossing points (n1, n2) along each grid column."""
+    yields the higher rate at (n1, n2) = (grid[i], grid[j]) under cooperation
+    power ratio ratios_db[r], -1 for receiver 2 and 0 for a tie; boundaries[r]
+    is the polyline of refined crossing points (n1, n2) along each grid column."""
 
-    n1_grid: np.ndarray
-    n2_grid: np.ndarray
+    grid: np.ndarray
     ratios_db: tuple[float, ...]
     winners: np.ndarray
     boundaries: tuple[tuple[tuple[float, float], ...], ...]
@@ -139,8 +138,7 @@ def decision_regions(
     params: ChannelParams,
     config: CoopConfig,
     *,
-    n1_grid: Sequence[float],
-    n2_grid: Sequence[float],
+    grid: Sequence[float],
     ratios_db: Sequence[float],
 ) -> RegionMap:
     """Which receiver should start cooperating, over a noise-density grid.
@@ -158,45 +156,44 @@ def decision_regions(
     total = params.P12 + params.P21
     if not total > 0.0:
         raise ValueError("decision regions need a positive total cooperation budget")
-    n1g, n2g = np.asarray(n1_grid, dtype=float), np.asarray(n2_grid, dtype=float)
-    if not (np.all(np.isfinite(n1g) & (n1g > 0.0)) and np.all(np.isfinite(n2g) & (n2g > 0.0))):
-        raise ValueError("noise density grids must be finite and strictly positive")
+    g = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(g) & (g > 0.0)):
+        raise ValueError("the noise density grid must be finite and strictly positive")
     # a noise power is a density times a band of at most B
-    top = float(max(n1g.max(initial=0.0), n2g.max(initial=0.0)))
+    top = float(g.max(initial=0.0))
     if top * params.B == math.inf:
         raise ValueError(f"a grid noise density of {top:g} times the band B = {params.B:g} "
                          "overflows the noise power; lower grid_max or b")
     ratios = [10.0 ** (r / 10.0) for r in ratios_db]
     budgets = [(total * r / (1.0 + r), total / (1.0 + r)) for r in ratios]
-    winners = np.zeros((len(ratios), len(n1g), len(n2g)), dtype=np.int8)
+    winners = np.zeros((len(ratios), len(g), len(g)), dtype=np.int8)
     flat = winners.reshape(-1)
     for start in range(0, flat.size, _CHUNK):
         cells = np.arange(start, min(start + _CHUNK, flat.size))
         r_idx, i_idx, j_idx = np.unravel_index(cells, winners.shape)
-        diffs, scale = _starter_gaps(params, config, n1g[i_idx], n2g[j_idx], budgets, r_idx)
+        diffs, scale = _starter_gaps(params, config, g[i_idx], g[j_idx], budgets, r_idx)
         flat[cells[diffs > _TIE_TOL * scale]] = 1
         flat[cells[diffs < -_TIE_TOL * scale]] = -1
 
     # one geometric bisection step at every sign change along an n1 column;
     # the gap there has the sign of the winner
     r_c, i_c, j_c = np.nonzero(winners[:, :, :-1] * winners[:, :, 1:] < 0)
-    lo, hi = n2g[j_c], n2g[j_c + 1]
+    lo, hi = g[j_c], g[j_c + 1]
     mid = np.sqrt(lo * hi)
     d_mid = np.empty(len(mid))
     for start in range(0, len(mid), _CHUNK):
         part = slice(start, start + _CHUNK)
-        d_mid[part], _ = _starter_gaps(params, config, n1g[i_c[part]], mid[part], budgets,
-                                       r_c[part])
+        d_mid[part], _ = _starter_gaps(params, config, g[i_c[part]], mid[part], budgets, r_c[part])
     keep_lo = (d_mid > 0) == (winners[r_c, i_c, j_c] > 0)
     # boundary points in (r, i, j) order: every tie at its grid n2, every
     # crossing at its refined n2
-    points_n2 = np.broadcast_to(n2g, winners.shape).copy()
+    points_n2 = np.broadcast_to(g, winners.shape).copy()
     points_n2[r_c, i_c, j_c] = np.sqrt(np.where(keep_lo, mid, lo) * np.where(keep_lo, hi, mid))
     on_boundary = winners == 0
     on_boundary[r_c, i_c, j_c] = True
     r_b, i_b, j_b = np.nonzero(on_boundary)
-    points = zip(n1g[i_b].tolist(), points_n2[r_b, i_b, j_b].tolist())
+    points = zip(g[i_b].tolist(), points_n2[r_b, i_b, j_b].tolist())
     per_ratio = np.bincount(r_b, minlength=len(ratios)).tolist()
     boundaries = tuple(tuple(islice(points, n)) for n in per_ratio)
 
-    return RegionMap(n1g, n2g, tuple(float(r) for r in ratios_db), winners, boundaries)
+    return RegionMap(g, tuple(float(r) for r in ratios_db), winners, boundaries)

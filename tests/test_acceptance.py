@@ -366,7 +366,7 @@ def test_criterion_12_decision_region_swap_symmetry():
         cfg = CoopConfig(Protocol.AF, Asymmetric(2, Receiver.R1), Strategy.S1, Regime.H1)
         grid = np.logspace(-2.0, 2.0, 20)
         ratios = (-30.0, -10.0, 0.0, 10.0, 30.0)
-        rmap = decision_regions(params, cfg, n1_grid=grid, n2_grid=grid, ratios_db=ratios)
+        rmap = decision_regions(params, cfg, grid=grid, ratios_db=ratios)
         assert rmap.winners.shape == (5, 20, 20)
         assert len(rmap.boundaries) == 5
         for r_idx, ratio in enumerate(ratios):

@@ -547,22 +547,20 @@ class TestEmit:
         # the pre-rendered cell and boundary blocks give the bytes of
         # csv.writer over per-cell formatting of the rows they stand for,
         # with repeated grid values and boundary points on and off the grid
-        n1 = data.draw(st.lists(_MAP_FLOATS, min_size=1, max_size=4))
-        n2 = data.draw(st.lists(st.one_of(st.sampled_from(n1), _MAP_FLOATS), min_size=1,
-                                max_size=4))
+        grid = data.draw(st.lists(_MAP_FLOATS, min_size=1, max_size=4))
         ratios = data.draw(st.lists(_FLOATS, min_size=1, max_size=3))
-        cells = len(ratios) * len(n1) * len(n2)
+        cells = len(ratios) * len(grid) ** 2
         winners = np.array(data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=cells,
                                               max_size=cells)), dtype=np.int8)
-        winners = winners.reshape(len(ratios), len(n1), len(n2))
-        on_grid = st.one_of(st.sampled_from(n1 + n2), _MAP_FLOATS)
+        winners = winners.reshape(len(ratios), len(grid), len(grid))
+        on_grid = st.one_of(st.sampled_from(grid), _MAP_FLOATS)
         boundaries = tuple(tuple(data.draw(st.lists(st.tuples(on_grid, on_grid), max_size=4)))
                            for _ in ratios)
-        rmap = RegionMap(np.array(n1), np.array(n2), tuple(ratios), winners, boundaries)
+        rmap = RegionMap(np.array(grid), tuple(ratios), winners, boundaries)
         rows = []
         for ratio, w, boundary in zip(ratios, winners, boundaries):
-            rows += [("cell", ratio, a, b, w[i, j]) for i, a in enumerate(n1)
-                     for j, b in enumerate(n2)]
+            rows += [("cell", ratio, a, b, w[i, j]) for i, a in enumerate(grid)
+                     for j, b in enumerate(grid)]
             rows += [("boundary", ratio, a, b, 0) for a, b in boundary]
         expected = io.StringIO()
         write_csv(expected, [name for name, _ in cli.REGIONS_COLUMNS], rows)

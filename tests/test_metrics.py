@@ -135,10 +135,8 @@ class TestDecisionRegions:
 
     def small(self, ratios=(0.0,), n=7, params=None, config=None):
         grid = np.logspace(-2, 2, n)
-        return decision_regions(
-            params or self.PARAMS, config or self.CONFIG,
-            n1_grid=grid, n2_grid=grid, ratios_db=ratios,
-        )
+        return decision_regions(params or self.PARAMS, config or self.CONFIG, grid=grid,
+                                ratios_db=ratios)
 
     def test_validation(self):
         sym = CoopConfig(Protocol.AF, Symmetric(2), Strategy.S1, Regime.H1)
@@ -150,12 +148,11 @@ class TestDecisionRegions:
             self.small(params=replace(self.PARAMS, P12=0.0, P21=0.0))
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="grid"):
-                decision_regions(self.PARAMS, self.CONFIG, n1_grid=[1.0, bad], n2_grid=[1.0],
-                                 ratios_db=(0.0,))
+                decision_regions(self.PARAMS, self.CONFIG, grid=[1.0, bad], ratios_db=(0.0,))
 
     def test_balanced_diagonal_is_a_tie(self):
         rm = self.small(ratios=(0.0,))
-        for i in range(len(rm.n1_grid)):
+        for i in range(len(rm.grid)):
             assert rm.winners[0, i, i] == 0
 
     def test_swap_symmetry(self):
@@ -171,30 +168,30 @@ class TestDecisionRegions:
         )
         grid = c * np.logspace(-2, 2, 5)
         scaled = decision_regions(
-            scaled_params, self.CONFIG, n1_grid=grid, n2_grid=grid, ratios_db=(10.0,)
+            scaled_params, self.CONFIG, grid=grid, ratios_db=(10.0,)
         )
         np.testing.assert_array_equal(base.winners, scaled.winners)
 
     def test_boundary_points_line_in_grid_and_separate_signs(self):
         rm = self.small(ratios=(0.0,), n=9)
         assert len(rm.boundaries[0]) > 0
-        lo, hi = rm.n2_grid[0], rm.n2_grid[-1]
+        lo, hi = rm.grid[0], rm.grid[-1]
         for n1, n2 in rm.boundaries[0]:
-            assert n1 in rm.n1_grid
+            assert n1 in rm.grid
             assert lo <= n2 <= hi
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_boundary_lists_ties_and_crossings_in_grid_order(self, strategy):
         rm = self.small(ratios=(-10.0, 0.0, 10.0), n=9, config=replace(self.CONFIG, strategy=strategy))
-        n2g = rm.n2_grid
+        grid = rm.grid
         for r, points in enumerate(rm.boundaries):
             expected = []  # (n1, grid n2 of a tie, or the bracket of a crossing)
-            for i, n1 in enumerate(rm.n1_grid):
+            for i, n1 in enumerate(grid):
                 for j, w in enumerate(rm.winners[r, i]):
                     if w == 0:
-                        expected.append((n1, n2g[j], n2g[j]))
-                    elif j + 1 < len(n2g) and w * rm.winners[r, i, j + 1] < 0:
-                        expected.append((n1, n2g[j], n2g[j + 1]))
+                        expected.append((n1, grid[j], grid[j]))
+                    elif j + 1 < len(grid) and w * rm.winners[r, i, j + 1] < 0:
+                        expected.append((n1, grid[j], grid[j + 1]))
             assert len(points) == len(expected)
             for (n1, n2), (e1, lo, hi) in zip(points, expected):
                 assert n1 == e1 and lo <= n2 <= hi
@@ -206,8 +203,7 @@ class TestDecisionRegions:
         grid = np.logspace(-2, 2, 101)
         tracemalloc.start()
         try:
-            rm = decision_regions(self.PARAMS, self.CONFIG, n1_grid=grid, n2_grid=grid,
-                                  ratios_db=self.RATIOS)
+            rm = decision_regions(self.PARAMS, self.CONFIG, grid=grid, ratios_db=self.RATIOS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,8 +217,7 @@ class TestDecisionRegions:
         grid = np.logspace(-2, 2, 201)
         tracemalloc.start()
         try:
-            rm = decision_regions(self.PARAMS, self.CONFIG, n1_grid=grid, n2_grid=grid,
-                                  ratios_db=self.RATIOS)
+            rm = decision_regions(self.PARAMS, self.CONFIG, grid=grid, ratios_db=self.RATIOS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
