@@ -153,10 +153,14 @@ def plan_bandwidth(params: ChannelParams, config: CoopConfig) -> BandwidthPlan:
 
     With n cooperation sub-channels, fixed total bandwidth (H1) gives
     B_DL = B/(n+1), fixed downlink bandwidth (H2) gives B_DL = B; either way
-    B_C = n * B_DL, so K = 0 yields B_DL = B, B_C = 0 under both regimes.
+    B_C = n * B_DL, so K = 0 yields B_DL = B, B_C = 0 under both regimes. A
+    subnormal B whose B_DL underflows to 0 raises a ValueError naming b.
     """
     n_coop = sum(transmissions(config))  # cooperation sub-channels
     B_DL = params.B / (n_coop + 1) if config.regime is Regime.H1 else params.B
+    if B_DL == 0.0:
+        raise ValueError(f"the downlink band B = {params.B:g} / {n_coop + 1} underflows to 0; "
+                         "raise b")
     return BandwidthPlan(
         B_DL=B_DL,
         B_C=n_coop * B_DL,

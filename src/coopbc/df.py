@@ -332,7 +332,8 @@ def _unit_table(
     label-bit order; the real part of a BPSK symbol) gets a table over its
     axis labels, and a unit's table is the outer sum of its axes' tables.
     Samples and levels are divided by sqrt(noise_power) before they are
-    squared, so no finite log likelihood overflows.
+    squared, so no finite log likelihood overflows; a label so far from a
+    sample that its square overflows has log likelihood -inf.
     """
     if constellation.order == 2:
         samples = y.real
@@ -344,7 +345,8 @@ def _unit_table(
     out = None
     for x in (samples / sigma).reshape(len(y) * units, -1).T:  # a unit's axes, MSB first
         tab = x - level[:, None]
-        tab *= tab
+        with np.errstate(over="ignore"):
+            tab *= tab
         np.negative(tab, out=tab)
         out = tab if out is None else (out[:, None] + tab).reshape(-1, len(x))
     return out

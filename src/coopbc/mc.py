@@ -319,6 +319,11 @@ def simulate_af(
         else (0.0, 0.0, math.sqrt(f.N_II / 2.0))
         for f in finals
     ]
+    # each output's moments are those of the output times a power of two that
+    # brings its noise factors to at most 1, so no finite moment overflows;
+    # the scale is exact and cancels in the SNR
+    scales = [[2.0 ** -max(math.frexp(x)[1], 0) for x in (l_I, max(abs(l_c), l_II))]
+              for l_I, l_c, l_II in factors]
     const = qam(order)
     m = const.bits_per_symbol
     amp = math.sqrt(params.P)
@@ -378,7 +383,8 @@ def simulate_af(
                     errors[c][i] += sum(np.count_nonzero(wrong & plane) for plane in planes)
         out = []
         for c in active:
-            l_I, l_c, l_II = factors[c]
+            (l_I, l_c, l_II), (s_I, s_II) = factors[c], scales[c]
+            l_I, l_c, l_II = s_I * l_I, s_II * l_c, s_II * l_II
             out.append((
                 T,
                 T * m,
@@ -393,24 +399,25 @@ def simulate_af(
 
     totals = _run_ordered(worker, len(configs), -(-tc.trials // BATCH_SYMBOLS), threads, tc)
 
-    def result(t: tuple, final: SnrState) -> AfRunResult:
+    def result(t: tuple, final: SnrState, scale: list[float]) -> AfRunResult:
         n, _, _, _, _, Suu, Suz_I, Szz_I, Suz_II, Szz_II = t
 
-        def snr_estimate(suz: complex, szz: float) -> SnrEstimate:
-            # project the known symbols out of the output y = amp u + z:
-            # signal amplitude amp + Suz/Suu, noise power from the residual
-            # Szz - |Suz|^2/Suu. Noise moments cancel nothing when the noise is
-            # far below the signal, and unit-symbol moments do not underflow
-            a = abs(amp + suz / Suu)
-            noise_hat = (szz - abs(suz) * (abs(suz) / Suu)) / n
-            # a noiseless output leaves no residual at all
-            rho = a * a / noise_hat if noise_hat else math.inf
-            return SnrEstimate(rho, rho * math.sqrt((1.0 + 2.0 / rho) / n))
+        def snr_estimate(suz: complex, szz: float, s: float) -> SnrEstimate:
+            # project the known symbols out of the scaled output s y = s amp u
+            # + s z: signal amplitude s amp + Suz/Suu, noise power from the
+            # residual Szz - |Suz|^2/Suu. Noise moments cancel nothing when the
+            # noise is far below the signal, and unit-symbol moments do not underflow
+            a = abs(amp * s + suz / Suu)
+            residual = szz - abs(suz) * (abs(suz) / Suu)
+            # a noiseless output leaves no residual, and one symbol leaves none
+            # but rounding error
+            rho = a * a / (residual / n) if residual > 1e-12 * szz else math.inf
+            return SnrEstimate(rho, math.sqrt(rho) * math.sqrt((rho + 2.0) / n))
 
-        return AfRunResult(*_ber_estimates(t), snr_estimate(Suz_I, Szz_I),
-                           snr_estimate(Suz_II, Szz_II), final)
+        return AfRunResult(*_ber_estimates(t), snr_estimate(Suz_I, Szz_I, scale[0]),
+                           snr_estimate(Suz_II, Szz_II, scale[1]), final)
 
-    return Sweep(map(result, totals, finals))
+    return Sweep(map(result, totals, finals, scales))
 
 
 # ---------------------------------------------------------------------------

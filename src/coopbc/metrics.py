@@ -61,9 +61,11 @@ def error_criteria(ber_I: float, ber_II: float, pe_sys: float) -> tuple[float, f
 def simo_bound(params: ChannelParams) -> float:
     """Cooperation ceiling: the rate of a single receiver owning both downlink
     branches over the full band, B log2(1 + P/N1 + P/N2). It bounds every
-    `rate_af`, so a ValueError naming b is raised when it alone overflows."""
+    `rate_af`, so a ValueError naming b is raised when it alone overflows. A
+    noise power that underflows to 0 is an infinite SNR."""
     B = params.B
-    spectral = math.log2(1.0 + params.P / (params.n1 * B) + params.P / (params.n2 * B))
+    rho1, rho2 = (params.P / N if N else math.inf for N in (params.n1 * B, params.n2 * B))
+    spectral = math.log2(1.0 + rho1 + rho2)
     if math.isinf(B * spectral) and math.isfinite(spectral):
         raise ValueError(f"the rate over the band B = {B:g} overflows; lower b")
     return B * spectral
@@ -73,7 +75,9 @@ def optimal_k(
     params: ChannelParams, config: CoopConfig, k_max: int
 ) -> tuple[int, tuple[float, ...]]:
     """Exchange count maximizing the worst-receiver rate over 0..k_max, with
-    ties broken toward fewer exchanges; returns (K*, rate per count)."""
+    ties broken toward fewer exchanges; returns (K*, rate per count). Raises
+    the ValueError of `simo_bound`, which bounds every rate."""
+    simo_bound(params)
     rates = tuple(
         rate_af(
             plan_bandwidth(params, config.with_count(state.i)),

@@ -131,7 +131,8 @@ def _channel_params(raw: dict[str, dict[str, str]]) -> ChannelParams:
                                         inverted=k in ("snr1", "snr2")) for k in _DB_KEYS)
             if not B > 0.0:
                 raise ScenarioError("[channel] b must be strictly positive")
-            n1, n2, n12 = 1.0 / (B * s1), 1.0 / (B * s2), 1.0 / B
+            # a product b * snr that underflows to 0 puts its density out of range
+            n1, n2, n12 = (1.0 / x if x else math.inf for x in (B * s1, B * s2, B))
             for name, density in (("1 / (b * snr1)", n1), ("1 / (b * snr2)", n2), ("1 / b", n12)):
                 if not 0.0 < density < math.inf:
                     raise ScenarioError(f"[channel] b: {B:g} puts the noise density {name} "

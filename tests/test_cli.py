@@ -121,6 +121,12 @@ grid_max = 10
 ratios_db = 0
 """
 
+# the channel several edge cases start from: p = 1, n1 = 0.1, n2 = 1 and unit
+# links and budgets, AF from receiver 1, k = k_max = 2
+BASE_TEXT = (REGIONS_TEXT.replace("n1 = 0.5", "n1 = 0.1").replace("n2 = 0.5", "n2 = 1")
+             .replace("p12 = 10", "p12 = 1").replace("p21 = 10", "p21 = 1")
+             .replace("k = 1", "k = 2\nk_max = 2"))
+
 # REGIONS_TEXT under DF, for noise densities whose planned noise power
 # leaves a detector SNR outside (0, inf)
 DF_ZERO_NOISE = (REGIONS_TEXT.replace("protocol = af", "protocol = df")
@@ -387,15 +393,20 @@ class TestOutputs:
         _, _, rows = parse_csv(out)
         assert rows[0][:2] == ["cell", "0"] and rows[0][4] == "0"
 
+    @pytest.mark.parametrize("band", ["", "\nb = 0.5"])
     @pytest.mark.parametrize("command", ["snr", "rate"])
-    def test_zero_noise_power_is_infinite_snr(self, capsys, scenario_file, command):
-        # n1 = 5e-324 plans N1 = 0: receiver 1 sees an infinite SNR at every count
-        text = REGIONS_TEXT.replace("n1 = 0.5", "n1 = 5e-324").replace("k = 1", "k = 1\nk_max = 2")
+    def test_zero_noise_power_is_infinite_snr(self, capsys, scenario_file, command, band):
+        # n1 = 5e-324 plans N1 = 0: receiver 1 sees an infinite SNR at every
+        # count; over b = 0.5 the full-band n1 b of the SIMO bound is 0 too
+        text = (REGIONS_TEXT.replace("n1 = 0.5", "n1 = 5e-324").replace("k = 1", "k = 1\nk_max = 2")
+                .replace("p21 = 10", "p21 = 10" + band))
         code = main([command, "--scenario", scenario_file(text)])
         out, err = capsys.readouterr()
         assert code == 0 and err == ""
         _, header, rows = parse_csv(out)
         assert len(rows) >= 2 and {r[header.index("rho_1")] for r in rows} == {"inf"}
+        if command == "rate":
+            assert {r[header.index("simo_bound")] for r in rows} == {"inf"}
 
     def test_regions_diagonal_ties(self, capsys, scenario_file):
         code, out = run(capsys, ["regions", "--scenario", scenario_file(REGIONS_TEXT)])
@@ -855,6 +866,13 @@ class TestExitCodes:
                      .replace("p12 = 10", "p12 = 1").replace("p21 = 10", "p21 = 1\nb = 1.7e308")
                      .replace("k = 1", "k = 2\nk_max = 2"), "regions", "grid_max",
                      id="grid-power-overflows"),
+        # a dB-form product b * snr2 that underflows to 0 before it is inverted
+        pytest.param(AF_TEXT.replace("snr2 = 0", "snr2 = -400").replace("snr21 = 30",
+                                                                       "snr21 = 30\nb = 1e-300"),
+                     "snr", "b", id="b-product-underflows"),
+        # a downlink band b / 2 that underflows to 0 at the first exchange
+        pytest.param(BASE_TEXT.replace("p21 = 1", "p21 = 1\nb = 5e-324"), "rate", "b",
+                     id="band-underflows"),
         # a rate over the band b beyond the float range
         pytest.param(REGIONS_TEXT.replace("p = 1\n", "p = 1e300\n")
                      .replace("n1 = 0.5", "n1 = 1e-10").replace("n2 = 0.5", "n2 = 1e-10")
@@ -998,6 +1016,59 @@ class TestAfExtremes:
             cells = dict(zip(header, map(float, row)))
             assert 0.0 < cells["rho_1"] < 1e-318 and 0.0 < cells["rho_2"] < 1e-318
             assert 0.0 <= cells["snr_1"] < 20.0 / 2000 and 0.0 <= cells["snr_2"] < 20.0 / 2000
+
+
+class TestEdgeScenarios:
+    """Scenarios at the float limits that printed a rounding error as an SNR,
+    printed a warning, or exited 3 where a finite answer exists."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_one_trial_leaves_no_residual(self, capsys, scenario_file, seed):
+        # with one symbol the residual Szz - |Suz|^2/Suu is 0 in exact
+        # arithmetic; read as a noise power, its rounding error gave SNRs of
+        # +-1e16 to 1e18
+        path = scenario_file(BASE_TEXT + "\n[trials]\ntrials = 1\n")
+        code = main(["ber", "--scenario", path, "--seed", str(seed)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        _, header, rows = parse_csv(out)
+        assert {row[header.index(name)] for row in rows for name in ("snr_1", "snr_2")} == {"inf"}
+
+    @pytest.mark.parametrize("command", ["ber", "compare"])
+    def test_overflowing_noise_moment_is_scaled(self, capsys, monkeypatch, scenario_file, command):
+        # n2 = 1e305: output 2's sampled noise power over 2000 symbols is about
+        # 2e308, which overflowed to inf, read rho = 0 and divided by it
+        sweeps = []
+
+        def recorded(*args, **kwargs):
+            sweeps.append(simulate_af(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(cli, "simulate_af", recorded)
+        text = BASE_TEXT.replace("n2 = 1", "n2 = 1e305") + "\n[trials]\ntrials = 2000\nseed = 1\n"
+        code = main([command, "--scenario", scenario_file(text)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert sweeps[0][0].analytic.rho_II < 1e-300  # no cooperation yet
+        for r in sweeps[0]:
+            n = r.ber_I.trials
+            for snr, rho in ((r.snr_I.value, r.analytic.rho_I), (r.snr_II.value, r.analytic.rho_II)):
+                # 5 sigma, or the estimator's floor of about Exp(1) / n
+                assert abs(snr - rho) <= 5.0 * rho * math.sqrt((1.0 + 2.0 / rho) / n) + 20.0 / n
+
+    @pytest.mark.parametrize("command", ["ber", "compare"])
+    def test_far_detector_labels_are_quiet(self, capsys, scenario_file, command):
+        # p = 1e308 over unit noise: a far label's squared distance in the DF
+        # detector overflows, and its log likelihood is -inf, without a warning
+        text = ("[channel]\np = 1e308\nn1 = 1\nn2 = 1\nn12 = 1\nn21 = 1\np12 = 1\np21 = 1\n"
+                "[cooperation]\nprotocol = df\nscheme = symmetric\nregime = h2\nk = 1\n"
+                "[trials]\ntrials = 2000\n")
+        code = main([command, "--scenario", scenario_file(text)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 2
+        bers = {"ber_1", "ber_2", "pe_sys"} if command == "ber" else set(header[1:])
+        assert {cell for row in rows for name, cell in zip(header, row) if name in bers} == {"0"}
 
 
 HIGH_COOP = AF_TEXT.replace("snr12 = 30", "snr12 = 200").replace("snr21 = 30", "snr21 = 200")

@@ -587,6 +587,27 @@ class TestSweep:
         assert all(r.ber_I.trials < tc.trials for r in sweep)
         assert sweep == tuple(simulate_af(COOP, [c], tc)[0] for c in configs)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bit_cap_stops_at_the_first_check_past_it(self, monkeypatch, threads):
+        # a target no run meets, under a cap of one bit: the config stops at
+        # the first stop check, with one chunk of batches folded
+        monkeypatch.setattr(mc, "BIT_CAP", 1)
+        chunk = mc._STOP_CHECK_BATCHES * mc.BATCH_SYMBOLS
+        tc = TrialConfig(trials=2 * chunk, seed=5, target_half_width=1e-9)
+        r = simulate_af(NO_COOP, [AF0], tc, threads=threads)[0]
+        assert r.ber_I.trials == chunk
+        assert r == simulate_af(NO_COOP, [AF0], TrialConfig(trials=chunk, seed=5))[0]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_zero_errors_never_meet_the_target(self, threads):
+        # receiver 2 meets the target in the first chunk, but receiver 1, at
+        # 40 dB, makes no error, so the config samples every trial
+        tc = TrialConfig(trials=mc._STOP_CHECK_BATCHES * mc.BATCH_SYMBOLS + 1000, seed=9,
+                         target_half_width=0.5)
+        r = simulate_af(replace(NO_COOP, n1=1e-3), [AF0], tc, threads=threads)[0]
+        assert r.ber_I.errors == 0 and r.ber_I.trials == tc.trials
+        assert 0 < r.ber_II.stderr <= 0.5 * r.ber_II.ber
+
     def test_batch_memory_does_not_grow_with_counts(self):
         # h1 gives every count its own downlink noise, so its direct signals
         # and relay decisions; weight-and-add keeps the detector's own tables

@@ -123,6 +123,15 @@ class TestOptimalK:
         assert 0 < best <= 2
         assert all(rates[k + 1] <= rates[k] * (1 + 1e-12) for k in range(2, 6))
 
+    def test_overflowing_rate_names_b(self):
+        # the SIMO bound B log2(1 + P/N1 + P/N2) bounds every rate, and
+        # overflows at b = 1e308 while its logarithm does not
+        p = ChannelParams(P=1e300, n1=1e-10, n2=1e-10, n12=1.0, n21=1.0, P12=1.0, P21=1.0,
+                          B=1e308)
+        cfg = CoopConfig(Protocol.AF, Asymmetric(2, Receiver.R1), Strategy.S1, Regime.H1)
+        with pytest.raises(ValueError, match=r"\bb\b"):
+            optimal_k(p, cfg, 2)
+
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             optimal_k(FLAT, CoopConfig(Protocol.AF, Symmetric(0), Strategy.S1, Regime.H1), -1)

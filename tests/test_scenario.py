@@ -1,7 +1,10 @@
 """Scenario file parsing, resolution to linear units, and serialization."""
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from coopbc import (
     parse_scenario,
     parse_scenario_text,
 )
+from coopbc.cli import main
 from oracles import serialize_scenario
 
 DB_TEXT = """
@@ -80,48 +84,62 @@ ratios_db = -3, 0, 3
 
 
 POSITIVE = st.floats(1e-6, 1e6)
+# linear values at the float limits: zero, subnormal, the smallest normal and
+# near the largest float
+EDGES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1.7e308,
+         1.7976931348623157e308)
+# dB values whose linear value or reciprocal nears or leaves the float range
+DB_EDGES = (-4000.0, -3100.0, -400.0, -310.0, 310.0, 400.0, 3100.0)
 
 
 @st.composite
-def scenario_texts(draw) -> str:
+def scenario_texts(draw, run: bool = False) -> str:
     """Valid scenario INI text: either channel form, every scheme, strategy,
-    regime, starter, combiner and relay model, optional keys present or not."""
+    regime, starter, combiner and relay model, optional keys present or not.
+
+    With `run`, the text is drawn to be run by every command: values also at
+    the float limits (dB values beyond +-300, zero, subnormal and near-max
+    linear values, b at both limits), so that it may be refused, and sizes
+    kept tiny (trials <= 3000, k and k_max <= 8, grid <= 5 points)."""
     def line(key, value):
         return f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}"
 
-    def maybe(key, strategy):
-        return [line(key, draw(strategy))] if draw(st.booleans()) else []
+    def maybe(key, strategy, given=False):
+        return [line(key, draw(strategy))] if given or draw(st.booleans()) else []
+
+    def edged(strategy, edges=EDGES):  # one draw in four at an edge
+        return st.one_of(st.sampled_from(edges), *[strategy] * 3) if run else strategy
 
     channel = ["[channel]"]
     if draw(st.booleans()):
-        snr_db = st.floats(-100.0, 100.0)
+        snr_db = edged(st.floats(-100.0, 100.0), DB_EDGES)
         channel += [line(k, draw(snr_db)) for k in ("snr1", "snr2", "snr12", "snr21")]
     else:
-        channel += [line(k, draw(POSITIVE)) for k in ("p", "n1", "n2", "n12", "n21")]
-        channel += [line(k, draw(st.floats(0.0, 1e6))) for k in ("p12", "p21")]
-    channel += maybe("b", st.floats(1e-3, 1e3))
+        channel += [line(k, draw(edged(POSITIVE))) for k in ("p", "n1", "n2", "n12", "n21")]
+        channel += [line(k, draw(edged(st.floats(0.0, 1e6)))) for k in ("p12", "p21")]
+    channel += maybe("b", edged(st.floats(1e-3, 1e3), (5e-324, 1e-300, 1e300, 1.7e308)))
     protocol = draw(st.sampled_from(["af", "df"]))
     scheme = draw(st.sampled_from(["symmetric", "asymmetric"]))
     coop = ["[cooperation]", line("protocol", protocol), line("scheme", scheme)]
     coop += maybe("strategy", st.sampled_from(["s1", "s2"]))
     coop += maybe("regime", st.sampled_from(["h1", "h2"]))
-    coop += maybe("k", st.integers(0, 64))
-    coop += maybe("k_max", st.integers(0, 64))
+    coop += maybe("k", st.integers(0, 8 if run else 64))
+    coop += maybe("k_max", st.integers(0, 8 if run else 64))
     if scheme == "asymmetric":
         coop += maybe("starter", st.sampled_from(["r1", "r2"]))
     coop += maybe("coop_bandwidth_fraction", st.floats(1e-3, 1.0))
     orders = st.sampled_from([2, 4, 16, 64, 256, 1024, 4096])
     modulation = ["[modulation]", *maybe("source_order", orders)]
-    trials = ["[trials]", *maybe("trials", st.integers(1, 10**9))]
+    trials = ["[trials]", *maybe("trials", st.integers(1, 3000 if run else 10**9), run)]
     trials += maybe("seed", st.integers(0, 2**64 - 1))
     trials += maybe("target_half_width", POSITIVE)
     trials += maybe("combiner", st.sampled_from(["mld", "mrc"]))
     trials += maybe("relay_model", st.sampled_from(["exact", "genie"]))
-    grid_min = draw(POSITIVE)
-    ratios = draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6))
+    grid_min = draw(edged(POSITIVE))
+    ratios = draw(st.lists(edged(st.floats(-60.0, 60.0), DB_EDGES), min_size=1, max_size=6))
     regions = [
         "[regions]",
-        *maybe("grid_points", st.integers(2, 1000)),
+        *maybe("grid_points", st.integers(2, 5 if run else 1000), run),
         line("grid_min", grid_min),
         line("grid_max", grid_min * draw(st.floats(1.01, 1e3))),
         line("ratios_db", ", ".join(repr(r) for r in ratios)),
@@ -281,3 +299,39 @@ class TestSerialization:
         s = parse_scenario_text(text)
         t = parse_scenario_text(serialize_scenario(s))
         assert t.params == s.params
+
+
+# the columns each exit-0 row is checked on: error rates in [0, 1], the union
+# bound pe_sum in [0, 2], and SNRs >= 0 or inf (never NaN)
+BER_COLUMNS = {"ber_1", "ber_2", "pe_sys", "pe_max", "af_s1_ber_max", "af_s1_pe_sys",
+               "af_s2_ber_max", "af_s2_pe_sys", "df_ber_max", "df_pe_sys"}
+SNR_COLUMNS = {"rho_1", "rho_2", "snr_1", "snr_2"}
+
+
+class TestEveryScenarioEnds:
+    @settings(max_examples=100, deadline=None)
+    @given(text=scenario_texts(run=True))
+    def test_in_a_result_or_one_error_line(self, tmp_path_factory, text):
+        # any scenario, for every command: an honest result with a quiet
+        # stderr, or exit 2/3 with one line; an escaped warning is an error
+        path = tmp_path_factory.mktemp("run") / "scenario.ini"
+        path.write_text(text)
+        for command in ("snr", "rate", "ber", "regions", "compare"):
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                warnings.simplefilter("error")
+                code = main([command, "--scenario", str(path)])
+            assert code in (0, 2, 3), (command, code)
+            if code:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                continue
+            assert err.getvalue() == "", command
+            header, *rows = (line.split(",") for line in out.getvalue().splitlines()[1:])
+            for row in rows:
+                for name, cell in zip(header, row):
+                    if name in BER_COLUMNS:
+                        assert 0.0 <= float(cell) <= 1.0, (command, name, cell)
+                    elif name == "pe_sum":
+                        assert 0.0 <= float(cell) <= 2.0, (command, name, cell)
+                    elif name in SNR_COLUMNS:
+                        assert float(cell) >= 0.0, (command, name, cell)
