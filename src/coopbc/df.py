@@ -333,7 +333,8 @@ def _unit_table(
     axis labels, and a unit's table is the outer sum of its axes' tables.
     Samples and levels are divided by sqrt(noise_power) before they are
     squared, so no finite log likelihood overflows; a label so far from a
-    sample that its square overflows has log likelihood -inf.
+    sample that its square, or its sum over a unit's axes, overflows has log
+    likelihood -inf.
     """
     if constellation.order == 2:
         samples = y.real
@@ -343,12 +344,12 @@ def _unit_table(
     level = np.empty(len(constellation.levels))
     level[constellation.labels] = amplitude * constellation.levels / sigma
     out = None
-    for x in (samples / sigma).reshape(len(y) * units, -1).T:  # a unit's axes, MSB first
-        tab = x - level[:, None]
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        for x in (samples / sigma).reshape(len(y) * units, -1).T:  # a unit's axes, MSB first
+            tab = x - level[:, None]
             tab *= tab
-        np.negative(tab, out=tab)
-        out = tab if out is None else (out[:, None] + tab).reshape(-1, len(x))
+            np.negative(tab, out=tab)
+            out = tab if out is None else (out[:, None] + tab).reshape(-1, len(x))
     return out
 
 

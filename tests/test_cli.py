@@ -1055,12 +1055,16 @@ class TestEdgeScenarios:
                 # 5 sigma, or the estimator's floor of about Exp(1) / n
                 assert abs(snr - rho) <= 5.0 * rho * math.sqrt((1.0 + 2.0 / rho) / n) + 20.0 / n
 
+    @pytest.mark.parametrize("order, fraction", [(4, 1.0), (16, 0.5)])
     @pytest.mark.parametrize("command", ["ber", "compare"])
-    def test_far_detector_labels_are_quiet(self, capsys, scenario_file, command):
+    def test_far_detector_labels_are_quiet(self, capsys, scenario_file, command, order, fraction):
         # p = 1e308 over unit noise: a far label's squared distance in the DF
-        # detector overflows, and its log likelihood is -inf, without a warning
+        # detector overflows (4-QAM), or its sum over the two axes of a unit
+        # does (16-QAM forwarded as 256-QAM); its log likelihood is -inf,
+        # without a warning
         text = ("[channel]\np = 1e308\nn1 = 1\nn2 = 1\nn12 = 1\nn21 = 1\np12 = 1\np21 = 1\n"
                 "[cooperation]\nprotocol = df\nscheme = symmetric\nregime = h2\nk = 1\n"
+                f"coop_bandwidth_fraction = {fraction}\n[modulation]\nsource_order = {order}\n"
                 "[trials]\ntrials = 2000\n")
         code = main([command, "--scenario", scenario_file(text)])
         out, err = capsys.readouterr()
