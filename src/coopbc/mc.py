@@ -324,6 +324,8 @@ def simulate_af(
     # the scale is exact and cancels in the SNR
     scales = [[2.0 ** -max(math.frexp(x)[1], 0) for x in (l_I, max(abs(l_c), l_II))]
               for l_I, l_c, l_II in factors]
+    moment_factors = [(s_I * l_I, s_II * l_c, s_II * l_II)
+                      for (l_I, l_c, l_II), (s_I, s_II) in zip(factors, scales)]
     const = qam(order)
     m = const.bits_per_symbol
     amp = math.sqrt(params.P)
@@ -383,8 +385,7 @@ def simulate_af(
                     errors[c][i] += sum(np.count_nonzero(wrong & plane) for plane in planes)
         out = []
         for c in active:
-            (l_I, l_c, l_II), (s_I, s_II) = factors[c], scales[c]
-            l_I, l_c, l_II = s_I * l_I, s_II * l_c, s_II * l_II
+            l_I, l_c, l_II = moment_factors[c]
             out.append((
                 T,
                 T * m,
@@ -403,10 +404,10 @@ def simulate_af(
         n, _, _, _, _, Suu, Suz_I, Szz_I, Suz_II, Szz_II = t
 
         def snr_estimate(suz: complex, szz: float, s: float) -> SnrEstimate:
-            # project the known symbols out of the scaled output s y = s amp u
-            # + s z: signal amplitude s amp + Suz/Suu, noise power from the
-            # residual Szz - |Suz|^2/Suu. Noise moments cancel nothing when the
-            # noise is far below the signal, and unit-symbol moments do not underflow
+            # project the known symbols out of the scaled output s (amp u + z):
+            # signal amplitude s amp + Suz/Suu, noise power from the residual
+            # Szz - |Suz|^2/Suu. Noise moments cancel nothing when the noise is
+            # far below the signal, and unit-symbol moments do not underflow
             a = abs(amp * s + suz / Suu)
             residual = szz - abs(suz) * (abs(suz) / Suu)
             # a noiseless output leaves no residual, and one symbol leaves none
