@@ -393,8 +393,11 @@ class TestOutputs:
         _, _, rows = parse_csv(out)
         assert rows[0][:2] == ["cell", "0"] and rows[0][4] == "0"
 
-    @pytest.mark.parametrize("band", ["", "\nb = 0.5"])
-    @pytest.mark.parametrize("command", ["snr", "rate"])
+    @pytest.mark.parametrize("command, band", [
+        pytest.param("snr", "", id="snr"), pytest.param("rate", "", id="rate"),
+        pytest.param("snr", "\nb = 0.5", id="snr-b0.5"),
+        pytest.param("rate", "\nb = 0.5", id="rate-b0.5"),
+    ])
     def test_zero_noise_power_is_infinite_snr(self, capsys, scenario_file, command, band):
         # n1 = 5e-324 plans N1 = 0: receiver 1 sees an infinite SNR at every
         # count; over b = 0.5 the full-band n1 b of the SIMO bound is 0 too
