@@ -44,7 +44,7 @@ class Constellation:
     Square QAM is two identical Gray-labeled axes (BPSK is one): `levels`
     holds one axis's unit-power levels in ascending order and `labels[i]` the
     axis label at `levels[i]`. A point's label is its in-phase label shifted
-    above its quadrature label.
+    above its quadrature label; `axis_samples` gives every decision its axes.
     """
 
     order: int
@@ -55,6 +55,18 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
+
+    @property
+    def axis_bits(self) -> int:
+        return len(self.levels).bit_length() - 1
+
+    def axis_samples(self, y: np.ndarray) -> np.ndarray:
+        """The real samples the symbols y are decided on, in label-bit order:
+        both parts of each QAM symbol, in-phase first (a float view of a
+        contiguous y), or the real part of each BPSK symbol."""
+        if self.order == 2:
+            return y.real
+        return np.ascontiguousarray(y, dtype=complex).view(float)
 
     def bits_to_indices(self, bits: np.ndarray) -> np.ndarray:
         """Group bits (..., k*m) into symbol labels (..., k)."""
@@ -266,10 +278,6 @@ def _decision_law(constellation: Constellation, amplitude: float, noise_power: f
     return law
 
 
-def _axis_bits(constellation: Constellation) -> int:
-    return len(constellation.levels).bit_length() - 1
-
-
 def _unit_bits(source_constellation: Constellation, relay_constellation: Constellation) -> int:
     """Width L of the detector's bit units: one relay axis, or the whole relay
     symbol when a relay axis would split a source axis.
@@ -277,8 +285,8 @@ def _unit_bits(source_constellation: Constellation, relay_constellation: Constel
     Raises ModulationError when a relay symbol does not carry a whole number
     of source axes: its law would not be a Kronecker power of the axis law.
     """
-    source_axis = _axis_bits(source_constellation)
-    relay_axis = _axis_bits(relay_constellation)
+    source_axis = source_constellation.axis_bits
+    relay_axis = relay_constellation.axis_bits
     relay_bits = relay_constellation.bits_per_symbol
     if relay_bits % source_axis:
         raise ModulationError(
@@ -328,18 +336,14 @@ def _unit_table(
     unit's bits: (2^L, T * units) for the (T, k) symbols y, label-major so
     that reductions over labels are row operations.
 
-    Each real axis sample (the real and imaginary parts of a QAM symbol, in
-    label-bit order; the real part of a BPSK symbol) gets a table over its
-    axis labels, and a unit's table is the outer sum of its axes' tables.
-    Samples and levels are divided by sqrt(noise_power) before they are
-    squared, so no finite log likelihood overflows; a label so far from a
-    sample that its square, or its sum over a unit's axes, overflows has log
-    likelihood -inf.
+    Each real axis sample (`Constellation.axis_samples`, in label-bit order)
+    gets a table over its axis labels, and a unit's table is the outer sum of
+    its axes' tables. Samples and levels are divided by sqrt(noise_power)
+    before they are squared, so no finite log likelihood overflows; a label
+    so far from a sample that its square, or its sum over a unit's axes,
+    overflows has log likelihood -inf.
     """
-    if constellation.order == 2:
-        samples = y.real
-    else:
-        samples = np.ascontiguousarray(y, dtype=complex).view(float)
+    samples = constellation.axis_samples(y)
     sigma = math.sqrt(noise_power)
     level = np.empty(len(constellation.levels))
     level[constellation.labels] = amplitude * constellation.levels / sigma
@@ -406,7 +410,7 @@ def mld_llr_batch(
     unit = _unit_bits(source_constellation, relay_constellation)
     trials, units = y2.shape[0], shape.n // unit
     total = _unit_table(y2, source_constellation, source_amplitude, direct_noise_power, units)
-    axes_per_unit = unit // _axis_bits(source_constellation)
+    axes_per_unit = unit // source_constellation.axis_bits
     for obs in observations:
         g = _unit_table(obs.y12, relay_constellation, obs.amplitude, obs.noise_power, units)
         top = g.max(axis=0)

@@ -299,9 +299,9 @@ def simulate_af(
 
     Decisions are minimum-distance on each output, taken per axis: the
     nearest point of a square grid is the nearest level on each axis, so
-    every real axis sample (both parts of a QAM symbol, the real part of
-    BPSK) is sliced on its own into a uint8 axis label, and its bit errors
-    are the set bits of that label XOR the sent one. A batch's draws and
+    every real axis sample (`Constellation.axis_samples`) is sliced on its
+    own into a uint8 axis label, and its bit errors are the set bits of that
+    label XOR the slice of its noiseless sample. A batch's draws and
     moments are made whole; its outputs are formed, decided and counted in
     tiles of _TILE_CELLS axis samples, which split only integer sums, so the
     tile size sets no result.
@@ -327,17 +327,14 @@ def simulate_af(
     moment_factors = [(s_I * l_I, s_II * l_c, s_II * l_II)
                       for (l_I, l_c, l_II), (s_I, s_II) in zip(factors, scales)]
     const = qam(order)
-    m = const.bits_per_symbol
     amp = math.sqrt(params.P)
     points = amp * const.points
     edges = const.edges(amp)
-    axes = 1 if order == 2 else 2
-    axis_bits = m // axes
     labels = const.labels.astype(np.uint8)
-    planes = [np.uint8(1 << i) for i in range(axis_bits)]  # bit errors are counted per plane
-    # (order, axes): the axis labels of each symbol, in-phase first
-    shifts = axis_bits * np.arange(axes - 1, -1, -1)
-    sent_labels = ((np.arange(order)[:, None] >> shifts) & (len(labels) - 1)).astype(np.uint8)
+    planes = [np.uint8(1 << i) for i in range(const.axis_bits)]  # bit errors are counted per plane
+    # (order, axes): the axis labels of each point, in label-bit order; the
+    # slice is exact, as every edge is a compensated midpoint
+    sent_labels = labels.take(_slice_axis(edges, const.axis_samples(points))).reshape(order, -1)
     tc = trial_config
 
     def worker(b: int, active: tuple[int, ...]) -> list[tuple]:
@@ -360,12 +357,9 @@ def simulate_af(
         sent = sent_labels.take(idx, axis=0).ravel()
         del idx
         # the outputs x + l_I g_0 and x + (l_c g_0 + l_II g_1), formed on the
-        # float views of the axis samples: a real factor scales both parts of
-        # a complex draw alone, so the samples are those of the complex sums
-        if order == 2:
-            xs, g0, g1 = x.real, g[0].real, g[1].real
-        else:
-            xs, g0, g1 = x.view(float), r0, r1
+        # axis samples: a real factor scales both parts of a complex draw
+        # alone, so the samples are those of the complex sums
+        xs, g0, g1 = map(const.axis_samples, (x, *g))
         n = len(xs)
         buffers = np.empty((2, min(n, _TILE_CELLS)))
         errors = {c: [0, 0, 0] for c in active}  # Python ints
@@ -388,7 +382,7 @@ def simulate_af(
             l_I, l_c, l_II = moment_factors[c]
             out.append((
                 T,
-                T * m,
+                T * const.bits_per_symbol,
                 *errors[c],
                 suu,
                 l_I * ug0,  # sum of conj(u) Z_I, then sum of |Z_I|^2

@@ -231,6 +231,34 @@ class TestConstellation:
         y = np.array(y, dtype=complex)
         assert np.array_equal(c.detect(y, amplitude), detect_searchsorted(c, y, amplitude))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.sampled_from([2, 4, 16, 64, 256, 1024, 4096]),
+        log_amplitude=st.floats(-150.0, 150.0),
+        imag=st.floats(allow_nan=True, allow_infinity=True),
+    )
+    @example(order=2, log_amplitude=-150.0, imag=math.nan)
+    @example(order=4096, log_amplitude=150.0, imag=0.0)
+    @example(order=4096, log_amplitude=-150.0, imag=-math.inf)
+    def test_axis_samples_slice_to_each_points_axis_labels(self, order, log_amplitude, imag):
+        # the layout: a QAM word is its in-phase axis label above its
+        # quadrature one, a BPSK word its one axis label
+        c = qam(order)
+        amplitude = 10.0**log_amplitude
+        y = amplitude * c.points
+        words = np.arange(order)
+        side = 1 << c.axis_bits
+        want = words[:, None] if order == 2 else np.stack([words // side, words % side], axis=1)
+        got = c.labels.take(df._slice_axis(c.edges(amplitude), c.axis_samples(y)))
+        assert np.array_equal(got.reshape(order, -1), want)
+        word = functools.reduce(lambda w, a: (w << c.axis_bits) | a, got.reshape(order, -1).T)
+        assert np.array_equal(word, c.detect(y, amplitude))
+        if order == 2:  # BPSK is decided on the real part alone
+            z = y.copy()
+            z.imag = imag
+            assert np.array_equal(c.axis_samples(z), y.real)
+            assert np.array_equal(c.detect(z, amplitude), words)
+
     def test_detect_does_not_call_searchsorted(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("detect called np.searchsorted")

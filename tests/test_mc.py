@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from coopbc import af, mc
+from coopbc import af, df, mc
 from coopbc.channel import (
     Asymmetric,
     ChannelParams,
@@ -457,6 +457,16 @@ EXACT_CHECKS = 2 * (len(EXACT_AF_CELLS) * len(EXACT_COUNTS)  # two receivers per
                     + sum(1 if case == "broadcast" else len(EXACT_COUNTS)
                           for case, _ in EXACT_DF_CELLS))
 EXACT_ALPHA = 1e-4
+# pe_sys, the rate of bits wrong at either receiver, is checked on the same
+# sweeps, one count per config, against oracles.decision_law_pe_sys: the
+# union count of one axis sample lies in [0, b] as well. Its checks form a
+# Bonferroni family of their own, at a level fixed before the first run. A
+# DF destination's noise is independent of its partner's, so the law there
+# is that at e = 0
+PE_SYS_CHECKS = (len(EXACT_AF_CELLS) * len(EXACT_COUNTS)
+                 + sum(1 if case == "broadcast" else len(EXACT_COUNTS)
+                       for case, _ in EXACT_DF_CELLS))
+PE_SYS_ALPHA = 1e-4
 
 
 def exact_params(order: int) -> ChannelParams:
@@ -466,14 +476,65 @@ def exact_params(order: int) -> ChannelParams:
     return ChannelParams(P=P, n1=0.5, n2=1.0, n12=0.5, n21=0.5, P12=P, P21=P, B=1.0)
 
 
-def assert_exact_ber(est: BerEstimate, order: int, amplitude: float, noise_power: float) -> None:
-    ber, var = oracles.decision_law_ber(order, amplitude, noise_power)
-    axes = 1 if order == 2 else 2
-    width = (order.bit_length() - 1) // axes
-    log_term = math.log(2.0 * EXACT_CHECKS / EXACT_ALPHA)
-    reach = width * log_term / 3.0
+def assert_bernstein(est: BerEstimate, order: int, law: tuple[float, float], checks: int,
+                     alpha: float) -> None:
+    """est's error count lies within the Bernstein bound at level alpha /
+    checks around the exact law: (rate, variance of one axis sample's count)."""
+    rate, var = law
+    const = qam(order)
+    axes = const.bits_per_symbol // const.axis_bits
+    log_term = math.log(2.0 * checks / alpha)
+    reach = const.axis_bits * log_term / 3.0
     tol = reach + math.sqrt(reach * reach + 2.0 * log_term * est.trials * axes * var)
-    assert abs(est.errors - ber * est.bits) <= tol, (est.errors, ber * est.bits, tol)
+    assert abs(est.errors - rate * est.bits) <= tol, (est.errors, rate * est.bits, tol)
+
+
+def assert_exact_ber(est: BerEstimate, order: int, amplitude: float, noise_power: float) -> None:
+    assert_bernstein(est, order, oracles.decision_law_ber(order, amplitude, noise_power),
+                     EXACT_CHECKS, EXACT_ALPHA)
+
+
+def assert_exact_pe_sys(est: BerEstimate, order: int, amplitude: float, N_I: float, N_II: float,
+                        e: float) -> None:
+    assert_bernstein(est, order, oracles.decision_law_pe_sys(order, amplitude, N_I, N_II, e),
+                     PE_SYS_CHECKS, PE_SYS_ALPHA)
+
+
+class TestPeSysOracle:
+    """decision_law_pe_sys at its limits, and its bivariate law across the
+    switch between its two branches."""
+
+    @pytest.mark.parametrize("order", EXACT_ORDERS)
+    def test_uncorrelated_outputs_factor_into_the_two_laws(self, order):
+        amp, N_I, N_II = math.sqrt(order - 1.0), 0.7, 1.3
+        law_I, law_II = (df._decision_law(qam(order), amp, N) for N in (N_I, N_II))
+        labels = np.arange(len(law_I))
+        wrong = labels[:, None] ^ labels  # [sent, decided], label order
+        union = oracles._popcount(wrong[:, :, None] | wrong[:, None, :])
+        joint = law_I[:, :, None] * law_II[:, None, :]
+        mean = float(np.sum(joint * union)) / len(labels)
+        var = float(np.sum(joint * union * union)) / len(labels) - mean * mean
+        got = oracles.decision_law_pe_sys(order, amp, N_I, N_II, 0.0)
+        assert got == pytest.approx((mean / qam(order).axis_bits, var), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("order", EXACT_ORDERS)
+    def test_identical_outputs_err_as_one_receiver(self, order):
+        amp, N = math.sqrt(order - 1.0), 0.9
+        assert oracles.decision_law_pe_sys(order, amp, N, N, N) == pytest.approx(
+            oracles.decision_law_ber(order, amp, N), rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.925, -0.925, 1.0, -1.0])
+    def test_bivariate_law_is_continuous_at_its_branches(self, rho):
+        # one ulp inside |rho| = 0.925 the other branch holds, and the law moves
+        # by less than 1e-16; one ulp inside +-1 the high-correlation branch
+        # is at most acos|rho| / (2 pi), the integral of the density's bound
+        # 1 / (2 pi sqrt(1 - r^2)), from the law of one variable
+        h = np.linspace(-8.0, 8.0, 41)
+        k = h[:, None]  # h = k and h = -k included
+        inside = float(np.nextafter(rho, 0.0))
+        gap = math.acos(abs(inside)) / (2.0 * math.pi)
+        moved = np.abs(oracles.bivariate_upper(h, k, rho) - oracles.bivariate_upper(h, k, inside))
+        assert np.max(moved) <= (gap if abs(rho) == 1.0 else 0.0) + 2e-15
 
 
 class TestExactBer:
@@ -486,6 +547,8 @@ class TestExactBer:
         for r, state in zip(sweep, states, strict=True):
             assert_exact_ber(r.ber_I, order, math.sqrt(params.P), state.N_I)
             assert_exact_ber(r.ber_II, order, math.sqrt(params.P), state.N_II)
+            assert_exact_pe_sys(r.pe_sys, order, math.sqrt(params.P), state.N_I, state.N_II,
+                                state.e)
 
     @pytest.mark.parametrize("case, order", EXACT_DF_CELLS)
     def test_df_receivers_match_the_decision_law(self, case, order):
@@ -500,11 +563,14 @@ class TestExactBer:
         for config, r in zip(configs, sweep, strict=True):
             sent = oracles.exchange_powers(params, config)  # (k, 2): receiver 1's, 2's sends
             band = params.B / (1 + np.count_nonzero(sent))  # H1: one sub-channel per send
+            noises = []
             for dest, est in enumerate((r.ber_I, r.ber_II)):
                 relay = 1 - dest  # the partner; its m repeats sum to one branch
                 snr = (params.P / ((params.n1, params.n2)[dest] * band)
                        + sent[:, relay].sum() / ((params.n12, params.n21)[relay] * band))
-                assert_exact_ber(est, order, math.sqrt(params.P), params.P / snr)
+                noises.append(params.P / snr)
+                assert_exact_ber(est, order, math.sqrt(params.P), noises[-1])
+            assert_exact_pe_sys(r.pe_sys, order, math.sqrt(params.P), *noises, 0.0)
 
 
 COOP = ChannelParams(P=10.0, n1=1.0, n2=2.0, n12=0.5, n21=0.5, P12=10.0, P21=10.0, B=1.0)
