@@ -44,7 +44,7 @@ class Constellation:
     Square QAM is two identical Gray-labeled axes (BPSK is one): `levels`
     holds one axis's unit-power levels in ascending order and `labels[i]` the
     axis label at `levels[i]`. A point's label is its in-phase label shifted
-    above its quadrature label; `axis_samples` gives every decision its axes.
+    above its quadrature label, the order of `axis_samples`.
     """
 
     order: int

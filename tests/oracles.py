@@ -1063,6 +1063,9 @@ def exact_qam_ber(order: int, amplitude: float, noise_power: float) -> float:
     return total / order
 
 
+_popcount = np.vectorize(lambda v: bin(v).count("1"), otypes=[int])
+
+
 def decision_law_ber(order: int, amplitude: float, noise_power: float) -> tuple[float, float]:
     """Exact bit error rate of minimum-distance detection of qam(order) at
     `amplitude` over complex Gaussian noise of `noise_power`, and the
@@ -1078,18 +1081,9 @@ def decision_law_ber(order: int, amplitude: float, noise_power: float) -> tuple[
     return mean / (len(law).bit_length() - 1), second - mean * mean
 
 
-_popcount = np.vectorize(lambda v: bin(v).count("1"), otypes=[int])
-
-
 def _normal_tail(x: np.ndarray) -> np.ndarray:
     """P(X > x) for a standard normal X."""
     return 0.5 * np.vectorize(math.erfc, otypes=[float])(x / math.sqrt(2.0))
-
-
-def _legendre_unit(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return (x + 1.0) / 2.0, w / 2.0
 
 
 def bivariate_upper(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
@@ -1098,14 +1092,15 @@ def bivariate_upper(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
     tail is 0 in double precision).
 
     Drezner and Wesolowsky's method in Genz's form (Stat. Comput. 14, 2004)
-    on 20 Gauss-Legendre nodes. Below |rho| = 0.925, Plackett's integral of
-    the density over the correlation, substituted r = sin(t). Above it, the
-    distance of rho from +-1 (rho < 0 reflects k): substituted
-    x = sqrt(1 - r^2), its integrand's expansion to O(x^4), whose integral
-    has a closed form, is subtracted, and only the smooth remainder is summed
-    on the nodes; at |rho| = 1 the pair is one variable.
+    on 20 Gauss-Legendre nodes. Below |rho| = 0.925: the value at rho = 0
+    plus Plackett's integral of the density over the correlation from 0,
+    substituted r = sin(t). Above it (rho < 0 reflects k): the value at
+    rho = 1, P(X > max(h, k)), less the integral from rho to 1, substituted
+    x = sqrt(1 - r^2); the integrand's expansion to O(x^4) is integrated in
+    closed form, and only the smooth remainder is summed on the nodes.
     """
-    t, w = _legendre_unit(20)
+    x, w = np.polynomial.legendre.leggauss(20)
+    t, w = (x + 1.0) / 2.0, w / 2.0  # on [0, 1]
     tail_h, tail_k = _normal_tail(h), _normal_tail(k)
     hk = h * k
     if abs(rho) < 0.925:
@@ -1135,8 +1130,8 @@ def bivariate_upper(h: np.ndarray, k: np.ndarray, rho: float) -> np.ndarray:
     for ti, wi in zip(t, w):
         xs = (a * ti) ** 2
         r = math.sqrt(1.0 - xs)
-        remainder = remainder + wi * (np.exp(-bs / (2.0 * xs) - hk / (1.0 + r)) / r
-                                      - np.exp(-(bs / xs + hk) / 2.0) * (1.0 + c * xs * (1.0 + d * xs)))
+        remainder += wi * (np.exp(-bs / (2.0 * xs) - hk / (1.0 + r)) / r
+                           - np.exp(-(bs / xs + hk) / 2.0) * (1.0 + c * xs * (1.0 + d * xs)))
     return near - (closed + a * remainder) / (2.0 * math.pi)
 
 
