@@ -72,8 +72,10 @@ class Constellation:
         """Group bits (..., k*m) into symbol labels (..., k)."""
         m = self.bits_per_symbol
         grouped = bits.reshape(*bits.shape[:-1], -1, m)
-        weights = 1 << np.arange(m - 1, -1, -1)
-        return grouped @ weights
+        labels = grouped[..., 0].astype(np.int64)
+        for j in range(1, m):  # integer products have no BLAS path; shifts are cheap
+            labels = (labels << 1) | grouped[..., j]
+        return labels
 
     def indices_to_bits(self, indices: np.ndarray) -> np.ndarray:
         """Expand symbol labels (..., k) into bits (..., k*m), as int8."""
@@ -247,6 +249,8 @@ def relay_decode_and_remap(
     return the labels of the r relay symbols that carry them. Accepts (s,)
     blocks or (T, s) batches."""
     src_idx = source_constellation.detect(y_relay_block, amplitude)
+    if relay_constellation is source_constellation:
+        return src_idx
     bits = source_constellation.indices_to_bits(src_idx)
     return relay_constellation.bits_to_indices(bits)
 
@@ -362,7 +366,9 @@ def _exp(x: np.ndarray) -> np.ndarray:
     zero. numpy's exp takes a slow path (about 15 times slower) below about
     -708, and so does arithmetic on subnormal numbers. A flushed term moves a
     mixture over a law's row, or a sum of 2^L <= 2^12 terms, by less than
-    4e-304, under the 1e-300 floor."""
+    4e-304, under the 1e-300 floor. Without such an entry (or NaN), one exp."""
+    if x.min() >= -707.0:
+        return np.exp(x, out=x)
     kept = x >= -707.0
     np.exp(np.maximum(x, -707.0, out=x), out=x)
     x *= kept
@@ -385,42 +391,46 @@ def _mix(lik: np.ndarray, axis_law: np.ndarray, modes: int) -> np.ndarray:
 
 def mld_llr_batch(
     y2: np.ndarray,
-    observations: Sequence[RelayObservation],
+    observations: Sequence[Sequence[RelayObservation]],
     shape: BlockShape,
     source_constellation: Constellation,
     relay_constellation: Constellation,
     source_amplitude: float,
     direct_noise_power: float,
 ) -> np.ndarray:
-    """Per-bit likelihood ratios for a batch of blocks: y2 is (T, s), each
-    observation's y12 is (T, r); returns (T, n).
+    """Per-bit likelihood ratios of a batch of blocks under each set of relay
+    branches that shares the direct signal: y2 is (T, s) and each branch's
+    y12 (T, r); returns (C, T, n), one (T, n) array per set, in set order.
 
     The block likelihood factors over units of L bits: one relay axis, or one
     relay symbol when a relay axis would split a source axis (relay symbols
     that split source axes raise ModulationError). The Gaussian densities
     factor over real axes and the relay law over source axes, so each bit's
     ratio depends only on its own unit, and the detector enumerates the 2^L
-    labels of each unit instead of all 2^n bit vectors. A relay branch mixes
-    its max-shifted likelihoods over the unit law axis_law^{⊗c} (c source
-    axes per unit) by mode products; branches must carry independent relay
-    decoding errors, so repeats of one relay block are passed as one summed
-    observation. Each bit's numerator and denominator are masses of the
-    max-shifted unit likelihoods, floored at 1e-300 before the ratio.
+    labels of each unit instead of all 2^n bit vectors. The direct signal's
+    max-shifted likelihoods are built once. A branch mixes its own over the
+    unit law axis_law^{⊗c} (c source axes per unit) by mode products; the
+    mixture, floored at 1e-300, multiplies its set's likelihoods, which are
+    then divided by each unit's largest. Branches must carry independent
+    relay decoding errors (one summed observation stands for the repeats of
+    a block). Bit masses are floored at 1e-300 before the ratio.
     """
     unit = _unit_bits(source_constellation, relay_constellation)
     trials, units = y2.shape[0], shape.n // unit
-    total = _unit_table(y2, source_constellation, source_amplitude, direct_noise_power, units)
+    direct = _unit_table(y2, source_constellation, source_amplitude, direct_noise_power, units)
+    direct = _exp(np.subtract(direct, direct.max(axis=0), out=direct))
     axes_per_unit = unit // source_constellation.axis_bits
-    for obs in observations:
-        g = _unit_table(obs.y12, relay_constellation, obs.amplitude, obs.noise_power, units)
-        top = g.max(axis=0)
-        g -= top
-        mix = _mix(_exp(g), obs.model.axis_law, axes_per_unit)
-        mix = np.log(np.maximum(mix, 1e-300, out=mix), out=mix)
-        mix += top
-        total += mix
-    # masses at 1 and at 0 of every bit of a unit: one product of the
-    # max-shifted likelihoods against [bits, 1 - bits]
-    total -= total.max(axis=0)
-    mass = np.maximum(_bit_columns(unit).T @ _exp(total), 1e-300)
-    return (mass[:unit] / mass[unit:]).T.reshape(trials, shape.n)
+    out = np.empty((len(observations), trials, shape.n))
+    for ratios, branches in zip(out, observations):
+        lik = direct
+        for obs in branches:
+            g = _unit_table(obs.y12, relay_constellation, obs.amplitude, obs.noise_power, units)
+            g -= g.max(axis=0)
+            mix = _mix(_exp(g), obs.model.axis_law, axes_per_unit)
+            lik = np.multiply(np.maximum(mix, 1e-300, out=mix), lik, out=mix)
+            lik /= lik.max(axis=0)
+        # masses at 1 and at 0 of every bit of a unit: one product of the
+        # likelihoods against [bits, 1 - bits]
+        mass = np.maximum(_bit_columns(unit).T @ lik, 1e-300)
+        np.divide(mass[:unit], mass[unit:], out=ratios.reshape(-1, unit).T)
+    return out

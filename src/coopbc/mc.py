@@ -517,10 +517,10 @@ def simulate_df(
     Every draw is made for the whole batch; every later stage (symbols,
     direct signals, relay decisions and branches, detection and error
     counts) runs over tiles of blocks whose detector tables stay cache-sized.
-    Blocks are independent, so the tile size sets no result. Direct signals
-    and relay decisions are formed once per distinct pair of downlink noise
-    powers, relay error models once per distinct relay noise power, and each
-    result equals that config's solo run.
+    Blocks are independent, so the tile size sets no result. Each distinct
+    pair of downlink noises forms its direct signals and relay decisions and
+    detects each destination in one call for all its configs; each relay
+    noise power builds one error model; each result equals its solo run.
     """
     if any(c.protocol is not Protocol.DF for c in configs):
         raise ValueError("simulate_df requires decode-and-forward configs")
@@ -551,10 +551,10 @@ def simulate_df(
               else estimate_relay_errors(src_c, amp_s, noise)
               for noise in (relay_noises if combiner == "mld" else ())}
 
-    def decide(y: np.ndarray, observations: list[RelayObservation], noise: float) -> np.ndarray:
+    def decide(y: np.ndarray, sets: list[list[RelayObservation]], noise: float) -> np.ndarray:
         if combiner == "mld":
-            return mld_llr_batch(y, observations, shape, src_c, rel_c, amp_s, noise) > 1.0
-        return _mrc_decisions(y, observations, src_c, amp_s, noise)
+            return mld_llr_batch(y, sets, shape, src_c, rel_c, amp_s, noise) > 1.0
+        return np.stack([_mrc_decisions(y, branches, src_c, amp_s, noise) for branches in sets])
 
     tc = trial_config
     cells = (shape.n // unit) << unit  # detector-table cells of one block
@@ -585,19 +585,18 @@ def simulate_df(
                 labels = {relay: relay_decode_and_remap(relay_in[relay], src_c, rel_c, amp_s)
                           for relay in {1 - dest for c in members
                                         for dest, branch in enumerate(plans[c][1]) if branch}}
-                for c in members:
-                    wrong = []
-                    for dest, branch in enumerate(plans[c][1]):
-                        received = []
-                        if branch:  # a destination hears only its partner
-                            slot, gain, noise = branch
-                            received.append(RelayObservation(
-                                gain * rel_c.points[labels[1 - dest]]
-                                + math.sqrt(noise / 2.0) * unit_links[slot][tile],
-                                gain, noise, models.get(noises[1 - dest])))
-                        wrong.append(decide(direct[dest], received, noises[dest]) != tile_bits)
-                    wrong.append(wrong[0] | wrong[1])
-                    errors[c] = [e + np.count_nonzero(w) for e, w in zip(errors[c], wrong)]
+                wrong = []
+                for dest in (0, 1):  # one call: (C, T, n) decisions, C sets of branches
+                    sets = [[RelayObservation(
+                        gain * rel_c.points[labels[1 - dest]]
+                        + math.sqrt(noise / 2.0) * unit_links[slot][tile],
+                        gain, noise, models.get(noises[1 - dest]))
+                        for slot, gain, noise in filter(None, plans[c][1][dest:dest + 1])]
+                        for c in members]
+                    wrong.append(decide(direct[dest], sets, noises[dest]) != tile_bits)
+                for c, w_I, w_II in zip(members, *wrong):  # config-major slices
+                    errors[c] = [e + np.count_nonzero(w)
+                                 for e, w in zip(errors[c], (w_I, w_II, w_I | w_II))]
         return [(T * shape.s, T * shape.n, *errors[c]) for c in active]
 
     totals = _run_ordered(worker, len(configs), -(-total_blocks // blocks_per_batch), threads, tc)

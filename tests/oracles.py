@@ -889,17 +889,17 @@ def mld_llr(
     """Single-block form of coopbc.df.mld_llr_batch."""
     out = mld_llr_batch(
         np.asarray(y2_block)[None, :],
-        [
+        [[
             RelayObservation(np.asarray(o.y12)[None, :], o.amplitude, o.noise_power, o.model)
             for o in observations
-        ],
+        ]],
         shape,
         source_constellation,
         relay_constellation,
         source_amplitude,
         direct_noise_power,
     )
-    return LlrBlock(out[0])
+    return LlrBlock(out[0, 0])
 
 
 # ---------------------------------------------------------------------------

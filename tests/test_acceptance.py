@@ -283,7 +283,7 @@ def test_criterion_08_mld_vs_brute_force():
                 y12 = a12 * rel_c.points[sent] + np.sqrt(n12 / 2) * (
                     rng.standard_normal(sent.shape) + 1j * rng.standard_normal(sent.shape))
                 observations.append(RelayObservation(y12, a12, n12, model))
-            got = mld_llr_batch(y2, observations, shape, src_c, rel_c, amp, N2)
+            got, = mld_llr_batch(y2, [observations], shape, src_c, rel_c, amp, N2)
             for t in range(T):
                 per_block = [RelayObservation(o.y12[t], o.amplitude, o.noise_power, o.model)
                              for o in observations]

@@ -503,7 +503,7 @@ class TestAlignment:
         # 256-QAM axes carry 4 bits; a 4-QAM relay symbol carries 2
         src, rel = qam(256), qam(4)
         with pytest.raises(ModulationError, match="split"):
-            mld_llr_batch(np.zeros((1, 1), dtype=complex), [], BlockShape(1, 4, 8),
+            mld_llr_batch(np.zeros((1, 1), dtype=complex), [[]], BlockShape(1, 4, 8),
                           src, rel, 1.0, 1.0)
 
     def test_enumeration_bound_is_checked_first(self, monkeypatch):
@@ -512,7 +512,7 @@ class TestAlignment:
         Mr, shape = choose_compatible_modulation(64, 0.75)
         assert (Mr, shape.n) == (256, 24)
         with pytest.raises(ModulationError, match="split"):
-            mld_llr_batch(np.zeros((1, shape.s), dtype=complex), [], shape,
+            mld_llr_batch(np.zeros((1, shape.s), dtype=complex), [[]], shape,
                           qam(64), qam(Mr), 1.0, 1.0)
 
         def refuse(*args):
@@ -579,10 +579,9 @@ class TestMldDetector:
     def test_uninformative_relay_matches_direct_ml(self):
         c, shape, bits, amp, y2, y12, _ = self._setup()
         uniform = RelayErrorModel(np.full((2, 2), 0.5))
-        with_relay = mld_llr_batch(
-            y2, [RelayObservation(y12, 4.0, 1.0, uniform)], shape, c, c, amp, 1.0
+        with_relay, without = mld_llr_batch(
+            y2, [[RelayObservation(y12, 4.0, 1.0, uniform)], []], shape, c, c, amp, 1.0
         )
-        without = mld_llr_batch(y2, [], shape, c, c, amp, 1.0)
         np.testing.assert_allclose(with_relay, without, rtol=1e-9)
         dec = (without > 1.0).astype(np.int8)
         ml_bits = c.indices_to_bits(c.detect(y2, amp)).reshape(dec.shape)
@@ -593,7 +592,8 @@ class TestMldDetector:
         # MRC-combined scalar; checked away from decision boundaries
         c, shape, bits, amp, y2, y12, _ = self._setup(seed=2, T=512, relay_snr=5.0)
         model = RelayErrorModel.error_free(c)
-        llr = mld_llr_batch(y2, [RelayObservation(y12, 5.0, 1.0, model)], shape, c, c, amp, 1.0)
+        llr, = mld_llr_batch(y2, [[RelayObservation(y12, 5.0, 1.0, model)]], shape, c, c, amp,
+                             1.0)
         dec = (llr > 1.0).astype(np.int8)
         u = (amp / 1.0) * y2 + (5.0 / 1.0) * y12
         g = amp * amp / 1.0 + 5.0 * 5.0 / 1.0
@@ -639,7 +639,7 @@ class TestMldDetector:
             RelayObservation(y12, 4.0, 1.0, model),
             RelayObservation(y12b, 3.0, 1.0, model),
         ]
-        got = mld_llr_batch(y2, obs, shape, c, c, amp, 1.0)
+        got, = mld_llr_batch(y2, [obs], shape, c, c, amp, 1.0)
         for t in range(8):
             single = [
                 RelayObservation(o.y12[t], o.amplitude, o.noise_power, o.model) for o in obs
@@ -674,9 +674,87 @@ class TestMldDetector:
             RelayErrorModel(rng.dirichlet(np.full(size, 3.0), size=size)), 0.9, 0.4
         )
         for observations in ([exact], [genie, dirichlet]):
-            got = mld_llr_batch(y2, observations, shape, src, rel, amp, N2)
+            got, = mld_llr_batch(y2, [observations], shape, src, rel, amp, N2)
             want = mld_llr_dense(y2, observations, shape, src, rel, amp, N2)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=st.sampled_from(ACCEPTED_PAIRS), seed=st.integers(0, 2**32 - 1),
+           set_sizes=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+           trials=st.integers(1, 5))
+    def test_one_call_equals_one_call_per_set(self, pair, seed, set_sizes, trials):
+        # the sets of a call share only the direct signal: each set's ratios
+        # are those of a call with that set alone, bit for bit, whatever sets
+        # come before or after it
+        Ms, fraction = pair
+        Mr, shape = choose_compatible_modulation(Ms, fraction)
+        src, rel = qam(Ms), qam(Mr)
+        size = len(src.levels)
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, (trials, shape.n), dtype=np.int8)
+
+        def received(const, a, noise, width):
+            return a * const.points[const.bits_to_indices(bits)] + math.sqrt(noise / 2.0) * (
+                rng.standard_normal((trials, width)) + 1j * rng.standard_normal((trials, width)))
+
+        def branch():
+            gain, noise = rng.uniform(0.3, 6.0), rng.uniform(0.05, 2.0)
+            model = RelayErrorModel(rng.dirichlet(np.full(size, 2.0), size=size))
+            return RelayObservation(received(rel, gain, noise, shape.r), gain, noise, model)
+
+        amp, N2 = rng.uniform(0.3, 6.0), rng.uniform(0.05, 2.0)
+        y2 = received(src, amp, N2, shape.s)
+        sets = [[branch() for _ in range(count)] for count in set_sizes]
+        got = mld_llr_batch(y2, sets, shape, src, rel, amp, N2)
+        assert got.shape == (len(sets), trials, shape.n)
+        for ratios, branches in zip(got, sets):
+            alone, = mld_llr_batch(y2, [branches], shape, src, rel, amp, N2)
+            assert ratios.tobytes() == alone.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=st.sampled_from([p for p in ACCEPTED_PAIRS
+                                 if choose_compatible_modulation(*p)[0] <= 256]),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-150.0, 150.0),
+           log_eps=st.floats(-12.0, -1.0), direct_db=st.floats(0.0, 40.0),
+           relay_db=st.floats(0.0, 40.0))
+    @example(pair=(16, 1.0), seed=0, log_scale=-150.0, log_eps=-12.0, direct_db=40.0,
+             relay_db=40.0)
+    @example(pair=(4, 0.5), seed=1, log_scale=150.0, log_eps=-12.0, direct_db=40.0,
+             relay_db=40.0)
+    def test_decisions_equal_the_dense_oracle_at_any_scale(
+            self, pair, seed, log_scale, log_eps, direct_db, relay_db):
+        # near-identity axis laws and a relay that carries other bits than
+        # the source sent, both up to 40 dB: the direct and relay likelihoods
+        # then disagree by far more than exp(-707), where the detector
+        # flushes terms, yet its decisions are the 2^n enumerator's; the
+        # detector sees every sample and amplitude times `scale` and every
+        # noise power times scale^2, which leaves each ratio as it is
+        Ms, fraction = pair
+        Mr, shape = choose_compatible_modulation(Ms, fraction)
+        src, rel = qam(Ms), qam(Mr)
+        size = len(src.levels)
+        rng = np.random.default_rng(seed)
+        T, N2, N12 = 8, 1.0, 1.0
+        amp, gain = 10.0 ** (direct_db / 20.0), 10.0 ** (relay_db / 20.0)
+        eps = 10.0 ** log_eps
+        model = RelayErrorModel((1.0 - eps) * np.eye(size) + eps / size)
+        bits = rng.integers(0, 2, (T, shape.n), dtype=np.int8)
+        relayed = bits ^ rng.integers(0, 2, (T, shape.n), dtype=np.int8)
+
+        def received(const, a, noise, sent, width):
+            return a * const.points[const.bits_to_indices(sent)] + math.sqrt(noise / 2.0) * (
+                rng.standard_normal((T, width)) + 1j * rng.standard_normal((T, width)))
+
+        y2 = received(src, amp, N2, bits, shape.s)
+        y12 = received(rel, gain, N12, relayed, shape.r)
+        want = mld_llr_dense(y2, [RelayObservation(y12, gain, N12, model)], shape, src, rel,
+                             amp, N2)
+        scale = 10.0 ** log_scale
+        got, = mld_llr_batch(
+            scale * y2, [[RelayObservation(scale * y12, scale * gain, scale**2 * N12, model)]],
+            shape, src, rel, scale * amp, scale**2 * N2)
+        decided = np.abs(np.log(want)) > 1e-6  # ties within rounding decide nothing
+        assert np.array_equal((got > 1.0)[decided], (want > 1.0)[decided])
 
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_llrs_are_scale_free_up_to_the_float_limits(self, scale):
@@ -695,11 +773,11 @@ class TestMldDetector:
 
         y2, y12 = received(src, amp, N2, shape.s), received(rel, gain, N12, shape.r)
         model = estimate_relay_errors(src, amp, N2)
-        want = mld_llr_batch(y2, [RelayObservation(y12, gain, N12, model)], shape, src, rel,
-                             amp, N2)
-        got = mld_llr_batch(scale * y2,
-                            [RelayObservation(scale * y12, scale * gain, scale**2 * N12, model)],
-                            shape, src, rel, scale * amp, scale**2 * N2)
+        want, = mld_llr_batch(y2, [[RelayObservation(y12, gain, N12, model)]], shape, src, rel,
+                              amp, N2)
+        got, = mld_llr_batch(scale * y2,
+                             [[RelayObservation(scale * y12, scale * gain, scale**2 * N12, model)]],
+                             shape, src, rel, scale * amp, scale**2 * N2)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("size,modes", [(4, 1), (2, 4), (8, 2), (4, 5), (2, 7), (64, 1)])
@@ -718,7 +796,7 @@ class TestMldDetector:
         with pytest.raises(ModulationError, match="split"):
             mld_llr_batch(
                 np.zeros((1, 6), dtype=complex),
-                [],
+                [[]],
                 BlockShape(6, 5, 60),
                 qam(1024),
                 qam(4096),
@@ -732,7 +810,7 @@ class TestMldDetector:
         y2 = src.points[src.bits_to_indices(bits)]
         y12 = rel.points[rel.bits_to_indices(bits)]
         genie = RelayObservation(y12, 1.0, 1e-3, RelayErrorModel.error_free(src))
-        llr = mld_llr_batch(y2, [genie], shape, src, rel, 1.0, 1e-3)
+        llr, = mld_llr_batch(y2, [[genie]], shape, src, rel, 1.0, 1e-3)
         assert llr.shape == (4, 24)
         np.testing.assert_array_equal(llr > 1.0, bits == 1)
 
@@ -746,5 +824,19 @@ class TestMldDetector:
         # sums to the floor; the ratio must stay positive and finite
         c, shape = qam(4), BlockShape(1, 1, 2)
         y2 = np.array([[1e6 + 1e6j]])
-        llr = mld_llr_batch(y2, [], shape, c, c, 1.0, 1.0)
+        llr, = mld_llr_batch(y2, [[]], shape, c, c, 1.0, 1.0)
         assert np.all(np.isfinite(llr)) and np.all(llr > 0)
+
+    def test_outweighing_branches_saturate_the_ratio_at_the_floor(self):
+        # the direct signal favours the sent point by e^100 on each axis; two
+        # error-free relay branches carry the opposite point, each ruling the
+        # sent one out far below the 1e-300 floor. Each branch's product is
+        # divided by its largest label, so the relay's labels keep mass 1 and
+        # the sent ones fall to the floor: every ratio is 1e-300 or 1/1e-300
+        c, shape = qam(4), BlockShape(1, 1, 2)
+        sent = np.array([[0, 0]], dtype=np.int8)
+        y2 = c.points[c.bits_to_indices(sent)]
+        y12 = 30.0 * c.points[c.bits_to_indices(1 - sent)]
+        genie = RelayObservation(y12, 30.0, 1.0, RelayErrorModel.error_free(c))
+        llr, = mld_llr_batch(y2, [[genie, genie]], shape, c, c, 1.0, 0.02)
+        np.testing.assert_array_equal(llr, [[1.0 / 1e-300] * 2])

@@ -335,8 +335,8 @@ class TestSimulateDf:
         model = estimate_relay_errors(src, 4.0, 0.02)
         tracemalloc.start()
         try:
-            llr = mld_llr_batch(y2, [RelayObservation(y12, 30.0, 0.02, model)], shape,
-                                src, rel, 4.0, 0.02)
+            llr, = mld_llr_batch(y2, [[RelayObservation(y12, 30.0, 0.02, model)]], shape,
+                                 src, rel, 4.0, 0.02)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
