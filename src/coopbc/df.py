@@ -398,22 +398,21 @@ def mld_llr_batch(
     source_amplitude: float,
     direct_noise_power: float,
 ) -> np.ndarray:
-    """Per-bit likelihood ratios of a batch of blocks under each set of relay
-    branches that shares the direct signal: y2 is (T, s) and each branch's
-    y12 (T, r); returns (C, T, n), one (T, n) array per set, in set order.
+    """(C, T, n) per-bit likelihood ratios of T blocks, one (T, n) array per
+    set of relay branches sharing the direct signal y2 (T, s); y12 is (T, r).
 
     The block likelihood factors over units of L bits: one relay axis, or one
     relay symbol when a relay axis would split a source axis (relay symbols
     that split source axes raise ModulationError). The Gaussian densities
     factor over real axes and the relay law over source axes, so each bit's
-    ratio depends only on its own unit, and the detector enumerates the 2^L
-    labels of each unit instead of all 2^n bit vectors. The direct signal's
-    max-shifted likelihoods are built once. A branch mixes its own over the
-    unit law axis_law^{⊗c} (c source axes per unit) by mode products; the
-    mixture, floored at 1e-300, multiplies its set's likelihoods, which are
-    then divided by each unit's largest. Branches must carry independent
-    relay decoding errors (one summed observation stands for the repeats of
-    a block). Bit masses are floored at 1e-300 before the ratio.
+    ratio depends only on its own unit: the detector enumerates the 2^L
+    labels of each unit, not all 2^n bit vectors. The direct max-shifted
+    likelihoods are built once; each branch mixes its own over the unit law
+    axis_law^{⊗c} (c source axes per unit) by mode products, floors the
+    mixture at 1e-300, multiplies it into its set's likelihoods and divides
+    them by each unit's largest. Branches carry independent relay decoding
+    errors (one summed observation stands for a block's repeats). Bit
+    masses are floored at 1e-300 before the ratio.
     """
     unit = _unit_bits(source_constellation, relay_constellation)
     trials, units = y2.shape[0], shape.n // unit

@@ -79,6 +79,7 @@ _MLD_CELL_CAP = 1 << 20
 # axis samples, whose float outputs take 256 KiB each as well
 _TILE_CELLS = 1 << 15
 _TILE_MIN_BLOCKS = 16
+_GROUP_SETS = 16  # configs per DF detector call, whose (C, T, n) arrays grow with C
 
 
 @dataclass(frozen=True)
@@ -578,7 +579,8 @@ def simulate_df(
         for tile in (slice(a, a + tile_blocks) for a in range(0, T, tile_blocks)):
             tile_bits = bits[tile]
             x = amp_s * src_c.points[src_c.bits_to_indices(tile_bits)]
-            for noises, members in groups.items():
+            for noises, members in ((n, g[i:i + _GROUP_SETS]) for n, g in groups.items()
+                                    for i in range(0, len(g), _GROUP_SETS)):
                 direct = [x + math.sqrt(N / 2.0) * g[tile] for N, g in zip(noises, unit_direct)]
                 # a genie relay decodes the noiseless source symbols
                 relay_in = direct if relay_model == "exact" else (x, x)
@@ -586,7 +588,7 @@ def simulate_df(
                           for relay in {1 - dest for c in members
                                         for dest, branch in enumerate(plans[c][1]) if branch}}
                 wrong = []
-                for dest in (0, 1):  # one call: (C, T, n) decisions, C sets of branches
+                for dest in (0, 1):  # one call; a member's set: its partner's branch, if any
                     sets = [[RelayObservation(
                         gain * rel_c.points[labels[1 - dest]]
                         + math.sqrt(noise / 2.0) * unit_links[slot][tile],

@@ -130,6 +130,9 @@ class TestConstellation:
             c = qam(order)
             bits = rng.integers(0, 2, (7, 3 * c.bits_per_symbol), dtype=np.int8)
             idx = c.bits_to_indices(bits)
+            weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1)
+            assert idx.dtype == np.int64
+            assert np.array_equal(idx, bits.reshape(7, 3, -1).astype(np.int64) @ weights)
             assert np.array_equal(c.detect(c.points[idx]), idx)
             got = c.indices_to_bits(idx)
             assert got.dtype == np.int8 and np.array_equal(got, bits)

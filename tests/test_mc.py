@@ -821,6 +821,23 @@ class TestTiles:
         for tile_blocks in (1, 5):  # one block, and tiles that leave a ragged last one
             assert run(tile_blocks) == whole
 
+    @pytest.mark.parametrize("combiner", ["mld", "mrc"])
+    def test_detector_call_parts_set_no_result(self, monkeypatch, combiner):
+        # an h2 sweep is one noise group of six configs, which one detector
+        # call per destination serves whole, or in parts of one or four
+        # configs (the last part short); k = 0 hears no branch at all
+        configs = [*df_sweep(Symmetric(0), Regime.H2, range(3)),
+                   *df_sweep(Asymmetric(0, Receiver.R2), Regime.H2, range(1, 4))]
+        tc = TrialConfig(trials=3000, seed=83)
+
+        def run(group_sets: int) -> mc.Sweep:
+            monkeypatch.setattr(mc, "_GROUP_SETS", group_sets)
+            return simulate_df(NOISY_LINKS, configs, 4, tc, combiner=combiner)
+
+        whole = run(len(configs))
+        assert all(r.ber_II.errors for r in whole)
+        assert run(1) == whole and run(4) == whole
+
     def test_relay_order_256_batch_peaks_at_tile_size(self):
         # one full batch of 32,768 two-symbol 16-QAM blocks forwarded as
         # 256-QAM: the draws take 3 MiB and a tile's tables 256 KiB, where
