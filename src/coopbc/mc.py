@@ -520,8 +520,8 @@ def simulate_df(
     counts) runs over tiles of blocks whose detector tables stay cache-sized.
     Blocks are independent, so the tile size sets no result. Each distinct
     pair of downlink noises forms its direct signals and relay decisions and
-    detects each destination in one call for all its configs; each relay
-    noise power builds one error model; each result equals its solo run.
+    detects each destination in one call per _GROUP_SETS of its configs; each
+    relay noise power builds one error model; each result equals its solo run.
     """
     if any(c.protocol is not Protocol.DF for c in configs):
         raise ValueError("simulate_df requires decode-and-forward configs")
@@ -579,8 +579,8 @@ def simulate_df(
         for tile in (slice(a, a + tile_blocks) for a in range(0, T, tile_blocks)):
             tile_bits = bits[tile]
             x = amp_s * src_c.points[src_c.bits_to_indices(tile_bits)]
-            for noises, members in ((n, g[i:i + _GROUP_SETS]) for n, g in groups.items()
-                                    for i in range(0, len(g), _GROUP_SETS)):
+            for noises, members in ((key, group[i:i + _GROUP_SETS]) for key, group in groups.items()
+                                    for i in range(0, len(group), _GROUP_SETS)):
                 direct = [x + math.sqrt(N / 2.0) * g[tile] for N, g in zip(noises, unit_direct)]
                 # a genie relay decodes the noiseless source symbols
                 relay_in = direct if relay_model == "exact" else (x, x)
