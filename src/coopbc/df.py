@@ -391,7 +391,7 @@ def _mix(lik: np.ndarray, axis_law: np.ndarray, modes: int) -> np.ndarray:
 
 def mld_llr_batch(
     y2: np.ndarray,
-    observations: Sequence[Sequence[RelayObservation]],
+    observations: Sequence[Optional[RelayObservation]],
     shape: BlockShape,
     source_constellation: Constellation,
     relay_constellation: Constellation,
@@ -399,7 +399,9 @@ def mld_llr_batch(
     direct_noise_power: float,
 ) -> np.ndarray:
     """(C, T, n) per-bit likelihood ratios of T blocks, one (T, n) array per
-    set of relay branches sharing the direct signal y2 (T, s); y12 is (T, r).
+    config sharing the direct signal y2 (T, s). A config's entry is the one
+    branch its destination hears from its partner, with that relay's repeats
+    already summed into it (y12 is (T, r)), or None when it hears nothing.
 
     The block likelihood factors over units of L bits: one relay axis, or one
     relay symbol when a relay axis would split a source axis (relay symbols
@@ -407,12 +409,11 @@ def mld_llr_batch(
     factor over real axes and the relay law over source axes, so each bit's
     ratio depends only on its own unit: the detector enumerates the 2^L
     labels of each unit, not all 2^n bit vectors. The direct max-shifted
-    likelihoods are built once; each branch mixes its own over the unit law
+    likelihoods are built once; a branch mixes its own over the unit law
     axis_law^{⊗c} (c source axes per unit) by mode products, floors the
-    mixture at 1e-300, multiplies it into its set's likelihoods and divides
-    them by each unit's largest. Branches carry independent relay decoding
-    errors (one summed observation stands for a block's repeats). Bit
-    masses are floored at 1e-300 before the ratio.
+    mixture at 1e-300, multiplies the direct likelihoods into it and divides
+    the product by each unit's largest. Bit masses are floored at 1e-300
+    before the ratio.
     """
     unit = _unit_bits(source_constellation, relay_constellation)
     trials, units = y2.shape[0], shape.n // unit
@@ -420,13 +421,13 @@ def mld_llr_batch(
     direct = _exp(np.subtract(direct, direct.max(axis=0), out=direct))
     axes_per_unit = unit // source_constellation.axis_bits
     out = np.empty((len(observations), trials, shape.n))
-    for ratios, branches in zip(out, observations):
+    for ratios, obs in zip(out, observations):
         lik = direct
-        for obs in branches:
+        if obs is not None:
             g = _unit_table(obs.y12, relay_constellation, obs.amplitude, obs.noise_power, units)
             g -= g.max(axis=0)
             mix = _mix(_exp(g), obs.model.axis_law, axes_per_unit)
-            lik = np.multiply(np.maximum(mix, 1e-300, out=mix), lik, out=mix)
+            lik = np.multiply(np.maximum(mix, 1e-300, out=mix), direct, out=mix)
             lik /= lik.max(axis=0)
         # masses at 1 and at 0 of every bit of a unit: one product of the
         # likelihoods against [bits, 1 - bits]

@@ -74,12 +74,12 @@ _MLD_CELL_CAP = 1 << 20
 # of blocks whose detector tables take _TILE_CELLS cells (256 KiB each), so
 # that they stay in a core's L2 cache. A shape whose tile would hold fewer
 # than _TILE_MIN_BLOCKS blocks (256->4096, 2^13 cells a block) runs a whole
-# batch as one tile: on 4- to 32-block tiles its per-call costs (BLAS
-# threads, page faults) outweighed the cache gain. An AF tile is _TILE_CELLS
-# axis samples, whose float outputs take 256 KiB each as well
+# batch as one tile, whose large products OpenBLAS spreads over the cores:
+# 1.8x faster than 4-block tiles at one worker, 1.3x slower at two (at 2-3x
+# the max RSS). An AF tile is _TILE_CELLS axis samples, 256 KiB per output
 _TILE_CELLS = 1 << 15
 _TILE_MIN_BLOCKS = 16
-_GROUP_SETS = 16  # configs per DF detector call, whose (C, T, n) arrays grow with C
+_CALL_SIZE = 16  # configs per DF detector call, whose (C, T, n) arrays grow with C
 
 
 @dataclass(frozen=True)
@@ -423,17 +423,17 @@ def simulate_af(
 
 def _mrc_decisions(
     y: np.ndarray,
-    observations: Sequence[RelayObservation],
+    obs: Optional[RelayObservation],
     const: Constellation,
     amplitude: float,
     noise_power: float,
 ) -> np.ndarray:
-    """Weight-and-add baseline: each branch scaled by gain/noise, then
-    minimum-distance detection — treats every relay block as a faithful copy
-    of the source symbols."""
+    """Weight-and-add baseline: the direct signal and the partner's branch, if
+    any, each scaled by gain/noise, then minimum-distance detection — treats
+    the relay block as a faithful copy of the source symbols."""
     u = (amplitude / noise_power) * y
     g = amplitude**2 / noise_power
-    for obs in observations:
+    if obs is not None:
         u = u + (obs.amplitude / obs.noise_power) * obs.y12
         g += obs.amplitude**2 / obs.noise_power
     return const.indices_to_bits(const.detect(u, g))
@@ -490,11 +490,11 @@ def simulate_df(
     once, re-modulates it onto the bit-rate-compatible relay constellation and
     retransmits the same block at every exchange it owns (fresh cooperation
     noise each time, equal power). A destination combines the one branch it
-    hears from its partner (see `_df_plan`) with the signal received directly
-    from the source: `combiner="mld"` runs the per-bit generalized ML
-    detector with the relay's substitution-error model, `combiner="mrc"` the
-    weight-and-add baseline (symbol-aligned constellations only, no error
-    model).
+    hears from its partner, the sum of its repeats (see `_df_plan`), with the
+    signal received directly from the source: `combiner="mld"` runs the
+    per-bit generalized ML detector with the relay's substitution-error
+    model, `combiner="mrc"` the weight-and-add baseline (symbol-aligned
+    constellations only, no error model).
 
     `relay_model` selects the substitution distribution: "exact" (the law of
     the relay's decode-and-remap chain at its receive SNR, see
@@ -520,7 +520,7 @@ def simulate_df(
     counts) runs over tiles of blocks whose detector tables stay cache-sized.
     Blocks are independent, so the tile size sets no result. Each distinct
     pair of downlink noises forms its direct signals and relay decisions and
-    detects each destination in one call per _GROUP_SETS of its configs; each
+    detects each destination in one call per _CALL_SIZE of its configs; each
     relay noise power builds one error model; each result equals its solo run.
     """
     if any(c.protocol is not Protocol.DF for c in configs):
@@ -552,10 +552,10 @@ def simulate_df(
               else estimate_relay_errors(src_c, amp_s, noise)
               for noise in (relay_noises if combiner == "mld" else ())}
 
-    def decide(y: np.ndarray, sets: list[list[RelayObservation]], noise: float) -> np.ndarray:
+    def decide(y: np.ndarray, heard: list[Optional[RelayObservation]], noise: float) -> np.ndarray:
         if combiner == "mld":
-            return mld_llr_batch(y, sets, shape, src_c, rel_c, amp_s, noise) > 1.0
-        return np.stack([_mrc_decisions(y, branches, src_c, amp_s, noise) for branches in sets])
+            return mld_llr_batch(y, heard, shape, src_c, rel_c, amp_s, noise) > 1.0
+        return np.stack([_mrc_decisions(y, obs, src_c, amp_s, noise) for obs in heard])
 
     tc = trial_config
     cells = (shape.n // unit) << unit  # detector-table cells of one block
@@ -579,8 +579,8 @@ def simulate_df(
         for tile in (slice(a, a + tile_blocks) for a in range(0, T, tile_blocks)):
             tile_bits = bits[tile]
             x = amp_s * src_c.points[src_c.bits_to_indices(tile_bits)]
-            for noises, members in ((key, group[i:i + _GROUP_SETS]) for key, group in groups.items()
-                                    for i in range(0, len(group), _GROUP_SETS)):
+            for noises, members in ((key, group[i:i + _CALL_SIZE]) for key, group in groups.items()
+                                    for i in range(0, len(group), _CALL_SIZE)):
                 direct = [x + math.sqrt(N / 2.0) * g[tile] for N, g in zip(noises, unit_direct)]
                 # a genie relay decodes the noiseless source symbols
                 relay_in = direct if relay_model == "exact" else (x, x)
@@ -588,14 +588,13 @@ def simulate_df(
                           for relay in {1 - dest for c in members
                                         for dest, branch in enumerate(plans[c][1]) if branch}}
                 wrong = []
-                for dest in (0, 1):  # one call; a member's set: its partner's branch, if any
-                    sets = [[RelayObservation(
-                        gain * rel_c.points[labels[1 - dest]]
-                        + math.sqrt(noise / 2.0) * unit_links[slot][tile],
-                        gain, noise, models.get(noises[1 - dest]))
-                        for slot, gain, noise in filter(None, plans[c][1][dest:dest + 1])]
-                        for c in members]
-                    wrong.append(decide(direct[dest], sets, noises[dest]) != tile_bits)
+                for dest in (0, 1):  # one call; a member hears its partner's branch, or None
+                    heard = [link and RelayObservation(  # link: (slot, gain, noise)
+                        link[1] * rel_c.points[labels[1 - dest]]
+                        + math.sqrt(link[2] / 2.0) * unit_links[link[0]][tile],
+                        link[1], link[2], models.get(noises[1 - dest]))
+                        for link in (plans[c][1][dest] for c in members)]
+                    wrong.append(decide(direct[dest], heard, noises[dest]) != tile_bits)
                 for c, w_I, w_II in zip(members, *wrong):  # config-major slices
                     errors[c] = [e + np.count_nonzero(w)
                                  for e, w in zip(errors[c], (w_I, w_II, w_I | w_II))]

@@ -879,20 +879,20 @@ class LlrBlock:
 
 def mld_llr(
     y2_block: np.ndarray,
-    observations: Sequence[RelayObservation],
+    observation: Optional[RelayObservation],
     shape: BlockShape,
     source_constellation: Constellation,
     relay_constellation: Constellation,
     source_amplitude: float,
     direct_noise_power: float,
 ) -> LlrBlock:
-    """Single-block form of coopbc.df.mld_llr_batch."""
+    """Single-block form of coopbc.df.mld_llr_batch, with one partner branch
+    or none."""
     out = mld_llr_batch(
         np.asarray(y2_block)[None, :],
-        [[
-            RelayObservation(np.asarray(o.y12)[None, :], o.amplitude, o.noise_power, o.model)
-            for o in observations
-        ]],
+        [None if observation is None else RelayObservation(
+            np.asarray(observation.y12)[None, :], observation.amplitude,
+            observation.noise_power, observation.model)],
         shape,
         source_constellation,
         relay_constellation,

@@ -261,32 +261,31 @@ def test_criterion_08_mld_vs_brute_force():
             assert shape.n <= 8
             src_c, rel_c = qam(Ms), qam(Mr)
             T = 200
-            branches = 2 if (Ms, fraction) == (4, 1.0) else 1
+            # the aligned shape's relay sends its one decision twice, and the
+            # destination sums the two copies into one branch
+            repeats = 2 if (Ms, fraction) == (4, 1.0) else 1
             amp = float(rng.uniform(0.5, 2.0))
             N2 = float(rng.uniform(0.2, 2.0))
             bits = rng.integers(0, 2, size=(T, shape.n)).astype(np.int8)
             x = amp * src_c.points[np.array([src_c.bits_to_indices(b) for b in bits])]
             y2 = x + np.sqrt(N2 / 2) * (rng.standard_normal((T, shape.s))
                                         + 1j * rng.standard_normal((T, shape.s)))
-            observations = []
-            # random axis laws; the relay symbols sent are drawn from their
+            # a random axis law; the relay symbols sent are drawn from its
             # Kronecker power over each relay symbol's source axes
             axis = len(src_c.levels)
-            for _ in range(branches):
-                model = RelayErrorModel(rng.dirichlet(np.full(axis, 5.0), size=axis))
-                trans = relay_symbol_law(model, rel_c)
-                rel_true = np.array([rel_c.bits_to_indices(b) for b in bits])
-                sent = np.array([[rng.choice(Mr, p=trans[m]) for m in row]
-                                 for row in rel_true])
-                a12 = float(rng.uniform(0.5, 2.0))
-                n12 = float(rng.uniform(0.2, 2.0))
-                y12 = a12 * rel_c.points[sent] + np.sqrt(n12 / 2) * (
-                    rng.standard_normal(sent.shape) + 1j * rng.standard_normal(sent.shape))
-                observations.append(RelayObservation(y12, a12, n12, model))
-            got, = mld_llr_batch(y2, [observations], shape, src_c, rel_c, amp, N2)
+            model = RelayErrorModel(rng.dirichlet(np.full(axis, 5.0), size=axis))
+            trans = relay_symbol_law(model, rel_c)
+            rel_true = np.array([rel_c.bits_to_indices(b) for b in bits])
+            sent = np.array([[rng.choice(Mr, p=trans[m]) for m in row] for row in rel_true])
+            a12 = float(rng.uniform(0.5, 2.0))
+            n12 = float(rng.uniform(0.2, 2.0))
+            y12 = sum(a12 * rel_c.points[sent] + np.sqrt(n12 / 2) * (
+                rng.standard_normal(sent.shape) + 1j * rng.standard_normal(sent.shape))
+                for _ in range(repeats))
+            obs = RelayObservation(y12, repeats * a12, repeats * n12, model)
+            got, = mld_llr_batch(y2, [obs], shape, src_c, rel_c, amp, N2)
             for t in range(T):
-                per_block = [RelayObservation(o.y12[t], o.amplitude, o.noise_power, o.model)
-                             for o in observations]
+                per_block = [RelayObservation(y12[t], obs.amplitude, obs.noise_power, model)]
                 want = _oracle_llr(y2[t], per_block, shape, src_c, rel_c, amp, N2)
                 assert np.all(np.abs(got[t] - want) <= 1e-9 * np.abs(want))
                 total += 1

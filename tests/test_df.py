@@ -506,7 +506,7 @@ class TestAlignment:
         # 256-QAM axes carry 4 bits; a 4-QAM relay symbol carries 2
         src, rel = qam(256), qam(4)
         with pytest.raises(ModulationError, match="split"):
-            mld_llr_batch(np.zeros((1, 1), dtype=complex), [[]], BlockShape(1, 4, 8),
+            mld_llr_batch(np.zeros((1, 1), dtype=complex), [None], BlockShape(1, 4, 8),
                           src, rel, 1.0, 1.0)
 
     def test_enumeration_bound_is_checked_first(self, monkeypatch):
@@ -515,7 +515,7 @@ class TestAlignment:
         Mr, shape = choose_compatible_modulation(64, 0.75)
         assert (Mr, shape.n) == (256, 24)
         with pytest.raises(ModulationError, match="split"):
-            mld_llr_batch(np.zeros((1, shape.s), dtype=complex), [[]], shape,
+            mld_llr_batch(np.zeros((1, shape.s), dtype=complex), [None], shape,
                           qam(64), qam(Mr), 1.0, 1.0)
 
         def refuse(*args):
@@ -583,7 +583,7 @@ class TestMldDetector:
         c, shape, bits, amp, y2, y12, _ = self._setup()
         uniform = RelayErrorModel(np.full((2, 2), 0.5))
         with_relay, without = mld_llr_batch(
-            y2, [[RelayObservation(y12, 4.0, 1.0, uniform)], []], shape, c, c, amp, 1.0
+            y2, [RelayObservation(y12, 4.0, 1.0, uniform), None], shape, c, c, amp, 1.0
         )
         np.testing.assert_allclose(with_relay, without, rtol=1e-9)
         dec = (without > 1.0).astype(np.int8)
@@ -595,8 +595,7 @@ class TestMldDetector:
         # MRC-combined scalar; checked away from decision boundaries
         c, shape, bits, amp, y2, y12, _ = self._setup(seed=2, T=512, relay_snr=5.0)
         model = RelayErrorModel.error_free(c)
-        llr, = mld_llr_batch(y2, [[RelayObservation(y12, 5.0, 1.0, model)]], shape, c, c, amp,
-                             1.0)
+        llr, = mld_llr_batch(y2, [RelayObservation(y12, 5.0, 1.0, model)], shape, c, c, amp, 1.0)
         dec = (llr > 1.0).astype(np.int8)
         u = (amp / 1.0) * y2 + (5.0 / 1.0) * y12
         g = amp * amp / 1.0 + 5.0 * 5.0 / 1.0
@@ -627,28 +626,10 @@ class TestMldDetector:
             y12 = xr + math.sqrt(0.5) * (
                 rng.standard_normal(shape.r) + 1j * rng.standard_normal(shape.r)
             )
-            obs = [RelayObservation(y12, 1.7, 1.0, model)]
+            obs = RelayObservation(y12, 1.7, 1.0, model)
             got = mld_llr(y2, obs, shape, src, rel, amp, 1.0).values
-            want = brute_force_llr(y2, obs, shape, src, rel, amp, 1.0)
+            want = brute_force_llr(y2, [obs], shape, src, rel, amp, 1.0)
             np.testing.assert_allclose(got, want, rtol=1e-9)
-
-    def test_multiple_relay_branches(self):
-        c, shape, bits, amp, y2, y12, rng = self._setup(seed=4, T=8)
-        y12b = 3.0 * c.points[c.bits_to_indices(bits)] + math.sqrt(0.5) * (
-            rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
-        )
-        model = estimate_relay_errors(c, 4.0, 1.0)
-        obs = [
-            RelayObservation(y12, 4.0, 1.0, model),
-            RelayObservation(y12b, 3.0, 1.0, model),
-        ]
-        got, = mld_llr_batch(y2, [obs], shape, c, c, amp, 1.0)
-        for t in range(8):
-            single = [
-                RelayObservation(o.y12[t], o.amplitude, o.noise_power, o.model) for o in obs
-            ]
-            want = brute_force_llr(y2[t], single, shape, c, c, amp, 1.0)
-            np.testing.assert_allclose(got[t], want, rtol=1e-9)
 
     @pytest.mark.parametrize("Ms,fraction", [p for p in ACCEPTED_PAIRS if p != (16, 0.4)])
     def test_matches_dense_enumeration(self, Ms, fraction):
@@ -676,19 +657,18 @@ class TestMldDetector:
         dirichlet = branch(
             RelayErrorModel(rng.dirichlet(np.full(size, 3.0), size=size)), 0.9, 0.4
         )
-        for observations in ([exact], [genie, dirichlet]):
-            got, = mld_llr_batch(y2, [observations], shape, src, rel, amp, N2)
-            want = mld_llr_dense(y2, observations, shape, src, rel, amp, N2)
+        for obs in (exact, genie, dirichlet):
+            got, = mld_llr_batch(y2, [obs], shape, src, rel, amp, N2)
+            want = mld_llr_dense(y2, [obs], shape, src, rel, amp, N2)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(pair=st.sampled_from(ACCEPTED_PAIRS), seed=st.integers(0, 2**32 - 1),
-           set_sizes=st.lists(st.integers(0, 2), min_size=1, max_size=4),
-           trials=st.integers(1, 5))
-    def test_one_call_equals_one_call_per_set(self, pair, seed, set_sizes, trials):
-        # the sets of a call share only the direct signal: each set's ratios
-        # are those of a call with that set alone, bit for bit, whatever sets
-        # come before or after it
+           heard=st.lists(st.booleans(), min_size=1, max_size=4), trials=st.integers(1, 5))
+    def test_one_call_equals_one_call_per_set(self, pair, seed, heard, trials):
+        # the configs of a call share only the direct signal: each config's
+        # ratios, with its branch or with none, are those of a call with that
+        # config alone, bit for bit, whatever configs come before or after it
         Ms, fraction = pair
         Mr, shape = choose_compatible_modulation(Ms, fraction)
         src, rel = qam(Ms), qam(Mr)
@@ -707,11 +687,11 @@ class TestMldDetector:
 
         amp, N2 = rng.uniform(0.3, 6.0), rng.uniform(0.05, 2.0)
         y2 = received(src, amp, N2, shape.s)
-        sets = [[branch() for _ in range(count)] for count in set_sizes]
-        got = mld_llr_batch(y2, sets, shape, src, rel, amp, N2)
-        assert got.shape == (len(sets), trials, shape.n)
-        for ratios, branches in zip(got, sets):
-            alone, = mld_llr_batch(y2, [branches], shape, src, rel, amp, N2)
+        branches = [branch() if has_branch else None for has_branch in heard]
+        got = mld_llr_batch(y2, branches, shape, src, rel, amp, N2)
+        assert got.shape == (len(branches), trials, shape.n)
+        for ratios, obs in zip(got, branches):
+            alone, = mld_llr_batch(y2, [obs], shape, src, rel, amp, N2)
             assert ratios.tobytes() == alone.tobytes()
 
     @settings(max_examples=80, deadline=None)
@@ -754,7 +734,7 @@ class TestMldDetector:
                              amp, N2)
         scale = 10.0 ** log_scale
         got, = mld_llr_batch(
-            scale * y2, [[RelayObservation(scale * y12, scale * gain, scale**2 * N12, model)]],
+            scale * y2, [RelayObservation(scale * y12, scale * gain, scale**2 * N12, model)],
             shape, src, rel, scale * amp, scale**2 * N2)
         decided = np.abs(np.log(want)) > 1e-6  # ties within rounding decide nothing
         assert np.array_equal((got > 1.0)[decided], (want > 1.0)[decided])
@@ -776,10 +756,10 @@ class TestMldDetector:
 
         y2, y12 = received(src, amp, N2, shape.s), received(rel, gain, N12, shape.r)
         model = estimate_relay_errors(src, amp, N2)
-        want, = mld_llr_batch(y2, [[RelayObservation(y12, gain, N12, model)]], shape, src, rel,
+        want, = mld_llr_batch(y2, [RelayObservation(y12, gain, N12, model)], shape, src, rel,
                               amp, N2)
         got, = mld_llr_batch(scale * y2,
-                             [[RelayObservation(scale * y12, scale * gain, scale**2 * N12, model)]],
+                             [RelayObservation(scale * y12, scale * gain, scale**2 * N12, model)],
                              shape, src, rel, scale * amp, scale**2 * N2)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -799,7 +779,7 @@ class TestMldDetector:
         with pytest.raises(ModulationError, match="split"):
             mld_llr_batch(
                 np.zeros((1, 6), dtype=complex),
-                [[]],
+                [None],
                 BlockShape(6, 5, 60),
                 qam(1024),
                 qam(4096),
@@ -813,7 +793,7 @@ class TestMldDetector:
         y2 = src.points[src.bits_to_indices(bits)]
         y12 = rel.points[rel.bits_to_indices(bits)]
         genie = RelayObservation(y12, 1.0, 1e-3, RelayErrorModel.error_free(src))
-        llr, = mld_llr_batch(y2, [[genie]], shape, src, rel, 1.0, 1e-3)
+        llr, = mld_llr_batch(y2, [genie], shape, src, rel, 1.0, 1e-3)
         assert llr.shape == (4, 24)
         np.testing.assert_array_equal(llr > 1.0, bits == 1)
 
@@ -827,19 +807,20 @@ class TestMldDetector:
         # sums to the floor; the ratio must stay positive and finite
         c, shape = qam(4), BlockShape(1, 1, 2)
         y2 = np.array([[1e6 + 1e6j]])
-        llr, = mld_llr_batch(y2, [[]], shape, c, c, 1.0, 1.0)
+        llr, = mld_llr_batch(y2, [None], shape, c, c, 1.0, 1.0)
         assert np.all(np.isfinite(llr)) and np.all(llr > 0)
 
-    def test_outweighing_branches_saturate_the_ratio_at_the_floor(self):
-        # the direct signal favours the sent point by e^100 on each axis; two
-        # error-free relay branches carry the opposite point, each ruling the
-        # sent one out far below the 1e-300 floor. Each branch's product is
-        # divided by its largest label, so the relay's labels keep mass 1 and
-        # the sent ones fall to the floor: every ratio is 1e-300 or 1/1e-300
+    def test_an_outweighed_branch_is_renormalised_before_the_bit_floor(self):
+        # the direct signal favours the sent point by e^700 on each axis; an
+        # error-free relay branch carries the opposite point and rules the
+        # sent one out far below the 1e-300 floor. The product of the two is
+        # divided by each axis's largest label, so the sent label keeps mass 1
+        # and the opposite one e^-700 / 1e-300; without that division both
+        # would sit under the 1e-300 floor of the bit masses, and read 1
         c, shape = qam(4), BlockShape(1, 1, 2)
         sent = np.array([[0, 0]], dtype=np.int8)
         y2 = c.points[c.bits_to_indices(sent)]
         y12 = 30.0 * c.points[c.bits_to_indices(1 - sent)]
         genie = RelayObservation(y12, 30.0, 1.0, RelayErrorModel.error_free(c))
-        llr, = mld_llr_batch(y2, [[genie, genie]], shape, c, c, 1.0, 0.02)
-        np.testing.assert_array_equal(llr, [[1.0 / 1e-300] * 2])
+        llr, = mld_llr_batch(y2, [genie], shape, c, c, 1.0, 2.0 / 700.0)
+        np.testing.assert_allclose(llr, [[math.exp(-700.0) / 1e-300] * 2], rtol=1e-9, atol=0)

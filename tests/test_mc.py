@@ -335,7 +335,7 @@ class TestSimulateDf:
         model = estimate_relay_errors(src, 4.0, 0.02)
         tracemalloc.start()
         try:
-            llr, = mld_llr_batch(y2, [[RelayObservation(y12, 30.0, 0.02, model)]], shape,
+            llr, = mld_llr_batch(y2, [RelayObservation(y12, 30.0, 0.02, model)], shape,
                                  src, rel, 4.0, 0.02)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -830,8 +830,8 @@ class TestTiles:
                    *df_sweep(Asymmetric(0, Receiver.R2), Regime.H2, range(1, 4))]
         tc = TrialConfig(trials=3000, seed=83)
 
-        def run(group_sets: int) -> mc.Sweep:
-            monkeypatch.setattr(mc, "_GROUP_SETS", group_sets)
+        def run(call_size: int) -> mc.Sweep:
+            monkeypatch.setattr(mc, "_CALL_SIZE", call_size)
             return simulate_df(NOISY_LINKS, configs, 4, tc, combiner=combiner)
 
         whole = run(len(configs))
