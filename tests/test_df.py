@@ -631,6 +631,22 @@ class TestMldDetector:
             want = brute_force_llr(y2, [obs], shape, src, rel, amp, 1.0)
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
+    def test_multiple_relay_branches(self):
+        # a partner that sends its one decision twice: the two copies summed
+        # into one branch (gain and noise power doubled) give the ratios of
+        # the reference detector fed both copies as separate branches
+        c, shape, bits, amp, y2, y12, rng = self._setup(seed=4, T=8)
+        y12b = 4.0 * c.points[c.bits_to_indices(bits)] + math.sqrt(0.5) * (
+            rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
+        )
+        model = RelayErrorModel.error_free(c)
+        got, = mld_llr_batch(y2, [RelayObservation(y12 + y12b, 8.0, 2.0, model)], shape, c, c,
+                             amp, 1.0)
+        for t in range(8):
+            copies = [RelayObservation(y[t], 4.0, 1.0, model) for y in (y12, y12b)]
+            want = brute_force_llr(y2[t], copies, shape, c, c, amp, 1.0)
+            np.testing.assert_allclose(got[t], want, rtol=1e-9)
+
     @pytest.mark.parametrize("Ms,fraction", [p for p in ACCEPTED_PAIRS if p != (16, 0.4)])
     def test_matches_dense_enumeration(self, Ms, fraction):
         # every accepted pair with n <= 12: exact, error-free and random axis
