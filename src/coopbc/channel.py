@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -131,7 +131,9 @@ class CoopConfig:
 
     def with_count(self, k: int) -> "CoopConfig":
         """Copy of this config with the scheme count replaced by `k`."""
-        return replace(self, scheme=replace(self.scheme, count=k))
+        s = self.scheme
+        scheme = Symmetric(k) if isinstance(s, Symmetric) else Asymmetric(k, s.starter)
+        return CoopConfig(self.protocol, scheme, self.strategy, self.regime)
 
 
 @dataclass(frozen=True)

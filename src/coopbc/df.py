@@ -431,6 +431,7 @@ def mld_llr_batch(
             lik /= lik.max(axis=0)
         # masses at 1 and at 0 of every bit of a unit: one product of the
         # likelihoods against [bits, 1 - bits]
-        mass = np.maximum(_bit_columns(unit).T @ lik, 1e-300)
+        mass = _bit_columns(unit).T @ lik
+        np.maximum(mass, 1e-300, out=mass)
         np.divide(mass[:unit], mass[unit:], out=ratios.reshape(-1, unit).T)
     return out

@@ -7,13 +7,13 @@ The unit of work is a sweep: a sequence of configs (typically one per
 exchange count) sampled together. Each call returns one result per config.
 
 Reproducibility contract: work is split into fixed-size batches and batch b
-draws from a counter-based stream keyed by (seed, b). Every config of a sweep
-sees the same draws of batch b, scaled by its own noise powers and gains, so
-each config's result equals the result of sampling it alone. Each config's
-partial results are folded in batch order and its early-stop check happens
-only at fixed batch-count boundaries, so estimates are bitwise identical for
-a given (seed, config) regardless of the other configs of the sweep or of how
-many worker threads execute the batches.
+draws from one SFC64 stream seeded by SeedSequence([seed, b]). Every config
+of a sweep sees the same draws of batch b, scaled by its own noise powers and
+gains, so each config's result equals the result of sampling it alone. Each
+config's partial results are folded in batch order and its early-stop check
+happens only at fixed batch-count boundaries, so estimates are bitwise
+identical for a given (seed, config) regardless of the other configs of the
+sweep or of how many worker threads execute the batches.
 """
 from __future__ import annotations
 
@@ -86,10 +86,10 @@ _CALL_SIZE = 16  # configs per DF detector call, whose (C, T, n) arrays grow wit
 class TrialConfig:
     """Sampling budget and reproducibility knobs.
 
-    trials: source symbols to simulate, in batches of BATCH_SYMBOLS per
-    counter-based stream; seed: 64-bit stream seed; target_half_width:
-    optional relative standard-error target enabling early stop, capped at
-    BIT_CAP bits.
+    trials: source symbols to simulate, in batches of BATCH_SYMBOLS, each
+    drawn from its own random stream (`_rng`); seed: 64-bit seed of every
+    batch's stream; target_half_width: optional relative standard-error
+    target enabling early stop, capped at BIT_CAP bits.
     """
 
     trials: int
@@ -166,7 +166,8 @@ class Sweep(tuple):
 
 
 def _rng(seed: int, batch: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, batch], dtype=np.uint64)))
+    """Batch `batch`'s one stream under `seed`: SFC64 seeded by SeedSequence([seed, batch])."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, batch])))
 
 
 def _unit_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -602,21 +602,21 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("command, text, digest", [
-        ("ber", AF_TEXT, "a1c0600a471f3a635c8da6f3382838d78ecf3514c148651d2cb6b154787a0e5d"),
-        ("compare", AF_TEXT, "d1b4d625c01a6063f97b87f2148141723d2c4078dbed13515da7640ca6e4b647"),
-        ("ber", DF_R2_TEXT, "fff0631c3cd76898efd1dc7f6b99cee4f404dec0c9f2460f4c4f510627cee657"),
-        ("compare", DF_R2_TEXT, "c488d2945f6ab9d05aff087bdbc1c969cebfc0b5b7120e613b6c5b89d033a4f5"),
+        ("ber", AF_TEXT, "57da71272515c3d62b11d95755d584e14fdf07acc86bd5a7435c3de4aff62b30"),
+        ("compare", AF_TEXT, "d71248acb02cc02682bf65fbe0da6b74a19473405db135ea10138f00c5d8041c"),
+        ("ber", DF_R2_TEXT, "d25e742fdf4249f96c41361f2728ec56e11e039eb2b74af09a97152f78777109"),
+        ("compare", DF_R2_TEXT, "1234297fd70062357b6f1f8e49c80e373e37cbdb5df86cf62160cdc8c102b4b2"),
         ("ber", AF_TEXT + "\n[modulation]\nsource_order = 2\n",
-         "b8e92752cdad2903e67293812d61e29bfb6fcbf3c8900b6bf79427379eee4dfc"),
-        ("ber", AF_QAM256_TEXT, "bc8fc51d3f66f21bfe5dfe0c5e8fa555e40acc881ed4036c16f0daeed6ff651c"),
+         "a4f328c001d827c9c6c7e4b421e2ab8ee3b9899bef065715b6fdd3e543af68c3"),
+        ("ber", AF_QAM256_TEXT, "b3afbdea1e755be6c3a8f7d44c25f187401404e7ec6748695531257a2b639345"),
         ("ber", AF_TEXT + "\n[modulation]\nsource_order = 4096\n",
-         "8f355aeb36f2c1c8885f9dec447eadb47de0feb09411fea48da778c9d2fd2566"),
+         "920acfac2e5a3ef1b14d00d3ca78a6112846173dcf1be7c2e599dee4c0d24bca"),
         ("ber", AF_S2_R2_QAM16_TEXT,
-         "e158cd53884def9de46220b47064d2ad43f8a113777ff9926b58a06155064ad9"),
+         "7c25f6603e598b3fd9556979fb2bc33a73ed122b48c098dcd0aff34bb3f8272f"),
         *(("ber", AF_EXTREMES[case], digest) for case, digest in [
-            ("250dB", "d2be696535265cbdad602a76573fa5ac31125422678b09f56b20f3f8de60acf2"),
-            ("float-max", "872f6b006a63eb6660a17dad80f58ee524fb10fb03000e28f2b9417496320ea0"),
-            ("zero-noise", "5ae8c59d3369020c4e8c4e5a81ea235ee3ad1b788368a63837e928b81cabb2b4"),
+            ("250dB", "6f7c78c5fbc1c58a4a078b7e55a74ed230dadad951683bd20343d7b7431ec2f4"),
+            ("float-max", "a5648dfcdd5332285b7481a792ad32e9a552a8a468703fa56b6e2e2a7f18efb0"),
+            ("zero-noise", "ea36040ec3462a914f953990b5ff6c6119fd57011bfc886c26931aec0fb68eb7"),
         ]),
     ])
     def test_monte_carlo_csv_is_pinned(self, scenario_file, tmp_path, command, text, digest):
@@ -666,6 +666,13 @@ class TestDeterminism:
         # the largest --seed a user can give, on a DF MLD run where receiver 2 relays
         path = scenario_file(DF_TEXT.replace("starter = r1", "starter = r2"))
         code, out = run(capsys, ["ber", "--scenario", path, "--seed", str((1 << 64) - 1)])
+        assert code == 0
+        assert f"seed={(1 << 64) - 1}" in out.splitlines()[0]
+
+    def test_largest_seed_on_af(self, capsys, scenario_file):
+        # the largest --seed a user can give, on an AF sweep over three counts
+        code, out = run(capsys, ["ber", "--scenario", scenario_file(AF_TEXT),
+                                 "--seed", str((1 << 64) - 1)])
         assert code == 0
         assert f"seed={(1 << 64) - 1}" in out.splitlines()[0]
 

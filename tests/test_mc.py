@@ -3,10 +3,12 @@ SNR agreement, DF pipeline behavior and a cross-correlation replay of the
 analytic recursion."""
 from __future__ import annotations
 
+import ast
 import math
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +69,81 @@ class TestBerEstimate:
     def test_zero_errors(self):
         est = BerEstimate.from_counts(0, 100, 50)
         assert est.ber == 0.0 and est.stderr == 0.0
+
+
+# constructors of numpy's generators, bit generators and seed sequences
+RNG_BUILDERS = {"default_rng", "Generator", "BitGenerator", "SeedSequence", "RandomState",
+                "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"}
+
+
+def _dotted(node: ast.AST) -> list[str]:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return parts[::-1]
+
+
+def rng_builders(source: str) -> set[str]:
+    """Qualified names of the functions ("" for module level) whose own code
+    calls a constructor of RNG_BUILDERS or anything under a `random` module,
+    or imports from numpy.random. Annotations are not calls, so a function
+    that only takes a generator is not listed."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            elif isinstance(child, ast.Call):
+                name = _dotted(child.func)
+                if RNG_BUILDERS & set(name) or "random" in name[:-1]:
+                    found.add(scope)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in child.names] if isinstance(child, ast.Import) else [
+                    child.module or ""]
+                if any(m.startswith("numpy.random") for m in modules):
+                    found.add(scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed, batch", [(0, 0), (2**63 + 5, 7), (2**64 - 1, 2**32)])
+    def test_stream_is_sfc64_seeded_by_seed_and_batch(self, seed, batch):
+        # as `_rng` states it: a change of stream must change this test too
+        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, batch])))
+        got = mc._rng(seed, batch)
+        assert type(got.bit_generator) is np.random.SFC64
+        assert np.array_equal(got.integers(0, 4, 1000), want.integers(0, 4, 1000))
+        assert (mc._unit_cn(got, (2, 1000)).tobytes()
+                == mc._unit_cn(want, (2, 1000)).tobytes())
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_streams_differ_across_batches_and_seeds(self, seed):
+        batches = [0, 1, 2**32 - 1, 2**32]
+        draws = {(s, b): mc._rng(s, b).standard_normal(8).tobytes()
+                 for s in (seed, seed ^ 1) for b in batches}
+        assert len(set(draws.values())) == len(draws)
+
+    def test_scan_finds_every_builder(self):
+        source = ("import numpy as np\nfrom numpy.random import PCG64\n"
+                  "def f():\n    return np.random.default_rng(1)\n"
+                  "class A:\n    def g(self, rng: np.random.Generator) -> np.random.Generator:\n"
+                  "        return rng.random(3)\n"
+                  "    def h(self):\n        return Generator(PCG64(2))\n")
+        assert rng_builders(source) == {"", "f", "A.h"}
+
+    def test_only_rng_builds_a_generator(self):
+        # one copy of the stream rule: every draw of the package comes from `_rng`
+        found = {(path.stem, scope) for path in Path(mc.__file__).parent.glob("*.py")
+                 for scope in rng_builders(path.read_text())}
+        assert found == {("mc", "_rng")}
 
 
 class TestUnitNormals:
