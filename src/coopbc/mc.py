@@ -26,14 +26,7 @@ import numpy as np
 
 # campaign is not called here, but bench/tracing.py wraps it under this module's name
 from .af import SnrState, _finals, campaign  # noqa: F401
-from .channel import (
-    ChannelParams,
-    CoopConfig,
-    Protocol,
-    plan_bandwidth,
-    power_schedule,
-    transmissions,
-)
+from .channel import ChannelParams, CoopConfig, Protocol, plan_bandwidth, transmissions
 from .df import (
     Constellation,
     RelayErrorModel,
@@ -445,24 +438,27 @@ def _df_plan(
 ) -> tuple[tuple[float, float], tuple[Optional[tuple[int, float, float]], ...]]:
     """Downlink noise powers (N1, N2) of one DF config, and for receivers 0
     and 1 the branch each hears from its partner: (link slot, gain, noise),
-    or None if the partner never sends. Slots number the relays in the order
-    of their first send, and each link is `fraction` of the downlink band
-    wide. The detectors divide by every noise power and scale by every SNR,
-    so a planned SNR (P over a downlink noise, gain^2 over a link noise) that
-    is not positive and finite raises a ValueError naming its density: n1,
-    n2, then the links in first-send order.
+    or None if the partner never sends. A relay sends if it has a
+    transmission and a positive budget. Slots number the senders in the
+    order of their first send: the senders of the first exchange, then
+    receiver 1 before receiver 2. A relay's m equal-power repeats of one
+    block sum to one branch whose SNR, its budget over its link noise, does
+    not depend on m, so the branch is planned as one send of the whole
+    budget: gain sqrt(budget) and the noise of one link, `fraction` of the
+    downlink band wide. The detectors divide by every noise power and scale
+    by every SNR, so a planned SNR (P over a downlink noise, gain^2 over a
+    link noise) that is not positive and finite raises a ValueError naming
+    its density: n1, n2, then the links in first-send order.
     """
     plan = plan_bandwidth(params, config)
     coop_band = fraction * plan.B_DL
     snrs = [("n1", params.P, plan.N1), ("n2", params.P, plan.N2)]
     heard: list[Optional[tuple[int, float, float]]] = [None, None]
-    # m equal-power repeats (amplitude a, noise N) of one relay block are
-    # sufficient as their sum: one branch of gain m*a and noise m*N
-    period, sends = power_schedule(params, config), transmissions(config)
-    for slot, relay in enumerate(dict.fromkeys(i % 2 for i in np.flatnonzero(period).tolist())):
-        m = sends[relay]
-        gain = m * math.sqrt(period[:, relay].max())
-        noise = m * ((params.n12, params.n21)[relay] * coop_band)
+    budgets, sends = (params.P12, params.P21), transmissions(config)
+    first = transmissions(config.with_count(1))  # the senders of the first exchange
+    for slot, relay in enumerate(r for r in sorted((0, 1), key=lambda r: -first[r])
+                                 if sends[r] and budgets[r] > 0.0):
+        gain, noise = math.sqrt(budgets[relay]), (params.n12, params.n21)[relay] * coop_band
         snrs.append((("n12", "n21")[relay], gain * gain, noise))
         heard[1 - relay] = (slot, gain, noise)
     for name, power, noise in snrs:
@@ -519,10 +515,13 @@ def simulate_df(
     Every draw is made for the whole batch; every later stage (symbols,
     direct signals, relay decisions and branches, detection and error
     counts) runs over tiles of blocks whose detector tables stay cache-sized.
-    Blocks are independent, so the tile size sets no result. Each distinct
-    pair of downlink noises forms its direct signals and relay decisions and
-    detects each destination in one call per _CALL_SIZE of its configs; each
-    relay noise power builds one error model; each result equals its solo run.
+    Blocks are independent, so the tile size sets no result. Configs with
+    equal plans pose one detection problem (under h2, every symmetric config
+    with k >= 1 and every asymmetric one with k >= 2), which is sampled once,
+    with its own stop check, for all of them. Each distinct pair of downlink
+    noises forms its direct signals and relay decisions and detects each
+    destination in one call per _CALL_SIZE of its problems; each relay noise
+    power builds one error model; each result equals its solo run.
     """
     if any(c.protocol is not Protocol.DF for c in configs):
         raise ValueError("simulate_df requires decode-and-forward configs")
@@ -544,10 +543,11 @@ def simulate_df(
         )
     unit = _unit_bits(src_c, rel_c)  # rejects split source axes before any error model
     plans = [_df_plan(params, c, coop_bandwidth_fraction) for c in configs]
+    problems = list(dict.fromkeys(plans))  # configs with equal plans are sampled once
 
     # the relay's substitution law depends only on its downlink noise power;
     # weight-and-add never reads it, so it skips building any
-    relay_noises = dict.fromkeys(noises[1 - dest] for noises, heard in plans
+    relay_noises = dict.fromkeys(noises[1 - dest] for noises, heard in problems
                                  for dest, branch in enumerate(heard) if branch)
     models = {noise: RelayErrorModel.error_free(src_c) if relay_model == "genie"
               else estimate_relay_errors(src_c, amp_s, noise)
@@ -572,10 +572,10 @@ def simulate_df(
         bits = rng.integers(0, 2, (T, shape.n), dtype=np.int8)
         unit_direct = [_unit_cn(rng, (T, shape.s)) for _ in range(2)]
         unit_links = [_unit_cn(rng, (T, shape.r))
-                      for _ in range(max(sum(map(bool, plans[c][1])) for c in active))]
-        groups: dict[tuple[float, float], list[int]] = {}  # downlink noises -> configs
+                      for _ in range(max(sum(map(bool, problems[c][1])) for c in active))]
+        groups: dict[tuple[float, float], list[int]] = {}  # downlink noises -> problems
         for c in active:
-            groups.setdefault(plans[c][0], []).append(c)
+            groups.setdefault(problems[c][0], []).append(c)
         errors = {c: [0, 0, 0] for c in active}  # Python ints
         for tile in (slice(a, a + tile_blocks) for a in range(0, T, tile_blocks)):
             tile_bits = bits[tile]
@@ -587,19 +587,21 @@ def simulate_df(
                 relay_in = direct if relay_model == "exact" else (x, x)
                 labels = {relay: relay_decode_and_remap(relay_in[relay], src_c, rel_c, amp_s)
                           for relay in {1 - dest for c in members
-                                        for dest, branch in enumerate(plans[c][1]) if branch}}
+                                        for dest, branch in enumerate(problems[c][1]) if branch}}
                 wrong = []
                 for dest in (0, 1):  # one call; a member hears its partner's branch, or None
                     heard = [link and RelayObservation(  # link: (slot, gain, noise)
                         link[1] * rel_c.points[labels[1 - dest]]
                         + math.sqrt(link[2] / 2.0) * unit_links[link[0]][tile],
                         link[1], link[2], models.get(noises[1 - dest]))
-                        for link in (plans[c][1][dest] for c in members)]
+                        for link in (problems[c][1][dest] for c in members)]
                     wrong.append(decide(direct[dest], heard, noises[dest]) != tile_bits)
                 for c, w_I, w_II in zip(members, *wrong):  # config-major slices
                     errors[c] = [e + np.count_nonzero(w)
                                  for e, w in zip(errors[c], (w_I, w_II, w_I | w_II))]
         return [(T * shape.s, T * shape.n, *errors[c]) for c in active]
 
-    totals = _run_ordered(worker, len(configs), -(-total_blocks // blocks_per_batch), threads, tc)
-    return Sweep(DfRunResult(*_ber_estimates(t), source_order, rel_order) for t in totals)
+    totals = _run_ordered(worker, len(problems), -(-total_blocks // blocks_per_batch), threads, tc)
+    results = {plan: DfRunResult(*_ber_estimates(t), source_order, rel_order)
+               for plan, t in zip(problems, totals)}
+    return Sweep(results[plan] for plan in plans)

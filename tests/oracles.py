@@ -948,8 +948,12 @@ def _dense_relay_table(
     relay_constellation: Constellation,
     shape: BlockShape,
 ) -> np.ndarray:
-    """(T, r, Mr) log likelihoods of every intended relay symbol, mixed over
-    the dense pooled law as a max-shifted product."""
+    """(T, r, Mr) log likelihoods of every intended relay symbol j, mixed
+    over the dense pooled law with no floor: log sum_l law[j, l] exp(g_l).
+    The sum is a product shifted by the largest g_l of the sample; an entry
+    that falls more than 600 nats below that shift, where the product loses
+    digits or reaches 0, is summed again in the log domain, shifted by its
+    own largest term."""
     law = relay_law_dense(obs.model.axis_law, source_constellation, relay_constellation, shape)
     g = (
         -np.abs(obs.y12[:, :, None] - obs.amplitude * relay_constellation.points) ** 2
@@ -957,7 +961,12 @@ def _dense_relay_table(
         - math.log(math.pi * obs.noise_power)
     )
     top = g.max(axis=-1, keepdims=True)
-    return top + np.log(np.maximum(np.exp(g - top) @ law.T, 1e-300))
+    with np.errstate(divide="ignore"):
+        table = top + np.log(np.exp(g - top) @ law.T)
+        log_law = np.log(law)
+    for t, p, j in zip(*np.nonzero(table - top < -600.0)):
+        table[t, p, j] = _logsumexp(g[t, p] + log_law[j], axis=-1)
+    return table
 
 
 def mld_llr_dense(
@@ -971,7 +980,8 @@ def mld_llr_dense(
 ) -> np.ndarray:
     """Per-bit likelihood ratios (T, n) of coopbc.df.mld_llr_batch, computed
     by enumerating all 2^n candidate bit vectors of a block and mixing every
-    relay symbol over the dense pooled law of `relay_law_dense`."""
+    relay symbol over the dense pooled law of `relay_law_dense`, with no
+    floor on the mixture (the detector floors it at 1e-300 per unit)."""
     n, trials = shape.n, y2.shape[0]
     count = 1 << n
     bits = ((np.arange(count)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)

@@ -83,6 +83,26 @@ seed = 5
 DF_R2_TEXT = (DF_TEXT.replace("starter = r1", "starter = r2").replace("k_max = 1", "k_max = 2")
               .replace("snr12 = 30", "snr12 = 5").replace("snr21 = 30", "snr21 = 5"))
 
+# DF_R2_TEXT's channel under h2 at k_max 3, symmetric, and at k_max 4,
+# asymmetric with receiver 2 first: the rows from k = 1 (symmetric) and from
+# k = 2 (asymmetric) on pose one detection problem, which is sampled once
+DF_H2_SYM_TEXT = (DF_R2_TEXT.replace("scheme = asymmetric", "scheme = symmetric")
+                  .replace("starter = r2\n", "").replace("k_max = 2", "k_max = 3"))
+DF_H2_ASYM_TEXT = DF_R2_TEXT.replace("k_max = 2", "k_max = 4")
+
+# The DF CSVs byte for byte, each also pinned under every BLAS kernel and
+# thread count the kernel test sets
+DF_PINS = [
+    ("ber", DF_R2_TEXT, "d25e742fdf4249f96c41361f2728ec56e11e039eb2b74af09a97152f78777109"),
+    ("compare", DF_R2_TEXT, "1234297fd70062357b6f1f8e49c80e373e37cbdb5df86cf62160cdc8c102b4b2"),
+    ("ber", DF_H2_SYM_TEXT, "956d76cbc0a04d16c60420dde4418b2c07761e9f5d253f977acb5dfc96848811"),
+    ("compare", DF_H2_SYM_TEXT,
+     "7dd4e67d1af26f47f3e254012e8ee64940ec8f22105ec23f2f7cff0a0a6b0bed"),
+    ("ber", DF_H2_ASYM_TEXT, "8eebcbd16530026a54ab3d3ef647e0efbbc7891aa7005dccb112fa4536557c5a"),
+    ("compare", DF_H2_ASYM_TEXT,
+     "68965e6989d3254d47a22ca31e9b621060ccf9354e03c30ae7c730561cd8a69f"),
+]
+
 # 256-QAM AF on 10/10/30/30 dB, the bench's af_qam256 job at seed 101: its
 # SNR moments are sums over 32768 symbols, which a BLAS dot product would
 # order by kernel and thread count
@@ -131,6 +151,10 @@ BASE_TEXT = (REGIONS_TEXT.replace("n1 = 0.5", "n1 = 0.1").replace("n2 = 0.5", "n
 # leaves a detector SNR outside (0, inf)
 DF_ZERO_NOISE = (REGIONS_TEXT.replace("protocol = af", "protocol = df")
                  .replace("k = 1", "k = 1\nk_max = 2") + "\n[trials]\ntrials = 2000\n")
+
+# DF_ZERO_NOISE under the symmetric scheme: both receivers relay from k = 1
+DF_SYM_TEXT = (DF_ZERO_NOISE.replace("scheme = asymmetric", "scheme = symmetric")
+               .replace("starter = r1\n", ""))
 
 SPLIT_TEXT = """
 [channel]
@@ -604,8 +628,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("command, text, digest", [
         ("ber", AF_TEXT, "57da71272515c3d62b11d95755d584e14fdf07acc86bd5a7435c3de4aff62b30"),
         ("compare", AF_TEXT, "d71248acb02cc02682bf65fbe0da6b74a19473405db135ea10138f00c5d8041c"),
-        ("ber", DF_R2_TEXT, "d25e742fdf4249f96c41361f2728ec56e11e039eb2b74af09a97152f78777109"),
-        ("compare", DF_R2_TEXT, "1234297fd70062357b6f1f8e49c80e373e37cbdb5df86cf62160cdc8c102b4b2"),
+        *DF_PINS,
         ("ber", AF_TEXT + "\n[modulation]\nsource_order = 2\n",
          "a4f328c001d827c9c6c7e4b421e2ab8ee3b9899bef065715b6fdd3e543af68c3"),
         ("ber", AF_QAM256_TEXT, "b3afbdea1e755be6c3a8f7d44c25f187401404e7ec6748695531257a2b639345"),
@@ -636,9 +659,11 @@ class TestDeterminism:
         # numpy's OpenBLAS picks its kernel from the CPU at load time, and
         # OPENBLAS_CORETYPE overrides that choice in the child processes only.
         # AF ber sums its sampled moments without BLAS, so it must not move
-        # with the kernel or the BLAS thread count either. DF ber and compare
-        # stay out: the DF detector's matrix products are BLAS calls
-        cases = [*((command, text) for command, text, _ in ANALYTIC_PINS), ("ber", AF_QAM256_TEXT)]
+        # with the kernel or the BLAS thread count either. The DF detector's
+        # matrix products are BLAS calls, yet the pinned DF CSVs hold their
+        # digests under every setting here
+        pins = ANALYTIC_PINS + DF_PINS
+        cases = [*((command, text) for command, text, _ in pins), ("ber", AF_QAM256_TEXT)]
         jobs = [(command, scenario_file(text, f"case{i}.ini"), str(tmp_path / f"case{i}.csv"))
                 for i, (command, text) in enumerate(cases)]
         hashes = []
@@ -648,8 +673,8 @@ class TestDeterminism:
                                  capture_output=True, text=True, env=child_env(**blas))
             assert res.returncode == 0, res.stderr
             hashes.append(res.stdout.split())
-        *analytic, af_ber = zip(*hashes)
-        for (command, _, digest), per_blas in zip(ANALYTIC_PINS, analytic):
+        *pinned, af_ber = zip(*hashes)
+        for (command, _, digest), per_blas in zip(pins, pinned):
             assert set(per_blas) == {digest}, command
         assert len(set(af_ber)) == 1, af_ber
 
@@ -763,6 +788,32 @@ class TestExitCodes:
         assert main(["ber", "--scenario", scenario_file(text)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: relay would need ") and err.count("\n") == 1
+
+    def test_planned_branch_of_a_whole_budget_exits_2(self, capsys, scenario_file):
+        # under h1 a link narrows as k grows: receiver 1's budget over one
+        # link's noise is 5e307 / (1/3), finite, at k = 1 and 5e307 / 0.2,
+        # which overflows, at k = 2. The line names that one branch of the
+        # whole budget, not the sum of k = 2's two sends (1e+308 / 0.4)
+        text = DF_SYM_TEXT.replace("p12 = 10", "p12 = 5e307")
+        assert main(["ber", "--scenario", scenario_file(text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: n12: the planned SNR 5e+307 / 0.2 "
+                                "is not positive and finite\n")
+
+    def test_a_link_whose_summed_noise_overflows_runs(self, capsys, scenario_file):
+        # n12 = 1e308: the sum of k = 2's two sends would have noise power
+        # 2e308, but the branch of the whole budget has SNR 1e-307, so the
+        # sweep runs, and a link 3000 dB under its noise leaves receiver 2 as
+        # it is without one
+        text = (DF_SYM_TEXT.replace("regime = h1", "regime = h2")
+                .replace("n12 = 1\n", "n12 = 1e308\n"))
+        code, out = run(capsys, ["ber", "--scenario", scenario_file(text)])
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert [row[0] for row in rows] == ["0", "1", "2"] and rows[1][1:] == rows[2][1:]
+        ber_2 = header.index("ber_2")
+        assert rows[0][ber_2] == rows[1][ber_2]
 
     @pytest.mark.parametrize("out", ["missing/out.csv", "."])
     def test_unwritable_out_exits_2(self, scenario_file, tmp_path, out):

@@ -840,3 +840,22 @@ class TestMldDetector:
         genie = RelayObservation(y12, 30.0, 1.0, RelayErrorModel.error_free(c))
         llr, = mld_llr_batch(y2, [genie], shape, c, c, 1.0, 2.0 / 700.0)
         np.testing.assert_allclose(llr, [[math.exp(-700.0) / 1e-300] * 2], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("margin", [500, 600, 680])
+    def test_a_branch_past_the_mixture_floor_decides_as_the_unfloored_oracle(self, margin):
+        # the direct signal favours the sent point by `margin` nats on each
+        # axis, and an error-free branch the opposite point by 1800. The
+        # detector floors the mixture of each unit (here one axis) at 1e-300,
+        # so the branch keeps 690.8 nats of evidence per axis and outweighs
+        # the direct signal, as it does in the unfloored likelihoods; a floor
+        # per relay symbol keeps 690.8 nats for both axes together, and gives
+        # the direct signal every margin above 345 nats
+        c, shape = qam(4), BlockShape(1, 1, 2)
+        sent = np.array([[0, 0]], dtype=np.int8)
+        y2 = c.points[c.bits_to_indices(sent)]
+        y12 = 30.0 * c.points[c.bits_to_indices(1 - sent)]
+        genie = RelayObservation(y12, 30.0, 1.0, RelayErrorModel.error_free(c))
+        got, = mld_llr_batch(y2, [genie], shape, c, c, 1.0, 2.0 / margin)
+        want = mld_llr_dense(y2, [genie], shape, c, c, 1.0, 2.0 / margin)
+        assert np.array_equal(want > 1.0, sent == 0)  # the branch wins in the oracle
+        assert np.array_equal(got > 1.0, want > 1.0)

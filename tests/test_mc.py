@@ -799,6 +799,93 @@ class TestSweep:
         assert sweep.ber_I.errors == sum(r.ber_I.errors for r in sweep)
 
 
+# receiver 1's budget is the smallest subnormal: its one send at k = 1 carries
+# 5e-324 W, but 5e-324 / 2 W a send rounds to 0 at k = 2
+SUBNORMAL_BUDGET = ChannelParams(P=1.0, n1=0.5, n2=0.5, n12=0.5, n21=0.5, P12=5e-324, P21=1.0,
+                                 B=1.0)
+H2_SCHEMES = st.one_of(st.builds(Symmetric, st.integers(0, 5)),
+                       st.builds(Asymmetric, st.integers(0, 5), st.sampled_from(list(Receiver))))
+
+
+class TestDfFold:
+    """A DF config's plan holds each relay's repeats as one branch of its
+    whole budget, so configs that differ only in their count plan equal, and
+    `simulate_df` samples each distinct plan once."""
+
+    def test_a_branch_is_planned_from_the_whole_budget(self):
+        # m sends of 10 / m W each sum to one branch of SNR 10 / 0.25 at any
+        # m, planned as gain sqrt(10) over one half-width link's noise
+        plans = {mc._df_plan(COOP, c, 0.5) for c in df_sweep(Symmetric(0), Regime.H2, range(1, 6))}
+        branch = (math.sqrt(10.0), 0.25)
+        assert plans == {((1.0, 2.0), ((1, *branch), (0, *branch)))}
+
+    def test_who_sends_does_not_depend_on_the_count(self):
+        # receiver 1 relays at every k >= 1 and takes the first slot, though
+        # its budget over two or three sends rounds to 0 W a send
+        configs = df_sweep(Symmetric(0), Regime.H2, range(1, 4))
+        plans = {mc._df_plan(SUBNORMAL_BUDGET, c, 1.0) for c in configs}
+        assert plans == {((0.5, 0.5), ((1, 1.0, 0.5), (0, math.sqrt(5e-324), 0.5)))}
+        for combiner in ("mld", "mrc"):
+            rows = simulate_df(SUBNORMAL_BUDGET, configs, 4, TrialConfig(trials=20_000, seed=3),
+                               combiner=combiner)
+            assert rows[0] == rows[1] == rows[2]
+
+    def test_the_planned_snr_names_the_whole_budget(self):
+        # the line names the whole budget over one link's noise, not the sum
+        # of k = 2's two sends of 5e307 W (inf / 1)
+        p = replace(SUBNORMAL_BUDGET, P12=1e308, n21=1.0)
+        with pytest.raises(ValueError, match=r"^n12: the planned SNR 1e\+308 / 0\.5 is not"):
+            simulate_df(p, df_sweep(Symmetric(0), Regime.H2, [2]), 4, TrialConfig(trials=10))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("combiner", ["mld", "mrc"])
+    @settings(max_examples=25, deadline=None)
+    @given(schemes=st.lists(H2_SCHEMES, min_size=1, max_size=6),
+           params=st.sampled_from([COOP, NOISY_LINKS, SUBNORMAL_BUDGET,
+                                   replace(NOISY_LINKS, P21=0.0)]),
+           trials=st.integers(1, 6 * 64), seed=st.integers(0, 2**64 - 1),
+           target=st.sampled_from([None, 0.3]))
+    def test_every_h2_config_equals_its_solo_run(self, combiner, threads, schemes, params,
+                                                 trials, seed, target):
+        # batches of 64 symbols, so that 3 threads run several side by side
+        # and a target stops the problems of a sweep after different chunks
+        configs = [CoopConfig(Protocol.DF, scheme, Strategy.S2, Regime.H2) for scheme in schemes]
+        tc = TrialConfig(trials=trials, seed=seed, target_half_width=target)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "BATCH_SYMBOLS", 64)
+            sweep = simulate_df(params, configs, 4, tc, combiner=combiner, threads=threads)
+            assert sweep == tuple(simulate_df(params, [c], 4, tc, combiner=combiner)[0]
+                                  for c in configs)
+
+    def test_equivalent_h2_configs_give_equal_rows(self):
+        # under h2 every symmetric config with k >= 1 and every asymmetric
+        # one from receiver 1 with k >= 2 poses one problem: both relays send,
+        # receiver 1 first. From receiver 2, k >= 2 poses another
+        tc = TrialConfig(trials=3000, seed=89)
+        sym, asym, asym_r2 = (df_sweep(scheme, Regime.H2, range(5)) for scheme in
+                              (Symmetric(0), Asymmetric(0), Asymmetric(0, Receiver.R2)))
+        rows = simulate_df(NOISY_LINKS, sym + asym + asym_r2, 16, tc)
+        s, a, r = rows[:5], rows[5:10], rows[10:]
+        assert len({*s[1:], *a[2:]}) == 1 and len(set(r[2:])) == 1
+        assert len({s[0], s[1], a[1], r[1], r[2]}) == 5  # no two problems read alike
+        assert s[0] == a[0] == r[0]  # k = 0 hears no branch under any scheme
+
+    def test_a_13_row_sweep_detects_two_problems(self, monkeypatch):
+        # k = 0 and k >= 1: two configs per destination in each of the
+        # batch's three tiles of 8192 blocks, not 13
+        sizes = []
+
+        def spy(y2, observations, *args):
+            sizes.append(len(observations))
+            return mld_llr_batch(y2, observations, *args)
+
+        monkeypatch.setattr(mc, "mld_llr_batch", spy)
+        rows = simulate_df(COOP, df_sweep(Symmetric(0), Regime.H2, range(13)), 4,
+                           TrialConfig(trials=20_000, seed=97))
+        assert sizes == [2] * 6
+        assert len(set(rows)) == 2
+
+
 # source order and cooperation band fraction of each DF block shape the tile
 # tests run: 4->4, 16->16 and 64->64 (3-bit units) reuse the source
 # constellation; BPSK->16-QAM and 16->256-QAM (4-bit units) do not
@@ -900,9 +987,10 @@ class TestTiles:
 
     @pytest.mark.parametrize("combiner", ["mld", "mrc"])
     def test_detector_call_parts_set_no_result(self, monkeypatch, combiner):
-        # an h2 sweep is one noise group of six configs, which one detector
-        # call per destination serves whole, or in parts of one or four
-        # configs (the last part short); k = 0 hears no branch at all
+        # an h2 sweep is one noise group of six configs and four distinct
+        # plans, which one detector call per destination serves whole, or in
+        # parts of one or three plans (the last part short); k = 0 hears no
+        # branch at all
         configs = [*df_sweep(Symmetric(0), Regime.H2, range(3)),
                    *df_sweep(Asymmetric(0, Receiver.R2), Regime.H2, range(1, 4))]
         tc = TrialConfig(trials=3000, seed=83)
@@ -913,7 +1001,7 @@ class TestTiles:
 
         whole = run(len(configs))
         assert all(r.ber_II.errors for r in whole)
-        assert run(1) == whole and run(4) == whole
+        assert run(1) == whole and run(3) == whole
 
     def test_relay_order_256_batch_peaks_at_tile_size(self):
         # one full batch of 32,768 two-symbol 16-QAM blocks forwarded as
