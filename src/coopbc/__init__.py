@@ -16,8 +16,7 @@ from .channel import (
     Strategy,
     Symmetric,
     plan_bandwidth,
-    power_schedule,
-    transmissions,
+    plan_sweep,
 )
 from .af import (
     SnrState,

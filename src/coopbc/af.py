@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, CoopConfig, Strategy, plan_bandwidth, power_schedule
+# plan_bandwidth is not called here, but bench/tracing.py wraps it under this module's name
+from .channel import ChannelParams, CoopConfig, Strategy, plan_bandwidth, plan_sweep  # noqa: F401
 
 __all__ = ["SnrState", "final_state", "campaign", "run_recursion"]
 
@@ -147,7 +148,7 @@ def final_state(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(N_I, N_II, e), each (S,), after `counts` (S,) steps of S scenarios
     with plan noise powers (S, 4) (N1, N2, N12, N21) and power periods
-    (S, 2, 2) (see `channel.power_schedule`: step t sends row t % 2)."""
+    (S, 2, 2) (see `channel.plan_sweep`: step t sends row t % 2)."""
     noises, counts = np.asarray(noises, dtype=float), np.asarray(counts)
     if forward_original:
         N, heard, steps = noises[:, :2], periods[:, :, ::-1], counts[:, None]
@@ -163,11 +164,21 @@ def final_state(
     return state[:, 0], state[:, 1], state[:, 2]
 
 
-def _inputs(params: ChannelParams, configs: list[CoopConfig]) -> tuple[np.ndarray, np.ndarray]:
-    """Plan noise powers (S, 4) and power periods (S, 2, 2) of the configs."""
-    plans = [plan_bandwidth(params, c) for c in configs]
-    return (np.array([(p.N1, p.N2, p.N12, p.N21) for p in plans]),
-            np.array([power_schedule(params, c) for c in configs]))
+def _inputs(params: ChannelParams, configs: list[CoopConfig]) -> list[np.ndarray]:
+    """`channel.plan_sweep`'s four arrays for the configs, one call per scheme
+    and regime in the sweep; a fault raises the line of the first config at fault."""
+    keys = [(c.regime, type(c.scheme), getattr(c.scheme, "starter", None)) for c in configs]
+    plan = [np.empty((len(configs), *shape)) for shape in ((2,), (4,), (2, 2), (2,))]
+    try:
+        for key, config in dict(zip(keys, configs)).items():
+            pick = [i for i, k in enumerate(keys) if k == key]
+            for out, part in zip(plan, plan_sweep(params, config, [configs[i].count for i in pick])):
+                out[pick] = part
+    except ValueError:  # a sweep of several schemes or regimes
+        for c in configs:
+            plan_sweep(params, c, [c.count])
+        raise
+    return plan
 
 
 def _states(P: float, steps: range | list[int], rows: list) -> tuple[SnrState, ...]:
@@ -178,7 +189,7 @@ def _states(P: float, steps: range | list[int], rows: list) -> tuple[SnrState, .
 
 def _finals(params: ChannelParams, configs: list[CoopConfig]) -> tuple[SnrState, ...]:
     """Each config's final state (i = its count), one `final_state` per strategy."""
-    noises, periods = _inputs(params, configs)
+    _, noises, periods, _ = _inputs(params, configs)
     counts, rows = np.array([c.count for c in configs]), np.empty((len(configs), 3))
     for strategy in dict.fromkeys(c.strategy for c in configs):
         pick = np.array([c.strategy is strategy for c in configs])
@@ -194,7 +205,7 @@ def campaign(params: ChannelParams, config: CoopConfig) -> tuple[SnrState, ...]:
     Returns one state per step, index 0 = before cooperation at this
     campaign's bandwidth plan.
     """
-    k, (noises, period) = config.count, _inputs(params, [config])
+    k, (_, noises, period, _) = config.count, plan_sweep(params, config, [config.count])
     if config.strategy is Strategy.S1:
         return _states(params.P, range(k + 1), _trajectory(
             params.P, noises[0].tolist(), period[0].tolist(), k))
@@ -212,4 +223,6 @@ def run_recursion(params: ChannelParams, config: CoopConfig, K: int) -> tuple[Sn
     """
     if K < 0:
         raise ValueError("exchange count must be >= 0")
-    return _finals(params, [config.with_count(k) for k in range(K + 1)])
+    _, noises, periods, _ = plan_sweep(params, config, range(K + 1))
+    return _states(params.P, range(K + 1), np.column_stack(final_state(
+        params.P, noises, periods, np.arange(K + 1), config.strategy is Strategy.S2)).tolist())

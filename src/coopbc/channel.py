@@ -12,15 +12,15 @@ keeps the full bandwidth B and cooperation bandwidth is added on top.
 Each receiver spends its cooperation budget evenly over its own transmissions.
 Under the symmetric scheme both receivers send every round; under the
 asymmetric scheme the starter sends ceil(K/2) times and its partner floor(K/2)
-times, alternating. `transmissions` gives the send counts, and
-`power_schedule` the per-send powers as a two-row period.
+times, alternating. `plan_sweep` is the one copy of these rules: it plans a
+whole sweep of exchange counts as arrays, and `plan_bandwidth` is one row of it.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -150,52 +150,39 @@ class BandwidthPlan:
     N21: float
 
 
-def plan_bandwidth(params: ChannelParams, config: CoopConfig) -> BandwidthPlan:
-    """Split the spectrum for the configured scheme, count and regime.
+def plan_sweep(params: ChannelParams, config: CoopConfig, counts: Sequence[int]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The plans of the config's scheme and regime at each of `counts` (S,),
+    whatever its own count: bands (S, 2) (B_DL, B_C), noise powers (S, 4)
+    (N1, N2, N12, N21), power periods (S, 2, 2) and sends (S, 2) (n1, n2).
 
-    With n cooperation sub-channels, fixed total bandwidth (H1) gives
-    B_DL = B/(n+1), fixed downlink bandwidth (H2) gives B_DL = B; either way
-    B_C = n * B_DL, so K = 0 yields B_DL = B, B_C = 0 under both regimes. A
-    subnormal B whose B_DL underflows to 0 raises a ValueError naming b.
+    With n sends in all, one sub-channel each, H1 gives B_DL = B/(n+1) and H2
+    B_DL = B; B_C = n * B_DL, and a noise power is its density times B_DL.
+    Exchange t (from 0) sends row t % 2 of the period: both powers in both
+    rows under the symmetric scheme; the starter's in row 0 and its partner's
+    in row 1 under the asymmetric one. A subnormal B whose B_DL underflows to
+    0 raises a ValueError naming b at the first such count.
     """
-    n_coop = sum(transmissions(config))  # cooperation sub-channels
-    B_DL = params.B / (n_coop + 1) if config.regime is Regime.H1 else params.B
-    if B_DL == 0.0:
-        raise ValueError(f"the downlink band B = {params.B:g} / {n_coop + 1} underflows to 0; "
-                         "raise b")
-    return BandwidthPlan(
-        B_DL=B_DL,
-        B_C=n_coop * B_DL,
-        N1=params.n1 * B_DL,
-        N2=params.n2 * B_DL,
-        N12=params.n12 * B_DL,
-        N21=params.n21 * B_DL,
-    )
-
-
-def transmissions(config: CoopConfig) -> tuple[int, int]:
-    """Cooperation transmissions (n1, n2) that receivers 1 and 2 send in a
-    campaign: K each under the symmetric scheme; ceil(K/2) for the starter
-    and floor(K/2) for its partner under the asymmetric scheme."""
-    k = config.count
-    scheme = config.scheme
+    k, scheme = np.asarray(counts, dtype=int), config.scheme
     if isinstance(scheme, Symmetric):
-        return k, k
-    first, second = (k + 1) // 2, k // 2
-    return (first, second) if scheme.starter is Receiver.R1 else (second, first)
+        sends, rows = np.column_stack([k, k]), np.ones((2, 2), dtype=bool)
+    else:
+        sends, rows = np.column_stack([(k + 1) // 2, k // 2]), np.eye(2, dtype=bool)
+        if scheme.starter is Receiver.R2:
+            sends, rows = sends[:, ::-1], rows[::-1]
+    n = sends.sum(axis=1)  # cooperation sub-channels
+    B_DL = params.B / (n + 1) if config.regime is Regime.H1 else np.full(len(n), params.B)
+    if not B_DL.all():  # the first zero band is the first smallest
+        raise ValueError(f"the downlink band B = {params.B:g} / {n[B_DL.argmin()] + 1} underflows "
+                         "to 0; raise b")
+    per_send = np.divide((params.P12, params.P21), sends, out=np.zeros(sends.shape),
+                         where=sends > 0)
+    return (np.column_stack([B_DL, n * B_DL]),
+            B_DL[:, None] * (params.n1, params.n2, params.n12, params.n21),
+            np.where(rows, per_send[:, None, :], 0.0), sends)
 
 
-def power_schedule(params: ChannelParams, config: CoopConfig) -> np.ndarray:
-    """Cooperation power sent from receiver 1 to 2 and from 2 to 1, as a (2, 2)
-    period: exchange t (from 0) sends row t % 2.
-
-    Each receiver spends its budget evenly over its own transmissions (zero
-    when it sends none). Symmetric: both rows carry both powers. Asymmetric:
-    row 0 carries the starter's power, row 1 its partner's.
-    """
-    budgets = (params.P12, params.P21)
-    per_send = [b / n if n else 0.0 for b, n in zip(budgets, transmissions(config))]
-    if isinstance(config.scheme, Symmetric):
-        return np.array([per_send, per_send])
-    period = np.diag(per_send)  # row r: receiver r + 1 sends
-    return period if config.scheme.starter is Receiver.R1 else period[::-1]
+def plan_bandwidth(params: ChannelParams, config: CoopConfig) -> BandwidthPlan:
+    """The bandwidth plan of the config's own count: row 0 of `plan_sweep`."""
+    bands, noises, _, _ = plan_sweep(params, config, [config.count])
+    return BandwidthPlan(*bands[0].tolist(), *noises[0].tolist())

@@ -27,12 +27,15 @@ from . import __version__
 from .af import campaign, run_recursion
 from .channel import (
     Asymmetric,
+    BandwidthPlan,
     CoopConfig,
     Protocol,
     Strategy,
     Symmetric,
-    plan_bandwidth,
+    plan_sweep,
 )
+# plan_bandwidth is not called here, but bench/tracing.py wraps it under this module's name
+from .channel import plan_bandwidth  # noqa: F401
 from .errors import ModulationError, ScenarioError
 from .mc import AfRunResult, DfRunResult, simulate_af, simulate_df
 from .metrics import RegionMap, decision_regions, error_criteria, rate_af, simo_bound
@@ -115,12 +118,11 @@ def cmd_rate(s: Scenario, args: argparse.Namespace) -> Table:
     """Final SNRs and achievable rate for each provisioned count k = 0..k_max."""
     _require_af(s, "rate")
     bound = simo_bound(s.params)
-    rows: list[Row] = []
-    for k, st in enumerate(run_recursion(s.params, s.config, s.k_max)):
-        plan = plan_bandwidth(s.params, s.config.with_count(k))
-        rows.append((k, plan.B_DL, plan.B_C, st.rho_I, st.rho_II,
-                     rate_af(plan, (st.rho_I, st.rho_II)), bound))
-    return _render(RATE_COLUMNS, rows)
+    rhos = [(st.rho_I, st.rho_II) for st in run_recursion(s.params, s.config, s.k_max)]
+    bands, noises, _, _ = plan_sweep(s.params, s.config, range(s.k_max + 1))
+    rates = rate_af(BandwidthPlan(*bands.T, *noises.T), np.array(rhos).T)
+    return _render(RATE_COLUMNS, [(k, *band, *rho, rate, bound) for k, (band, rho, rate)
+                                  in enumerate(zip(bands.tolist(), rhos, rates.tolist()))])
 
 
 def _sweep(s: Scenario, configs: Sequence[CoopConfig], args: argparse.Namespace

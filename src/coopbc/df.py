@@ -411,9 +411,10 @@ def mld_llr_batch(
     labels of each unit, not all 2^n bit vectors. The direct max-shifted
     likelihoods are built once; a branch mixes its own over the unit law
     axis_law^{⊗c} (c source axes per unit) by mode products, floors the
-    mixture at 1e-300, multiplies the direct likelihoods into it and divides
-    the product by each unit's largest. Bit masses are floored at 1e-300
-    before the ratio.
+    mixture at 1e-300 (so a branch outvotes the direct signal by at most
+    ln 1e300 = 690.8 nats a unit), multiplies the direct likelihoods into it
+    and divides the product by each unit's largest. Bit masses are floored
+    at 1e-300 before the ratio.
     """
     unit = _unit_bits(source_constellation, relay_constellation)
     trials, units = y2.shape[0], shape.n // unit

@@ -25,8 +25,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 # campaign is not called here, but bench/tracing.py wraps it under this module's name
-from .af import SnrState, _finals, campaign  # noqa: F401
-from .channel import ChannelParams, CoopConfig, Protocol, plan_bandwidth, transmissions
+from .af import SnrState, _finals, _inputs, campaign  # noqa: F401
+# plan_bandwidth is not called here, but bench/tracing.py wraps it under this module's name
+from .channel import ChannelParams, CoopConfig, Protocol, Receiver, plan_bandwidth  # noqa: F401
 from .df import (
     Constellation,
     RelayErrorModel,
@@ -289,8 +290,9 @@ def simulate_af(
     the final covariance [[N_I, e], [e, N_II]] of the config's campaign, read
     for the whole sweep from one engine batch per strategy and drawn through
     its Cholesky factor. Every config scales the same symbols and unit normals
-    of a batch by its own factor, so each result equals that config's solo
-    run.
+    of a batch by its own factors, so each result equals that config's solo
+    run, and configs with equal factors pose one problem, which is sampled
+    once, with its own stop check, for all of them.
 
     Decisions are minimum-distance on each output, taken per axis: the
     nearest point of a square grid is the nearest level on each axis, so
@@ -308,12 +310,13 @@ def simulate_af(
     # when the outputs are nearly equal, rounding can push the Schur
     # complement N_II - e^2 / N_I a few ulps below zero. A noiseless output 1
     # (N_I = 0) is uncorrelated with output 2
-    factors = [
+    config_factors = [
         (math.sqrt(f.N_I / 2.0), f.e / math.sqrt(2.0 * f.N_I),
          math.sqrt(max(f.N_II - f.e**2 / f.N_I, 0.0) / 2.0)) if f.N_I
         else (0.0, 0.0, math.sqrt(f.N_II / 2.0))
         for f in finals
     ]
+    factors = list(dict.fromkeys(config_factors))
     # each output's moments are those of the output times a power of two that
     # brings its noise factors to at most 1, so no finite moment overflows;
     # the scale is exact and cancels in the SNR
@@ -387,9 +390,10 @@ def simulate_af(
             ))
         return out
 
-    totals = _run_ordered(worker, len(configs), -(-tc.trials // BATCH_SYMBOLS), threads, tc)
+    totals = _run_ordered(worker, len(factors), -(-tc.trials // BATCH_SYMBOLS), threads, tc)
+    problems = {f: (t, scale) for f, t, scale in zip(factors, totals, scales)}
 
-    def result(t: tuple, final: SnrState, scale: list[float]) -> AfRunResult:
+    def result(t: tuple, scale: list[float], final: SnrState) -> AfRunResult:
         n, _, _, _, _, Suu, Suz_I, Szz_I, Suz_II, Szz_II = t
 
         def snr_estimate(suz: complex, szz: float, s: float) -> SnrEstimate:
@@ -407,7 +411,7 @@ def simulate_af(
         return AfRunResult(*_ber_estimates(t), snr_estimate(Suz_I, Szz_I, scale[0]),
                            snr_estimate(Suz_II, Szz_II, scale[1]), final)
 
-    return Sweep(map(result, totals, finals, scales))
+    return Sweep(result(*problems[f], final) for f, final in zip(config_factors, finals))
 
 
 # ---------------------------------------------------------------------------
@@ -433,39 +437,44 @@ def _mrc_decisions(
     return const.indices_to_bits(const.detect(u, g))
 
 
-def _df_plan(
-    params: ChannelParams, config: CoopConfig, fraction: float,
-) -> tuple[tuple[float, float], tuple[Optional[tuple[int, float, float]], ...]]:
-    """Downlink noise powers (N1, N2) of one DF config, and for receivers 0
+def _df_plans(params: ChannelParams, configs: Sequence[CoopConfig], fraction: float
+              ) -> list[tuple[tuple[float, float], tuple[Optional[tuple[int, float, float]], ...]]]:
+    """Downlink noise powers (N1, N2) of each DF config, and for receivers 0
     and 1 the branch each hears from its partner: (link slot, gain, noise),
     or None if the partner never sends. A relay sends if it has a
-    transmission and a positive budget. Slots number the senders in the
-    order of their first send: the senders of the first exchange, then
-    receiver 1 before receiver 2. A relay's m equal-power repeats of one
-    block sum to one branch whose SNR, its budget over its link noise, does
-    not depend on m, so the branch is planned as one send of the whole
-    budget: gain sqrt(budget) and the noise of one link, `fraction` of the
-    downlink band wide. The detectors divide by every noise power and scale
-    by every SNR, so a planned SNR (P over a downlink noise, gain^2 over a
-    link noise) that is not positive and finite raises a ValueError naming
-    its density: n1, n2, then the links in first-send order.
+    transmission and a positive budget; slots number the senders in the
+    order of their first send (the starter first, else receiver 1 first).
+    A relay's m equal-power repeats of one block sum to one branch whose SNR,
+    its budget over its link noise, does not depend on m, so the branch is
+    planned as one send of the whole budget: gain sqrt(budget) and the noise
+    of one link, `fraction` of the downlink band wide. The detectors divide
+    by every noise power and scale by every SNR, so the first config with a
+    planned SNR (P over a downlink noise, gain^2 over a link noise) that is
+    not positive and finite raises a ValueError naming its density: n1, n2,
+    then the links in first-send order.
     """
-    plan = plan_bandwidth(params, config)
-    coop_band = fraction * plan.B_DL
-    snrs = [("n1", params.P, plan.N1), ("n2", params.P, plan.N2)]
-    heard: list[Optional[tuple[int, float, float]]] = [None, None]
-    budgets, sends = (params.P12, params.P21), transmissions(config)
-    first = transmissions(config.with_count(1))  # the senders of the first exchange
-    for slot, relay in enumerate(r for r in sorted((0, 1), key=lambda r: -first[r])
-                                 if sends[r] and budgets[r] > 0.0):
-        gain, noise = math.sqrt(budgets[relay]), (params.n12, params.n21)[relay] * coop_band
-        snrs.append((("n12", "n21")[relay], gain * gain, noise))
-        heard[1 - relay] = (slot, gain, noise)
-    for name, power, noise in snrs:
-        if not (noise > 0.0 and 0.0 < power / noise < math.inf):
-            raise ValueError(f"{name}: the planned SNR {power:.6g} / {noise:.6g} "
-                             "is not positive and finite")
-    return (plan.N1, plan.N2), tuple(heard)
+    try:
+        bands, noises, _, sends = _inputs(params, configs)
+    except ValueError:  # a band underflows, but an earlier config may fail its SNRs first
+        for c in configs[:-1]:
+            _df_plans(params, [c], fraction)
+        raise
+    budgets, plans = (params.P12, params.P21), []
+    for config, band, (N1, N2, _, _), n in zip(configs, (fraction * bands[:, 0]).tolist(),
+                                                noises.tolist(), sends.tolist()):
+        snrs = [("n1", params.P, N1), ("n2", params.P, N2)]
+        heard: list[Optional[tuple[int, float, float]]] = [None, None]
+        first = (1, 0) if getattr(config.scheme, "starter", None) is Receiver.R2 else (0, 1)
+        for slot, relay in enumerate(r for r in first if n[r] and budgets[r] > 0.0):
+            gain, noise = math.sqrt(budgets[relay]), (params.n12, params.n21)[relay] * band
+            snrs.append((("n12", "n21")[relay], gain * gain, noise))
+            heard[1 - relay] = (slot, gain, noise)
+        for name, power, noise in snrs:
+            if not (noise > 0.0 and 0.0 < power / noise < math.inf):
+                raise ValueError(f"{name}: the planned SNR {power:.6g} / {noise:.6g} "
+                                 "is not positive and finite")
+        plans.append(((N1, N2), tuple(heard)))
+    return plans
 
 
 def simulate_df(
@@ -487,7 +496,7 @@ def simulate_df(
     once, re-modulates it onto the bit-rate-compatible relay constellation and
     retransmits the same block at every exchange it owns (fresh cooperation
     noise each time, equal power). A destination combines the one branch it
-    hears from its partner, the sum of its repeats (see `_df_plan`), with the
+    hears from its partner, the sum of its repeats (see `_df_plans`), with the
     signal received directly from the source: `combiner="mld"` runs the
     per-bit generalized ML detector with the relay's substitution-error
     model, `combiner="mrc"` the weight-and-add baseline (symbol-aligned
@@ -542,7 +551,7 @@ def simulate_df(
             "weight-and-add combining requires the relay to reuse the source constellation"
         )
     unit = _unit_bits(src_c, rel_c)  # rejects split source axes before any error model
-    plans = [_df_plan(params, c, coop_bandwidth_fraction) for c in configs]
+    plans = _df_plans(params, configs, coop_bandwidth_fraction)
     problems = list(dict.fromkeys(plans))  # configs with equal plans are sampled once
 
     # the relay's substitution law depends only on its downlink noise power;

@@ -20,7 +20,7 @@ from .channel import (
     Receiver,
     Strategy,
     plan_bandwidth,
-    power_schedule,
+    plan_sweep,
 )
 
 __all__ = [
@@ -41,7 +41,7 @@ _CHUNK = 1 << 13
 
 def rate_af(plan: BandwidthPlan, rho_pair: tuple[float, float]) -> float:
     """Worst-receiver common-message rate B_DL * min_j log2(1 + rho_j) in bits/s
-    (elementwise when the SNRs are arrays)."""
+    (elementwise when B_DL or the SNRs are arrays)."""
     rho_I, rho_II = rho_pair
     return plan.B_DL * np.minimum(np.log2(1.0 + rho_I), np.log2(1.0 + rho_II))
 
@@ -78,13 +78,9 @@ def optimal_k(
     ties broken toward fewer exchanges; returns (K*, rate per count). Raises
     the ValueError of `simo_bound`, which bounds every rate."""
     simo_bound(params)
-    rates = tuple(
-        rate_af(
-            plan_bandwidth(params, config.with_count(state.i)),
-            (state.rho_I, state.rho_II),
-        )
-        for state in run_recursion(params, config, k_max)
-    )
+    rhos = [(st.rho_I, st.rho_II) for st in run_recursion(params, config, k_max)]
+    bands, noises, _, _ = plan_sweep(params, config, range(k_max + 1))
+    rates = tuple(rate_af(BandwidthPlan(*bands.T, *noises.T), np.array(rhos).T).tolist())
     best = 0
     for k, rate in enumerate(rates):
         if rate > rates[best] * (1.0 + _TIE_TOL) + _TIE_TOL:
@@ -105,29 +101,17 @@ class RegionMap:
     boundaries: tuple[tuple[tuple[float, float], ...], ...]
 
 
-def _starter_gaps(
-    params: ChannelParams,
-    config: CoopConfig,
-    n1: np.ndarray,
-    n2: np.ndarray,
-    budgets: Sequence[tuple[float, float]],
-    ratio: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _starter_gaps(params: ChannelParams, config: CoopConfig, plan: BandwidthPlan, n1: np.ndarray,
+                  n2: np.ndarray, periods: np.ndarray, ratio: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Rate(start at receiver 1) - rate(start at receiver 2) and the rate
-    scale at noise densities n1, n2 under the cooperation budgets (P12, P21)
-    in row `ratio` of `budgets`, evaluated as one batch over both starters."""
-    plan = plan_bandwidth(params, config)  # the split ignores noises and budgets
+    scale at noise densities n1, n2 under the config's `plan` and the power
+    periods (starter, budget split, 2, 2) of each starter (receiver 1 first)
+    at split `ratio`, evaluated as one batch over both starters."""
     noises = np.stack([n1 * plan.B_DL, n2 * plan.B_DL,
                        np.full(n1.shape, plan.N12), np.full(n1.shape, plan.N21)], axis=-1)
-    periods = [
-        np.array([
-            power_schedule(replace(params, P12=p12, P21=p21),
-                           replace(config, scheme=replace(config.scheme, starter=starter)))
-            for p12, p21 in budgets
-        ])[ratio]
-        for starter in (Receiver.R1, Receiver.R2)
-    ]
-    N_I, N_II, _ = final_state(params.P, np.concatenate([noises, noises]), np.concatenate(periods),
+    N_I, N_II, _ = final_state(params.P, np.concatenate([noises, noises]),
+                               periods[:, ratio].reshape(-1, 2, 2),
                                np.full(2 * len(n1), config.count), config.strategy is Strategy.S2)
     # a subnormal noise density makes P / N infinite (an overflow, or a
     # division by a noise power that underflowed to 0); when both starters'
@@ -170,12 +154,16 @@ def decision_regions(
                          "overflows the noise power; lower grid_max or b")
     ratios = [10.0 ** (r / 10.0) for r in ratios_db]
     budgets = [(total * r / (1.0 + r), total / (1.0 + r)) for r in ratios]
+    plan = plan_bandwidth(params, config)  # the split ignores noises and budgets
+    starts = [replace(config, scheme=replace(config.scheme, starter=r)) for r in Receiver]
+    periods = np.array([[plan_sweep(replace(params, P12=p12, P21=p21), c, [c.count])[2][0]
+                         for p12, p21 in budgets] for c in starts])
     winners = np.zeros((len(ratios), len(g), len(g)), dtype=np.int8)
     flat = winners.reshape(-1)
     for start in range(0, flat.size, _CHUNK):
         cells = np.arange(start, min(start + _CHUNK, flat.size))
         r_idx, i_idx, j_idx = np.unravel_index(cells, winners.shape)
-        diffs, scale = _starter_gaps(params, config, g[i_idx], g[j_idx], budgets, r_idx)
+        diffs, scale = _starter_gaps(params, config, plan, g[i_idx], g[j_idx], periods, r_idx)
         flat[cells[diffs > _TIE_TOL * scale]] = 1
         flat[cells[diffs < -_TIE_TOL * scale]] = -1
 
@@ -187,7 +175,8 @@ def decision_regions(
     d_mid = np.empty(len(mid))
     for start in range(0, len(mid), _CHUNK):
         part = slice(start, start + _CHUNK)
-        d_mid[part], _ = _starter_gaps(params, config, g[i_c[part]], mid[part], budgets, r_c[part])
+        d_mid[part], _ = _starter_gaps(params, config, plan, g[i_c[part]], mid[part], periods,
+                                       r_c[part])
     keep_lo = (d_mid > 0) == (winners[r_c, i_c, j_c] > 0)
     # boundary points in (r, i, j) order: every tie at its grid n2, every
     # crossing at its refined n2

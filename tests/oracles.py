@@ -7,6 +7,9 @@ None of this is used by the package itself:
 - the batched AF engine on the 4x4 covariance of both combiner outputs and
   both downlink noises (two matrix products per step), in float64 or long
   double;
+- the scalar spectral rules of one exchange count (send counts, bandwidth
+  plan and (2, 2) power period on Python floats), which `channel.plan_sweep`
+  runs elementwise over a sweep of counts;
 - a receiver's partner, the asymmetric exchange parity rule (which receiver
   sends at exchange i) and the per-exchange cooperation power split, stated
   case by case;
@@ -63,8 +66,8 @@ from coopbc.channel import (
     Receiver,
     Scheme,
     Strategy,
+    Regime,
     Symmetric,
-    plan_bandwidth,
 )
 from coopbc.df import (
     BlockShape,
@@ -78,6 +81,59 @@ from coopbc.df import (
 from coopbc.scenario import Scenario
 
 _LOG_FLOOR = math.log(1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Scalar spectral rules of one exchange count
+# ---------------------------------------------------------------------------
+
+
+def transmissions(config: CoopConfig) -> tuple[int, int]:
+    """Cooperation transmissions (n1, n2) that receivers 1 and 2 send in a
+    campaign: K each under the symmetric scheme; ceil(K/2) for the starter
+    and floor(K/2) for its partner under the asymmetric scheme."""
+    k = config.count
+    scheme = config.scheme
+    if isinstance(scheme, Symmetric):
+        return k, k
+    first, second = (k + 1) // 2, k // 2
+    return (first, second) if scheme.starter is Receiver.R1 else (second, first)
+
+
+def scalar_plan(params: ChannelParams, config: CoopConfig) -> BandwidthPlan:
+    """The bandwidth plan of one count on Python floats: B_DL = B/(n+1) under
+    H1 and B under H2 for n cooperation sub-channels, B_C = n B_DL, and each
+    noise power its density times B_DL; a B_DL that underflows to 0 raises
+    the package's ValueError naming b."""
+    n_coop = sum(transmissions(config))  # cooperation sub-channels
+    B_DL = params.B / (n_coop + 1) if config.regime is Regime.H1 else params.B
+    if B_DL == 0.0:
+        raise ValueError(f"the downlink band B = {params.B:g} / {n_coop + 1} underflows to 0; "
+                         "raise b")
+    return BandwidthPlan(
+        B_DL=B_DL,
+        B_C=n_coop * B_DL,
+        N1=params.n1 * B_DL,
+        N2=params.n2 * B_DL,
+        N12=params.n12 * B_DL,
+        N21=params.n21 * B_DL,
+    )
+
+
+def power_schedule(params: ChannelParams, config: CoopConfig) -> np.ndarray:
+    """Cooperation power sent from receiver 1 to 2 and from 2 to 1, as a (2, 2)
+    period: exchange t (from 0) sends row t % 2.
+
+    Each receiver spends its budget evenly over its own transmissions (zero
+    when it sends none). Symmetric: both rows carry both powers. Asymmetric:
+    row 0 carries the starter's power, row 1 its partner's.
+    """
+    budgets = (params.P12, params.P21)
+    per_send = [b / n if n else 0.0 for b, n in zip(budgets, transmissions(config))]
+    if isinstance(config.scheme, Symmetric):
+        return np.array([per_send, per_send])
+    period = np.diag(per_send)  # row r: receiver r + 1 sends
+    return period if config.scheme.starter is Receiver.R1 else period[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +405,7 @@ def evolve(
     combined noise powers.
 
     P: source power; noises: (S, 4) plan noise powers (N1, N2, N12, N21);
-    periods: (S, 2, 2) power schedules (see `channel.power_schedule`): step t
+    periods: (S, 2, 2) power schedules (see `power_schedule`): step t
     sends row t % 2, the power from receiver 1 to 2 and from 2 to 1, zero
     where silent; counts: (S,) steps per scenario, all silent past its count.
     Yields max(counts) + 1 covariances (S, 4, 4): the initial state, then one
@@ -559,7 +615,7 @@ def campaign(
     """
     cfg = config if count is None else config.with_count(count)
     K = cfg.count
-    plan = plan_bandwidth(params, cfg)
+    plan = scalar_plan(params, cfg)
     P = params.P
     symmetric = isinstance(cfg.scheme, Symmetric)
     forward_latest = cfg.strategy is Strategy.S1

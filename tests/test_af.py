@@ -24,7 +24,6 @@ from coopbc.channel import (
     Strategy,
     Symmetric,
     plan_bandwidth,
-    power_schedule,
 )
 from oracles import (
     SnrState,
@@ -33,6 +32,7 @@ from oracles import (
     mi_conservation_check,
     mrc_weights_symmetric,
     power_per_exchange,
+    power_schedule,
     ratio_form_snr,
     s1_vs_s2_numerator,
     s2_closed_form,

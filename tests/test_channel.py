@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,10 +19,16 @@ from coopbc.channel import (
     Strategy,
     Symmetric,
     plan_bandwidth,
-    power_schedule,
-    transmissions,
+    plan_sweep,
 )
-from oracles import exchange_powers, other, transmitter_at
+from oracles import (
+    exchange_powers,
+    other,
+    power_schedule,
+    scalar_plan,
+    transmissions,
+    transmitter_at,
+)
 
 PARAMS = ChannelParams(P=10.0, n1=0.5, n2=2.0, n12=0.25, n21=1.0, P12=4.0, P21=6.0, B=8.0)
 
@@ -140,6 +147,58 @@ class TestPowerPerExchange:
         assert np.array_equal(_layout(power_schedule(params, cfg), cfg.count), expected)
         if 0.0 not in budgets:  # a receiver's power goes out on its transmissions only
             assert transmissions(cfg) == tuple((expected > 0).sum(axis=0))
+
+
+SCHEMES = st.sampled_from([Symmetric(0), Asymmetric(0), Asymmetric(0, Receiver.R2)])
+# normal and subnormal bands: at B = 5e-324 every count that sends underflows
+BANDS = st.one_of(st.floats(1e-3, 1e6), st.floats(5e-324, 1e-305), st.just(5e-324))
+BUDGETS = st.tuples(*[st.one_of(st.just(0.0), st.floats(5e-324, 1e300))] * 2)
+
+
+class TestPlanSweep:
+    """`plan_sweep` runs the scalar rules of one count (the oracles'
+    `scalar_plan`, `transmissions` and `power_schedule`) elementwise over a
+    sweep of counts, bit for bit, and raises their first fault."""
+
+    @given(scheme=SCHEMES, regime=st.sampled_from(list(Regime)), B=BANDS, budgets=BUDGETS,
+           counts=st.lists(st.integers(0, 32768), max_size=6))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_scalar_rules(self, scheme, regime, B, budgets, counts):
+        params = dataclasses.replace(PARAMS, B=B, P12=budgets[0], P21=budgets[1])
+        config = _cfg(scheme, regime)
+        configs = [config.with_count(k) for k in counts]
+        try:
+            plans = [scalar_plan(params, c) for c in configs]
+        except ValueError as exc:  # the line of the first count that underflows
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                plan_sweep(params, config, counts)
+            return
+        bands, noises, periods, sends = plan_sweep(params, config, counts)
+        S = len(counts)
+        assert bands.tobytes() == np.array([(p.B_DL, p.B_C) for p in plans]).reshape(S, 2).tobytes()
+        assert noises.tobytes() == np.array([(p.N1, p.N2, p.N12, p.N21) for p in plans]
+                                            ).reshape(S, 4).tobytes()
+        assert periods.tobytes() == np.array([power_schedule(params, c) for c in configs]
+                                             ).reshape(S, 2, 2).tobytes()
+        assert sends.tolist() == [list(transmissions(c)) for c in configs]
+
+    @given(scheme=SCHEMES, regime=st.sampled_from(list(Regime)), budgets=BUDGETS,
+           counts=st.lists(st.integers(0, 32768), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_plan_bandwidth_is_a_row_of_the_sweep(self, scheme, regime, budgets, counts):
+        params = dataclasses.replace(PARAMS, P12=budgets[0], P21=budgets[1])
+        config = _cfg(scheme, regime)
+        bands, noises, _, _ = plan_sweep(params, config, counts)
+        for k, band, noise in zip(counts, bands.tolist(), noises.tolist()):
+            plan = plan_bandwidth(params, config.with_count(k))
+            assert [plan.B_DL, plan.B_C] == band
+            assert [plan.N1, plan.N2, plan.N12, plan.N21] == noise
+        row = plan_bandwidth(params, config.with_count(counts[0]))
+        assert dataclasses.astuple(row) == (*bands[0].tolist(), *noises[0].tolist())
+
+    def test_the_empty_sweep_plans_nothing(self):
+        shapes = [a.shape for a in plan_sweep(PARAMS, _cfg(Symmetric(0)), [])]
+        assert shapes == [(0, 2), (0, 4), (0, 2, 2), (0, 2)]
 
 
 class TestSchemes:

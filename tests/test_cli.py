@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from coopbc import cli
+from coopbc import af, channel, cli, mc, metrics
 from coopbc.channel import (
+    Asymmetric,
     ChannelParams,
     CoopConfig,
     Protocol,
@@ -32,7 +33,7 @@ from coopbc.channel import (
 from coopbc.cli import main
 from coopbc.df import _unit_bits, choose_compatible_modulation, qam
 from coopbc.errors import ModulationError
-from coopbc.mc import simulate_af
+from coopbc.mc import TrialConfig, simulate_af
 from coopbc.metrics import RegionMap
 from coopbc.scenario import parse_scenario_text
 from oracles import s2_closed_form, write_csv
@@ -950,6 +951,60 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert re.search(rf"\b{key}\b", captured.err), captured.err
+
+
+# BASE_TEXT on a band of one subnormal ulp, which every count that sends
+# divides to 0 under h1
+UNDERFLOW_TEXT = BASE_TEXT.replace("p21 = 1", "p21 = 1\nb = 5e-324") + "\n[trials]\ntrials = 1000\n"
+UNDERFLOW_LINE = "error: the downlink band B = 4.94066e-324 / {} underflows to 0; raise b\n"
+
+
+class TestPlanFaults:
+    """A sweep plans every count at once; the line a fault exits with must be
+    the one planning count by count gave, naming the first count at fault."""
+
+    @pytest.mark.parametrize("command, text, line", [
+        ("rate", UNDERFLOW_TEXT, UNDERFLOW_LINE.format(2)),  # asymmetric k = 1: B / 2
+        ("snr", UNDERFLOW_TEXT, UNDERFLOW_LINE.format(3)),  # the campaign's k = 2: B / 3
+        ("ber", UNDERFLOW_TEXT, UNDERFLOW_LINE.format(2)),
+        ("compare", UNDERFLOW_TEXT, UNDERFLOW_LINE.format(2)),
+        # a DF sweep checks k = 0's planned SNRs before it reaches k = 1's
+        # band: its downlink noise power n1 B rounds to 0
+        ("ber", UNDERFLOW_TEXT.replace("protocol = af", "protocol = df"),
+         "error: n1: the planned SNR 1 / 0 is not positive and finite\n"),
+    ])
+    def test_an_underflowing_band_keeps_its_line(self, capsys, scenario_file, command, text,
+                                                 line):
+        assert main([command, "--scenario", scenario_file(text)]) == 2
+        assert capsys.readouterr() == ("", line)
+
+    def test_a_sweep_of_two_schemes_names_the_first_config_at_fault(self):
+        params = ChannelParams(P=1.0, n1=0.1, n2=1.0, n12=1.0, n21=1.0, P12=1.0, P21=1.0,
+                               B=5e-324)
+        configs = [CoopConfig(Protocol.AF, scheme, Strategy.S1, Regime.H1)
+                   for scheme in (Symmetric(0), Asymmetric(1), Symmetric(1))]
+        with pytest.raises(ValueError, match=r"B = 4\.94066e-324 / 2 underflows"):
+            simulate_af(params, configs, TrialConfig(trials=10))
+
+    def test_a_65_count_rate_plans_once(self, capsys, scenario_file, monkeypatch):
+        # no count builds a config or a plan of its own
+        calls = {"with_count": 0, "plan_bandwidth": 0}
+        with_count, plan_bandwidth = CoopConfig.with_count, channel.plan_bandwidth
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(CoopConfig, "with_count", counted("with_count", with_count))
+        for module in (channel, af, cli, mc, metrics):
+            monkeypatch.setattr(module, "plan_bandwidth",
+                                counted("plan_bandwidth", plan_bandwidth))
+        assert main(["rate", "--scenario", scenario_file(AF_TEXT.replace("k_max = 2",
+                                                                         "k_max = 64"))]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 65
+        assert calls["with_count"] <= 1 and calls["plan_bandwidth"] <= 1, calls
 
 
 # every source order, and band fractions whose relay is square QAM, odd-width,

@@ -14,15 +14,18 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coopbc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
-# bench/tracing.py wraps `campaign` at each module that holds it, and lists
-# coopbc.metrics and coopbc.mc among those sites, although neither calls it;
-# the benchmark cannot run without them
-ALLOWED = {("metrics", "campaign"), ("mc", "campaign")}
+# bench/tracing.py wraps `campaign` and `plan_bandwidth` at each module that
+# holds them, and lists modules that call neither among those sites (metrics
+# and mc for `campaign`; af, cli and mc for `plan_bandwidth`, which read
+# `plan_sweep` instead); the benchmark cannot run without them
+ALLOWED = {("metrics", "campaign"), ("mc", "campaign"), ("af", "plan_bandwidth"),
+           ("cli", "plan_bandwidth"), ("mc", "plan_bandwidth")}
 
 # The `_`-prefixed names one package module may import from another, as
 # (importer, source, name). A private name is its module's own rule; a second
 # module that needs it is listed here on purpose
-PRIVATE_ALLOWED = {("mc", "af", "_finals"), ("mc", "df", "_slice_axis"), ("mc", "df", "_unit_bits")}
+PRIVATE_ALLOWED = {("mc", "af", "_finals"), ("mc", "af", "_inputs"), ("mc", "df", "_slice_axis"),
+                   ("mc", "df", "_unit_bits")}
 
 # The modules outside the package that `import coopbc.cli` may load once numpy
 # is loaded. Every module imported at start-up is compiled and run by every

@@ -815,7 +815,7 @@ class TestDfFold:
     def test_a_branch_is_planned_from_the_whole_budget(self):
         # m sends of 10 / m W each sum to one branch of SNR 10 / 0.25 at any
         # m, planned as gain sqrt(10) over one half-width link's noise
-        plans = {mc._df_plan(COOP, c, 0.5) for c in df_sweep(Symmetric(0), Regime.H2, range(1, 6))}
+        plans = set(mc._df_plans(COOP, df_sweep(Symmetric(0), Regime.H2, range(1, 6)), 0.5))
         branch = (math.sqrt(10.0), 0.25)
         assert plans == {((1.0, 2.0), ((1, *branch), (0, *branch)))}
 
@@ -823,7 +823,7 @@ class TestDfFold:
         # receiver 1 relays at every k >= 1 and takes the first slot, though
         # its budget over two or three sends rounds to 0 W a send
         configs = df_sweep(Symmetric(0), Regime.H2, range(1, 4))
-        plans = {mc._df_plan(SUBNORMAL_BUDGET, c, 1.0) for c in configs}
+        plans = set(mc._df_plans(SUBNORMAL_BUDGET, configs, 1.0))
         assert plans == {((0.5, 0.5), ((1, 1.0, 0.5), (0, math.sqrt(5e-324), 0.5)))}
         for combiner in ("mld", "mrc"):
             rows = simulate_df(SUBNORMAL_BUDGET, configs, 4, TrialConfig(trials=20_000, seed=3),
@@ -884,6 +884,55 @@ class TestDfFold:
                            TrialConfig(trials=20_000, seed=97))
         assert sizes == [2] * 6
         assert len(set(rows)) == 2
+
+
+def compare_af_sweep(scheme, regime, k_max):
+    """The AF half of `coopbc compare`: s1 at k = 0..k_max, then s2 at k >= 1."""
+    return [*af_sweep(scheme, [Strategy.S1], regime, range(k_max + 1)),
+            *af_sweep(scheme, [Strategy.S2], regime, range(1, k_max + 1))]
+
+
+class TestAfFold:
+    """Configs whose outputs share their noise factors (l_I, l_c, l_II) pose
+    one AF sampling problem, which `simulate_af` samples once for all of
+    them; each config keeps its own analytic final state."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(configs=st.lists(st.sampled_from([
+               *compare_af_sweep(Symmetric(0), Regime.H2, 3),
+               *compare_af_sweep(Asymmetric(0, Receiver.R2), Regime.H2, 3),
+               *compare_af_sweep(Symmetric(0), Regime.H1, 2)]), min_size=1, max_size=8),
+           trials=st.integers(1, 6 * 64), seed=st.integers(0, 2**64 - 1),
+           target=st.sampled_from([None, 0.3]))
+    def test_every_config_equals_its_solo_run(self, threads, configs, trials, seed, target):
+        # batches of 64 symbols, so that 3 threads run several side by side
+        # and a target stops the problems of a sweep after different chunks
+        tc = TrialConfig(trials=trials, seed=seed, target_half_width=target)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "BATCH_SYMBOLS", 64)
+            sweep = simulate_af(COOP, configs, tc, threads=threads)
+            assert sweep == tuple(simulate_af(COOP, [c], tc)[0] for c in configs)
+
+    def test_a_5_config_h2_compare_sweep_samples_3_problems(self, monkeypatch):
+        # s1 at k = 1 and s2 at k = 1 and 2 end in the same state under h2,
+        # so k = 0, k = 1 and s1 at k = 2 are the three problems
+        sampled = []
+        run_ordered = mc._run_ordered
+
+        def spy(worker, n_configs, *args):
+            sampled.append(n_configs)
+            return run_ordered(worker, n_configs, *args)
+
+        monkeypatch.setattr(mc, "_run_ordered", spy)
+        configs = compare_af_sweep(Symmetric(0), Regime.H2, 2)
+        rows = simulate_af(COOP, configs, TrialConfig(trials=3000, seed=13))
+        assert sampled == [3]
+        s1, s2 = rows[:3], rows[3:]
+        assert replace(s1[1], analytic=None) == replace(s2[0], analytic=None) == replace(
+            s2[1], analytic=None)  # every sampled field
+        assert len({r.snr_I for r in rows}) == 3
+        assert [r.analytic.i for r in rows] == [0, 1, 2, 1, 2]  # each keeps its own final
 
 
 # source order and cooperation band fraction of each DF block shape the tile
