@@ -164,23 +164,6 @@ def final_state(
     return state[:, 0], state[:, 1], state[:, 2]
 
 
-def _inputs(params: ChannelParams, configs: list[CoopConfig]) -> list[np.ndarray]:
-    """`channel.plan_sweep`'s four arrays for the configs, one call per scheme
-    and regime in the sweep; a fault raises the line of the first config at fault."""
-    keys = [(c.regime, type(c.scheme), getattr(c.scheme, "starter", None)) for c in configs]
-    plan = [np.empty((len(configs), *shape)) for shape in ((2,), (4,), (2, 2), (2,))]
-    try:
-        for key, config in dict(zip(keys, configs)).items():
-            pick = [i for i, k in enumerate(keys) if k == key]
-            for out, part in zip(plan, plan_sweep(params, config, [configs[i].count for i in pick])):
-                out[pick] = part
-    except ValueError:  # a sweep of several schemes or regimes
-        for c in configs:
-            plan_sweep(params, c, [c.count])
-        raise
-    return plan
-
-
 def _states(P: float, steps: range | list[int], rows: list) -> tuple[SnrState, ...]:
     """One state per step and (N_I, N_II, e) row of Python floats; N = 0 is rho = inf."""
     return tuple(SnrState(i, a, b, c, P / a if a else np.inf, P / b if b else np.inf)
@@ -188,8 +171,11 @@ def _states(P: float, steps: range | list[int], rows: list) -> tuple[SnrState, .
 
 
 def _finals(params: ChannelParams, configs: list[CoopConfig]) -> tuple[SnrState, ...]:
-    """Each config's final state (i = its count), one `final_state` per strategy."""
-    _, noises, periods, _ = _inputs(params, configs)
+    """Each config's final state (i = its count), one `final_state` per strategy.
+    Each config is planned alone, in config order, so a fault raises the line
+    of the first config at fault."""
+    plans = [plan_sweep(params, c, [c.count]) for c in configs]
+    noises, periods = (np.array([plan[part][0] for plan in plans]) for part in (1, 2))
     counts, rows = np.array([c.count for c in configs]), np.empty((len(configs), 3))
     for strategy in dict.fromkeys(c.strategy for c in configs):
         pick = np.array([c.strategy is strategy for c in configs])

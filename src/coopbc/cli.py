@@ -27,7 +27,6 @@ from . import __version__
 from .af import campaign, run_recursion
 from .channel import (
     Asymmetric,
-    BandwidthPlan,
     CoopConfig,
     Protocol,
     Strategy,
@@ -119,8 +118,8 @@ def cmd_rate(s: Scenario, args: argparse.Namespace) -> Table:
     _require_af(s, "rate")
     bound = simo_bound(s.params)
     rhos = [(st.rho_I, st.rho_II) for st in run_recursion(s.params, s.config, s.k_max)]
-    bands, noises, _, _ = plan_sweep(s.params, s.config, range(s.k_max + 1))
-    rates = rate_af(BandwidthPlan(*bands.T, *noises.T), np.array(rhos).T)
+    bands = plan_sweep(s.params, s.config, range(s.k_max + 1))[0]
+    rates = rate_af(bands[:, 0], np.array(rhos).T)
     return _render(RATE_COLUMNS, [(k, *band, *rho, rate, bound) for k, (band, rho, rate)
                                   in enumerate(zip(bands.tolist(), rhos, rates.tolist()))])
 
@@ -189,14 +188,13 @@ def _regions_lines(rmap: RegionMap) -> Iterator[str]:
 def cmd_compare(s: Scenario, args: argparse.Namespace) -> Table:
     """AF under both forwarding strategies versus DF, shared seed, per count."""
     counts = range(s.k_max + 1)
-    # without an exchange there is no strategy: S2 at k = 0 is the S1 campaign
     af = [dataclasses.replace(s.config, protocol=Protocol.AF, strategy=strategy).with_count(k)
-          for strategy, ks in ((Strategy.S1, counts), (Strategy.S2, counts[1:])) for k in ks]
+          for strategy in (Strategy.S1, Strategy.S2) for k in counts]
     df = [dataclasses.replace(s.config, protocol=Protocol.DF).with_count(k) for k in counts]
     af_runs, df_runs = _sweep(s, af, args), _sweep(s, df, args)
     return _render(COMPARE_COLUMNS, [
         (k, *(x for r in runs for x in (max(r.ber_I.ber, r.ber_II.ber), r.pe_sys.ber)))
-        for k, *runs in zip(counts, af_runs, af_runs[:1] + af_runs[len(counts):], df_runs)
+        for k, *runs in zip(counts, af_runs, af_runs[len(counts):], df_runs)
     ])
 
 

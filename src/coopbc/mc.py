@@ -6,28 +6,30 @@ estimates raw bit error rates and empirical SNRs with standard errors.
 The unit of work is a sweep: a sequence of configs (typically one per
 exchange count) sampled together. Each call returns one result per config.
 
-Reproducibility contract: work is split into fixed-size batches and batch b
-draws from one SFC64 stream seeded by SeedSequence([seed, b]). Every config
-of a sweep sees the same draws of batch b, scaled by its own noise powers and
-gains, so each config's result equals the result of sampling it alone. Each
-config's partial results are folded in batch order and its early-stop check
-happens only at fixed batch-count boundaries, so estimates are bitwise
-identical for a given (seed, config) regardless of the other configs of the
-sweep or of how many worker threads execute the batches.
+Reproducibility contract, held by `_run_ordered` alone: work is split into
+fixed-size batches and batch b draws from one SFC64 stream seeded by
+SeedSequence([seed, b]). Every config of a sweep sees the same draws of batch
+b, scaled by its own noise powers and gains, so each config's result equals
+the result of sampling it alone, and configs with equal keys pose one problem,
+sampled once. Each problem's partial results are folded in batch order and its
+early-stop check happens only at fixed batch-count boundaries, so estimates
+are bitwise identical for a given (seed, config) regardless of the other
+configs of the sweep or of how many worker threads execute the batches.
 """
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
 # campaign is not called here, but bench/tracing.py wraps it under this module's name
-from .af import SnrState, _finals, _inputs, campaign  # noqa: F401
+from .af import SnrState, _finals, campaign  # noqa: F401
+from .channel import ChannelParams, CoopConfig, Protocol, Receiver, plan_sweep
 # plan_bandwidth is not called here, but bench/tracing.py wraps it under this module's name
-from .channel import ChannelParams, CoopConfig, Protocol, Receiver, plan_bandwidth  # noqa: F401
+from .channel import plan_bandwidth  # noqa: F401
 from .df import (
     Constellation,
     RelayErrorModel,
@@ -179,8 +181,8 @@ def _unit_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return z
 
 
-def _map_batches(worker: Callable[[int, tuple[int, ...]], list[tuple]], idxs: range,
-                 active: tuple[int, ...], threads: int) -> list[list[tuple]]:
+def _map_batches(worker: Callable[[int, tuple], list[tuple]], idxs: range,
+                 active: tuple, threads: int) -> list[list[tuple]]:
     """[worker(b, active) for b in idxs], run by the calling thread and up to
     threads - 1 worker threads, each taking the next batch under one lock
     and slotting its result by the batch's index. No thread outlives the
@@ -217,31 +219,38 @@ def _map_batches(worker: Callable[[int, tuple[int, ...]], list[tuple]], idxs: ra
 
 
 def _run_ordered(
-    worker: Callable[[int, tuple[int, ...]], list[tuple]],
-    n_configs: int,
-    n_batches: int,
+    worker: Callable[[np.random.Generator, int, tuple], list[tuple]],
+    keys: Sequence[Hashable],
+    units: int,
+    per_batch: int,
     threads: int,
     tc: TrialConfig,
 ) -> list[tuple]:
-    """Execute worker(b, active) for b = 0..n_batches-1, where `active` lists
-    the configs still sampling and the worker returns one tuple of batch sums
-    per active config, led by (symbols, bits, err_I, err_II, err_sys). Return
-    each config's sums folded in batch order. Each config's stop check
-    (`_stop_on_target` under `tc`) runs at fixed chunk boundaries and every
-    batch of a started chunk is folded for every config active in it, so the
-    folded set of a config depends neither on the thread count nor on the
-    other configs."""
-    totals: list[tuple] = [()] * n_configs
-    active = tuple(range(n_configs))
+    """Sample `units` units in batches of `per_batch`, the last one short:
+    batch b runs worker(_rng(tc.seed, b), T, active) on its T units, where
+    `active` lists the distinct keys still sampling, and the worker returns
+    one tuple of batch sums per active key, led by (symbols, bits, err_I,
+    err_II, err_sys). Configs with equal keys pose one problem, sampled once.
+    Return each config's sums folded in batch order, in config order. Each
+    problem's stop check (`_stop_on_target` under `tc`) runs at fixed chunk
+    boundaries and every batch of a started chunk is folded for every problem
+    active in it, so the folded set of a config depends neither on the thread
+    count nor on the other configs."""
+    totals = dict.fromkeys(keys, ())
+    active, n_batches = tuple(totals), -(-units // per_batch)
+
+    def run_batch(b: int, active: tuple) -> list[tuple]:
+        return worker(_rng(tc.seed, b), min(per_batch, units - b * per_batch), active)
+
     for start in range(0, n_batches, _STOP_CHECK_BATCHES):
         if not active:
             break
         idxs = range(start, min(start + _STOP_CHECK_BATCHES, n_batches))
-        for batch in _map_batches(worker, idxs, active, threads):
-            for c, sums in zip(active, batch):
-                totals[c] = tuple(a + b for a, b in zip(totals[c] or (0,) * len(sums), sums))
-        active = tuple(c for c in active if not _stop_on_target(tc, totals[c]))
-    return totals
+        for batch in _map_batches(run_batch, idxs, active, threads):
+            for key, sums in zip(active, batch):
+                totals[key] = tuple(a + b for a, b in zip(totals[key] or (0,) * len(sums), sums))
+        active = tuple(key for key in active if not _stop_on_target(tc, totals[key]))
+    return [totals[key] for key in keys]
 
 
 def _stop_on_target(tc: TrialConfig, totals: tuple) -> bool:
@@ -291,8 +300,7 @@ def simulate_af(
     for the whole sweep from one engine batch per strategy and drawn through
     its Cholesky factor. Every config scales the same symbols and unit normals
     of a batch by its own factors, so each result equals that config's solo
-    run, and configs with equal factors pose one problem, which is sampled
-    once, with its own stop check, for all of them.
+    run; the factor triple is the config's key (see `_run_ordered`).
 
     Decisions are minimum-distance on each output, taken per axis: the
     nearest point of a square grid is the nearest level on each axis, so
@@ -310,20 +318,17 @@ def simulate_af(
     # when the outputs are nearly equal, rounding can push the Schur
     # complement N_II - e^2 / N_I a few ulps below zero. A noiseless output 1
     # (N_I = 0) is uncorrelated with output 2
-    config_factors = [
+    factors = [
         (math.sqrt(f.N_I / 2.0), f.e / math.sqrt(2.0 * f.N_I),
          math.sqrt(max(f.N_II - f.e**2 / f.N_I, 0.0) / 2.0)) if f.N_I
         else (0.0, 0.0, math.sqrt(f.N_II / 2.0))
         for f in finals
     ]
-    factors = list(dict.fromkeys(config_factors))
     # each output's moments are those of the output times a power of two that
     # brings its noise factors to at most 1, so no finite moment overflows;
     # the scale is exact and cancels in the SNR
-    scales = [[2.0 ** -max(math.frexp(x)[1], 0) for x in (l_I, max(abs(l_c), l_II))]
-              for l_I, l_c, l_II in factors]
-    moment_factors = [(s_I * l_I, s_II * l_c, s_II * l_II)
-                      for (l_I, l_c, l_II), (s_I, s_II) in zip(factors, scales)]
+    scales = {f: [2.0 ** -max(math.frexp(x)[1], 0) for x in (f[0], max(abs(f[1]), f[2]))]
+              for f in factors}
     const = qam(order)
     amp = math.sqrt(params.P)
     points = amp * const.points
@@ -335,9 +340,7 @@ def simulate_af(
     sent_labels = labels.take(_slice_axis(edges, const.axis_samples(points))).reshape(order, -1)
     tc = trial_config
 
-    def worker(b: int, active: tuple[int, ...]) -> list[tuple]:
-        T = min(BATCH_SYMBOLS, tc.trials - b * BATCH_SYMBOLS)
-        rng = _rng(tc.seed, b)
+    def worker(rng: np.random.Generator, T: int, active: tuple) -> list[tuple]:
         idx = rng.integers(0, order, T)
         g = _unit_cn(rng, (2, T))
         # the moments of the unit-power symbols u (x = amp u) and the unit
@@ -365,7 +368,7 @@ def simulate_af(
             tile = slice(a, a + _TILE_CELLS)
             y, z = buffers[:, :n - a]
             for c in active:
-                l_I, l_c, l_II = factors[c]
+                l_I, l_c, l_II = c
                 np.multiply(g0[tile], l_I, out=y)
                 y += xs[tile]
                 wrong_I = labels.take(_slice_axis(edges, y)) ^ sent[tile]
@@ -377,7 +380,8 @@ def simulate_af(
                     errors[c][i] += sum(np.count_nonzero(wrong & plane) for plane in planes)
         out = []
         for c in active:
-            l_I, l_c, l_II = moment_factors[c]
+            (l_I, l_c, l_II), (s_I, s_II) = c, scales[c]
+            l_I, l_c, l_II = s_I * l_I, s_II * l_c, s_II * l_II  # the scaled outputs' factors
             out.append((
                 T,
                 T * const.bits_per_symbol,
@@ -390,8 +394,7 @@ def simulate_af(
             ))
         return out
 
-    totals = _run_ordered(worker, len(factors), -(-tc.trials // BATCH_SYMBOLS), threads, tc)
-    problems = {f: (t, scale) for f, t, scale in zip(factors, totals, scales)}
+    totals = _run_ordered(worker, factors, tc.trials, BATCH_SYMBOLS, threads, tc)
 
     def result(t: tuple, scale: list[float], final: SnrState) -> AfRunResult:
         n, _, _, _, _, Suu, Suz_I, Szz_I, Suz_II, Szz_II = t
@@ -411,7 +414,7 @@ def simulate_af(
         return AfRunResult(*_ber_estimates(t), snr_estimate(Suz_I, Szz_I, scale[0]),
                            snr_estimate(Suz_II, Szz_II, scale[1]), final)
 
-    return Sweep(result(*problems[f], final) for f, final in zip(config_factors, finals))
+    return Sweep(result(t, scales[f], final) for t, f, final in zip(totals, factors, finals))
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +454,14 @@ def _df_plans(params: ChannelParams, configs: Sequence[CoopConfig], fraction: fl
     by every noise power and scale by every SNR, so the first config with a
     planned SNR (P over a downlink noise, gain^2 over a link noise) that is
     not positive and finite raises a ValueError naming its density: n1, n2,
-    then the links in first-send order.
+    then the links in first-send order. Each config is planned alone, in
+    config order, so a band that underflows raises at its own config.
     """
-    try:
-        bands, noises, _, sends = _inputs(params, configs)
-    except ValueError:  # a band underflows, but an earlier config may fail its SNRs first
-        for c in configs[:-1]:
-            _df_plans(params, [c], fraction)
-        raise
     budgets, plans = (params.P12, params.P21), []
-    for config, band, (N1, N2, _, _), n in zip(configs, (fraction * bands[:, 0]).tolist(),
-                                                noises.tolist(), sends.tolist()):
-        snrs = [("n1", params.P, N1), ("n2", params.P, N2)]
+    for config in configs:
+        (B_DL, _), (N1, N2, _, _), _, n = (part[0].tolist()
+                                           for part in plan_sweep(params, config, [config.count]))
+        band, snrs = fraction * B_DL, [("n1", params.P, N1), ("n2", params.P, N2)]
         heard: list[Optional[tuple[int, float, float]]] = [None, None]
         first = (1, 0) if getattr(config.scheme, "starter", None) is Receiver.R2 else (0, 1)
         for slot, relay in enumerate(r for r in first if n[r] and budgets[r] > 0.0):
@@ -524,13 +523,13 @@ def simulate_df(
     Every draw is made for the whole batch; every later stage (symbols,
     direct signals, relay decisions and branches, detection and error
     counts) runs over tiles of blocks whose detector tables stay cache-sized.
-    Blocks are independent, so the tile size sets no result. Configs with
-    equal plans pose one detection problem (under h2, every symmetric config
-    with k >= 1 and every asymmetric one with k >= 2), which is sampled once,
-    with its own stop check, for all of them. Each distinct pair of downlink
-    noises forms its direct signals and relay decisions and detects each
-    destination in one call per _CALL_SIZE of its problems; each relay noise
-    power builds one error model; each result equals its solo run.
+    Blocks are independent, so the tile size sets no result. A config's plan
+    is its key (see `_run_ordered`), so configs with equal plans pose one
+    detection problem (under h2, every symmetric config with k >= 1 and every
+    asymmetric one with k >= 2). Each distinct pair of downlink noises forms
+    its direct signals and relay decisions and detects each destination in
+    one call per _CALL_SIZE of its problems; each relay noise power builds
+    one error model; each result equals its solo run.
     """
     if any(c.protocol is not Protocol.DF for c in configs):
         raise ValueError("simulate_df requires decode-and-forward configs")
@@ -552,11 +551,10 @@ def simulate_df(
         )
     unit = _unit_bits(src_c, rel_c)  # rejects split source axes before any error model
     plans = _df_plans(params, configs, coop_bandwidth_fraction)
-    problems = list(dict.fromkeys(plans))  # configs with equal plans are sampled once
 
     # the relay's substitution law depends only on its downlink noise power;
     # weight-and-add never reads it, so it skips building any
-    relay_noises = dict.fromkeys(noises[1 - dest] for noises, heard in problems
+    relay_noises = dict.fromkeys(noises[1 - dest] for noises, heard in plans
                                  for dest, branch in enumerate(heard) if branch)
     models = {noise: RelayErrorModel.error_free(src_c) if relay_model == "genie"
               else estimate_relay_errors(src_c, amp_s, noise)
@@ -575,16 +573,14 @@ def simulate_df(
         tile_blocks = blocks_per_batch
     total_blocks = -(-tc.trials // shape.s)
 
-    def worker(b: int, active: tuple[int, ...]) -> list[tuple]:
-        T = min(blocks_per_batch, total_blocks - b * blocks_per_batch)
-        rng = _rng(tc.seed, b)
+    def worker(rng: np.random.Generator, T: int, active: tuple) -> list[tuple]:
         bits = rng.integers(0, 2, (T, shape.n), dtype=np.int8)
         unit_direct = [_unit_cn(rng, (T, shape.s)) for _ in range(2)]
         unit_links = [_unit_cn(rng, (T, shape.r))
-                      for _ in range(max(sum(map(bool, problems[c][1])) for c in active))]
-        groups: dict[tuple[float, float], list[int]] = {}  # downlink noises -> problems
-        for c in active:
-            groups.setdefault(problems[c][0], []).append(c)
+                      for _ in range(max(sum(map(bool, links)) for _, links in active))]
+        groups: dict[tuple[float, float], list] = {}  # downlink noises -> problems
+        for plan in active:
+            groups.setdefault(plan[0], []).append(plan)
         errors = {c: [0, 0, 0] for c in active}  # Python ints
         for tile in (slice(a, a + tile_blocks) for a in range(0, T, tile_blocks)):
             tile_bits = bits[tile]
@@ -595,22 +591,20 @@ def simulate_df(
                 # a genie relay decodes the noiseless source symbols
                 relay_in = direct if relay_model == "exact" else (x, x)
                 labels = {relay: relay_decode_and_remap(relay_in[relay], src_c, rel_c, amp_s)
-                          for relay in {1 - dest for c in members
-                                        for dest, branch in enumerate(problems[c][1]) if branch}}
+                          for relay in {1 - dest for _, links in members
+                                        for dest, branch in enumerate(links) if branch}}
                 wrong = []
                 for dest in (0, 1):  # one call; a member hears its partner's branch, or None
                     heard = [link and RelayObservation(  # link: (slot, gain, noise)
                         link[1] * rel_c.points[labels[1 - dest]]
                         + math.sqrt(link[2] / 2.0) * unit_links[link[0]][tile],
                         link[1], link[2], models.get(noises[1 - dest]))
-                        for link in (problems[c][1][dest] for c in members)]
+                        for link in (links[dest] for _, links in members)]
                     wrong.append(decide(direct[dest], heard, noises[dest]) != tile_bits)
                 for c, w_I, w_II in zip(members, *wrong):  # config-major slices
                     errors[c] = [e + np.count_nonzero(w)
                                  for e, w in zip(errors[c], (w_I, w_II, w_I | w_II))]
         return [(T * shape.s, T * shape.n, *errors[c]) for c in active]
 
-    totals = _run_ordered(worker, len(problems), -(-total_blocks // blocks_per_batch), threads, tc)
-    results = {plan: DfRunResult(*_ber_estimates(t), source_order, rel_order)
-               for plan, t in zip(problems, totals)}
-    return Sweep(results[plan] for plan in plans)
+    totals = _run_ordered(worker, plans, total_blocks, blocks_per_batch, threads, tc)
+    return Sweep(DfRunResult(*_ber_estimates(t), source_order, rel_order) for t in totals)

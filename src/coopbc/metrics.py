@@ -39,11 +39,11 @@ _TIE_TOL = 1e-12
 _CHUNK = 1 << 13
 
 
-def rate_af(plan: BandwidthPlan, rho_pair: tuple[float, float]) -> float:
+def rate_af(B_DL: float, rho_pair: tuple[float, float]) -> float:
     """Worst-receiver common-message rate B_DL * min_j log2(1 + rho_j) in bits/s
-    (elementwise when B_DL or the SNRs are arrays)."""
+    over the downlink band B_DL (elementwise when B_DL or the SNRs are arrays)."""
     rho_I, rho_II = rho_pair
-    return plan.B_DL * np.minimum(np.log2(1.0 + rho_I), np.log2(1.0 + rho_II))
+    return B_DL * np.minimum(np.log2(1.0 + rho_I), np.log2(1.0 + rho_II))
 
 
 def error_criteria(ber_I: float, ber_II: float, pe_sys: float) -> tuple[float, float]:
@@ -79,8 +79,8 @@ def optimal_k(
     the ValueError of `simo_bound`, which bounds every rate."""
     simo_bound(params)
     rhos = [(st.rho_I, st.rho_II) for st in run_recursion(params, config, k_max)]
-    bands, noises, _, _ = plan_sweep(params, config, range(k_max + 1))
-    rates = tuple(rate_af(BandwidthPlan(*bands.T, *noises.T), np.array(rhos).T).tolist())
+    bands = plan_sweep(params, config, range(k_max + 1))[0]
+    rates = tuple(rate_af(bands[:, 0], np.array(rhos).T).tolist())
     best = 0
     for k, rate in enumerate(rates):
         if rate > rates[best] * (1.0 + _TIE_TOL) + _TIE_TOL:
@@ -117,7 +117,7 @@ def _starter_gaps(params: ChannelParams, config: CoopConfig, plan: BandwidthPlan
     # division by a noise power that underflowed to 0); when both starters'
     # rates are infinite their gap is NaN, which compares as a tie
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rates = rate_af(plan, (params.P / N_I, params.P / N_II))
+        rates = rate_af(plan.B_DL, (params.P / N_I, params.P / N_II))
         r1, r2 = np.split(rates, 2)
         return r1 - r2, np.maximum(np.maximum(r1, r2), 1.0)
 

@@ -210,7 +210,7 @@ def test_criterion_07_simo_ceiling_dedicated_band():
         params = from_db(10, 10, 30, 30)
         cfg = CoopConfig(Protocol.AF, Symmetric(2), Strategy.S1, Regime.H2)
         st = run_recursion(params, cfg, 2)[2]
-        rate = rate_af(plan_bandwidth(params, cfg), (st.rho_I, st.rho_II))
+        rate = rate_af(plan_bandwidth(params, cfg).B_DL, (st.rho_I, st.rho_II))
         bound = simo_bound(params)
         assert rate <= bound * (1 + 1e-12)
         assert rate >= 0.98 * bound

@@ -37,6 +37,7 @@ from coopbc.mc import TrialConfig, simulate_af
 from coopbc.metrics import RegionMap
 from coopbc.scenario import parse_scenario_text
 from oracles import s2_closed_form, write_csv
+from test_mc import spy_sampled_keys
 
 AF_TEXT = """
 [channel]
@@ -459,8 +460,10 @@ class TestOutputs:
             assert all(0.0 <= float(v) <= 1.0 for v in r[1:])
 
     def test_compare_samples_k0_once(self, capsys, scenario_file, monkeypatch):
-        # without an exchange S1 and S2 are one campaign: the AF sweep samples
-        # it once and both strategy columns report it
+        # without an exchange S1 and S2 are one campaign: the AF sweep passes
+        # both strategies at every count, samples k = 0 once and both strategy
+        # columns report it. One round forwards each direct signal under
+        # either strategy, so k = 1 is one problem too: 4 of the 6 configs
         sizes = []
 
         def spy(params, configs, *args, **kwargs):
@@ -468,10 +471,12 @@ class TestOutputs:
             return simulate_af(params, configs, *args, **kwargs)
 
         monkeypatch.setattr(cli, "simulate_af", spy)
+        sampled = spy_sampled_keys(monkeypatch)
         text = AF_TEXT.replace("trials = 30000", "trials = 4096")
         code, out = run(capsys, ["compare", "--scenario", scenario_file(text)])
         assert code == 0
-        assert sizes == [2 * 2 + 1]
+        assert sizes == [2 * (2 + 1)]
+        assert len(sampled[0]) == 2 * 2  # the AF sweep runs first
         _, header, rows = parse_csv(out)
         k0 = dict(zip(header, rows[0]))
         assert [k0[f"af_s1_{c}"] for c in ("ber_max", "pe_sys")] == [

@@ -706,19 +706,44 @@ class TestSweep:
         assert sweep == singles
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_the_earliest_batch_error_reraises_once_every_thread_stops(self, threads):
+    def test_the_earliest_batch_error_reraises_once_every_thread_stops(self, monkeypatch,
+                                                                       threads):
         # batches are taken in order, so every batch before a failing one has
         # run: the caller sees the error of the earliest failing batch (the CLI
-        # maps a MemoryError to exit 3), after every worker thread has ended
-        def worker(b, active):
+        # maps a MemoryError to exit 3), after every worker thread has ended.
+        # A worker knows its batch by its stream, patched to the batch index
+        monkeypatch.setattr(mc, "_rng", lambda seed, b: b)
+
+        def worker(b, T, active):
             if b in (1, 2):
                 raise (MemoryError if b == 1 else ValueError)(f"batch {b}")
             return [(1, 2, 0, 0, 0)]
 
         alive = threading.active_count()
         with pytest.raises(MemoryError, match="batch 1"):
-            mc._run_ordered(worker, 1, 8, threads, TrialConfig(trials=8))
+            mc._run_ordered(worker, [0], 8, 1, threads, TrialConfig(trials=8))
         assert threading.active_count() == alive
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_the_driver_samples_each_key_once_a_batch(self, monkeypatch, threads):
+        # 10 units in batches of 4: batch b draws from its own stream, patched
+        # to (seed, b), and gets 4, 4, then 2 units. The two configs keyed "a"
+        # are one problem, sampled once a batch, and every config gets its
+        # key's totals, in config order
+        monkeypatch.setattr(mc, "_rng", lambda seed, b: (seed, b))
+        calls = []
+
+        def worker(rng, T, active):
+            calls.append((rng, T, active))
+            return [(T, 2 * T, len(key), 0, 0) for key in active]
+
+        tc = TrialConfig(trials=1, seed=7)
+        keys = ["a", "bb", "a", "ccc"]
+        totals = mc._run_ordered(worker, keys, 10, 4, threads, tc)
+        assert sorted(calls) == [((7, b), T, ("a", "bb", "ccc")) for b, T in enumerate((4, 4, 2))]
+        assert totals == [(10, 20, 3 * len(key), 0, 0) for key in keys]
+        assert mc._run_ordered(worker, [], 10, 4, threads, tc) == []
+        assert len(calls) == 3  # an empty sweep runs no batch
 
     def test_early_stop_per_config(self):
         # the counts reach the target after different numbers of 4-batch chunks
@@ -887,9 +912,30 @@ class TestDfFold:
 
 
 def compare_af_sweep(scheme, regime, k_max):
-    """The AF half of `coopbc compare`: s1 at k = 0..k_max, then s2 at k >= 1."""
+    """s1 at k = 0..k_max, then s2 at k >= 1: the AF half of `coopbc compare`
+    but its s2 at k = 0, which poses s1's problem."""
     return [*af_sweep(scheme, [Strategy.S1], regime, range(k_max + 1)),
             *af_sweep(scheme, [Strategy.S2], regime, range(1, k_max + 1))]
+
+
+def spy_sampled_keys(monkeypatch) -> list[set]:
+    """Patch `mc._run_ordered` to record, for each call, the distinct keys its
+    worker is asked to sample; returns the list it fills."""
+    sampled: list[set] = []
+    run_ordered = mc._run_ordered
+
+    def spy(worker, *args):
+        keys = set()
+        sampled.append(keys)
+
+        def recorded(rng, T, active):
+            keys.update(active)
+            return worker(rng, T, active)
+
+        return run_ordered(recorded, *args)
+
+    monkeypatch.setattr(mc, "_run_ordered", spy)
+    return sampled
 
 
 class TestAfFold:
@@ -917,17 +963,10 @@ class TestAfFold:
     def test_a_5_config_h2_compare_sweep_samples_3_problems(self, monkeypatch):
         # s1 at k = 1 and s2 at k = 1 and 2 end in the same state under h2,
         # so k = 0, k = 1 and s1 at k = 2 are the three problems
-        sampled = []
-        run_ordered = mc._run_ordered
-
-        def spy(worker, n_configs, *args):
-            sampled.append(n_configs)
-            return run_ordered(worker, n_configs, *args)
-
-        monkeypatch.setattr(mc, "_run_ordered", spy)
+        sampled = spy_sampled_keys(monkeypatch)
         configs = compare_af_sweep(Symmetric(0), Regime.H2, 2)
         rows = simulate_af(COOP, configs, TrialConfig(trials=3000, seed=13))
-        assert sampled == [3]
+        assert [len(keys) for keys in sampled] == [3]
         s1, s2 = rows[:3], rows[3:]
         assert replace(s1[1], analytic=None) == replace(s2[0], analytic=None) == replace(
             s2[1], analytic=None)  # every sampled field

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coopbc import metrics
+from coopbc.af import campaign
 from coopbc.channel import (
     Asymmetric,
     ChannelParams,
@@ -40,23 +42,22 @@ def from_db(params_db: tuple[float, float, float, float]) -> ChannelParams:
 
 
 FLAT = ChannelParams(P=1.0, n1=1.0, n2=1.0, n12=1.0, n21=1.0, P12=0.0, P21=0.0, B=1.0)
-PLAN0 = plan_bandwidth(FLAT, CoopConfig(Protocol.AF, Symmetric(0), Strategy.S1, Regime.H2))
 
 
 class TestRateAf:
     def test_equal_branches(self):
-        assert rate_af(PLAN0, (3.0, 3.0)) == pytest.approx(2.0)
-        assert rate_af(PLAN0, (0.0, 0.0)) == 0.0
+        assert rate_af(1.0, (3.0, 3.0)) == pytest.approx(2.0)
+        assert rate_af(1.0, (0.0, 0.0)) == 0.0
 
     def test_min_branch_semantics(self):
-        assert rate_af(PLAN0, (1e6, 3.0)) == pytest.approx(2.0)
+        assert rate_af(1.0, (1e6, 3.0)) == pytest.approx(2.0)
 
     def test_shrinking_downlink_band(self):
         p = ChannelParams(P=10.0, n1=1.0, n2=1.0, n12=1.0, n21=1.0, P12=5.0, P21=5.0, B=6.0)
         cfg = CoopConfig(Protocol.AF, Symmetric(1), Strategy.S1, Regime.H1)
         plan = plan_bandwidth(p, cfg)
         assert plan.B_DL == pytest.approx(2.0)  # B / (2*1 + 1)
-        assert rate_af(plan, (7.0, 15.0)) == pytest.approx(2.0 * 3.0)
+        assert rate_af(plan.B_DL, (7.0, 15.0)) == pytest.approx(2.0 * 3.0)
 
 
 class TestCriteria:
@@ -232,6 +233,30 @@ class TestDecisionRegions:
             tracemalloc.stop()
         assert rm.winners.shape == (5, 201, 201)
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_every_cell_is_the_winner_of_its_own_campaigns(self, strategy, regime):
+        # each cell on its own: both starters' campaigns at (n1, n2) =
+        # (grid[i], grid[j]) under the ratio's budget split, rated over their
+        # own plan's band (B = 5 makes it 5 under h2 and 5/3 under h1), and
+        # the winner by the map's tie rule. Under s2 a budget's branches sum
+        # to one SNR whatever their number, so every cell ties
+        params = replace(self.PARAMS, B=5.0)
+        config = replace(self.CONFIG, strategy=strategy, regime=regime)
+        grid, ratios = np.logspace(-1, 1, 9), (-10.0, 0.0, 10.0)
+        rm = decision_regions(params, config, grid=grid, ratios_db=ratios)
+        total = params.P12 + params.P21
+        starts = [replace(config, scheme=replace(config.scheme, starter=r)) for r in Receiver]
+        for r, ratio in enumerate(10.0 ** (db / 10.0) for db in ratios):
+            for i, j in np.ndindex(len(grid), len(grid)):
+                cell = replace(params, n1=grid[i], n2=grid[j], P12=total * ratio / (1.0 + ratio),
+                               P21=total / (1.0 + ratio))
+                finals = [campaign(cell, c)[-1] for c in starts]
+                r1, r2 = (float(rate_af(plan_bandwidth(cell, c).B_DL, (f.rho_I, f.rho_II)))
+                          for c, f in zip(starts, finals))
+                gap, tol = r1 - r2, metrics._TIE_TOL * max(r1, r2, 1.0)
+                assert rm.winners[r, i, j] == (gap > tol) - (gap < -tol), (r, i, j)
 
     def test_one_curve_per_ratio(self):
         rm = self.small(ratios=(-10.0, 0.0, 10.0), n=6)
